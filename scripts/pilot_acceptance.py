@@ -20,7 +20,9 @@ from latticegrow import (
     wandering_series,
 )
 from latticegrow.estimators import chi_from_variance_fit
+from latticegrow.weights import derive_seed
 
+MASTER = 20250810  # the acceptance suite's master seed
 WORKERS = 4
 
 
@@ -35,7 +37,7 @@ def pilot_flat_edge():
     for p in (0.8, 0.55):
         rep = timed(
             f"flat edge p={p}",
-            lambda: flat_edge_probe(p, 300, trials=200, seed=20250810, workers=WORKERS),
+            lambda: flat_edge_probe(p, 300, trials=200, seed=MASTER, workers=WORKERS),
         )
         print(f"  p={p}: mean ratio {rep.mean_ratio:.5f} +- {rep.stderr:.5f}  ci {rep.ci95}")
 
@@ -43,7 +45,9 @@ def pilot_flat_edge():
 def pilot_idla():
     ratios = []
     for seed in range(10):
-        trace = timed(f"idla seed {seed}", lambda: idla_grow(1000 + seed, 2, 20_000))
+        # criterion 8's seeds, so the pilot reproduces the frozen numbers
+        trace = timed(f"idla seed {seed}",
+                      lambda: idla_grow(derive_seed(MASTER, "acc8", seed), 2, 20_000))
         rin, rout = roundness(trace, 20_000)
         ratios.append(rout / rin)
         print(f"  seed {seed}: in {rin:.2f} out {rout:.2f} ratio {rout / rin:.4f}")
@@ -56,11 +60,11 @@ def pilot_rost_and_geometric():
         seq = timed(
             f"radial {label} n=64,256 x500",
             lambda: estimate_radial_g("lpp", spec, (1, 1), [64, 256], 500,
-                                      20250810, workers=WORKERS),
+                                      MASTER, workers=WORKERS),
         )
-        for n, m, s in zip(seq.ns, seq.means, seq.stderrs):
+        for n, m, s in zip(seq.ns, seq.values, seq.stderrs):
             print(f"  {label} n={n}: {m:.5f} +- {s:.5f}  (limit {g:.5f})")
-        gap_sig = (seq.means[1] - seq.means[0]) / math.hypot(seq.stderrs[0], seq.stderrs[1])
+        gap_sig = (seq.values[1] - seq.values[0]) / math.hypot(seq.stderrs[0], seq.stderrs[1])
         print(f"  monotone separation: {gap_sig:.1f} combined SEs")
 
 
@@ -69,21 +73,21 @@ def pilot_exponents():
     vs = timed(
         "variance series x500",
         lambda: variance_series("lpp", exponential(1.0), (1, 1), grid, 500,
-                                20250810, workers=WORKERS),
+                                MASTER, workers=WORKERS),
     )
     ws = timed(
         "wandering series x500",
         lambda: wandering_series("lpp", exponential(1.0), (1, 1), grid, 500,
-                                 20250810, workers=WORKERS),
+                                 MASTER, workers=WORKERS),
     )
-    var_fit = fit_exponent(vs.ns, vs.variances, vs.boot_se, statistic="variance")
+    var_fit = fit_exponent(vs.ns, vs.values, vs.stderrs, statistic="variance")
     chi = chi_from_variance_fit(var_fit)
     xi = fit_exponent(ws.ns, ws.values, ws.stderrs, statistic="wandering")
     res, res_se = kpz_residual(chi, xi)
     print(f"  chi = {chi.slope:.4f} +- {chi.slope_stderr:.4f}")
     print(f"  xi  = {xi.slope:.4f} +- {xi.slope_stderr:.4f}")
     print(f"  kpz residual = {res:.4f} +- {res_se:.4f}")
-    for n, v, d in zip(grid, vs.variances, ws.values):
+    for n, v, d in zip(grid, vs.values, ws.values):
         print(f"  n={n}: var {v:.3f} meanD {d:.3f}")
 
 

@@ -58,6 +58,7 @@ from .oracle import (
 from .estimators import (
     ExponentFit,
     FlatEdgeReport,
+    Series,
     SubadditiveSequence,
     chi_from_variance_fit,
     estimate_radial_g,

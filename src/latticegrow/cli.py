@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .experiments import KINDS, ConfigError, ExperimentConfig, HardFailure, run_experiment
 from .lpp import ExactShape, exact_g
@@ -49,11 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if args.config:
-        with open(args.config) as fh:
-            cfg = ExperimentConfig.from_text(fh.read())
-    else:
-        cfg = ExperimentConfig()
+    text = Path(args.config).read_text() if args.config else ""
+    cfg = ExperimentConfig.from_text(text)
     cfg.kind = args.command
     for key in ("dist", "dim", "model", "direction", "n_grid", "t", "trials",
                 "steps", "seed", "workers", "out"):

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
+from ._output import write_csv
 from .fpp import (
     LatticeBox,
     fpp_ball,
@@ -27,6 +28,7 @@ from .lpp import exact_g, exact_shape_for, lpp_dp, lpp_geodesic
 from .weights import DistributionSpec, WeightField, derive_seed
 
 __all__ = [
+    "Series",
     "SubadditiveSequence",
     "RadialShapeEstimate",
     "ExponentFit",
@@ -46,30 +48,22 @@ __all__ = [
     "kpz_residual",
 ]
 
+# input thresholds, shared with the experiment config's validation; log-log
+# fits need MIN_FIT_POINTS grid points spanning a factor of MIN_FIT_SPAN
+MIN_RADIAL_TRIALS = 2
+MIN_VARIANCE_TRIALS = 200
+MIN_FLAT_EDGE_N = 50
+MIN_FIT_POINTS = 4
+MIN_FIT_SPAN = 8
+
 
 # ---------------------------------------------------------------------------
 # result containers
 
 
 @dataclass
-class SubadditiveSequence:
-    """Per-n sample means of T(0, [n x]) / n with standard errors."""
-
-    model: str
-    direction: tuple
-    ns: np.ndarray
-    means: np.ndarray
-    stderrs: np.ndarray
-    trials: int
-    truncation_warnings: dict = dc_field(default_factory=dict)
-
-    def to_csv(self, path) -> None:
-        _series_to_csv(path, self.ns, self.means, self.stderrs, self.trials)
-
-
-@dataclass
-class MeanSeries:
-    """Generic (n, value, stderr) series with a statistic tag."""
+class Series:
+    """Per-n estimates of one statistic; variances add bootstrap 95% bands."""
 
     statistic: str
     ns: np.ndarray
@@ -77,25 +71,16 @@ class MeanSeries:
     stderrs: np.ndarray
     trials: int
     truncation_warnings: dict = dc_field(default_factory=dict)
+    ci_low: np.ndarray | None = None
+    ci_high: np.ndarray | None = None
 
     def to_csv(self, path) -> None:
-        _series_to_csv(path, self.ns, self.values, self.stderrs, self.trials)
+        write_csv(path, ("n", "value", "stderr", "trials"),
+                  (np.asarray(self.ns, dtype=np.int64), self.values, self.stderrs, self.trials))
 
 
-@dataclass
-class VarianceSeries:
-    """Unbiased sample variances of T(0, [n x]) with bootstrap uncertainty."""
-
-    ns: np.ndarray
-    variances: np.ndarray
-    boot_se: np.ndarray
-    ci_low: np.ndarray
-    ci_high: np.ndarray
-    trials: int
-    truncation_warnings: dict = dc_field(default_factory=dict)
-
-    def to_csv(self, path) -> None:
-        _series_to_csv(path, self.ns, self.variances, self.boot_se, self.trials)
+# earlier names of the one series type; callers and perfbench/tracer.py use them
+SubadditiveSequence = MeanSeries = VarianceSeries = Series
 
 
 @dataclass
@@ -112,13 +97,8 @@ class RadialShapeEstimate:
     truncated_trials: int = 0
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("angle,radius,stderr,trials\n")
-            for a, r, s in zip(self.angles, self.radii, self.stderrs):
-                fh.write(
-                    f"{format(a, '.17g')},{format(r, '.17g')},"
-                    f"{format(s, '.17g')},{self.trials}\n"
-                )
+        write_csv(path, ("angle", "radius", "stderr", "trials"),
+                  (self.angles, self.radii, self.stderrs, self.trials))
 
 
 @dataclass
@@ -149,20 +129,7 @@ class ExponentFit:
     n_range: tuple
 
     def as_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "slope_stderr": self.slope_stderr,
-            "n_range": list(self.n_range),
-        }
-
-
-def _series_to_csv(path, ns, values, stderrs, trials) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("n,value,stderr,trials\n")
-        for n, v, s in zip(ns, values, stderrs):
-            fh.write(f"{int(n)},{format(v, '.17g')},{format(s, '.17g')},{trials}\n")
+        return {**asdict(self), "n_range": list(self.n_range)}
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +143,11 @@ def _map_trials(fn, tasks, workers: int):
     return [fn(t) for t in tasks]
 
 
-def _check_fpp_spec(spec: DistributionSpec) -> None:
+def _check_model(model: str, spec: DistributionSpec) -> None:
+    if model not in ("fpp", "lpp"):
+        raise ValueError(f"model must be 'fpp' or 'lpp', got {model!r}")
     # surrogate for "not too many zero weights": continuous, or bounded away from 0
-    if not (spec.is_continuous() or spec.support_min() > 0):
+    if model == "fpp" and not (spec.is_continuous() or spec.support_min() > 0):
         raise ValueError(
             f"FPP estimation needs a continuous distribution or one with "
             f"strictly positive support, got {spec.token()}"
@@ -226,29 +195,31 @@ def _passage_trial(args):
     return t, dev, False
 
 
+def _grid_targets(model: str, direction, n_grid):
+    """(direction, sorted n-grid, targets [n x]); each error names its argument."""
+    direction = tuple(float(c) for c in direction)
+    if not all(map(math.isfinite, direction)):
+        raise ValueError(f"direction: components must be finite, got {direction}")
+    if model == "lpp" and any(c < 0 for c in direction):
+        raise ValueError("direction: LPP directions must be componentwise nonnegative")
+    ns = sorted(int(n) for n in n_grid)
+    if len(set(ns)) != len(ns) or not ns or ns[0] < 1:
+        raise ValueError(f"n_grid: entries must be distinct and positive, got {ns}")
+    targets = [lattice_point(n * c for c in direction) for n in ns]
+    for n, tgt in zip(ns, targets):
+        if not any(tgt):
+            raise ValueError(f"direction: n={n} times {direction} floors to the origin")
+    return direction, ns, targets
+
+
 def _sample_times(model, spec, direction, n_grid, trials, seed, tag, workers,
                   want_geodesic=False):
     """Passage-time (and optionally wandering) samples on an n-grid.
 
     Returns (ns, targets, times[n_index, trial], devs or None, trunc counts).
     """
-    if model not in ("fpp", "lpp"):
-        raise ValueError(f"model must be 'fpp' or 'lpp', got {model!r}")
-    if model == "fpp":
-        _check_fpp_spec(spec)
-    direction = tuple(float(c) for c in direction)
-    if model == "lpp" and any(c < 0 for c in direction):
-        raise ValueError("LPP directions must be componentwise nonnegative")
-    ns = sorted(int(n) for n in n_grid)
-    if len(set(ns)) != len(ns):
-        raise ValueError("n-grid entries must be distinct")
-    targets = []
-    for n in ns:
-        tgt = lattice_point(tuple(n * c for c in direction))
-        if all(c == 0 for c in tgt):
-            raise ValueError(f"n={n} in direction {direction} floors to the origin")
-        targets.append(tgt)
-
+    _check_model(model, spec)
+    direction, ns, targets = _grid_targets(model, direction, n_grid)
     full_tag = f"{tag}:{model}:{spec.token()}:{direction}"
     tasks = [
         (model, spec, targets[j], derive_seed(seed, full_tag, ns[j], i), want_geodesic)
@@ -289,28 +260,25 @@ def estimate_radial_g(
     trials: int,
     seed: int,
     workers: int = 1,
-) -> SubadditiveSequence:
+) -> Series:
     """Monte Carlo sequence of T(0, [n x]) / n along one direction."""
-    if trials < 2:
-        raise ValueError("need at least 2 trials per grid point")
+    if trials < MIN_RADIAL_TRIALS:
+        raise ValueError(f"need at least {MIN_RADIAL_TRIALS} trials per grid point")
     ns, _targets, times, _devs, trunc = _sample_times(
         model, spec, direction, n_grid, trials, seed, "radial-g", workers
     )
     scaled = times / ns[:, None]
-    means = scaled.mean(axis=1)
-    stderrs = scaled.std(axis=1, ddof=1) / math.sqrt(trials)
-    return SubadditiveSequence(
-        model=model,
-        direction=tuple(direction),
+    return Series(
+        statistic="radial-g",
         ns=ns,
-        means=means,
-        stderrs=stderrs,
+        values=scaled.mean(axis=1),
+        stderrs=scaled.std(axis=1, ddof=1) / math.sqrt(trials),
         trials=trials,
         truncation_warnings=trunc,
     )
 
 
-def fekete_envelope(seq: SubadditiveSequence) -> FeketeReport:
+def fekete_envelope(seq: Series) -> FeketeReport:
     """Running infimum of a_k / k plus approximate-subadditivity violations.
 
     The running envelope converges to the sequence's limit when (a_n) is
@@ -318,10 +286,9 @@ def fekete_envelope(seq: SubadditiveSequence) -> FeketeReport:
     a_{m+n} exceeds a_m + a_n by more than three combined standard errors.
     """
     ns = seq.ns
-    means = seq.means
-    envelope = np.minimum.accumulate(means)
+    envelope = np.minimum.accumulate(seq.values)
     idx = {int(n): j for j, n in enumerate(ns)}
-    a = means * ns  # estimate of a_n itself
+    a = seq.values * ns  # estimate of a_n itself
     a_se = seq.stderrs * ns
     violations = []
     for j, m in enumerate(ns):
@@ -392,10 +359,7 @@ def shape_boundary_estimate(
     workers: int = 1,
 ) -> RadialShapeEstimate:
     """Per-direction radial reach of the rescaled infected region B(t)/t."""
-    if model not in ("fpp", "lpp"):
-        raise ValueError(f"model must be 'fpp' or 'lpp', got {model!r}")
-    if model == "fpp":
-        _check_fpp_spec(spec)
+    _check_model(model, spec)
     angles = np.asarray(angles, dtype=np.float64)
     if model == "lpp" and (np.any(angles < 0) or np.any(angles > math.pi / 2)):
         raise ValueError("LPP shape angles must lie in [0, pi/2]")
@@ -533,8 +497,8 @@ def flat_edge_probe(p: float, n: int, trials: int, seed: int, workers: int = 1) 
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    if n < 50:
-        raise ValueError(f"n must be >= 50, got {n}")
+    if n < MIN_FLAT_EDGE_N:
+        raise ValueError(f"n must be >= {MIN_FLAT_EDGE_N}, got {n}")
     tag = f"flat-edge:{p}"
     tasks = [(float(p), int(n), derive_seed(seed, tag, n, i)) for i in range(trials)]
     times = np.array(_map_trials(_flat_edge_trial, tasks, workers))
@@ -562,10 +526,10 @@ def variance_series(
     seed: int,
     workers: int = 1,
     bootstrap: int = 1000,
-) -> VarianceSeries:
+) -> Series:
     """Sample variance of T(0, [n x]) per n, with bootstrap confidence bands."""
-    if trials < 200:
-        raise ValueError("variance estimation needs at least 200 trials per point")
+    if trials < MIN_VARIANCE_TRIALS:
+        raise ValueError(f"variance estimation needs {MIN_VARIANCE_TRIALS}+ trials per point")
     ns, _targets, times, _devs, trunc = _sample_times(
         model, spec, direction, n_grid, trials, seed, "variance", workers
     )
@@ -579,14 +543,15 @@ def variance_series(
         bvars = times[j][idx].var(axis=1, ddof=1)
         boot_se[j] = bvars.std(ddof=1)
         ci_low[j], ci_high[j] = np.percentile(bvars, [2.5, 97.5])
-    return VarianceSeries(
+    return Series(
+        statistic="variance",
         ns=ns,
-        variances=variances,
-        boot_se=boot_se,
-        ci_low=ci_low,
-        ci_high=ci_high,
+        values=variances,
+        stderrs=boot_se,
         trials=trials,
         truncation_warnings=trunc,
+        ci_low=ci_low,
+        ci_high=ci_high,
     )
 
 
@@ -598,19 +563,17 @@ def wandering_series(
     trials: int,
     seed: int,
     workers: int = 1,
-) -> MeanSeries:
+) -> Series:
     """Mean geodesic wandering D(0, [n x]) per n."""
     ns, _targets, _times, devs, trunc = _sample_times(
         model, spec, direction, n_grid, trials, seed, "wandering", workers,
         want_geodesic=True,
     )
-    means = devs.mean(axis=1)
-    stderrs = devs.std(axis=1, ddof=1) / math.sqrt(trials)
-    return MeanSeries(
+    return Series(
         statistic="wandering",
         ns=ns,
-        values=means,
-        stderrs=stderrs,
+        values=devs.mean(axis=1),
+        stderrs=devs.std(axis=1, ddof=1) / math.sqrt(trials),
         trials=trials,
         truncation_warnings=trunc,
     )
@@ -623,7 +586,7 @@ def shape_gap_series(
     trials: int,
     seed: int,
     workers: int = 1,
-) -> MeanSeries:
+) -> Series:
     """Nonrandom fluctuation g([n x]) - E T(0, [n x]) for exactly solvable LPP.
 
     Only distributions with a closed-form shape qualify; superadditivity
@@ -639,7 +602,7 @@ def shape_gap_series(
         mean, se = _mean_se(times[j])
         gaps[j] = exact_g(shape, tgt) - mean
         stderrs[j] = se
-    return MeanSeries(
+    return Series(
         statistic="shape-gap",
         ns=ns,
         values=gaps,
@@ -661,12 +624,12 @@ def fit_exponent(ns, values, errors=None, statistic: str = "generic") -> Exponen
     """
     ns = np.asarray(ns, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    if ns.size < 4:
-        raise ValueError("exponent fits need at least 4 points")
+    if ns.size < MIN_FIT_POINTS:
+        raise ValueError(f"exponent fits need at least {MIN_FIT_POINTS} points")
     if np.any(values <= 0):
         raise ValueError("exponent fits need strictly positive values")
-    if ns.max() / ns.min() < 8:
-        raise ValueError("n-grid must span at least a factor of 8")
+    if ns.max() / ns.min() < MIN_FIT_SPAN:
+        raise ValueError(f"n-grid must span at least a factor of {MIN_FIT_SPAN}")
     x = np.log(ns)
     y = np.log(values)
     if errors is not None:

@@ -18,7 +18,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._output import write_csv
 from .estimators import (
+    MIN_FIT_POINTS,
+    MIN_FIT_SPAN,
+    MIN_FLAT_EDGE_N,
+    MIN_RADIAL_TRIALS,
+    MIN_VARIANCE_TRIALS,
+    Series,
+    _check_model,
+    _grid_targets,
     chi_from_variance_fit,
     estimate_radial_g,
     fit_exponent,
@@ -33,22 +42,9 @@ from .growth import eden_grow, idla_grow, roundness, roundness_series_to_csv
 from .lpp import exact_g, exact_shape_for, lpp_dp
 from .oracle import brute_force_fpp, brute_force_lpp
 from .tasep import coupling_equivalence, current_at, tasep_run
-from .weights import WeightField, derive_seed, parse_dist_token
+from .weights import WeightField, derive_seed, exponential, parse_dist_token
 
 __all__ = ["ExperimentConfig", "ConfigError", "HardFailure", "run_experiment", "KINDS"]
-
-KINDS = (
-    "fpp-shape",
-    "lpp-shape",
-    "radial-g",
-    "exponents",
-    "flat-edge",
-    "eden",
-    "idla",
-    "tasep-coupling",
-    "oracle-check",
-)
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
@@ -74,8 +70,6 @@ class ExperimentConfig:
     out: str = "out"
 
     def n_grid_list(self) -> list:
-        if not self.n_grid:
-            return []
         try:
             return [int(x) for x in self.n_grid.split(",") if x.strip()]
         except ValueError as e:
@@ -88,15 +82,12 @@ class ExperimentConfig:
             raise ConfigError(f"direction: {e}") from None
 
     def to_text(self) -> str:
-        lines = []
-        for f in dc_fields(self):
-            lines.append(f"{f.name} = {getattr(self, f.name)}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name} = {getattr(self, f.name)}\n" for f in dc_fields(self))
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         cfg = cls()
-        known = {f.name: f.type for f in dc_fields(cls)}
+        known = {f.name for f in dc_fields(cls)}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -106,51 +97,76 @@ class ExperimentConfig:
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in known:
                 raise ConfigError(f"{key}: unknown config key")
-            current = getattr(cfg, key)
             try:
-                if isinstance(current, bool):
-                    setattr(cfg, key, val.lower() in ("1", "true", "yes"))
-                elif isinstance(current, int):
-                    setattr(cfg, key, int(val))
-                elif isinstance(current, float):
-                    setattr(cfg, key, float(val))
-                else:
-                    setattr(cfg, key, val)
+                # every field is an int, a float or a str, like its default
+                setattr(cfg, key, type(getattr(cfg, key))(val))
             except ValueError:
                 raise ConfigError(f"{key}: cannot parse {val!r}") from None
         return cfg
 
     def validate(self) -> None:
-        if self.kind not in KINDS:
-            raise ConfigError(f"kind: must be one of {', '.join(KINDS)}; got {self.kind!r}")
+        """Raise a ConfigError naming the field for every input the run would reject."""
+        kind = self.kind
+        if kind not in KINDS:
+            raise ConfigError(f"kind: must be one of {', '.join(KINDS)}; got {kind!r}")
+        if kind == "radial-g" and self.model not in ("fpp", "lpp"):
+            raise ConfigError(f"model: radial-g needs 'fpp' or 'lpp', got {self.model!r}")
         try:
-            parse_dist_token(self.dist)
+            spec = parse_dist_token(self.dist)
+            if kind in ("fpp-shape", "oracle-check") or (kind, self.model) == ("radial-g", "fpp"):
+                _check_model("fpp", spec)
         except ValueError as e:
             raise ConfigError(f"dist: {e}") from None
-        if self.dim < 1:
-            raise ConfigError(f"dim: must be >= 1, got {self.dim}")
-        if self.workers < 1:
-            raise ConfigError(f"workers: must be >= 1, got {self.workers}")
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
-        needs_trials = self.kind in (
-            "fpp-shape", "lpp-shape", "radial-g", "exponents", "flat-edge",
-            "tasep-coupling", "oracle-check",
-        )
-        if needs_trials and self.trials <= 0:
-            raise ConfigError(f"trials: must be positive for kind {self.kind}, got {self.trials}")
-        if self.kind in ("radial-g", "exponents", "flat-edge") and not self.n_grid_list():
-            raise ConfigError(f"n_grid: required for kind {self.kind}")
-        if self.kind == "radial-g" and self.model not in ("fpp", "lpp"):
-            raise ConfigError(f"model: radial-g needs 'fpp' or 'lpp', got {self.model!r}")
-        if self.kind in ("fpp-shape", "lpp-shape") and self.t <= 0:
-            raise ConfigError(f"t: must be positive for kind {self.kind}, got {self.t}")
-        if self.kind in ("eden", "idla", "tasep-coupling") and self.steps <= 0:
-            raise ConfigError(f"steps: must be positive for kind {self.kind}, got {self.steps}")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+        if kind == "flat-edge" and spec.kind != "twopoint":
+            raise ConfigError(f"dist: flat-edge needs a twopoint distribution, got {self.dist}")
+        if kind == "tasep-coupling" and spec != exponential(1.0):
+            raise ConfigError("dist: tasep-coupling requires exp:1.0 vertex weights")
+        if kind == "lpp-shape" and spec.mean() <= 0:
+            raise ConfigError(f"dist: lpp-shape needs a positive mean weight, got {self.dist}")
+        if kind == "exponents" and spec.variance() == 0:
+            raise ConfigError(f"dist: exponents needs random weights, got {self.dist}")
+        if kind in ("radial-g", "exponents"):
+            direction = self.direction_tuple()
+            if self.dim != len(direction):
+                raise ConfigError(f"dim: {kind} works in the dimension of direction "
+                                  f"({len(direction)}), got {self.dim}")
+        elif self.dim < 1 or (self.dim != 2 and kind not in ("eden", "idla")):
+            raise ConfigError(f"dim: must be 2 for kind {kind} (>= 1 for growth), got {self.dim}")
+        least = {
+            "workers": 1,
+            "seed": 0,
+            "trials": {"radial-g": MIN_RADIAL_TRIALS, "exponents": MIN_VARIANCE_TRIALS,
+                       "eden": 0, "idla": 0}.get(kind, 1),
+            # a 1 x 1 TASEP table cannot determine the current at any time
+            "steps": {"eden": 1, "idla": 1, "tasep-coupling": 2}.get(kind, 0),
+        }
+        for name, low in least.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name}: must be >= {low} for kind {kind}, "
+                                  f"got {getattr(self, name)}")
+        if kind in ("fpp-shape", "lpp-shape") and not 0 < self.t < math.inf:
+            raise ConfigError(f"t: must be positive and finite for kind {kind}, got {self.t}")
+        if kind not in ("radial-g", "exponents", "flat-edge"):
+            return
+        grid = self.n_grid_list()
+        if not grid:
+            raise ConfigError(f"n_grid: required for kind {kind}")
+        if kind == "flat-edge":
+            if min(grid) < MIN_FLAT_EDGE_N:
+                raise ConfigError(f"n_grid: flat-edge needs n >= {MIN_FLAT_EDGE_N}, got {grid}")
+            return
+        if kind == "exponents" and (len(grid) < MIN_FIT_POINTS
+                                    or max(grid) < MIN_FIT_SPAN * min(grid)):
+            raise ConfigError(f"n_grid: exponent fits need {MIN_FIT_POINTS}+ points spanning "
+                              f"a factor of {MIN_FIT_SPAN}, got {grid}")
+        try:
+            _, _, targets = _grid_targets("lpp" if kind == "exponents" else self.model,
+                                          direction, grid)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+        # an oriented path to a point on an axis is straight, so it never wanders
+        if kind == "exponents" and any(sum(c > 0 for c in tgt) < 2 for tgt in targets):
+            raise ConfigError(f"direction: exponents needs targets off the axes, got {targets}")
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -175,9 +191,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "package_version": __version__,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 
@@ -192,7 +206,7 @@ def _run_radial_g(config, spec, out, summary):
         config.trials, config.seed, workers=config.workers,
     )
     seq.to_csv(_record(summary, out, "radial_g.csv"))
-    summary["estimates"]["radial_g_last"] = float(seq.means[-1])
+    summary["estimates"]["radial_g_last"] = float(seq.values[-1])
     summary["estimates"]["radial_g_last_stderr"] = float(seq.stderrs[-1])
     if config.model == "lpp":
         try:
@@ -234,7 +248,7 @@ def _run_exponents(config, spec, out, summary):
     ws = wandering_series("lpp", spec, direction, grid, config.trials,
                           config.seed, workers=config.workers)
     ws.to_csv(_record(summary, out, "wandering_series.csv"))
-    var_fit = fit_exponent(vs.ns, vs.variances, vs.boot_se, statistic="variance")
+    var_fit = fit_exponent(vs.ns, vs.values, vs.stderrs, statistic="variance")
     chi_fit = chi_from_variance_fit(var_fit)
     xi_fit = fit_exponent(ws.ns, ws.values, ws.stderrs, statistic="wandering")
     residual, res_se = kpz_residual(chi_fit, xi_fit)
@@ -245,25 +259,20 @@ def _run_exponents(config, spec, out, summary):
         "kpz_residual": residual,
         "kpz_residual_stderr": res_se,
     }
-    with open(_record(summary, out, "fits.json"), "w") as fh:
-        json.dump(summary["fits"], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _record(summary, out, "fits.json").write_text(
+        json.dumps(summary["fits"], indent=2, sort_keys=True) + "\n")
 
 
 def _run_flat_edge(config, spec, out, summary):
-    if spec.kind != "twopoint":
-        raise ConfigError(f"dist: flat-edge needs a twopoint distribution, got {config.dist}")
-    rows = []
-    for n in config.n_grid_list():
-        rep = flat_edge_probe(spec.params[0], n, config.trials, config.seed,
-                              workers=config.workers)
-        rows.append(rep)
-    with open(_record(summary, out, "flat_edge.csv"), "w", newline="") as fh:
-        fh.write("n,value,stderr,trials\n")
-        for rep in rows:
-            fh.write(f"{rep.n},{_fmt(rep.mean_ratio)},{_fmt(rep.stderr)},{rep.trials}\n")
-    summary["estimates"]["mean_ratio_last"] = rows[-1].mean_ratio
-    summary["estimates"]["stderr_last"] = rows[-1].stderr
+    reps = [
+        flat_edge_probe(spec.params[0], n, config.trials, config.seed, workers=config.workers)
+        for n in config.n_grid_list()
+    ]
+    Series("flat-edge", [r.n for r in reps], [r.mean_ratio for r in reps],
+           [r.stderr for r in reps], config.trials).to_csv(
+        _record(summary, out, "flat_edge.csv"))
+    summary["estimates"]["mean_ratio_last"] = reps[-1].mean_ratio
+    summary["estimates"]["stderr_last"] = reps[-1].stderr
 
 
 def _run_eden(config, spec, out, summary):
@@ -287,29 +296,24 @@ def _run_idla(config, spec, out, summary):
 
 
 def _run_tasep(config, spec, out, summary):
-    if spec.kind != "exponential" or spec.params[0] != 1.0:
-        raise ConfigError("dist: tasep-coupling requires exp:1.0 vertex weights")
     k = config.steps
     mismatches = 0
     probe_failures = 0
-    rng_master = config.seed
-    table = None
     for trial in range(config.trials):
-        fld = WeightField(spec, derive_seed(rng_master, "tasep", trial), "vertex", 2)
+        fld = WeightField(spec, derive_seed(config.seed, "tasep", trial), "vertex", 2)
         table = tasep_run(k, k, field=fld)
         lmap = lpp_dp(fld, (k - 1, k - 1))
         if not np.array_equal(table.s, lmap.table.T):
             mismatches += 1
         if k >= 3:
-            rng = np.random.default_rng(derive_seed(rng_master, "tasep-probes", trial))
+            rng = np.random.default_rng(derive_seed(config.seed, "tasep-probes", trial))
             tmax = float(table.s[k - 1, k - 1])
             for _ in range(100):
                 n = int(rng.integers(1, k - 1))
                 t = float(rng.uniform(0.0, tmax))
                 if not coupling_equivalence(table, lmap, n, t):
                     probe_failures += 1
-    if table is not None:
-        table.to_csv(_record(summary, out, "tasep_table.csv"))
+    table.to_csv(_record(summary, out, "tasep_table.csv"))
     summary["estimates"]["table_mismatches"] = mismatches
     summary["estimates"]["probe_failures"] = probe_failures
     summary["estimates"]["current_at_half_horizon"] = current_at(
@@ -324,36 +328,33 @@ def _run_tasep(config, spec, out, summary):
 
 def _run_oracle_check(config, spec, out, summary):
     mismatches = []
-    r = 3
+    box = LatticeBox(2, 3)
     for trial in range(config.trials):
         child = derive_seed(config.seed, "oracle-fpp", trial)
         fld = WeightField(spec, child, "edge", 2)
-        box = LatticeBox(2, r)
         pmap = fpp_dijkstra(fld, (0, 0), box)
         for v in sorted(pmap.times):
             exact = brute_force_fpp(fld, box, (0, 0), v)
             if exact != pmap.times[v]:
-                mismatches.append({"trial": trial, "target": list(v), "kind": "fpp"})
+                mismatches.append((trial, "fpp", f'"{list(v)}"'))
         vchild = derive_seed(config.seed, "oracle-lpp", trial)
         vfld = WeightField(spec, vchild, "vertex", 2)
         lmap = lpp_dp(vfld, (4, 4))
         for idx in np.ndindex(lmap.table.shape):
             if brute_force_lpp(vfld, idx) != lmap.table[idx]:
-                mismatches.append({"trial": trial, "target": list(idx), "kind": "lpp"})
+                mismatches.append((trial, "lpp", f'"{list(idx)}"'))
     summary["estimates"]["seeds_checked"] = config.trials
     summary["estimates"]["mismatches"] = len(mismatches)
-    with open(_record(summary, out, "oracle_check.csv"), "w", newline="") as fh:
-        fh.write("trial,kind,target\n")
-        for m in mismatches:
-            fh.write(f"{m['trial']},{m['kind']},\"{m['target']}\"\n")
+    write_csv(_record(summary, out, "oracle_check.csv"), ("trial", "kind", "target"),
+              list(zip(*mismatches)) or ((), (), ()))
     if mismatches:
         raise HardFailure(f"oracle disagreement on {len(mismatches)} targets")
 
 
 _RUNNERS = {
-    "radial-g": _run_radial_g,
     "fpp-shape": _run_shape,
     "lpp-shape": _run_shape,
+    "radial-g": _run_radial_g,
     "exponents": _run_exponents,
     "flat-edge": _run_flat_edge,
     "eden": _run_eden,
@@ -361,3 +362,4 @@ _RUNNERS = {
     "tasep-coupling": _run_tasep,
     "oracle-check": _run_oracle_check,
 }
+KINDS = tuple(_RUNNERS)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from ._output import write_csv
 from .weights import WeightField
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "wandering_deviation",
     "greedy_forward_path",
     "lattice_point",
+    "unit_steps",
 ]
 
 Vertex = tuple
@@ -38,6 +40,11 @@ Vertex = tuple
 def lattice_point(x) -> Vertex:
     """Map a real point to its lattice representative by componentwise floor."""
     return tuple(int(math.floor(c)) for c in x)
+
+
+def unit_steps(d: int) -> list:
+    """The 2d nearest-neighbour steps of Z^d, ordered +e1, -e1, +e2, -e2, ..."""
+    return [tuple(s * int(i == j) for i in range(d)) for j in range(d) for s in (1, -1)]
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,6 @@ class PassageTimeMap:
     order: list = dc_field(default_factory=list)
     horizon: float = math.inf
     boundary_hit: bool = False
-    frontier_exhausted: bool = False
 
     def settled(self, v) -> bool:
         return tuple(v) in self.times
@@ -101,19 +107,9 @@ class PassageTimeMap:
 
     def to_csv(self, path) -> None:
         d = self.box.dimension
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(f"x{i + 1}" for i in range(d)) + ",T\n")
-            for v in self.order:
-                coords = ",".join(str(c) for c in v)
-                fh.write(f"{coords},{format(self.times[v], '.17g')}\n")
-
-
-def _neighbor_steps(d: int):
-    steps = []
-    for j in range(d):
-        for s in (1, -1):
-            steps.append(tuple(s * int(i == j) for i in range(d)))
-    return steps
+        coords = np.array(self.order, dtype=np.int64).reshape(-1, d)
+        write_csv(path, [f"x{i + 1}" for i in range(d)] + ["T"],
+                  [*coords.T, [self.times[v] for v in self.order]])
 
 
 def fpp_dijkstra(
@@ -148,7 +144,7 @@ def fpp_dijkstra(
     # steps annotated with (axis, moves-positive) so relaxations can use the
     # canonical edge lookup directly instead of re-validating endpoints
     step_info = []
-    for j, s in enumerate(_neighbor_steps(box.dimension)):
+    for j, s in enumerate(unit_steps(box.dimension)):
         step_info.append((s, j // 2, j % 2 == 0))
     canon_w = field._edge_weight_canonical
     times: dict = {}
@@ -156,24 +152,20 @@ def fpp_dijkstra(
     heap = [(0.0, source)]
     best_seen = {source: 0.0}
     face_hit_time = math.inf
-    stopped_at = None
 
     while heap:
         t, u = heapq.heappop(heap)
         if u in times:
             continue
         if time_budget is not None and t > time_budget:
-            stopped_at = t
             break
         times[u] = t
         order.append(u)
         if box.on_face(u) and t < face_hit_time:
             face_hit_time = t
         if target is not None and u == target:
-            stopped_at = t
             break
         if max_settled is not None and len(times) >= max_settled:
-            stopped_at = t
             break
         for s, axis, positive in step_info:
             v = tuple(a + b for a, b in zip(u, s))
@@ -185,7 +177,6 @@ def fpp_dijkstra(
                 best_seen[v] = nt
                 heapq.heappush(heap, (nt, v))
 
-    exhausted = not heap and stopped_at is None
     horizons = []
     flag_cut = math.inf
     if time_budget is not None:
@@ -208,7 +199,6 @@ def fpp_dijkstra(
         order=order,
         horizon=horizon,
         boundary_hit=face_hit_time <= flag_cut,
-        frontier_exhausted=exhausted,
     )
 
 
@@ -224,10 +214,8 @@ def fpp_ball(pmap: PassageTimeMap, t: float) -> set:
 
 
 def ball_to_csv(ball, d: int, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f"x{i + 1}" for i in range(d)) + "\n")
-        for v in sorted(ball):
-            fh.write(",".join(str(c) for c in v) + "\n")
+    coords = np.array(sorted(ball), dtype=np.int64).reshape(-1, d)
+    write_csv(path, [f"x{i + 1}" for i in range(d)], coords.T)
 
 
 @dataclass(frozen=True)
@@ -252,7 +240,7 @@ def fpp_geodesic(field: WeightField, pmap: PassageTimeMap, target) -> Geodesic:
     target = tuple(int(c) for c in target)
     if target not in pmap.times:
         raise KeyError(f"target {target} was not settled")
-    steps = _neighbor_steps(pmap.box.dimension)
+    steps = unit_steps(pmap.box.dimension)
     path = [target]
     seen = {target}
     v = target

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fpp import LatticeBox, fpp_dijkstra
+from ._output import write_csv
+from .fpp import LatticeBox, fpp_dijkstra, unit_steps
 from .weights import WeightField
 
 __all__ = [
@@ -47,18 +48,10 @@ class ClusterTrace:
         return s
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("step," + ",".join(f"x{i + 1}" for i in range(self.dimension)) + "\n")
-            for k, v in enumerate(self.vertices, start=1):
-                fh.write(f"{k}," + ",".join(str(c) for c in v) + "\n")
-
-
-def _axis_steps(d: int):
-    steps = []
-    for j in range(d):
-        for s in (1, -1):
-            steps.append(tuple(s * int(i == j) for i in range(d)))
-    return steps
+        d = self.dimension
+        coords = np.array(self.vertices, dtype=np.int64).reshape(-1, d)
+        write_csv(path, ["step"] + [f"x{i + 1}" for i in range(d)],
+                  [np.arange(1, len(coords) + 1), *coords.T])
 
 
 def eden_grow(seed: int, d: int, steps: int) -> ClusterTrace:
@@ -68,7 +61,7 @@ def eden_grow(seed: int, d: int, steps: int) -> ClusterTrace:
     if d < 1:
         raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    moves = _axis_steps(d)
+    moves = unit_steps(d)
     origin = (0,) * d
     cluster = {origin}
     # boundary edges as (inner, outer) pairs; edges whose outer endpoint got
@@ -191,7 +184,7 @@ def _grow_grid(occ: np.ndarray, radius: int):
 
 def _idla_grow_generic(seed: int, d: int, particles: int) -> ClusterTrace:
     rng = np.random.default_rng(seed)
-    moves = _axis_steps(d)
+    moves = unit_steps(d)
     origin = (0,) * d
     cluster = {origin}
     added = []
@@ -242,7 +235,4 @@ def roundness(trace: ClusterTrace, n: int):
 
 def roundness_series_to_csv(rows, path) -> None:
     """rows of (n, inradius, outradius)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("n,inradius,outradius\n")
-        for n, rin, rout in rows:
-            fh.write(f"{n},{format(rin, '.17g')},{format(rout, '.17g')}\n")
+    write_csv(path, ("n", "inradius", "outradius"), list(zip(*rows)) or ((), (), ()))

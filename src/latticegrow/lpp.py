@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._output import write_csv
 from .weights import WeightField
 
 __all__ = [
@@ -53,11 +54,8 @@ class LppTimeMap:
 
     def to_csv(self, path) -> None:
         d = len(self.corner)
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(f"x{i + 1}" for i in range(d)) + ",T\n")
-            for idx in np.ndindex(self.table.shape):
-                coords = ",".join(str(c) for c in idx)
-                fh.write(f"{coords},{format(float(self.table[idx]), '.17g')}\n")
+        idx = np.indices(self.table.shape).reshape(d, -1)
+        write_csv(path, [f"x{i + 1}" for i in range(d)] + ["T"], [*idx, self.table.ravel()])
 
 
 def _weights_grid(field: WeightField, corner, origin) -> np.ndarray:

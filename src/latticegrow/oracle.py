@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fpp import LatticeBox
+from .fpp import LatticeBox, unit_steps
 from .weights import WeightField
 
 __all__ = [
@@ -71,7 +71,7 @@ def brute_force_fpp(
         )
 
     d = field.dimension
-    steps = [tuple(s * int(i == j) for i in range(d)) for j in range(d) for s in (1, -1)]
+    steps = unit_steps(d)
 
     # cache the box's edge weights once and reject zero weights up front
     wcache: dict[tuple, float] = {}

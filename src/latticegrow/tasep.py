@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._output import write_csv
 from .lpp import LppTimeMap
 from .weights import WeightField
 
@@ -76,11 +77,8 @@ class StepTimeTable:
         return float(self.s[k - 1, n - 1])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("k,n,s\n")
-            for k in range(self.particles):
-                for n in range(self.steps):
-                    fh.write(f"{k + 1},{n + 1},{format(float(self.s[k, n]), '.17g')}\n")
+        k, n = np.indices(self.s.shape).reshape(2, -1) + 1
+        write_csv(path, ("k", "n", "s"), (k, n, self.s.ravel()))
 
 
 def _clock_matrix(particles: int, steps: int, *, seed=None, field=None, clocks=None):
@@ -140,10 +138,6 @@ def tasep_run(
     return StepTimeTable(s=s, coupling=coupling, field=field, seed=clock_seed)
 
 
-def _diag_length(table: StepTimeTable) -> int:
-    return min(table.particles, table.steps)
-
-
 def current_at(table: StepTimeTable, t: float) -> int:
     """Number of particles that have passed through the origin by time t.
 
@@ -155,13 +149,12 @@ def current_at(table: StepTimeTable, t: float) -> int:
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     diag = np.diagonal(table.s)
-    m = _diag_length(table)
-    if diag[m - 1] <= t:
+    if diag[-1] <= t:
         raise CurrentUndetermined(
             f"current at t={t} is not determined by a {table.particles} x "
             f"{table.steps} table; every tabulated particle has already passed"
         )
-    return int(np.count_nonzero(diag[1:m] <= t))
+    return int(np.count_nonzero(diag[1:] <= t))
 
 
 def current_series(table: StepTimeTable, t_grid) -> list:
@@ -169,10 +162,7 @@ def current_series(table: StepTimeTable, t_grid) -> list:
 
 
 def current_series_to_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,c_t\n")
-        for t, c in rows:
-            fh.write(f"{format(t, '.17g')},{c}\n")
+    write_csv(path, ("t", "c_t"), list(zip(*rows)) or ((), ()))
 
 
 def particle_position(table: StepTimeTable, k: int, t: float) -> int:

@@ -161,11 +161,6 @@ class DistributionSpec:
     def is_continuous(self) -> bool:
         return self.kind in ("exponential", "uniform")
 
-    def is_integer_valued(self) -> bool:
-        return self.kind in ("geometric", "twopoint") or (
-            self.kind == "constant" and float(self.params[0]).is_integer()
-        )
-
     # quantile, scalar route (math.*)
     def quantile_scalar(self, u: float) -> float:
         if not 0.0 <= u < 1.0:
@@ -201,10 +196,8 @@ class DistributionSpec:
         return np.full_like(u, p[0])
 
     def token(self) -> str:
-        k, p = self.kind, self.params
-        name = {"exponential": "exp", "geometric": "geom", "uniform": "unif",
-                "twopoint": "twopoint", "constant": "const"}[k]
-        return name + "".join(":" + format(v, ".17g") for v in p)
+        name = next(t for t, (kind, _, _) in _TOKENS.items() if kind == self.kind)
+        return name + "".join(":" + format(v, ".17g") for v in self.params)
 
 
 def exponential(rate: float) -> DistributionSpec:
@@ -237,12 +230,13 @@ def constant(c: float) -> DistributionSpec:
     return DistributionSpec("constant", (float(c),))
 
 
-_TOKEN_BUILDERS = {
-    "exp": (exponential, 1),
-    "geom": (geometric, 1),
-    "unif": (uniform, 2),
-    "twopoint": (two_point, 1),
-    "const": (constant, 1),
+# token name -> (kind, builder, parameter count)
+_TOKENS = {
+    "exp": ("exponential", exponential, 1),
+    "geom": ("geometric", geometric, 1),
+    "unif": ("uniform", uniform, 2),
+    "twopoint": ("twopoint", two_point, 1),
+    "const": ("constant", constant, 1),
 }
 
 
@@ -250,9 +244,9 @@ def parse_dist_token(token: str) -> DistributionSpec:
     """Parse a textual distribution token such as ``exp:1.0`` or ``unif:0.5:1.5``."""
     parts = token.strip().split(":")
     name = parts[0]
-    if name not in _TOKEN_BUILDERS:
+    if name not in _TOKENS:
         raise ValueError(f"unknown distribution token {token!r}")
-    builder, nargs = _TOKEN_BUILDERS[name]
+    _, builder, nargs = _TOKENS[name]
     if len(parts) - 1 != nargs:
         raise ValueError(f"distribution token {token!r} needs {nargs} parameter(s)")
     return builder(*(float(x) for x in parts[1:]))

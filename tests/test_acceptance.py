@@ -80,7 +80,7 @@ def test_criterion_03_exponential_shape_value():
     seq = estimate_radial_g(
         "lpp", exponential(1.0), (1, 1), [64, 256], 500, MASTER, workers=WORKERS
     )
-    m64, m256 = seq.means
+    m64, m256 = seq.values
     se64, se256 = seq.stderrs
     assert 3.5 <= m256 <= 4.0
     assert m256 - m64 >= 2.0 * math.hypot(se64, se256)
@@ -95,7 +95,7 @@ def test_criterion_04_geometric_shape_value():
     seq = estimate_radial_g(
         "lpp", geometric(0.5), (1, 1), [64, 256], 500, MASTER, workers=WORKERS
     )
-    m64, m256 = seq.means
+    m64, m256 = seq.values
     se64, se256 = seq.stderrs
     # same relative window as the exponential criterion: [0.875 g, g]
     assert 0.875 * g <= m256 <= g
@@ -177,7 +177,7 @@ def test_criterion_09_exponent_fits():
         "lpp", exponential(1.0), (1, 1), grid, 500, MASTER, workers=WORKERS
     )
     chi = chi_from_variance_fit(
-        fit_exponent(vs.ns, vs.variances, vs.boot_se, statistic="variance")
+        fit_exponent(vs.ns, vs.values, vs.stderrs, statistic="variance")
     )
     xi = fit_exponent(ws.ns, ws.values, ws.stderrs, statistic="wandering")
     residual, _ = kpz_residual(chi, xi)
@@ -254,7 +254,7 @@ def test_criterion_12b_recursion_identity():
 def test_criterion_12c_symmetry():
     a = estimate_radial_g("lpp", exponential(1.0), (1, 0), [16], 200, MASTER + 1)
     b = estimate_radial_g("lpp", exponential(1.0), (0, 1), [16], 200, MASTER + 2)
-    assert abs(a.means[0] - b.means[0]) <= 3 * math.hypot(a.stderrs[0], b.stderrs[0])
+    assert abs(a.values[0] - b.values[0]) <= 3 * math.hypot(a.stderrs[0], b.stderrs[0])
     fv = make_field(exponential(1.0), derive_seed(MASTER, "acc12sym"), "vertex", 2)
     grid = np.stack(np.meshgrid(np.arange(9), np.arange(7), indexing="ij"), axis=-1)
     w = fv.vertex_weights(grid)
@@ -277,7 +277,7 @@ def test_criterion_12e_fekete_envelope_monotone():
         "lpp", exponential(1.0), (1, 1), [4, 8, 16, 32], 150, MASTER, workers=WORKERS
     )
     neg = SubadditiveSequence(
-        model="lpp-negated", direction=(1.0, 1.0), ns=seq.ns, means=-seq.means,
+        statistic="lpp-negated", ns=seq.ns, values=-seq.values,
         stderrs=seq.stderrs, trials=seq.trials,
     )
     rep = fekete_envelope(neg)
@@ -285,7 +285,7 @@ def test_criterion_12e_fekete_envelope_monotone():
     assert rep.violations == []
     fpp_seq = estimate_radial_g("fpp", uniform(0.5, 1.5), (1, 0), [2, 4, 8, 16], 150, MASTER)
     rep2 = fekete_envelope(fpp_seq)
-    assert np.all(rep2.envelope <= fpp_seq.means + 1e-12)
+    assert np.all(rep2.envelope <= fpp_seq.values + 1e-12)
     assert rep2.violations == []
     _passline("12e", "running envelopes monotone, no subadditivity violations")
 

@@ -33,7 +33,7 @@ def _seq(ns, means, stderrs=None, trials=100):
     if stderrs is None:
         stderrs = np.zeros_like(means)
     return SubadditiveSequence(
-        model="synthetic", direction=(1.0, 0.0), ns=ns, means=means,
+        statistic="synthetic", ns=ns, values=means,
         stderrs=np.asarray(stderrs, dtype=float), trials=trials,
     )
 
@@ -42,21 +42,21 @@ def _seq(ns, means, stderrs=None, trials=100):
 
 def test_radial_g_constant_fpp_exact():
     seq = estimate_radial_g("fpp", constant(1.0), (1, 0), [2, 4, 8], trials=5, seed=1)
-    assert np.array_equal(seq.means, np.ones(3))
+    assert np.array_equal(seq.values, np.ones(3))
     assert np.array_equal(seq.stderrs, np.zeros(3))
     assert not seq.truncation_warnings
 
 
 def test_radial_g_lpp_exponential_increases_toward_four():
     seq = estimate_radial_g("lpp", exponential(1.0), (1, 1), [4, 16, 48], trials=80, seed=3)
-    assert seq.means[0] < seq.means[-1] <= 4.0 + 2 * seq.stderrs[-1]
+    assert seq.values[0] < seq.values[-1] <= 4.0 + 2 * seq.stderrs[-1]
 
 
 def test_radial_g_lpp_geometric_approaches_formula():
     g_diag = exact_g(ExactShape("geometric", p=0.5), (1.0, 1.0))
     seq = estimate_radial_g("lpp", geometric(0.5), (1, 1), [8, 32], trials=80, seed=5)
-    assert seq.means[-1] <= g_diag + 2 * seq.stderrs[-1]
-    assert seq.means[-1] >= 0.8 * g_diag
+    assert seq.values[-1] <= g_diag + 2 * seq.stderrs[-1]
+    assert seq.values[-1] >= 0.8 * g_diag
 
 
 def test_radial_g_rejects_bad_inputs():
@@ -75,13 +75,13 @@ def test_radial_g_symmetry_between_axes():
     b = estimate_radial_g("lpp", exponential(1.0), (0, 1), [8, 16], trials=100, seed=10)
     for j in range(2):
         comb = math.hypot(a.stderrs[j], b.stderrs[j])
-        assert abs(a.means[j] - b.means[j]) <= 3 * comb
+        assert abs(a.values[j] - b.values[j]) <= 3 * comb
 
 
 def test_radial_g_accepts_twopoint_fpp():
     # atomic weights with both values positive qualify for FPP estimation
     seq = estimate_radial_g("fpp", two_point(0.8), (1, 0), [4, 8], trials=20, seed=2)
-    assert np.all(seq.means >= 1.0)  # weights are at least 1
+    assert np.all(seq.values >= 1.0)  # weights are at least 1
 
 
 def test_radial_g_fpp_symmetry_between_axes():
@@ -89,7 +89,7 @@ def test_radial_g_fpp_symmetry_between_axes():
     b = estimate_radial_g("fpp", uniform(0.5, 1.5), (0, 1), [4, 8], trials=60, seed=22)
     for j in range(2):
         comb = math.hypot(a.stderrs[j], b.stderrs[j])
-        assert abs(a.means[j] - b.means[j]) <= 3 * comb
+        assert abs(a.values[j] - b.values[j]) <= 3 * comb
 
 
 # -- Fekete envelope -----------------------------------------------------------------
@@ -119,7 +119,7 @@ def test_envelope_flags_genuine_superadditive_growth():
 
 def test_envelope_negated_lpp_series_decreases_toward_minus_four():
     seq = estimate_radial_g("lpp", exponential(1.0), (1, 1), [4, 8, 16, 32], trials=60, seed=7)
-    neg = _seq(seq.ns, -seq.means, seq.stderrs, seq.trials)
+    neg = _seq(seq.ns, -seq.values, seq.stderrs, seq.trials)
     rep = fekete_envelope(neg)
     assert np.all(np.diff(rep.envelope) <= 0)
     assert rep.envelope[-1] >= -4.0 - 3 * seq.stderrs[-1]
@@ -194,7 +194,7 @@ def test_flat_edge_rejects_bad_parameters():
 
 def test_variance_constant_weights_zero():
     vs = variance_series("fpp", constant(1.0), (1, 0), [2, 4], trials=200, seed=1)
-    assert np.array_equal(vs.variances, np.zeros(2))
+    assert np.array_equal(vs.values, np.zeros(2))
 
 
 def test_variance_axis_lpp_matches_iid_sum():
@@ -322,14 +322,14 @@ def test_fpp_envelope_nonincreasing_within_noise():
     seq = estimate_radial_g("fpp", uniform(0.5, 1.5), (1, 0), [2, 4, 8, 16], trials=120, seed=13)
     for j in range(len(seq.ns) - 1):
         comb = math.hypot(seq.stderrs[j], seq.stderrs[j + 1])
-        assert seq.means[j + 1] <= seq.means[j] + 2 * comb
+        assert seq.values[j + 1] <= seq.values[j] + 2 * comb
 
 
 def test_fpp_alexander_style_gap_ratio_decreases():
     # E T(0, n e1) - n g stays sublinear: the per-n ratio decreases once the
     # limit estimate is subtracted
     seq = estimate_radial_g("fpp", uniform(0.5, 1.5), (1, 0), [2, 4, 8, 16, 24], trials=150, seed=17)
-    g_hat = seq.means[-1]
-    ratios = seq.means - g_hat  # (E T - n g) / n
+    g_hat = seq.values[-1]
+    ratios = seq.values - g_hat  # (E T - n g) / n
     noise = 2 * np.hypot(seq.stderrs, seq.stderrs[-1])
     assert np.all(np.diff(ratios) <= noise[1:] + 1e-12)

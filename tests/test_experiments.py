@@ -1,8 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import latticegrow
+import latticegrow.experiments as experiments_mod
 from latticegrow.cli import main
 from latticegrow.experiments import (
     ConfigError,
@@ -46,11 +52,41 @@ def test_config_parse_errors_name_the_problem():
         (dict(kind="eden", steps=0), "steps"),
         (dict(kind="radial-g", trials=5, n_grid="8,16", model="lpp", dist="zeta:2"), "dist"),
         (dict(kind="radial-g", trials=5, n_grid="8,16", model="lpp", workers=0), "workers"),
+        (dict(kind="flat-edge", dist="twopoint:0.8", n_grid="10", trials=2), "n_grid"),
+        (dict(kind="exponents", n_grid="8,16,32,64", trials=5), "trials"),
+        (dict(kind="exponents", n_grid="4,8,16", trials=200), "n_grid"),
+        (dict(kind="exponents", n_grid="8,10,12,14", trials=200), "n_grid"),
+        (dict(kind="radial-g", model="lpp", n_grid="4,8", trials=1), "trials"),
+        (dict(kind="radial-g", model="lpp", n_grid="4,8", trials=5, direction="1,-1"),
+         "direction"),
+        (dict(kind="radial-g", model="fpp", n_grid="4,8", trials=5, direction="0,0"),
+         "direction"),
+        (dict(kind="radial-g", model="fpp", n_grid="4,8", trials=5, direction="inf,1"),
+         "direction"),
+        (dict(kind="radial-g", model="lpp", n_grid="4,4", trials=5), "n_grid"),
+        (dict(kind="radial-g", model="fpp", n_grid="4,8", trials=5, dist="const:0"), "dist"),
+        (dict(kind="oracle-check", dist="const:0", trials=2), "dist"),
+        (dict(kind="tasep-coupling", steps=1, trials=2), "steps"),
+        (dict(kind="lpp-shape", trials=2, t=4.0, dim=3), "dim"),
+        (dict(kind="radial-g", model="lpp", n_grid="4,8", trials=5, dim=3), "dim"),
+        (dict(kind="exponents", n_grid="8,16,32,64", trials=200, dim=3), "dim"),
+        (dict(kind="exponents", n_grid="8,16,32,64", trials=200, dist="const:1"), "dist"),
+        (dict(kind="exponents", n_grid="8,16,32,64", trials=200, direction="1,0"),
+         "direction"),
+        (dict(kind="lpp-shape", trials=2, t=4.0, dist="const:0"), "dist"),
+        (dict(kind="fpp-shape", trials=2, t=float("inf")), "t"),
     ],
 )
 def test_validation_rejects_naming_field(kw, field):
-    with pytest.raises(ConfigError, match=field):
+    with pytest.raises(ConfigError, match=f"^{field}: "):
         _cfg(**kw).validate()
+
+
+def test_growth_kinds_honour_dim(tmp_path):
+    summary = run_experiment(_cfg(kind="eden", steps=20, dim=3, out=str(tmp_path / "o")))
+    assert summary["files"] == ["eden_trace.csv"]
+    header = (tmp_path / "o" / "eden_trace.csv").read_text().splitlines()[0]
+    assert header == "step,x1,x2,x3"
 
 
 def _read_all_csvs(d: Path) -> dict:
@@ -184,3 +220,109 @@ def test_cli_hard_failure_exit_code(monkeypatch, tmp_path):
     rc = main(["oracle-check", "--dist", "unif:0.5:1.5", "--trials", "1",
                "--out", str(tmp_path / "o")])
     assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["flat-edge", "--dist", "twopoint:0.8", "--n-grid", "10", "--trials", "2"], "n_grid"),
+        (["exponents", "--n-grid", "8,16,32,64", "--trials", "5"], "trials"),
+        (["exponents", "--n-grid", "4,8,16", "--trials", "200"], "n_grid"),
+        (["radial-g", "--model", "lpp", "--n-grid", "4,8", "--trials", "1"], "trials"),
+        (["radial-g", "--model", "lpp", "--n-grid", "4,8", "--trials", "5",
+          "--direction", "1,-1"], "direction"),
+        (["radial-g", "--model", "lpp", "--n-grid", "4,8", "--trials", "5",
+          "--direction", "0,0"], "direction"),
+        (["radial-g", "--model", "lpp", "--n-grid", "4,4", "--trials", "5"], "n_grid"),
+        (["radial-g", "--model", "fpp", "--dist", "const:0", "--n-grid", "4,8",
+          "--trials", "5"], "dist"),
+        (["oracle-check", "--dist", "const:0", "--trials", "2"], "dist"),
+        (["tasep-coupling", "--steps", "1", "--trials", "2"], "steps"),
+        (["lpp-shape", "--t", "4", "--trials", "2", "--dim", "3"], "dim"),
+        (["radial-g", "--model", "lpp", "--n-grid", "4,8", "--trials", "5", "--dim", "3"],
+         "dim"),
+    ],
+)
+def test_cli_bad_input_exits_2_without_traceback(argv, field, tmp_path):
+    src = str(Path(latticegrow.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticegrow.cli", *argv, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"config error: {field}: ")
+    assert not (tmp_path / "o").exists()
+
+
+# -- golden bytes -------------------------------------------------------------------
+# SHA-256 of every file but summary.json, recorded before the CSV writers were
+# merged into one; uniform and two-point weights keep the bytes free of libm's
+# log1p wherever the kind allows another law
+
+GOLDEN = {
+    "fpp-shape": (dict(kind="fpp-shape", dist="unif:0.5:1.5", t=4.0, trials=3), {
+        "fpp_shape.csv": "384da9fc2e7ba63f9154b857bac0d72bb5c197318247fd1271028ebd6fd4eaf3",
+    }),
+    "lpp-shape": (dict(kind="lpp-shape", dist="unif:0.5:1.5", t=4.0, trials=3), {
+        "lpp_shape.csv": "2b8a0ebfc10e3a43388b05c2b51f2686ec9ea5afe541ce631846402e732ae1e1",
+    }),
+    "radial-g-fpp": (dict(kind="radial-g", model="fpp", dist="unif:0.5:1.5", n_grid="2,4",
+                          trials=3), {
+        "radial_g.csv": "6530bc1c4b86ade59735f8b1a8cb86d537cc3bfca3b50bd5230f13797e0f2ab0",
+    }),
+    "radial-g-lpp": (dict(kind="radial-g", model="lpp", dist="twopoint:0.6", direction="2,1",
+                          n_grid="2,4,8", trials=4), {
+        "radial_g.csv": "e2da92d6f1832a0cf5177b350d2f7e4edf5cead8f7191bd076b46425b4f7dbba",
+    }),
+    "exponents": (dict(kind="exponents", dist="unif:0.5:1.5", n_grid="2,4,8,16",
+                       trials=200), {
+        "fits.json": "610de7120f6d944a0a5764291cabeee9ef8217ce8bbef096eb8ad3f8a10efe82",
+        "variance_series.csv":
+            "6638342fca8f53b21de5ce3e1992066c8504a09cd29821c51dd993ebe4d6153a",
+        "wandering_series.csv":
+            "cbd123e90831b7f2eaa8ad6805016af54c1a4581f9137a23ccf401ddd4c1649e",
+    }),
+    "flat-edge": (dict(kind="flat-edge", dist="twopoint:0.8", n_grid="50", trials=2), {
+        "flat_edge.csv": "e910a6d0328f51ed9f1f12cca0c9abb2975dfe344eb5df1aa1f846e08ef7f134",
+    }),
+    "eden": (dict(kind="eden", steps=300, seed=5), {
+        "eden_trace.csv": "d525b21fa976d7261c3b106f9bd147bac2e99bbdc917397ad01ee819b9eb3a6c",
+    }),
+    "idla": (dict(kind="idla", steps=300, seed=2), {
+        "idla_roundness.csv": "6f19a9a093f6e6518cc9b79197192b980352b13c6f5efb857818feafd31a3388",
+        "idla_trace.csv": "b1792d36c1186a256b266609520b9f121455c6f51eb98af67944f5954be60d28",
+    }),
+    # TASEP coupling only accepts exp:1.0
+    "tasep-coupling": (dict(kind="tasep-coupling", dist="exp:1.0", steps=6, trials=2), {
+        "tasep_table.csv": "a98a553450b857a4452be72742b5059d9fba5d3fb0592745bb0f5a4c8c7856d0",
+    }),
+    "oracle-check": (dict(kind="oracle-check", dist="unif:0.5:1.5", trials=2), {
+        "oracle_check.csv": "3828d1ae583d629df9f2a42f32d951987bfa0b6226c38e46a270206b8111102b",
+    }),
+}
+
+
+def _digests(d: Path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(d.iterdir()) if p.name != "summary.json"}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_match_golden(name, tmp_path):
+    kw, expected = GOLDEN[name]
+    run_experiment(_cfg(**kw, out=str(tmp_path)))
+    assert _digests(tmp_path) == expected
+
+
+def test_oracle_mismatch_row_matches_golden(monkeypatch, tmp_path):
+    real = experiments_mod.brute_force_lpp
+    monkeypatch.setattr(experiments_mod, "brute_force_lpp",
+                        lambda f, idx: -1.0 if idx == (0, 1) else real(f, idx))
+    with pytest.raises(HardFailure):
+        run_experiment(_cfg(kind="oracle-check", dist="unif:0.5:1.5", trials=1,
+                            out=str(tmp_path)))
+    assert (tmp_path / "oracle_check.csv").read_text() == 'trial,kind,target\n0,lpp,"[0, 1]"\n'
+    assert _digests(tmp_path) == {
+        "oracle_check.csv": "a007b97030b86aa1d8df1846900685ecff78e032e0685ce9b9bd80865b84076a",
+    }
