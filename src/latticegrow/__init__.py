@@ -14,7 +14,6 @@ from .weights import (
     quantile,
     two_point,
     uniform,
-    weight_at,
 )
 from .fpp import (
     Geodesic,

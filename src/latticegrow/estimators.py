@@ -433,22 +433,12 @@ def _corridor_graph(field: WeightField, lo: int, hi: int):
     from scipy.sparse import csr_matrix
 
     side = hi - lo + 1
-    xs = np.arange(lo, hi + 1, dtype=np.int64)
-    # horizontal edges: lower endpoint (x, y), x < hi
-    hx, hy = np.meshgrid(xs[:-1], xs, indexing="ij")
-    h_lower = np.stack([hx, hy], axis=-1).reshape(-1, 2)
-    h_w = field.edge_weights(h_lower, np.zeros(h_lower.shape[0], dtype=np.int64))
-    # vertical edges: lower endpoint (x, y), y < hi
-    vx, vy = np.meshgrid(xs, xs[:-1], indexing="ij")
-    v_lower = np.stack([vx, vy], axis=-1).reshape(-1, 2)
-    v_w = field.edge_weights(v_lower, np.ones(v_lower.shape[0], dtype=np.int64))
-
-    def vid(pts):
-        return (pts[:, 0] - lo) * side + (pts[:, 1] - lo)
-
-    rows = np.concatenate([vid(h_lower), vid(v_lower)])
-    cols = np.concatenate([vid(h_lower) + side, vid(v_lower) + 1])
-    data = np.concatenate([h_w, v_w])
+    w = field.edge_window((lo, lo), (side, side))
+    ids = np.arange(side * side, dtype=np.int64).reshape(side, side)
+    # edges along the first axis, then along the second, lower endpoints row-major
+    rows = np.concatenate([ids[:-1].ravel(), ids[:, :-1].ravel()])
+    cols = np.concatenate([ids[1:].ravel(), ids[:, 1:].ravel()])
+    data = np.concatenate([w[0, :-1].ravel(), w[1, :, :-1].ravel()])
     nv = side * side
     return csr_matrix((data, (rows, cols)), shape=(nv, nv))
 

@@ -109,6 +109,12 @@ class ExperimentConfig:
         kind = self.kind
         if kind not in KINDS:
             raise ConfigError(f"kind: must be one of {', '.join(KINDS)}; got {kind!r}")
+        reads = ("kind", "seed", "out", *_READS[kind])
+        for f in dc_fields(self):
+            value = getattr(self, f.name)
+            if f.name not in reads and value != f.default:
+                raise ConfigError(f"{f.name}: not used by kind {kind}; leave it at its "
+                                  f"default {f.default!r}, got {value!r}")
         if kind == "radial-g" and self.model not in ("fpp", "lpp"):
             raise ConfigError(f"model: radial-g needs 'fpp' or 'lpp', got {self.model!r}")
         try:
@@ -130,23 +136,22 @@ class ExperimentConfig:
             if self.dim != len(direction):
                 raise ConfigError(f"dim: {kind} works in the dimension of direction "
                                   f"({len(direction)}), got {self.dim}")
-        elif self.dim < 1 or (self.dim != 2 and kind not in ("eden", "idla")):
-            raise ConfigError(f"dim: must be 2 for kind {kind} (>= 1 for growth), got {self.dim}")
         least = {
+            "dim": 1,
             "workers": 1,
             "seed": 0,
-            "trials": {"radial-g": MIN_RADIAL_TRIALS, "exponents": MIN_VARIANCE_TRIALS,
-                       "eden": 0, "idla": 0}.get(kind, 1),
+            "trials": {"radial-g": MIN_RADIAL_TRIALS,
+                       "exponents": MIN_VARIANCE_TRIALS}.get(kind, 1),
             # a 1 x 1 TASEP table cannot determine the current at any time
-            "steps": {"eden": 1, "idla": 1, "tasep-coupling": 2}.get(kind, 0),
+            "steps": 2 if kind == "tasep-coupling" else 1,
         }
         for name, low in least.items():
-            if getattr(self, name) < low:
+            if name in reads and getattr(self, name) < low:
                 raise ConfigError(f"{name}: must be >= {low} for kind {kind}, "
                                   f"got {getattr(self, name)}")
-        if kind in ("fpp-shape", "lpp-shape") and not 0 < self.t < math.inf:
+        if "t" in reads and not 0 < self.t < math.inf:
             raise ConfigError(f"t: must be positive and finite for kind {kind}, got {self.t}")
-        if kind not in ("radial-g", "exponents", "flat-edge"):
+        if "n_grid" not in reads:
             return
         grid = self.n_grid_list()
         if not grid:
@@ -363,3 +368,17 @@ _RUNNERS = {
     "oracle-check": _run_oracle_check,
 }
 KINDS = tuple(_RUNNERS)
+
+# the config fields each kind reads besides kind, seed and out; validate()
+# rejects any other field set away from its default
+_READS = {
+    "fpp-shape": ("dist", "t", "trials", "workers"),
+    "lpp-shape": ("dist", "t", "trials", "workers"),
+    "radial-g": ("dist", "dim", "model", "direction", "n_grid", "trials", "workers"),
+    "exponents": ("dist", "dim", "direction", "n_grid", "trials", "workers"),
+    "flat-edge": ("dist", "n_grid", "trials", "workers"),
+    "eden": ("dim", "steps"),
+    "idla": ("dim", "steps"),
+    "tasep-coupling": ("dist", "steps", "trials"),
+    "oracle-check": ("dist", "trials"),
+}

@@ -70,12 +70,32 @@ class LatticeBox:
         c = self._center()
         return all(abs(int(vi) - ci) <= self.radius for vi, ci in zip(v, c))
 
-    def on_face(self, v) -> bool:
-        c = self._center()
-        return any(abs(int(vi) - ci) == self.radius for vi, ci in zip(v, c))
-
     def vertex_count(self) -> int:
         return (2 * self.radius + 1) ** self.dimension
+
+    def corner(self) -> Vertex:
+        """The lowest vertex of the box."""
+        return tuple(c - self.radius for c in self._center())
+
+    def padded_index(self, v) -> tuple:
+        """Index of vertex v in the padded box: v - corner + 1."""
+        return tuple(int(a) - c + 1 for a, c in zip(v, self.corner()))
+
+    def padded_weights(self, field: WeightField) -> np.ndarray:
+        """Weights of the box's edges, on the box grown by one layer of padding.
+
+        Entry [j, *padded_index(x)] is the weight of the edge {x, x + e_j};
+        edges with an endpoint outside the box weigh inf, so a solver reading
+        this array never leaves the box.  The one window array that Dijkstra,
+        geodesic backtracking and the brute-force oracle all read.
+        """
+        n = 2 * self.radius + 1
+        w = field.edge_window(tuple(c - 1 for c in self.corner()), (n + 2,) * self.dimension)
+        for k in range(self.dimension):
+            face = np.moveaxis(w, k + 1, 1)
+            face[:, [0, n + 1]] = math.inf
+            face[k, n] = math.inf
+        return w
 
 
 @dataclass
@@ -126,6 +146,12 @@ def fpp_dijkstra(
     Stop criteria (any combination): settle everything with T <= time_budget,
     stop once target settles, or stop after max_settled vertices.  With no
     criterion the whole box is settled.
+
+    The weights of every edge in the box are hashed up front into one window
+    (``LatticeBox.padded_weights``), so cost and memory grow with the box
+    volume (2 radius + 1)^d even when few vertices settle.  Vertices are
+    numbered row-major on the padded box, which orders them like their
+    coordinate tuples, so heap ties break lexicographically.
     """
     if field.attachment != "edge":
         raise ValueError("FPP needs an edge weight field")
@@ -141,61 +167,72 @@ def fpp_dijkstra(
     if time_budget is not None and time_budget < 0:
         raise ValueError(f"time budget must be nonnegative, got {time_budget}")
 
-    # steps annotated with (axis, moves-positive) so relaxations can use the
-    # canonical edge lookup directly instead of re-validating endpoints
-    step_info = []
-    for j, s in enumerate(unit_steps(box.dimension)):
-        step_info.append((s, j // 2, j % 2 == 0))
-    canon_w = field._edge_weight_canonical
-    times: dict = {}
+    d = box.dimension
+    shape = (2 * box.radius + 3,) * d
+    origin = tuple(c - 1 for c in box.corner())  # the padded box's lowest vertex
+    weights = box.padded_weights(field)
+    on_face = np.zeros(shape, dtype=bool)
+    for k in range(d):
+        np.moveaxis(on_face, k, 0)[[1, shape[0] - 2]] = True
+    on_face = memoryview(on_face.reshape(-1))
+    strides = [shape[0] ** (d - 1 - j) for j in range(d)]
+    # per axis: the flat offset of +e_j and the weights of edges leaving forward
+    relax = [(s, memoryview(weights[j].reshape(-1))) for j, s in enumerate(strides)]
+
+    def flat(v):
+        return sum((c - o) * s for c, o, s in zip(v, origin, strides))
+
+    tgt = flat(target) if target is not None else -1
+    cap = max_settled if max_settled is not None else math.inf
+    budget = float(time_budget) if time_budget is not None else math.inf
+    best = [math.inf] * weights[0].size
+    src = flat(source)
+    best[src] = 0.0
+    heap = [(0.0, src)]
     order: list = []
-    heap = [(0.0, source)]
-    best_seen = {source: 0.0}
+    times: list = []
     face_hit_time = math.inf
 
     while heap:
         t, u = heapq.heappop(heap)
-        if u in times:
-            continue
-        if time_budget is not None and t > time_budget:
+        if t > best[u]:
+            continue  # stale entry; settled vertices keep their final best
+        if t > budget:
             break
-        times[u] = t
         order.append(u)
-        if box.on_face(u) and t < face_hit_time:
+        times.append(t)
+        if face_hit_time == math.inf and on_face[u]:
             face_hit_time = t
-        if target is not None and u == target:
+        if u == tgt or len(order) >= cap:
             break
-        if max_settled is not None and len(times) >= max_settled:
-            break
-        for s, axis, positive in step_info:
-            v = tuple(a + b for a, b in zip(u, s))
-            if v in times or not box.contains(v):
-                continue
-            nt = t + canon_w(u if positive else v, axis)
-            prev = best_seen.get(v)
-            if prev is None or nt < prev:
-                best_seen[v] = nt
+        # settled neighbours fail nt < best[v] since weights are nonnegative,
+        # and edges out of the box weigh inf
+        for s, w in relax:
+            v = u + s
+            nt = t + w[u]
+            if nt < best[v]:
+                best[v] = nt
+                heapq.heappush(heap, (nt, v))
+            v = u - s
+            nt = t + w[v]
+            if nt < best[v]:
+                best[v] = nt
                 heapq.heappush(heap, (nt, v))
 
-    horizons = []
-    flag_cut = math.inf
-    if time_budget is not None:
+    coords = np.stack(np.unravel_index(np.array(order, dtype=np.int64), shape), axis=-1)
+    order = list(map(tuple, (coords + np.array(origin, dtype=np.int64)).tolist()))
+
+    if order[-1] == target or len(order) >= cap:
+        # unsettled vertices tied exactly at the last time may remain in the heap
+        flag_cut, horizon = times[-1], math.nextafter(times[-1], -math.inf)
+    else:
         # everything with T <= budget settled before the first over-budget pop
-        horizons.append(float(time_budget))
-        flag_cut = min(flag_cut, float(time_budget))
-    if target is not None and target in times:
-        # unsettled vertices tied exactly at T(target) may remain in the heap
-        horizons.append(math.nextafter(times[target], -math.inf))
-        flag_cut = min(flag_cut, times[target])
-    if max_settled is not None and len(times) >= max_settled and order:
-        horizons.append(math.nextafter(times[order[-1]], -math.inf))
-        flag_cut = min(flag_cut, times[order[-1]])
-    horizon = min(horizons) if horizons else math.inf
+        flag_cut = horizon = budget
 
     return PassageTimeMap(
         source=source,
         box=box,
-        times=times,
+        times=dict(zip(order, times)),
         order=order,
         horizon=horizon,
         boundary_hit=face_hit_time <= flag_cut,
@@ -234,12 +271,14 @@ def fpp_geodesic(field: WeightField, pmap: PassageTimeMap, target) -> Geodesic:
     neighbor u with T(u) + w(u, v) == T(v) exactly, which pins a canonical
     geodesic even when atomic weights make the minimizer non-unique.  The
     equality test is exact because Dijkstra assigned T(v) as exactly such a
-    sum.  Vertices already on the partial path are skipped so that plateaus
-    of zero-weight edges cannot cycle.
+    sum, and w is read from the same window array (``pmap.box.padded_weights``)
+    the solve read.  Vertices already on the partial path are skipped so that
+    plateaus of zero-weight edges cannot cycle.
     """
     target = tuple(int(c) for c in target)
     if target not in pmap.times:
         raise KeyError(f"target {target} was not settled")
+    weights = pmap.box.padded_weights(field)
     steps = unit_steps(pmap.box.dimension)
     path = [target]
     seen = {target}
@@ -247,11 +286,13 @@ def fpp_geodesic(field: WeightField, pmap: PassageTimeMap, target) -> Geodesic:
     while v != pmap.source:
         tv = pmap.times[v]
         pred = None
-        for s in steps:
+        for j, s in enumerate(steps):
             u = tuple(a + b for a, b in zip(v, s))
             if u in seen or u not in pmap.times:
                 continue
-            if pmap.times[u] + field.edge_weight(u, v) == tv:
+            lower = u if j % 2 else v  # odd steps move down an axis
+            w = float(weights[(j // 2, *pmap.box.padded_index(lower))])
+            if pmap.times[u] + w == tv:
                 if pred is None or u < pred:
                     pred = u
         if pred is None:
@@ -308,21 +349,17 @@ def greedy_forward_path(field: WeightField, steps: int) -> GreedyPath:
         raise ValueError("greedy forward path needs dimension >= 2")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    axes = np.arange(d)
     cur = (0,) * d
     verts = [cur]
     wts = []
     total = 0.0
-    canon = field._edge_weight_canonical
     for _ in range(steps):
-        wbest = math.inf
-        jbest = 0
-        for j in range(d):
-            w = canon(cur, j)
-            if w < wbest:
-                wbest = w
-                jbest = j
-        cur = cur[:jbest] + (cur[jbest] + 1,) + cur[jbest + 1 :]
+        # one hash of the d forward edges; argmin takes the smallest axis on ties
+        w = field.edge_weights(cur, axes)
+        j = int(np.argmin(w))
+        cur = cur[:j] + (cur[j] + 1,) + cur[j + 1 :]
         verts.append(cur)
-        wts.append(wbest)
-        total += wbest
+        wts.append(float(w[j]))
+        total += wts[-1]
     return GreedyPath(vertices=tuple(verts), step_weights=tuple(wts), total_weight=total)

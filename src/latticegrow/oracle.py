@@ -1,8 +1,10 @@
 """Brute-force passage times on tiny instances, the ground truth for solvers.
 
 These routines enumerate paths directly and are deliberately independent of
-the production solvers.  They are only meant for boxes of radius a few sites
-(FPP) or rectangles with at most a few thousand oriented paths (LPP).
+the production solvers, except that the FPP search reads the same weight
+window (``LatticeBox.padded_weights``) as Dijkstra.  They are only meant for
+boxes of radius a few sites (FPP) or rectangles with at most a few thousand
+oriented paths (LPP).
 """
 
 from __future__ import annotations
@@ -73,18 +75,14 @@ def brute_force_fpp(
     d = field.dimension
     steps = unit_steps(d)
 
-    # cache the box's edge weights once and reject zero weights up front
-    wcache: dict[tuple, float] = {}
+    # read the window array the solver reads, rejecting zero weights up front
+    weights = box.padded_weights(field)
+    if np.any(weights <= 0.0):
+        raise ValueError("zero or negative edge weight; pruning would be unsound")
 
     def w(u, v):
-        key = (u, v) if u < v else (v, u)
-        val = wcache.get(key)
-        if val is None:
-            val = field.edge_weight(u, v)
-            if val <= 0.0:
-                raise ValueError("zero or negative edge weight; pruning would be unsound")
-            wcache[key] = val
-        return val
+        axis = next(j for j in range(d) if u[j] != v[j])
+        return float(weights[(axis, *box.padded_index(min(u, v)))])
 
     per_step_floor = field.spec.support_min()
 

@@ -6,19 +6,14 @@ pure function of (seed, element identity), so solvers may visit elements in
 any data-dependent order and always see the same environment, and the
 infinite lattice needs no pre-allocated state.
 
-Two evaluation routes exist and must not be mixed inside a single bit-exact
-comparison:
-
-* the scalar route (``weight_at``), built on Python integer arithmetic and
-  ``math`` transcendentals, used by the path-at-a-time solvers;
-* the vector route (``vertex_weights`` / ``edge_weights``), built on numpy
-  uint64 arithmetic and numpy transcendentals, used by the table solvers.
-
-Both routes produce identical hash bits; for distributions whose quantile is
-pure arithmetic (uniform, two-point, constant) the final weights are bit
-identical as well.  For exponential and geometric weights the two routes may
-differ in the last ulp because libm and numpy's vectorized ``log1p`` are not
-bit-for-bit identical.
+There is one evaluation route.  An element's identity is a short list of
+integer words (a tag, the edge axis, the coordinates); a SplitMix64 fold of
+the seed and those words, in numpy uint64 arithmetic, gives 53 uniform bits,
+and the distribution's numpy quantile turns them into the weight.  The words
+broadcast against each other and the fold mixes each one at the shape of the
+words before it, so a window of edges built from per-axis ranges mixes only
+its last coordinate at the full window size.  Solvers that compare sums
+bit-exactly read their weights from the same window array.
 """
 
 from __future__ import annotations
@@ -37,41 +32,19 @@ __all__ = [
     "two_point",
     "constant",
     "make_field",
-    "weight_at",
     "quantile",
     "parse_dist_token",
     "derive_seed",
 ]
 
-_MASK = (1 << 64) - 1
-_GOLD = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-
 _VERTEX_TAG = 0x76
 _EDGE_TAG = 0x65
 
-
-def _mix_int(z: int) -> int:
-    """SplitMix64 finalizer on Python ints (mod 2^64)."""
-    z &= _MASK
-    z ^= z >> 30
-    z = (z * _MIX1) & _MASK
-    z ^= z >> 27
-    z = (z * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
-def _hash_words_int(seed: int, words) -> int:
-    h = _mix_int((seed & _MASK) ^ _GOLD)
-    for w in words:
-        h = _mix_int(h ^ ((w + _GOLD) & _MASK))
-    return h
-
-
+_MASK = (1 << 64) - 1
+_GOLD = 0x9E3779B97F4A7C15
 _NP_GOLD = np.uint64(_GOLD)
-_NP_MIX1 = np.uint64(_MIX1)
-_NP_MIX2 = np.uint64(_MIX2)
+_NP_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_NP_MIX2 = np.uint64(0x94D049BB133111EB)
 _U30 = np.uint64(30)
 _U27 = np.uint64(27)
 _U31 = np.uint64(31)
@@ -79,29 +52,30 @@ _U11 = np.uint64(11)
 _INV53 = 2.0 ** -53
 
 
-def _mix_np(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> _U30)
-    z = z * _NP_MIX1
-    z = z ^ (z >> _U27)
-    z = z * _NP_MIX2
-    return z ^ (z >> _U31)
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place on an owned uint64 array (0-d allowed).
 
-
-def _hash_words_np(seed: int, word_arrays) -> np.ndarray:
-    """Vector mirror of :func:`_hash_words_int`; word_arrays broadcast together.
-
-    The seed absorption runs through the integer mixer (same function mod
-    2^64) so the two routes stay bit-identical word for word.
+    In-place array arithmetic wraps mod 2^64 silently; numpy scalar
+    arithmetic would warn on the (intended) overflow.
     """
-    shape = np.broadcast_shapes(*(a.shape for a in word_arrays))
-    h = np.full(shape, _mix_int((seed & _MASK) ^ _GOLD), dtype=np.uint64)
-    for w in word_arrays:
-        h = _mix_np(h ^ (np.broadcast_to(w, shape).astype(np.uint64) + _NP_GOLD))
+    z ^= z >> _U30
+    z *= _NP_MIX1
+    z ^= z >> _U27
+    z *= _NP_MIX2
+    z ^= z >> _U31
+    return z
+
+
+def _hash_words(seed: int, words) -> np.ndarray:
+    """Fold the seed and integer words (ints or int arrays, broadcast together).
+
+    Each word is mixed at the broadcast shape of the words so far, so scalar
+    prefixes stay scalars and only the last word mixes at the full shape.
+    """
+    h = _mix(np.array((int(seed) & _MASK) ^ _GOLD, dtype=np.uint64))
+    for w in words:
+        h = _mix(np.asarray(h ^ (np.asarray(w, dtype=np.int64).view(np.uint64) + _NP_GOLD)))
     return h
-
-
-def _to_u64(arr: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(arr, dtype=np.int64).view(np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -161,28 +135,8 @@ class DistributionSpec:
     def is_continuous(self) -> bool:
         return self.kind in ("exponential", "uniform")
 
-    # quantile, scalar route (math.*)
-    def quantile_scalar(self, u: float) -> float:
-        if not 0.0 <= u < 1.0:
-            raise ValueError(f"quantile argument must lie in [0, 1), got {u}")
-        k, p = self.kind, self.params
-        if k == "exponential":
-            return -math.log1p(-u) / p[0]
-        if k == "geometric":
-            if u == 0.0:
-                return 1.0
-            return max(1.0, math.ceil(math.log1p(-u) / math.log1p(-p[0])))
-        if k == "uniform":
-            return p[0] + (p[1] - p[0]) * u
-        if k == "twopoint":
-            return 1.0 if u < p[0] else 2.0
-        return p[0]
-
-    # quantile, vector route (numpy)
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
-        if np.any(u < 0.0) or np.any(u >= 1.0):
-            raise ValueError("quantile argument must lie in [0, 1)")
+        """Inverse CDF at each u in [0, 1); the range is not checked here."""
         k, p = self.kind, self.params
         if k == "exponential":
             return -np.log1p(-u) / p[0]
@@ -201,8 +155,8 @@ class DistributionSpec:
 
 
 def exponential(rate: float) -> DistributionSpec:
-    if not rate > 0:
-        raise ValueError(f"exponential rate must be positive, got {rate}")
+    if not 0 < rate < math.inf:
+        raise ValueError(f"exponential rate must be positive and finite, got {rate}")
     return DistributionSpec("exponential", (float(rate),))
 
 
@@ -213,8 +167,8 @@ def geometric(p: float) -> DistributionSpec:
 
 
 def uniform(a: float, b: float) -> DistributionSpec:
-    if not (0.0 <= a < b):
-        raise ValueError(f"uniform needs 0 <= a < b, got a={a}, b={b}")
+    if not 0.0 <= a < b < math.inf:
+        raise ValueError(f"uniform needs 0 <= a < b < inf, got a={a}, b={b}")
     return DistributionSpec("uniform", (float(a), float(b)))
 
 
@@ -225,8 +179,8 @@ def two_point(p: float) -> DistributionSpec:
 
 
 def constant(c: float) -> DistributionSpec:
-    if c < 0:
-        raise ValueError(f"constant weight must be nonnegative, got {c}")
+    if not 0 <= c < math.inf:
+        raise ValueError(f"constant weight must be nonnegative and finite, got {c}")
     return DistributionSpec("constant", (float(c),))
 
 
@@ -252,11 +206,12 @@ def parse_dist_token(token: str) -> DistributionSpec:
     return builder(*(float(x) for x in parts[1:]))
 
 
-def quantile(spec: DistributionSpec, u) -> float | np.ndarray:
-    """Inverse CDF of spec; monotone in u, pushes Uniform[0,1) to spec."""
-    if isinstance(u, np.ndarray):
-        return spec.quantile_array(u)
-    return spec.quantile_scalar(float(u))
+def quantile(spec: DistributionSpec, u) -> np.ndarray:
+    """Inverse CDF of spec, elementwise; monotone in u, pushes Uniform[0,1) to spec."""
+    u = np.asarray(u, dtype=np.float64)
+    if np.any(u < 0.0) or np.any(u >= 1.0):
+        raise ValueError("quantile argument must lie in [0, 1)")
+    return spec.quantile_array(u)
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +239,57 @@ class WeightField:
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
 
-    # -- scalar route --------------------------------------------------
+    def _draw(self, h: np.ndarray) -> np.ndarray:
+        u = (h >> _U11).astype(np.float64)
+        u *= _INV53
+        return self.spec.quantile_array(u)
 
-    def vertex_weight(self, v) -> float:
+    def vertex_weights(self, coords: np.ndarray) -> np.ndarray:
+        """Weights at an array of vertices; coords has shape (..., d)."""
         if self.attachment != "vertex":
             raise ValueError("vertex lookup on an edge field")
-        v = tuple(int(c) for c in v)
-        if len(v) != self.dimension:
-            raise ValueError(f"vertex {v} does not match field dimension {self.dimension}")
-        h = _hash_words_int(self.seed, (_VERTEX_TAG, *v))
-        return self.spec.quantile_scalar((h >> 11) * _INV53)
+        coords = np.asarray(coords)
+        if coords.shape[-1] != self.dimension:
+            raise ValueError("coordinate array does not match field dimension")
+        words = [_VERTEX_TAG] + [coords[..., j] for j in range(self.dimension)]
+        return self._draw(_hash_words(self.seed, words))
+
+    def edge_weights(self, lower: np.ndarray, axis) -> np.ndarray:
+        """Weights of edges given by lower endpoints (..., d) and axis indices.
+
+        The axes broadcast against lower[..., 0], so one vertex with the axis
+        vector arange(d) gives the d edges leaving it forward.
+        """
+        if self.attachment != "edge":
+            raise ValueError("edge lookup on a vertex field")
+        lower = np.asarray(lower)
+        if lower.shape[-1] != self.dimension:
+            raise ValueError("coordinate array does not match field dimension")
+        words = [_EDGE_TAG, axis] + [lower[..., j] for j in range(self.dimension)]
+        return self._draw(_hash_words(self.seed, words))
+
+    def edge_window(self, lo, shape) -> np.ndarray:
+        """Weights of every edge whose lower endpoint lies in lo + [0, shape).
+
+        Entry [j, i_1, ..., i_d] is the weight of the edge from lo + i to
+        lo + i + e_j.  The coordinate words are per-axis ranges, so no
+        coordinate array is built.
+        """
+        if self.attachment != "edge":
+            raise ValueError("edge lookup on a vertex field")
+        d = self.dimension
+        if len(lo) != d or len(shape) != d:
+            raise ValueError("window does not match field dimension")
+        ranges = [np.arange(a, a + n, dtype=np.int64).reshape((n,) + (1,) * (d - 1 - j))
+                  for j, (a, n) in enumerate(zip(lo, shape))]
+        out = np.empty((d, *shape))
+        # slabs along the first axis bound the hash temporaries to ~2^18 elements
+        rows = max(1, (1 << 18) // max(1, math.prod(shape[1:])))
+        for j in range(d):
+            for a in range(0, shape[0], rows):
+                slab = [_EDGE_TAG, j, ranges[0][a:a + rows], *ranges[1:]]
+                out[j, a:a + rows] = self._draw(_hash_words(self.seed, slab))
+        return out
 
     def edge_weight(self, x, y) -> float:
         """Weight of the edge {x, y}; symmetric in its endpoints."""
@@ -307,64 +303,11 @@ class WeightField:
         if len(diffs) != 1 or abs(x[diffs[0]] - y[diffs[0]]) != 1:
             raise ValueError(f"{x} and {y} are not nearest neighbors")
         axis = diffs[0]
-        lower = x if x[axis] < y[axis] else y
-        return self._edge_weight_canonical(lower, axis)
-
-    def _edge_weight_canonical(self, lower, axis: int) -> float:
-        h = _hash_words_int(self.seed, (_EDGE_TAG, axis, *lower))
-        return self.spec.quantile_scalar((h >> 11) * _INV53)
-
-    # -- vector route ---------------------------------------------------
-
-    def vertex_weights(self, coords: np.ndarray) -> np.ndarray:
-        """Weights at an array of vertices; coords has shape (..., d)."""
-        if self.attachment != "vertex":
-            raise ValueError("vertex lookup on an edge field")
-        coords = np.asarray(coords)
-        if coords.shape[-1] != self.dimension:
-            raise ValueError("coordinate array does not match field dimension")
-        tag = np.full(coords.shape[:-1], _VERTEX_TAG, dtype=np.uint64)
-        words = [tag] + [_to_u64(coords[..., j]) for j in range(self.dimension)]
-        h = _hash_words_np(self.seed, words)
-        return self.spec.quantile_array((h >> _U11).astype(np.float64) * _INV53)
-
-    def edge_weights(self, lower: np.ndarray, axis) -> np.ndarray:
-        """Weights of edges given by lower endpoints (..., d) and axis indices."""
-        if self.attachment != "edge":
-            raise ValueError("edge lookup on a vertex field")
-        lower = np.asarray(lower)
-        if lower.shape[-1] != self.dimension:
-            raise ValueError("coordinate array does not match field dimension")
-        axis = np.broadcast_to(np.asarray(axis, dtype=np.int64), lower.shape[:-1])
-        tag = np.full(axis.shape, _EDGE_TAG, dtype=np.uint64)
-        words = [tag, axis.astype(np.uint64)] + [
-            _to_u64(lower[..., j]) for j in range(self.dimension)
-        ]
-        h = _hash_words_np(self.seed, words)
-        return self.spec.quantile_array((h >> _U11).astype(np.float64) * _INV53)
-
-    def weight_at(self, element) -> float:
-        """Scalar weight of one element.
-
-        For vertex fields, element is a coordinate tuple.  For edge fields it
-        is either a pair of adjacent vertices or a (lower_vertex, axis) pair.
-        """
-        if self.attachment == "vertex":
-            return self.vertex_weight(element)
-        a, b = element
-        if isinstance(b, (int, np.integer)):
-            if not 0 <= int(b) < self.dimension:
-                raise ValueError(f"axis {b} out of range for dimension {self.dimension}")
-            return self._edge_weight_canonical(tuple(int(c) for c in a), int(b))
-        return self.edge_weight(a, b)
+        return float(self.edge_weights(min(x, y), axis))
 
 
 def make_field(spec: DistributionSpec, seed: int, attachment: str, d: int) -> WeightField:
     return WeightField(spec=spec, seed=int(seed), attachment=attachment, dimension=int(d))
-
-
-def weight_at(field: WeightField, element) -> float:
-    return field.weight_at(element)
 
 
 def derive_seed(master: int, *parts) -> int:

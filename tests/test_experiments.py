@@ -75,6 +75,19 @@ def test_config_parse_errors_name_the_problem():
          "direction"),
         (dict(kind="lpp-shape", trials=2, t=4.0, dist="const:0"), "dist"),
         (dict(kind="fpp-shape", trials=2, t=float("inf")), "t"),
+        (dict(kind="eden", steps=10, t=5.0, model="lpp", n_grid="3"), "model"),
+        (dict(kind="eden", steps=10, dist="twopoint:0.5", trials=7, workers=3), "dist"),
+        (dict(kind="idla", steps=10, trials=7), "trials"),
+        (dict(kind="eden", steps=10, direction="2,1"), "direction"),
+        (dict(kind="lpp-shape", trials=2, t=4.0, n_grid="4,8"), "n_grid"),
+        (dict(kind="fpp-shape", trials=2, t=4.0, steps=5), "steps"),
+        (dict(kind="oracle-check", trials=2, workers=2), "workers"),
+        (dict(kind="tasep-coupling", steps=4, trials=2, model="fpp"), "model"),
+        (dict(kind="flat-edge", dist="twopoint:0.8", n_grid="50", trials=2, t=1.0), "t"),
+        (dict(kind="radial-g", model="lpp", dist="unif:0.5:inf", n_grid="2,4", trials=3),
+         "dist"),
+        (dict(kind="radial-g", model="fpp", dist="exp:inf", n_grid="2,4", trials=3), "dist"),
+        (dict(kind="lpp-shape", dist="const:inf", t=3.0, trials=2), "dist"),
     ],
 )
 def test_validation_rejects_naming_field(kw, field):
@@ -241,6 +254,13 @@ def test_cli_hard_failure_exit_code(monkeypatch, tmp_path):
         (["lpp-shape", "--t", "4", "--trials", "2", "--dim", "3"], "dim"),
         (["radial-g", "--model", "lpp", "--n-grid", "4,8", "--trials", "5", "--dim", "3"],
          "dim"),
+        (["eden", "--steps", "10", "--t", "5", "--model", "lpp", "--n-grid", "3"], "model"),
+        (["eden", "--dist", "twopoint:0.5", "--trials", "7", "--workers", "3"], "dist"),
+        (["radial-g", "--model", "lpp", "--dist", "unif:0.5:inf", "--n-grid", "2,4",
+          "--trials", "3"], "dist"),
+        (["radial-g", "--model", "fpp", "--dist", "exp:inf", "--n-grid", "2,4",
+          "--trials", "3"], "dist"),
+        (["lpp-shape", "--dist", "const:inf", "--t", "3", "--trials", "2"], "dist"),
     ],
 )
 def test_cli_bad_input_exits_2_without_traceback(argv, field, tmp_path):

@@ -85,6 +85,20 @@ def test_geodesic_weight_sum_is_exact():
     assert acc == geo.total_time == pmap.times[(2, 2)]
 
 
+def test_exponential_time_equals_geodesic_edge_weight_sum():
+    # Dijkstra and the geodesic read one window, and edge_weights agrees with
+    # it bit for bit, so the left-to-right sum reproduces T exactly
+    for seed in range(20):
+        f = make_field(exponential(1.0), seed, "edge", 2)
+        pmap = fpp_dijkstra(f, ORIGIN, LatticeBox(2, 8), target=(4, 3))
+        geo = fpp_geodesic(f, pmap, (4, 3))
+        acc = 0.0
+        for a, b in zip(geo.vertices, geo.vertices[1:]):
+            j = next(i for i in range(2) if a[i] != b[i])
+            acc = acc + float(f.edge_weights(min(a, b), j))
+        assert acc == pmap.times[(4, 3)]
+
+
 def test_geodesic_prefix_property():
     f = make_field(exponential(1.0), 13, "edge", 2)
     pmap = fpp_dijkstra(f, ORIGIN, LatticeBox(2, 6))
@@ -252,8 +266,8 @@ def test_greedy_constant_total_is_step_count():
 def test_greedy_step_is_min_of_fresh_weights():
     f = make_field(exponential(1.0), 77, "edge", 2)
     path = greedy_forward_path(f, 1)
-    w0 = f.weight_at(((0, 0), 0))
-    w1 = f.weight_at(((0, 0), 1))
+    w0 = f.edge_weight((0, 0), (1, 0))
+    w1 = f.edge_weight((0, 0), (0, 1))
     assert path.step_weights[0] == min(w0, w1)
     assert path.vertices[1] == ((1, 0) if w0 <= w1 else (0, 1))
 

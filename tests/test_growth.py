@@ -108,6 +108,15 @@ def test_infection_order_is_settling_order():
     assert times == sorted(times)
 
 
+def test_infection_order_box_growth_matches_full_box():
+    from latticegrow import LatticeBox, fpp_dijkstra
+
+    for seed in (3, 4):
+        f = make_field(exponential(1.0), seed, "edge", 2)
+        full = fpp_dijkstra(f, (0, 0), LatticeBox(2, 201), max_settled=201)
+        assert list(fpp_infection_order(f, 200).vertices) == full.order[1:]
+
+
 def test_eden_and_infection_agree_in_distribution_small():
     # P(w in S_2) for each near neighbor, both growth laws, 3 pooled SE
     trials = 4000

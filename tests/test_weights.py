@@ -14,8 +14,43 @@ from latticegrow import (
     quantile,
     two_point,
     uniform,
-    weight_at,
 )
+
+# -- test-only reference: SplitMix64 on Python ints and math quantiles ---------------
+
+_M64 = (1 << 64) - 1
+_GOLD = 0x9E3779B97F4A7C15
+
+
+def _ref_mix(z):
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _M64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def _ref_weight(spec, seed, words):
+    """Weight of the element with the given words (tag, [axis,] coordinates)."""
+    h = _ref_mix((seed & _M64) ^ _GOLD)
+    for w in words:
+        h = _ref_mix(h ^ ((w + _GOLD) & _M64))
+    u, p = (h >> 11) * 2.0**-53, spec.params
+    return {"exponential": lambda: -math.log1p(-u) / p[0],
+            "geometric": lambda: max(1.0, math.ceil(math.log1p(-u) / math.log1p(-p[0]))),
+            "uniform": lambda: p[0] + (p[1] - p[0]) * u,
+            "twopoint": lambda: 1.0 if u < p[0] else 2.0,
+            "constant": lambda: p[0]}[spec.kind]()
+
+
+def _assert_routes_agree(spec, vec, ref):
+    # bit-exact where the quantile is arithmetic; libm and numpy log1p may
+    # differ in the last bit
+    if spec.kind in ("uniform", "twopoint", "constant"):
+        assert np.array_equal(vec, ref)
+    else:
+        assert np.all(np.abs(vec - ref) <= np.spacing(np.abs(ref)))
+
 
 ALL_SPECS = [
     exponential(1.0),
@@ -41,6 +76,11 @@ ALL_SPECS = [
         lambda: uniform(-0.1, 1.0),
         lambda: two_point(1.0),
         lambda: constant(-2.0),
+        lambda: exponential(math.inf),
+        lambda: uniform(0.5, math.inf),
+        lambda: constant(math.inf),
+        lambda: constant(math.nan),
+        lambda: parse_dist_token("exp:inf"),
     ],
 )
 def test_invalid_parameters_rejected(bad):
@@ -94,7 +134,8 @@ def test_quantile_vector_matches_scalar_shape():
     for spec in ALL_SPECS:
         vec = quantile(spec, u)
         assert vec.shape == u.shape
-        # routes exact for arithmetic quantiles, within an ulp for log-based
+        assert np.shape(quantile(spec, 0.5)) == ()
+        # exact for arithmetic quantiles, within an ulp for log-based ones
         sca = np.array([quantile(spec, float(x)) for x in u])
         if spec.kind in ("uniform", "twopoint", "constant"):
             assert np.array_equal(vec, sca)
@@ -107,7 +148,7 @@ def test_quantile_vector_matches_scalar_shape():
 def test_constant_field_everywhere_constant():
     f = make_field(constant(1.0), 0, "edge", 2)
     for e in [((0, 0), (1, 0)), ((5, -3), (5, -2)), ((-9, 4), (-10, 4))]:
-        assert weight_at(f, e) == 1.0
+        assert f.edge_weight(*e) == 1.0
 
 
 def test_exponential_field_nonnegative():
@@ -131,7 +172,7 @@ def test_replay_identical_over_many_elements():
 def test_weight_at_deterministic_bit_exact():
     f = make_field(uniform(0.5, 1.5), 11, "edge", 2)
     e = ((3, 4), (3, 5))
-    assert weight_at(f, e) == weight_at(f, e)
+    assert f.edge_weight(*e) == f.edge_weight(*e)
 
 
 def test_edge_orientation_symmetric():
@@ -145,16 +186,23 @@ def test_edge_orientation_symmetric():
 
 
 def test_scalar_vector_routes_agree():
+    # the library against the test-only reference, for vertex lookups, edge
+    # lookups (one vertex with every axis) and edge windows
     rng = np.random.default_rng(2)
     pts = rng.integers(-1000, 1000, size=(300, 2))
     for spec in ALL_SPECS:
         f = make_field(spec, 99, "vertex", 2)
-        vec = f.vertex_weights(pts)
-        sca = np.array([f.weight_at(tuple(p)) for p in pts])
-        if spec.kind in ("uniform", "twopoint", "constant"):
-            assert np.array_equal(vec, sca)
-        else:
-            assert np.allclose(vec, sca, rtol=1e-14, atol=0.0)
+        ref = np.array([_ref_weight(spec, 99, (0x76, *map(int, p))) for p in pts])
+        _assert_routes_agree(spec, f.vertex_weights(pts), ref)
+        fe = make_field(spec, 98, "edge", 3)
+        cur = (5, -7, 11)
+        ref = np.array([_ref_weight(spec, 98, (0x65, j, *cur)) for j in range(3)])
+        _assert_routes_agree(spec, fe.edge_weights(cur, np.arange(3)), ref)
+        lo, shape = (-3, 4, 0), (4, 2, 3)
+        win = fe.edge_window(lo, shape)
+        ref = np.array([[_ref_weight(spec, 98, (0x65, j, *(a + i for a, i in zip(lo, idx))))
+                         for idx in np.ndindex(*shape)] for j in range(3)])
+        _assert_routes_agree(spec, win, ref.reshape(win.shape))
 
 
 def test_attachment_and_dimension_checks():
@@ -163,9 +211,13 @@ def test_attachment_and_dimension_checks():
     with pytest.raises(ValueError):
         fv.edge_weight((0, 0), (1, 0))
     with pytest.raises(ValueError):
-        fe.vertex_weight((0, 0))
+        fe.vertex_weights([(0, 0)])
     with pytest.raises(ValueError):
-        fv.vertex_weight((0, 0, 0))
+        fv.vertex_weights([(0, 0, 0)])
+    with pytest.raises(ValueError):
+        fv.edge_window((0, 0), (2, 2))
+    with pytest.raises(ValueError):
+        fe.edge_window((0, 0, 0), (2, 2, 2))
     with pytest.raises(ValueError):
         fe.edge_weight((0, 0), (1, 1))  # not nearest neighbors
     with pytest.raises(ValueError):
@@ -237,7 +289,9 @@ def test_derive_seed_stable_and_sensitive():
 @given(st.integers(-(2**40), 2**40), st.integers(-(2**40), 2**40))
 @settings(max_examples=50)
 def test_hash_routes_bit_identical(x, y):
-    # the scalar (python int) and vector (uint64) hash pipelines agree exactly
+    # the library's uint64 fold matches the Python-int reference exactly
     f = make_field(uniform(0.0, 1.0), 1234, "vertex", 2)
     vec = f.vertex_weights(np.array([[x, y]], dtype=np.int64))[0]
-    assert f.weight_at((x, y)) == vec
+    assert _ref_weight(f.spec, 1234, (0x76, x, y)) == vec
+    fe = make_field(uniform(0.0, 1.0), 1234, "edge", 2)
+    assert _ref_weight(fe.spec, 1234, (0x65, 1, x, y)) == fe.edge_window((x, y), (1, 1))[1, 0, 0]
