@@ -24,7 +24,15 @@ from .fpp import (
     lattice_point,
     max_distance_to_segment,
 )
-from .lpp import exact_g, exact_shape_for, lpp_dp, lpp_geodesic
+from .lpp import (
+    LppTimeMap,
+    _batch_tables,
+    _trials_per_batch,
+    exact_g,
+    exact_shape_for,
+    lpp_dp,
+    lpp_geodesic,
+)
 from .weights import DistributionSpec, WeightField, derive_seed
 
 __all__ = [
@@ -138,8 +146,10 @@ class ExponentFit:
 
 def _map_trials(fn, tasks, workers: int):
     if workers and workers > 1:
+        # one task at a time: a task is a solve or a batch of them, so a chunk
+        # of several would leave one worker finishing the tail alone
         with multiprocessing.Pool(processes=workers) as pool:
-            return pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+            return pool.map(fn, tasks, chunksize=1)
     return [fn(t) for t in tasks]
 
 
@@ -178,21 +188,28 @@ def _fpp_target_solve(field: WeightField, target, *, want_geodesic: bool):
     return t, dev, pmap.boundary_hit
 
 
-def _passage_trial(args):
-    model, spec, target, child_seed, want_geodesic = args
+def _fpp_trial(args):
+    spec, target, child_seed, want_geodesic = args
+    fld = WeightField(spec, child_seed, "edge", len(target))
+    return _fpp_target_solve(fld, target, want_geodesic=want_geodesic)
+
+
+def _lpp_batch(args):
+    """One batched DP sweep; (time, wandering or None, False) for each trial."""
+    spec, target, seeds, want_geodesic = args
     d = len(target)
-    if model == "fpp":
-        fld = WeightField(spec, child_seed, "edge", d)
-        return _fpp_target_solve(fld, target, want_geodesic=want_geodesic)
-    fld = WeightField(spec, child_seed, "vertex", d)
-    lmap = lpp_dp(fld, target)
-    t = lmap.time_to(target)
-    dev = None
-    if want_geodesic:
-        path = lpp_geodesic(lmap, fld, target)
-        pts = np.asarray((path.start,) + path.vertices, dtype=np.float64)
-        dev = max_distance_to_segment(pts, np.zeros(d), np.asarray(target, float))
-    return t, dev, False
+    fields = [WeightField(spec, s, "vertex", d) for s in seeds]
+    tables = _batch_tables(fields, target, (0,) * d)
+    out = []
+    for b, fld in enumerate(fields):
+        lmap = LppTimeMap(corner=target, table=tables[..., b], field=fld, origin=(0,) * d)
+        dev = None
+        if want_geodesic:
+            path = lpp_geodesic(lmap, fld, target)
+            pts = np.asarray((path.start,) + path.vertices, dtype=np.float64)
+            dev = max_distance_to_segment(pts, np.zeros(d), np.asarray(target, float))
+        out.append((lmap.time_to(target), dev, False))
+    return out
 
 
 def _grid_targets(model: str, direction, n_grid):
@@ -221,12 +238,18 @@ def _sample_times(model, spec, direction, n_grid, trials, seed, tag, workers,
     _check_model(model, spec)
     direction, ns, targets = _grid_targets(model, direction, n_grid)
     full_tag = f"{tag}:{model}:{spec.token()}:{direction}"
-    tasks = [
-        (model, spec, targets[j], derive_seed(seed, full_tag, ns[j], i), want_geodesic)
-        for j in range(len(ns))
-        for i in range(trials)
-    ]
-    results = _map_trials(_passage_trial, tasks, workers)
+    seeds = [[derive_seed(seed, full_tag, n, i) for i in range(trials)] for n in ns]
+    if model == "fpp":
+        tasks = [(spec, tgt, s, want_geodesic) for tgt, row in zip(targets, seeds) for s in row]
+        results = _map_trials(_fpp_trial, tasks, workers)
+    else:
+        # trials of one n share a sweep; each keeps its own field, so the
+        # samples do not depend on the batch size
+        tasks = []
+        for tgt, row in zip(targets, seeds):
+            per = _trials_per_batch(tgt)
+            tasks += [(spec, tgt, row[a : a + per], want_geodesic) for a in range(0, trials, per)]
+        results = [r for batch in _map_trials(_lpp_batch, tasks, workers) for r in batch]
 
     times = np.empty((len(ns), trials))
     devs = np.empty((len(ns), trials)) if want_geodesic else None

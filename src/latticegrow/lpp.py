@@ -7,11 +7,20 @@ cumulative sums.  Every interior entry satisfies
 
     T[x] = w[x] + max over the d backward neighbors of T
 
-exactly; the vectorized d = 2 sweep walks anti-diagonals so each cell is
-computed by that literal recursion (one max, one add) and the resulting
-floats are bit-identical to a scalar raster evaluation.  That makes the
-table directly comparable, bit for bit, against the exclusion-process step
-times built from the same weight field.
+exactly: each cell is computed by that literal recursion (one max over the
+neighbors in axis order, one add), so the floats are bit-identical to a
+scalar raster evaluation.  That makes the table directly comparable, bit for
+bit, against the exclusion-process step times built from the same weight
+field.
+
+Both sweeps advance a whole hyperplane (coordinate sum = k) per numpy step
+and carry a trailing trial axis, so one step advances B independent tables
+at once.  In d = 2 each anti-diagonal is stored as one contiguous row of a
+skewed array, padded with -inf, and a step is two slice operations; in
+other dimensions a step gathers the d backward neighbors through flat
+indices.  A trial's table never depends on its batch-mates.  Batches are
+sized by an element budget (_BATCH_CELLS values in the working array, at
+least one trial), which bounds a batch's memory at any n.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ._output import write_csv
 from .weights import WeightField
@@ -58,43 +68,89 @@ class LppTimeMap:
         write_csv(path, [f"x{i + 1}" for i in range(d)] + ["T"], [*idx, self.table.ravel()])
 
 
-def _weights_grid(field: WeightField, corner, origin) -> np.ndarray:
-    axes = [np.arange(o, o + c + 1, dtype=np.int64) for o, c in zip(origin, corner)]
-    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return field.vertex_weights(coords)
+# element budget of one batch: float64 values in its skewed (or padded) table,
+# 8 MB; the batch's weights and output tables take about half as much each
+_BATCH_CELLS = 1 << 20
+
+
+def _trials_per_batch(corner) -> int:
+    """How many trials on one rectangle fit the element budget, at least one."""
+    if len(corner) == 2:
+        cells = (sum(corner) + 1) * (min(corner) + 2)  # skewed table
+    else:
+        cells = math.prod(c + 2 for c in corner)  # padded table
+    return max(1, _BATCH_CELLS // cells)
 
 
 def _dp_2d(w: np.ndarray) -> np.ndarray:
-    """Anti-diagonal sweep of the corner-growth recursion on a weight grid."""
-    m, n = w.shape[0] - 1, w.shape[1] - 1
-    # pad with one -inf row and column so missing neighbors lose every max
-    t = np.full((m + 2, n + 2), -math.inf)
-    t[1, 1] = 0.0
+    """Skewed anti-diagonal sweep of the corner-growth recursion.
+
+    w is an (m+1, n+1) weight grid, optionally with a trailing trial axis
+    (m+1, n+1, B); the tables come back in the same shape.  Anti-diagonal k
+    is one contiguous row of t, t[k, i+1] = T(i, k-i), padded with -inf, so
+    each step is two slice operations over every trial at once.  The row
+    axis is the shorter side of the rectangle.  t holds about
+    _BATCH_CELLS values when B comes from _trials_per_batch.
+    """
+    if w.ndim == 2:
+        return _dp_2d(w[..., None])[..., 0]
+    m, n, b = w.shape[0] - 1, w.shape[1] - 1, w.shape[2]
+    if m > n:
+        # max is symmetric on tables (no NaN, no -0.0), so transposing is bit-exact
+        return np.ascontiguousarray(_dp_2d(w.swapaxes(0, 1)).swapaxes(0, 1))
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    e = w.itemsize
+    # ws[k, i] = w[i, k - i] lies (k + i n) b values into w, never past its end
+    ws = as_strided(w, (m + n + 1, m + 1, b), (b * e, n * b * e, e), writeable=False)
+    t = np.full((m + n + 1, m + 2, b), -math.inf)
+    t[0, 1] = 0.0
     for k in range(1, m + n + 1):
-        ii = np.arange(max(0, k - n), min(m, k) + 1)
-        jj = k - ii
-        up = t[ii, jj + 1]
-        left = t[ii + 1, jj]
-        # each cell is literally w + max(up, left): bit-exact raster semantics
-        t[ii + 1, jj + 1] = w[ii, jj] + np.maximum(up, left)
-    return t[1:, 1:]
+        lo, hi = max(0, k - n), min(m, k)
+        prev, cur = t[k - 1], t[k, lo + 1 : hi + 2]
+        # T(i, j) = w + max(T(i-1, j), T(i, j-1)): one max, one add per cell
+        np.maximum(prev[lo : hi + 1], prev[lo + 1 : hi + 2], out=cur)
+        cur += ws[k, lo : hi + 1]
+    # un-skew: T(i, j) = t[i + j, i + 1] lies (i (m+3) + j (m+2)) b values past
+    # t[0, 1]; T(m, n) is the last value of t
+    r = (m + 2) * b * e
+    return as_strided(t[0, 1:], (m + 1, n + 1, b), (r + b * e, r, e)).copy()
 
 
 def _dp_general(w: np.ndarray) -> np.ndarray:
-    shape = w.shape
-    t = np.zeros(shape)
-    for idx in np.ndindex(shape):
-        if all(c == 0 for c in idx):
-            t[idx] = 0.0
-            continue
-        best = -math.inf
-        for j in range(len(shape)):
-            if idx[j] > 0:
-                prev = t[idx[:j] + (idx[j] - 1,) + idx[j + 1 :]]
-                if prev > best:
-                    best = prev
-        t[idx] = w[idx] + best
-    return t
+    """Hyperplane sweep (coordinate sum = k) for any d; w has a trailing trial axis.
+
+    The table carries a leading -inf layer on every axis, so each of the d
+    backward neighbors is one flat-index gather, taken in axis order like
+    the scalar recursion.
+    """
+    shape, b = w.shape[:-1], w.shape[-1]
+    pshape = tuple(s + 1 for s in shape)
+    idx = np.indices(shape).reshape(len(shape), -1)
+    flat = np.ravel_multi_index(tuple(idx + 1), pshape)
+    strides = [math.prod(pshape[j + 1 :]) for j in range(len(shape))]
+    level = idx.sum(axis=0)
+    order = np.argsort(level, kind="stable")
+    ends = np.cumsum(np.bincount(level))
+    wf = w.reshape(-1, b)
+    t = np.full((math.prod(pshape), b), -math.inf)
+    t[flat[0]] = 0.0
+    for k in range(1, len(ends)):
+        cells = order[ends[k - 1] : ends[k]]
+        dst = flat[cells]
+        best = t[dst - strides[0]]
+        for s in strides[1:]:
+            # maximum keeps its first argument on ties, like a strict > scan
+            np.maximum(best, t[dst - s], out=best)
+        best += wf[cells]
+        t[dst] = best
+    return np.ascontiguousarray(t.reshape(pshape + (b,))[(slice(1, None),) * len(shape)])
+
+
+def _batch_tables(fields, corner, origin) -> np.ndarray:
+    """Tables of several vertex fields on [origin, origin + corner], stacked on a last axis."""
+    shape = tuple(c + 1 for c in corner)
+    w = np.stack([f.vertex_window(origin, shape) for f in fields], axis=-1)
+    return _dp_2d(w) if len(corner) == 2 else _dp_general(w)
 
 
 def lpp_dp(field: WeightField, corner, origin=None) -> LppTimeMap:
@@ -115,11 +171,7 @@ def lpp_dp(field: WeightField, corner, origin=None) -> LppTimeMap:
         origin = (0,) * field.dimension
     origin = tuple(int(c) for c in origin)
 
-    w = _weights_grid(field, corner, origin)
-    if field.dimension == 2:
-        table = _dp_2d(w)
-    else:
-        table = _dp_general(w)
+    table = _batch_tables([field], corner, origin)[..., 0]
     return LppTimeMap(corner=corner, table=table, field=field, origin=origin)
 
 

@@ -268,6 +268,30 @@ class WeightField:
         words = [_EDGE_TAG, axis] + [lower[..., j] for j in range(self.dimension)]
         return self._draw(_hash_words(self.seed, words))
 
+    def _window(self, words, lo, shape, out: np.ndarray) -> np.ndarray:
+        """Fill out with weights hashed from words plus per-axis ranges over lo + [0, shape)."""
+        d = self.dimension
+        if len(lo) != d or len(shape) != d:
+            raise ValueError("window does not match field dimension")
+        ranges = [np.arange(a, a + n, dtype=np.int64).reshape((n,) + (1,) * (d - 1 - j))
+                  for j, (a, n) in enumerate(zip(lo, shape))]
+        # slabs along the first axis bound the hash temporaries to ~2^18 elements
+        rows = max(1, (1 << 18) // max(1, math.prod(shape[1:])))
+        for a in range(0, shape[0], rows):
+            slab = [*words, ranges[0][a:a + rows], *ranges[1:]]
+            out[a:a + rows] = self._draw(_hash_words(self.seed, slab))
+        return out
+
+    def vertex_window(self, lo, shape) -> np.ndarray:
+        """Weights of every vertex in lo + [0, shape); entry [i] is vertex lo + i.
+
+        The coordinate words are per-axis ranges, so no coordinate array is
+        built; the bits equal vertex_weights on the same vertices.
+        """
+        if self.attachment != "vertex":
+            raise ValueError("vertex lookup on an edge field")
+        return self._window([_VERTEX_TAG], lo, shape, np.empty(tuple(shape)))
+
     def edge_window(self, lo, shape) -> np.ndarray:
         """Weights of every edge whose lower endpoint lies in lo + [0, shape).
 
@@ -277,18 +301,9 @@ class WeightField:
         """
         if self.attachment != "edge":
             raise ValueError("edge lookup on a vertex field")
-        d = self.dimension
-        if len(lo) != d or len(shape) != d:
-            raise ValueError("window does not match field dimension")
-        ranges = [np.arange(a, a + n, dtype=np.int64).reshape((n,) + (1,) * (d - 1 - j))
-                  for j, (a, n) in enumerate(zip(lo, shape))]
-        out = np.empty((d, *shape))
-        # slabs along the first axis bound the hash temporaries to ~2^18 elements
-        rows = max(1, (1 << 18) // max(1, math.prod(shape[1:])))
-        for j in range(d):
-            for a in range(0, shape[0], rows):
-                slab = [_EDGE_TAG, j, ranges[0][a:a + rows], *ranges[1:]]
-                out[j, a:a + rows] = self._draw(_hash_words(self.seed, slab))
+        out = np.empty((self.dimension, *shape))
+        for j in range(self.dimension):
+            self._window([_EDGE_TAG, j], lo, shape, out[j])
         return out
 
     def edge_weight(self, x, y) -> float:

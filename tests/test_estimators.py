@@ -24,7 +24,11 @@ from latticegrow import (
     variance_series,
     wandering_series,
 )
-from latticegrow.estimators import ExponentFit
+from latticegrow import lpp
+from latticegrow.estimators import ExponentFit, _sample_times
+from latticegrow.fpp import max_distance_to_segment
+from latticegrow.lpp import lpp_dp, lpp_geodesic
+from latticegrow.weights import WeightField, derive_seed
 
 
 def _seq(ns, means, stderrs=None, trials=100):
@@ -217,6 +221,28 @@ def test_wandering_one_step_is_zero():
     assert np.array_equal(ws.values, np.zeros(2))  # axis paths are unique
     ws = wandering_series("lpp", exponential(1.0), (1, 1), [8], trials=30, seed=2)
     assert ws.values[0] > 0.0
+
+
+def test_lpp_samples_independent_of_batching_and_workers(monkeypatch):
+    # batched sweeps give every trial the times and wandering of its own
+    # unbatched solve, whatever the batch budget or the worker count
+    args = ("lpp", exponential(1.0), (1, 0.5), [6, 12, 20], 9, 31, "batch-test")
+    runs = []
+    for workers, budget in [(1, 1 << 20), (2, 1 << 20), (1, 300), (2, 1)]:
+        monkeypatch.setattr(lpp, "_BATCH_CELLS", budget)
+        runs.append(_sample_times(*args, workers, want_geodesic=True))
+    ns, targets, times, devs, _ = runs[0]
+    for run in runs[1:]:
+        assert np.array_equal(run[2], times) and np.array_equal(run[3], devs)
+    full_tag = f"batch-test:lpp:{exponential(1.0).token()}:{(1.0, 0.5)}"
+    for j, (n, tgt) in enumerate(zip(ns, targets)):
+        for i in range(9):
+            fld = WeightField(exponential(1.0), derive_seed(31, full_tag, n, i), "vertex", 2)
+            lmap = lpp_dp(fld, tgt)
+            path = lpp_geodesic(lmap, fld, tgt)
+            pts = np.asarray((path.start,) + path.vertices, dtype=np.float64)
+            assert times[j, i] == lmap.time_to(tgt)
+            assert devs[j, i] == max_distance_to_segment(pts, np.zeros(2), np.asarray(tgt, float))
 
 
 def test_wandering_constant_fpp_axis_zero():

@@ -17,9 +17,12 @@ from latticegrow import (
     lpp_time_between,
     make_field,
     martin_asymptote,
+    two_point,
     uniform,
 )
 from latticegrow.lpp import _dp_2d
+
+LAWS = [exponential(1.0), geometric(0.3), uniform(0.5, 1.5), two_point(0.5), constant(1.0)]
 
 
 def test_axis_rows_are_cumulative_sums():
@@ -85,6 +88,62 @@ def test_transposed_weights_give_transposed_table():
     grid = np.stack(np.meshgrid(np.arange(7), np.arange(5), indexing="ij"), axis=-1)
     w = f.vertex_weights(grid)
     assert np.array_equal(_dp_2d(w.T), _dp_2d(w).T)
+
+
+# -- test-only references: the index-array sweep and the per-cell loop ---------------
+
+def _ref_dp_2d(w):
+    m, n = w.shape[0] - 1, w.shape[1] - 1
+    t = np.full((m + 2, n + 2), -math.inf)
+    t[1, 1] = 0.0
+    for k in range(1, m + n + 1):
+        ii = np.arange(max(0, k - n), min(m, k) + 1)
+        jj = k - ii
+        up = t[ii, jj + 1]
+        left = t[ii + 1, jj]
+        t[ii + 1, jj + 1] = w[ii, jj] + np.maximum(up, left)
+    return t[1:, 1:]
+
+
+def _ref_dp_general(w):
+    t = np.zeros(w.shape)
+    for idx in np.ndindex(w.shape):
+        if all(c == 0 for c in idx):
+            continue
+        best = -math.inf
+        for j in range(len(w.shape)):
+            if idx[j] > 0:
+                prev = t[idx[:j] + (idx[j] - 1,) + idx[j + 1 :]]
+                if prev > best:
+                    best = prev
+        t[idx] = w[idx] + best
+    return t
+
+
+@pytest.mark.parametrize("spec", LAWS, ids=lambda s: s.token())
+@pytest.mark.parametrize("shape", [(9, 9), (12, 5), (4, 10), (1, 8), (8, 1), (1, 1)],
+                         ids=["square", "tall", "wide", "row", "column", "0x0"])
+@pytest.mark.parametrize("batch", [1, 2, 7])
+def test_batched_sweep_matches_reference_bytes(spec, shape, batch):
+    # every trial's table equals the reference sweep on its own weights, so
+    # no table depends on its batch-mates
+    w = np.stack([make_field(spec, 40 + b, "vertex", 2).vertex_window((2, -3), shape)
+                  for b in range(batch)], axis=-1)
+    tables = _dp_2d(w)
+    assert tables.shape == w.shape
+    for b in range(batch):
+        assert tables[..., b].tobytes() == _ref_dp_2d(w[..., b]).tobytes()
+    assert _dp_2d(w[..., 0]).tobytes() == _ref_dp_2d(w[..., 0]).tobytes()
+
+
+@pytest.mark.parametrize("spec", [uniform(0.5, 1.5), exponential(1.0), geometric(0.5)],
+                         ids=lambda s: s.token())
+@pytest.mark.parametrize("corner", [(3, 2, 2), (5, 4, 3), (6, 6, 6), (0, 4, 2), (7,), (2, 3, 1, 2)])
+def test_hyperplane_sweep_matches_cell_loop(spec, corner):
+    f = make_field(spec, 5, "vertex", len(corner))
+    axes = [np.arange(c + 1) for c in corner]
+    w = f.vertex_weights(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+    assert lpp_dp(f, corner).table.tobytes() == _ref_dp_general(w).tobytes()
 
 
 def test_general_dimension_recursion():

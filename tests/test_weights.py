@@ -205,6 +205,20 @@ def test_scalar_vector_routes_agree():
         _assert_routes_agree(spec, win, ref.reshape(win.shape))
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.token())
+@pytest.mark.parametrize("lo,shape", [((-7,), (40,)), ((3, -5), (9, 6)), ((-2, 4, 1), (3, 5, 4)),
+                                      ((-1, 2), (600, 500))])
+def test_vertex_window_matches_vertex_weights(spec, lo, shape):
+    # per-axis range words give the bits of a meshgrid lookup; the last case
+    # spans several hash slabs along the first axis
+    f = make_field(spec, 77, "vertex", len(shape))
+    axes = [np.arange(a, a + n) for a, n in zip(lo, shape)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    win = f.vertex_window(lo, shape)
+    assert win.shape == shape
+    assert win.tobytes() == f.vertex_weights(grid).tobytes()
+
+
 def test_attachment_and_dimension_checks():
     fv = make_field(exponential(1.0), 0, "vertex", 2)
     fe = make_field(exponential(1.0), 0, "edge", 2)
@@ -218,6 +232,10 @@ def test_attachment_and_dimension_checks():
         fv.edge_window((0, 0), (2, 2))
     with pytest.raises(ValueError):
         fe.edge_window((0, 0, 0), (2, 2, 2))
+    with pytest.raises(ValueError):
+        fe.vertex_window((0, 0), (2, 2))
+    with pytest.raises(ValueError):
+        fv.vertex_window((0,), (2,))
     with pytest.raises(ValueError):
         fe.edge_weight((0, 0), (1, 1))  # not nearest neighbors
     with pytest.raises(ValueError):
