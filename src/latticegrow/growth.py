@@ -9,6 +9,21 @@ sequence that is not yet in the cluster.  The infection order of FPP with
 exponential edge weights reproduces the Eden law exactly, by memorylessness;
 it is obtained here by recording the settling order of the shortest-path
 solve rather than simulating clocks.
+
+The IDLA walks read one stream of directions, rng.integers(0, 2d) indexing
+unit_steps(d), drawn in blocks of 64, 128, ... up to 2^16 draws.  A walk is
+the cumulative sum of the directions' flat-index offsets into a dense
+occupancy grid, checked a window at a time with one gather.  Where each walk
+starts in the stream is the schedule of the per-walk loops this replaced, so
+traces at a given seed are the ones they produced, vertex for vertex: in
+d = 2 the old loop drew chunks of 64, 128, ..., 2^15, 2^15, ... directions
+and dropped the rest of the chunk holding the exit, so the next walk starts
+at the end of that chunk (a gap past the current block is drawn and
+dropped); in other dimensions it drew one direction per move, so the next
+walk starts right after the exit move.  Each element of
+rng.integers(0, k, size=m) consumes one 32-bit word of the generator, so how
+the stream is cut into blocks does not change the draws, and the grid's size
+never shows in the trace.
 """
 
 from __future__ import annotations
@@ -117,6 +132,12 @@ def fpp_infection_order(field: WeightField, steps: int) -> ClusterTrace:
 
 
 _WALK_CAP_BASE = 100_000
+# the direction stream is drawn in blocks of 64, 128, ... draws up to this size:
+# small first blocks keep one-particle calls cheap, and the cap keeps the
+# block's few arrays (8 bytes a draw each) near a megabyte
+_BLOCK_MAX = 1 << 16
+# largest occupancy grid, in cells of one byte, that idla_grow will allocate
+_GRID_CELLS_MAX = 1 << 28
 
 
 def idla_grow(seed: int, d: int, particles: int) -> ClusterTrace:
@@ -125,90 +146,124 @@ def idla_grow(seed: int, d: int, particles: int) -> ClusterTrace:
     Each walk runs until its first position outside the current cluster;
     that position is added.  A generous per-particle step cap guards against
     implementation bugs (the exit time is finite almost surely) and raises
-    if exceeded.
+    if exceeded.  The occupancy grid holds (2 radius + 1)^d bytes, radius
+    at least 2; one larger than _GRID_CELLS_MAX raises ValueError, which
+    bounds the dimension (12 for a cluster of sup-norm radius 1).
     """
     if particles < 1:
         raise ValueError("particles must be >= 1")
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if d == 2:
-        return _idla_grow_2d(seed, particles)
-    return _idla_grow_generic(seed, d, particles)
-
-
-def _idla_grow_2d(seed: int, particles: int) -> ClusterTrace:
     rng = np.random.default_rng(seed)
-    moves = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)], dtype=np.int64)
-
-    radius = int(math.ceil(2.2 * math.sqrt(particles / math.pi))) + 10
-    occ = np.zeros((2 * radius + 1, 2 * radius + 1), dtype=bool)
-    occ[radius, radius] = True
+    radius = _first_radius(d, particles)
+    occ = _grid(d, radius)
+    occ[(radius,) * d] = True
+    offsets = _step_offsets(occ)
+    flat = occ.reshape(-1)
+    draws = np.empty(0, dtype=np.int64)
+    cum = np.zeros(1, dtype=np.int64)  # cum[k] = flat offset after the block's first k moves
+    start = 0  # the next walk's first move in the block
+    block = 64
     out_sq = 0  # squared outradius of the cluster so far
     added = []
 
     for _ in range(particles):
-        pos = np.zeros(2, dtype=np.int64)
-        chunk = 64
-        taken = 0
-        cap = _WALK_CAP_BASE + 200 * (out_sq + 25)
-        site = None
-        while site is None:
-            draws = rng.integers(0, 4, size=chunk)
-            path = pos + np.cumsum(moves[draws], axis=0)
-            ix = path[:, 0] + radius
-            iy = path[:, 1] + radius
-            in_grid = (ix >= 0) & (ix < occ.shape[0]) & (iy >= 0) & (iy < occ.shape[1])
-            inside = np.zeros(chunk, dtype=bool)
-            ok = in_grid.nonzero()[0]
-            inside[ok] = occ[ix[ok], iy[ok]]
-            if inside.all():
-                pos = path[-1]
-                taken += chunk
-                if taken > cap:
-                    raise RuntimeError(
-                        f"random walk exceeded the safety cap ({cap} steps); "
-                        "this indicates a bug in the growth bookkeeping"
-                    )
-                chunk = min(chunk * 2, 1 << 15)
-                continue
-            j = int(np.argmin(inside))
-            site = (int(path[j, 0]), int(path[j, 1]))
-        occ[site[0] + radius, site[1] + radius] = True
-        added.append(site)
-        out_sq = max(out_sq, site[0] * site[0] + site[1] * site[1])
-        if max(abs(site[0]), abs(site[1])) >= radius - 1:
-            occ, radius = _grow_grid(occ, radius)
+        if d == 2:
+            cap = _WALK_CAP_BASE + 200 * (out_sq + 25)
+            # the old loop raised once a whole chunk ending past the cap stayed inside
+            limit = _chunk_end(max(cap, 0))
+        else:
+            cap = _WALK_CAP_BASE + 200 * (len(added) + 26)
+            limit = max(cap, 0)
+        base = (occ.size - 1) // 2 - int(cum[start])  # the origin is the centre cell
+        taken = 0  # moves of this walk in earlier blocks
+        lo = start
+        window = 1024  # about a typical walk at a few thousand particles; doubles
+        while True:
+            if lo == len(draws):
+                base += int(cum[lo])
+                taken += lo - start
+                draws = rng.integers(0, 2 * d, size=block)
+                cum = np.zeros(block + 1, dtype=np.int64)
+                np.cumsum(offsets[draws], out=cum[1:])
+                block = min(2 * block, _BLOCK_MAX)
+                start = lo = 0
+            hi = min(lo + window, len(draws), start + limit - taken)
+            if hi <= lo:
+                raise RuntimeError(
+                    f"random walk exceeded the safety cap ({cap} steps); "
+                    "this indicates a bug in the growth bookkeeping"
+                )
+            # moves after the exit may leave the grid; clip keeps their reads in
+            # bounds, and the exit itself neighbours the cluster, so it lies inside
+            inside = flat.take(cum[lo + 1:hi + 1] + base, mode="clip")
+            j = int(inside.argmin())
+            if not inside[j]:
+                break
+            lo = hi
+            window *= 2
+        exit_move = taken + lo + j - start
+        cell = base + int(cum[lo + j + 1])
+        flat[cell] = True
+        start += (_chunk_end(exit_move) if d == 2 else exit_move + 1) - taken
+        if start > len(draws):
+            rng.integers(0, 2 * d, size=start - len(draws))  # drawn and dropped by the old loop
+            start = len(draws)
 
-    return ClusterTrace(model="idla", seed=seed, dimension=2, vertices=added)
+        site = []
+        for _ in range(d):
+            cell, c = divmod(cell, 2 * radius + 1)
+            site.append(c - radius)
+        site = tuple(reversed(site))
+        added.append(site)
+        out_sq = max(out_sq, sum(c * c for c in site))
+        # a walk's exit neighbours a site, so it stays inside while every site is
+        # off the grid's outer layer
+        if max(abs(c) for c in site) >= radius:
+            occ, radius = _grow_grid(occ, radius)
+            offsets = _step_offsets(occ)
+            flat = occ.reshape(-1)
+            np.cumsum(offsets[draws], out=cum[1:])
+
+    return ClusterTrace(model="idla", seed=seed, dimension=d, vertices=added)
+
+
+def _step_offsets(occ: np.ndarray) -> np.ndarray:
+    """Flat-index offset of each of unit_steps(d) in a grid of one-byte cells."""
+    return np.array([sign * s for s in occ.strides for sign in (1, -1)], dtype=np.int64)
+
+
+def _chunk_end(move: int) -> int:
+    """End of the chunk holding a move in the schedule 64, 128, ..., 2^15, 2^15, ..."""
+    if move < 64 * 1023:
+        return 64 * ((1 << (move // 64 + 1).bit_length()) - 1)
+    return 64 * 1023 + (1 << 15) * ((move - 64 * 1023) // (1 << 15) + 1)
+
+
+def _first_radius(d: int, particles: int) -> int:
+    """Grid radius for a cluster of this many sites: 1.2 ball radii plus 1, at least 2.
+
+    In high dimension a small cluster has sup-norm 1 or 2, so a small radius
+    keeps the (2 radius + 1)^d grid small there.
+    """
+    ball = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+    return max(2, int(1.2 * (particles / ball) ** (1 / d)) + 1)
+
+
+def _grid(d: int, radius: int) -> np.ndarray:
+    cells = (2 * radius + 1) ** d
+    if cells > _GRID_CELLS_MAX:
+        raise ValueError(f"IDLA in dimension {d} needs a grid of {cells} cells, "
+                         f"more than {_GRID_CELLS_MAX}")
+    return np.zeros((2 * radius + 1,) * d, dtype=bool)
 
 
 def _grow_grid(occ: np.ndarray, radius: int):
-    new_radius = radius * 2
-    new = np.zeros((2 * new_radius + 1, 2 * new_radius + 1), dtype=bool)
+    new_radius = radius + (radius + 1) // 2
+    new = _grid(occ.ndim, new_radius)
     off = new_radius - radius
-    new[off : off + occ.shape[0], off : off + occ.shape[1]] = occ
+    new[(slice(off, off + occ.shape[0]),) * occ.ndim] = occ
     return new, new_radius
-
-
-def _idla_grow_generic(seed: int, d: int, particles: int) -> ClusterTrace:
-    rng = np.random.default_rng(seed)
-    moves = unit_steps(d)
-    origin = (0,) * d
-    cluster = {origin}
-    added = []
-    for _ in range(particles):
-        pos = origin
-        cap = _WALK_CAP_BASE + 200 * (len(cluster) + 25)
-        for taken in range(cap + 1):
-            if pos not in cluster:
-                break
-            m = moves[int(rng.integers(2 * d))]
-            pos = tuple(a + b for a, b in zip(pos, m))
-        else:
-            raise RuntimeError(f"random walk exceeded the safety cap ({cap} steps)")
-        cluster.add(pos)
-        added.append(pos)
-    return ClusterTrace(model="idla", seed=seed, dimension=d, vertices=added)
 
 
 def roundness(trace: ClusterTrace, n: int):
@@ -218,26 +273,25 @@ def roundness(trace: ClusterTrace, n: int):
     point with norm <= r belongs to S_n; the outradius is the largest norm
     attained by S_n.  For S_0 = {origin} this gives (0, 0).
     """
-    cluster = trace.cluster_at(n)
+    if n > len(trace.vertices):
+        raise ValueError(f"trace has only {len(trace.vertices)} steps, asked for {n}")
     d = trace.dimension
-    pts = np.array(sorted(cluster), dtype=np.int64)
-    out_r = float(np.sqrt((pts.astype(np.float64) ** 2).sum(axis=1).max()))
+    pts = np.concatenate([np.zeros((1, d), dtype=np.int64),
+                          np.array(trace.vertices[:n], dtype=np.int64).reshape(-1, d)])
+    # squared norms are exact integers, so their roots are the same floats
+    # however they are summed
+    out_r = float(np.sqrt((pts * pts).sum(axis=1).max()))
 
+    # the window reaches past out_r, so it holds the cluster and some missing point
     reach = int(math.floor(out_r)) + 1
-    axes = [np.arange(-reach, reach + 1, dtype=np.int64)] * d
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    norms = np.sqrt((grid.astype(np.float64) ** 2).sum(axis=1))
-    member = np.fromiter(
-        (tuple(p) in cluster for p in grid), dtype=bool, count=grid.shape[0]
-    )
-    missing = norms[~member]
-    if missing.size == 0:
-        # cluster fills the whole scanned window; every norm up to reach is in
-        in_r = float(norms[member].max())
-    else:
-        m = float(missing.min())
-        below = norms[norms < m]
-        in_r = float(below.max()) if below.size else 0.0
+    side = 2 * reach + 1
+    member = np.zeros((side,) * d, dtype=bool)
+    member[tuple((pts + reach).T)] = True
+    axis_sq = np.arange(-reach, reach + 1, dtype=np.int64) ** 2
+    norm_sq = sum(axis_sq.reshape((side,) + (1,) * (d - 1 - j)) for j in range(d))
+    norms = np.sqrt(norm_sq)
+    nearest_missing = norms[~member].min()
+    in_r = float(norms[norms < nearest_missing].max(initial=0.0))
     return in_r, out_r
 
 

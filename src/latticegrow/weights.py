@@ -137,17 +137,28 @@ class DistributionSpec:
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF at each u in [0, 1); the range is not checked here."""
+        return self._quantile_inplace(np.array(u, dtype=np.float64))
+
+    def _quantile_inplace(self, u: np.ndarray) -> np.ndarray:
+        """quantile_array computed in, and returned as, the float64 array u."""
         k, p = self.kind, self.params
-        if k == "exponential":
-            return -np.log1p(-u) / p[0]
-        if k == "geometric":
-            out = np.ceil(np.log1p(-u) / math.log1p(-p[0]))
-            return np.maximum(out, 1.0)
+        if k in ("exponential", "geometric"):
+            np.negative(u, out=u)
+            np.log1p(u, out=u)
+            if k == "exponential":
+                u /= -p[0]  # x / -p is -x / p, bit for bit
+                return u
+            u /= math.log1p(-p[0])
+            np.ceil(u, out=u)
+            return np.maximum(u, 1.0, out=u)
         if k == "uniform":
-            return p[0] + (p[1] - p[0]) * u
+            u *= p[1] - p[0]
+            u += p[0]
+            return u
         if k == "twopoint":
-            return np.where(u < p[0], 1.0, 2.0)
-        return np.full_like(u, p[0])
+            return np.subtract(2.0, u < p[0], out=u)
+        u.fill(p[0])
+        return u
 
     def token(self) -> str:
         name = next(t for t, (kind, _, _) in _TOKENS.items() if kind == self.kind)
@@ -239,10 +250,11 @@ class WeightField:
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
 
-    def _draw(self, h: np.ndarray) -> np.ndarray:
-        u = (h >> _U11).astype(np.float64)
-        u *= _INV53
-        return self.spec.quantile_array(u)
+    def _draw(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Weights from the hashes h (overwritten), written into out if given."""
+        h >>= _U11
+        u = np.multiply(h, _INV53, out=np.empty(h.shape) if out is None else out)
+        return self.spec._quantile_inplace(u)
 
     def vertex_weights(self, coords: np.ndarray) -> np.ndarray:
         """Weights at an array of vertices; coords has shape (..., d)."""
@@ -279,7 +291,7 @@ class WeightField:
         rows = max(1, (1 << 18) // max(1, math.prod(shape[1:])))
         for a in range(0, shape[0], rows):
             slab = [*words, ranges[0][a:a + rows], *ranges[1:]]
-            out[a:a + rows] = self._draw(_hash_words(self.seed, slab))
+            self._draw(_hash_words(self.seed, slab), out[a:a + rows])
         return out
 
     def vertex_window(self, lo, shape) -> np.ndarray:

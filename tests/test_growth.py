@@ -13,6 +13,8 @@ from latticegrow import (
     roundness,
     uniform,
 )
+from latticegrow import growth
+from latticegrow.fpp import unit_steps
 from latticegrow.growth import ClusterTrace
 
 NEIGHBORS_2D = [(1, 0), (-1, 0), (0, 1), (0, -1)]
@@ -201,6 +203,147 @@ def test_idla_generic_dimension_matches_invariants():
         s.add(v)
 
 
+# test-only copies of the per-walk loops that the block-drawn walker replays
+
+def _idla_reference_2d(seed, particles):
+    rng = np.random.default_rng(seed)
+    moves = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)], dtype=np.int64)
+
+    radius = int(math.ceil(2.2 * math.sqrt(particles / math.pi))) + 10
+    occ = np.zeros((2 * radius + 1, 2 * radius + 1), dtype=bool)
+    occ[radius, radius] = True
+    out_sq = 0
+    added = []
+
+    for _ in range(particles):
+        pos = np.zeros(2, dtype=np.int64)
+        chunk = 64
+        taken = 0
+        cap = growth._WALK_CAP_BASE + 200 * (out_sq + 25)
+        site = None
+        while site is None:
+            draws = rng.integers(0, 4, size=chunk)
+            path = pos + np.cumsum(moves[draws], axis=0)
+            ix = path[:, 0] + radius
+            iy = path[:, 1] + radius
+            in_grid = (ix >= 0) & (ix < occ.shape[0]) & (iy >= 0) & (iy < occ.shape[1])
+            inside = np.zeros(chunk, dtype=bool)
+            ok = in_grid.nonzero()[0]
+            inside[ok] = occ[ix[ok], iy[ok]]
+            if inside.all():
+                pos = path[-1]
+                taken += chunk
+                if taken > cap:
+                    raise RuntimeError(f"random walk exceeded the safety cap ({cap} steps)")
+                chunk = min(chunk * 2, 1 << 15)
+                continue
+            j = int(np.argmin(inside))
+            site = (int(path[j, 0]), int(path[j, 1]))
+        occ[site[0] + radius, site[1] + radius] = True
+        added.append(site)
+        out_sq = max(out_sq, site[0] * site[0] + site[1] * site[1])
+        if max(abs(site[0]), abs(site[1])) >= radius - 1:
+            new_radius = radius * 2
+            new = np.zeros((2 * new_radius + 1, 2 * new_radius + 1), dtype=bool)
+            off = new_radius - radius
+            new[off: off + occ.shape[0], off: off + occ.shape[1]] = occ
+            occ, radius = new, new_radius
+    return added
+
+
+def _idla_reference_generic(seed, d, particles):
+    rng = np.random.default_rng(seed)
+    moves = unit_steps(d)
+    origin = (0,) * d
+    cluster = {origin}
+    added = []
+    for _ in range(particles):
+        pos = origin
+        cap = growth._WALK_CAP_BASE + 200 * (len(cluster) + 25)
+        for taken in range(cap + 1):
+            if pos not in cluster:
+                break
+            m = moves[int(rng.integers(2 * d))]
+            pos = tuple(a + b for a, b in zip(pos, m))
+        else:
+            raise RuntimeError(f"random walk exceeded the safety cap ({cap} steps)")
+        cluster.add(pos)
+        added.append(pos)
+    return added
+
+
+def _reference(seed, d, particles):
+    if d == 2:
+        return _idla_reference_2d(seed, particles)
+    return _idla_reference_generic(seed, d, particles)
+
+
+def test_idla_2d_matches_reference_loop():
+    for seed in range(12):
+        for particles in (1, 2, 5, 150):
+            assert idla_grow(seed, 2, particles).vertices == _idla_reference_2d(seed, particles)
+    for seed in (7, 3):
+        assert idla_grow(seed, 2, 3000).vertices == _idla_reference_2d(seed, 3000)
+
+
+def test_idla_other_dimensions_match_reference_loop():
+    for d, sizes in ((1, (1, 2, 5, 60)), (3, (1, 5, 150)), (4, (1, 5, 150))):
+        for seed in range(4):
+            for particles in sizes:
+                assert idla_grow(seed, d, particles).vertices == _idla_reference_generic(
+                    seed, d, particles), (d, seed, particles)
+
+
+def test_idla_matches_reference_through_grid_doublings(monkeypatch):
+    grown = []
+    grow_grid = growth._grow_grid
+
+    def counting_grow_grid(occ, radius):
+        grown.append(radius)
+        return grow_grid(occ, radius)
+
+    monkeypatch.setattr(growth, "_first_radius", lambda d, particles: 2)
+    monkeypatch.setattr(growth, "_grow_grid", counting_grow_grid)
+    for seed, d, particles in ((4, 2, 700), (5, 3, 1500), (6, 1, 40)):
+        grown.clear()
+        assert idla_grow(seed, d, particles).vertices == _reference(seed, d, particles)
+        assert len(grown) >= 3, (d, grown)
+
+
+def _first_failure(grow, most):
+    """Fewest particles at which grow raises the cap error, or None up to most."""
+    for particles in range(1, most + 1):
+        try:
+            grow(particles)
+        except RuntimeError:
+            return particles
+    return None
+
+
+def test_idla_cap_raises_at_the_same_particle(monkeypatch):
+    # d = 2: cap = base + 200 * (squared outradius + 25), checked after each
+    # chunk that stays inside the cluster
+    firsts = []
+    for seed, base in ((13, -5000), (13, -9000), (12, -13000), (13, -10**9)):
+        monkeypatch.setattr(growth, "_WALK_CAP_BASE", base)
+        first = _first_failure(lambda p: _idla_reference_2d(seed, p), 100)
+        assert _first_failure(lambda p: idla_grow(seed, 2, p), 100) == first, (seed, base)
+        if first is not None:
+            assert idla_grow(seed, 2, first - 1).vertices == _idla_reference_2d(seed, first - 1)
+        firsts.append(first)
+    assert firsts[0] is None and firsts[1] == 38 and firsts[2] == 76
+    # the first walk exits inside its first chunk, so even a negative cap passes
+    assert idla_grow(13, 2, 1).vertices == _idla_reference_2d(13, 1)
+    # other dimensions: cap = base + 200 * (cluster size + 25), and a walk may
+    # take cap moves but not one more
+    for d in (1, 3):
+        monkeypatch.setattr(growth, "_WALK_CAP_BASE", -5200)  # cap 0 for the first walk
+        assert _first_failure(lambda p: idla_grow(0, d, p), 5) == 1
+        assert _first_failure(lambda p: _idla_reference_generic(0, d, p), 5) == 1
+        monkeypatch.setattr(growth, "_WALK_CAP_BASE", -5199)  # cap 1
+        assert idla_grow(0, d, 30).vertices == _idla_reference_generic(0, d, 30)
+
+
 def test_lattice_symmetry_of_first_step_all_models():
     trials = 6000
     for grow in (
@@ -240,6 +383,38 @@ def test_roundness_partial_cross():
     # (0,-1) is missing at norm 1, so nothing beyond norm 0 is fully covered
     assert rin == 0.0
     assert rout == 1.0
+
+
+def _roundness_reference(trace, n):
+    """The per-point membership loop that roundness replaced."""
+    cluster = trace.cluster_at(n)
+    d = trace.dimension
+    pts = np.array(sorted(cluster), dtype=np.int64)
+    out_r = float(np.sqrt((pts.astype(np.float64) ** 2).sum(axis=1).max()))
+    reach = int(math.floor(out_r)) + 1
+    axes = [np.arange(-reach, reach + 1, dtype=np.int64)] * d
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    norms = np.sqrt((grid.astype(np.float64) ** 2).sum(axis=1))
+    member = np.fromiter((tuple(p) in cluster for p in grid), dtype=bool, count=grid.shape[0])
+    missing = norms[~member]
+    if missing.size == 0:
+        in_r = float(norms[member].max())
+    else:
+        m = float(missing.min())
+        below = norms[norms < m]
+        in_r = float(below.max()) if below.size else 0.0
+    return in_r, out_r
+
+
+def test_roundness_matches_reference_loop():
+    for d in (1, 2, 3):
+        for trace in (idla_grow(d, d, 400), eden_grow(d, d, 400)):
+            for n in (0, 1, 2, 7, 60, 400):
+                assert roundness(trace, n) == _roundness_reference(trace, n), (trace.model, d, n)
+    trace = ClusterTrace(model="manual", seed=0, dimension=2, vertices=[(0, 1), (0, 1), (5, -2)])
+    assert roundness(trace, 3) == _roundness_reference(trace, 3)
+    with pytest.raises(ValueError):
+        roundness(trace, 4)
 
 
 def test_idla_roundness_ratio_moderate_n():

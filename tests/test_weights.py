@@ -143,6 +143,31 @@ def test_quantile_vector_matches_scalar_shape():
             assert np.allclose(vec, sca, rtol=1e-14, atol=0.0)
 
 
+def _quantile_reference(spec, u):
+    """The out-of-place quantile formulas, one fresh array per step."""
+    p = spec.params
+    return {"exponential": lambda: -np.log1p(-u) / p[0],
+            "geometric": lambda: np.maximum(np.ceil(np.log1p(-u) / math.log1p(-p[0])), 1.0),
+            "uniform": lambda: p[0] + (p[1] - p[0]) * u,
+            "twopoint": lambda: np.where(u < p[0], 1.0, 2.0),
+            "constant": lambda: np.full_like(u, p[0])}[spec.kind]()
+
+
+def test_quantile_in_place_steps_bit_identical_and_input_untouched():
+    u = np.random.default_rng(5).random(4000)
+    u[:3] = (0.0, 0.5, np.nextafter(1.0, 0.0))
+    before = u.copy()
+    for spec in ALL_SPECS + [exponential(3.7), geometric(0.03)]:
+        ref = _quantile_reference(spec, before).tobytes()
+        assert spec.quantile_array(u).tobytes() == ref
+        assert quantile(spec, u).tobytes() == ref
+        assert u.tobytes() == before.tobytes()
+        field = make_field(spec, 99, "vertex", 1)
+        h = np.arange(8, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        expected = _quantile_reference(spec, (h >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+        assert field._draw(h.copy()).tobytes() == expected.tobytes()
+
+
 # -- field determinism and identity --------------------------------------------
 
 def test_constant_field_everywhere_constant():
