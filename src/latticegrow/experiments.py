@@ -38,7 +38,14 @@ from .estimators import (
     wandering_series,
 )
 from .fpp import LatticeBox, fpp_dijkstra
-from .growth import eden_grow, idla_grow, roundness, roundness_series_to_csv
+from .growth import (
+    _GRID_CELLS_MAX,
+    _first_radius,
+    eden_grow,
+    idla_grow,
+    roundness,
+    roundness_series_to_csv,
+)
 from .lpp import exact_g, exact_shape_for, lpp_dp
 from .oracle import brute_force_fpp, brute_force_lpp
 from .tasep import coupling_equivalence, current_at, tasep_run
@@ -149,6 +156,16 @@ class ExperimentConfig:
             if name in reads and getattr(self, name) < low:
                 raise ConfigError(f"{name}: must be >= {low} for kind {kind}, "
                                   f"got {getattr(self, name)}")
+        if kind == "idla":
+            # the walker's first occupancy grid has radius 2 or more: 5^dim cells or more
+            if self.dim > math.log(_GRID_CELLS_MAX, 5):
+                raise ConfigError(f"dim: IDLA needs a grid of at least 5^{self.dim} cells, "
+                                  f"more than {_GRID_CELLS_MAX}")
+            cells = (2 * _first_radius(self.dim, self.steps) + 1) ** self.dim
+            if cells > _GRID_CELLS_MAX:
+                raise ConfigError(f"steps: IDLA with {self.steps} particles in dimension "
+                                  f"{self.dim} needs a grid of {cells} cells, "
+                                  f"more than {_GRID_CELLS_MAX}")
         if "t" in reads and not 0 < self.t < math.inf:
             raise ConfigError(f"t: must be positive and finite for kind {kind}, got {self.t}")
         if "n_grid" not in reads:
@@ -297,7 +314,8 @@ def _run_idla(config, spec, out, summary):
     rin, rout = rows[-1][1], rows[-1][2]
     summary["estimates"]["inradius"] = rin
     summary["estimates"]["outradius"] = rout
-    summary["estimates"]["roundness_ratio"] = rout / rin if rin > 0 else math.inf
+    # null, not Infinity, keeps summary.json strict JSON
+    summary["estimates"]["roundness_ratio"] = rout / rin if rin > 0 else None
 
 
 def _run_tasep(config, spec, out, summary):

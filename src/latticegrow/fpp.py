@@ -49,33 +49,26 @@ def unit_steps(d: int) -> list:
 
 @dataclass(frozen=True)
 class LatticeBox:
-    """The box center + [-radius, radius]^d intersected with Z^d."""
+    """The box [-radius, radius]^d intersected with Z^d."""
 
     dimension: int
     radius: int
-    center: Vertex | None = None
 
     def __post_init__(self):
         if self.radius < 1:
             raise ValueError(f"box radius must be >= 1, got {self.radius}")
         if self.dimension < 1:
             raise ValueError(f"box dimension must be >= 1, got {self.dimension}")
-        if self.center is not None and len(self.center) != self.dimension:
-            raise ValueError("box center does not match dimension")
-
-    def _center(self) -> Vertex:
-        return self.center if self.center is not None else (0,) * self.dimension
 
     def contains(self, v) -> bool:
-        c = self._center()
-        return all(abs(int(vi) - ci) <= self.radius for vi, ci in zip(v, c))
+        return all(abs(int(vi)) <= self.radius for vi in v)
 
     def vertex_count(self) -> int:
         return (2 * self.radius + 1) ** self.dimension
 
     def corner(self) -> Vertex:
         """The lowest vertex of the box."""
-        return tuple(c - self.radius for c in self._center())
+        return (-self.radius,) * self.dimension
 
     def padded_index(self, v) -> tuple:
         """Index of vertex v in the padded box: v - corner + 1."""
@@ -115,9 +108,6 @@ class PassageTimeMap:
     order: list = dc_field(default_factory=list)
     horizon: float = math.inf
     boundary_hit: bool = False
-
-    def settled(self, v) -> bool:
-        return tuple(v) in self.times
 
     def time_to(self, v) -> float:
         v = tuple(v)

@@ -13,17 +13,15 @@ solve rather than simulating clocks.
 The IDLA walks read one stream of directions, rng.integers(0, 2d) indexing
 unit_steps(d), drawn in blocks of 64, 128, ... up to 2^16 draws.  A walk is
 the cumulative sum of the directions' flat-index offsets into a dense
-occupancy grid, checked a window at a time with one gather.  Where each walk
-starts in the stream is the schedule of the per-walk loops this replaced, so
-traces at a given seed are the ones they produced, vertex for vertex: in
-d = 2 the old loop drew chunks of 64, 128, ..., 2^15, 2^15, ... directions
-and dropped the rest of the chunk holding the exit, so the next walk starts
-at the end of that chunk (a gap past the current block is drawn and
-dropped); in other dimensions it drew one direction per move, so the next
-walk starts right after the exit move.  Each element of
-rng.integers(0, k, size=m) consumes one 32-bit word of the generator, so how
-the stream is cut into blocks does not change the draws, and the grid's size
-never shows in the trace.
+occupancy grid, checked a window at a time with one gather.  Each walk
+starts on the draw right after the previous walk's exit move, so successive
+walks read disjoint, consecutive stretches of one i.i.d. stream, each
+starting at a stopping time: by the strong Markov property they are
+independent simple random walks, and the traces have the IDLA law.  Each
+element of rng.integers(0, k, size=m) consumes one 32-bit word of the
+generator, so the traces are those of a loop drawing one direction per move:
+how the stream is cut into blocks does not change the draws, and the grid's
+size never shows in the trace.
 """
 
 from __future__ import annotations
@@ -164,17 +162,11 @@ def idla_grow(seed: int, d: int, particles: int) -> ClusterTrace:
     cum = np.zeros(1, dtype=np.int64)  # cum[k] = flat offset after the block's first k moves
     start = 0  # the next walk's first move in the block
     block = 64
-    out_sq = 0  # squared outradius of the cluster so far
     added = []
 
     for _ in range(particles):
-        if d == 2:
-            cap = _WALK_CAP_BASE + 200 * (out_sq + 25)
-            # the old loop raised once a whole chunk ending past the cap stayed inside
-            limit = _chunk_end(max(cap, 0))
-        else:
-            cap = _WALK_CAP_BASE + 200 * (len(added) + 26)
-            limit = max(cap, 0)
+        cap = _WALK_CAP_BASE + 200 * (len(added) + 26)
+        limit = max(cap, 0)
         base = (occ.size - 1) // 2 - int(cum[start])  # the origin is the centre cell
         taken = 0  # moves of this walk in earlier blocks
         lo = start
@@ -202,13 +194,9 @@ def idla_grow(seed: int, d: int, particles: int) -> ClusterTrace:
                 break
             lo = hi
             window *= 2
-        exit_move = taken + lo + j - start
         cell = base + int(cum[lo + j + 1])
         flat[cell] = True
-        start += (_chunk_end(exit_move) if d == 2 else exit_move + 1) - taken
-        if start > len(draws):
-            rng.integers(0, 2 * d, size=start - len(draws))  # drawn and dropped by the old loop
-            start = len(draws)
+        start = lo + j + 1
 
         site = []
         for _ in range(d):
@@ -216,7 +204,6 @@ def idla_grow(seed: int, d: int, particles: int) -> ClusterTrace:
             site.append(c - radius)
         site = tuple(reversed(site))
         added.append(site)
-        out_sq = max(out_sq, sum(c * c for c in site))
         # a walk's exit neighbours a site, so it stays inside while every site is
         # off the grid's outer layer
         if max(abs(c) for c in site) >= radius:
@@ -231,13 +218,6 @@ def idla_grow(seed: int, d: int, particles: int) -> ClusterTrace:
 def _step_offsets(occ: np.ndarray) -> np.ndarray:
     """Flat-index offset of each of unit_steps(d) in a grid of one-byte cells."""
     return np.array([sign * s for s in occ.strides for sign in (1, -1)], dtype=np.int64)
-
-
-def _chunk_end(move: int) -> int:
-    """End of the chunk holding a move in the schedule 64, 128, ..., 2^15, 2^15, ..."""
-    if move < 64 * 1023:
-        return 64 * ((1 << (move // 64 + 1).bit_length()) - 1)
-    return 64 * 1023 + (1 << 15) * ((move - 64 * 1023) // (1 << 15) + 1)
 
 
 def _first_radius(d: int, particles: int) -> int:

@@ -140,7 +140,6 @@ def brute_force_lpp(
     field: WeightField,
     target,
     budget: EnumerationBudget = DEFAULT_BUDGET,
-    count_out: list | None = None,
 ) -> float:
     """Exact LPP passage time by full enumeration of oriented paths (d = 2).
 
@@ -159,8 +158,6 @@ def brute_force_lpp(
     npaths = oriented_path_count((x1, x2))
     if npaths > budget.max_paths:
         raise BudgetExceeded(f"{npaths} oriented paths exceed budget {budget.max_paths}")
-    if count_out is not None:
-        count_out.append(npaths)
     if x1 == 0 and x2 == 0:
         return 0.0
 

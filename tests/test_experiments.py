@@ -16,6 +16,7 @@ from latticegrow.experiments import (
     HardFailure,
     run_experiment,
 )
+from latticegrow.growth import ClusterTrace
 
 
 def _cfg(**kw):
@@ -153,6 +154,18 @@ def test_tasep_coupling_experiment(tmp_path):
     assert summary["estimates"]["probe_failures"] == 0
 
 
+def test_idla_summary_is_strict_json_with_zero_inradius(tmp_path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    for steps in (1, 3):
+        run_experiment(_cfg(kind="idla", steps=steps, seed=0, out=str(tmp_path / str(steps))))
+        blob = json.loads((tmp_path / str(steps) / "summary.json").read_text(),
+                          parse_constant=reject)
+        assert blob["estimates"]["inradius"] == 0.0
+        assert blob["estimates"]["roundness_ratio"] is None
+
+
 def test_idla_experiment_writes_roundness(tmp_path):
     cfg = _cfg(kind="idla", steps=400, seed=2, out=str(tmp_path / "o"))
     summary = run_experiment(cfg)
@@ -261,6 +274,8 @@ def test_cli_hard_failure_exit_code(monkeypatch, tmp_path):
         (["radial-g", "--model", "fpp", "--dist", "exp:inf", "--n-grid", "2,4",
           "--trials", "3"], "dist"),
         (["lpp-shape", "--dist", "const:inf", "--t", "3", "--trials", "2"], "dist"),
+        (["idla", "--dim", "13", "--steps", "1"], "dim"),
+        (["idla", "--steps", "1000000000"], "steps"),
     ],
 )
 def test_cli_bad_input_exits_2_without_traceback(argv, field, tmp_path):
@@ -309,9 +324,11 @@ GOLDEN = {
     "eden": (dict(kind="eden", steps=300, seed=5), {
         "eden_trace.csv": "d525b21fa976d7261c3b106f9bd147bac2e99bbdc917397ad01ee819b9eb3a6c",
     }),
+    # re-recorded when every IDLA walk came to start right after the previous
+    # exit; the earlier digests are pinned to the d = 2 chunk loop below
     "idla": (dict(kind="idla", steps=300, seed=2), {
-        "idla_roundness.csv": "6f19a9a093f6e6518cc9b79197192b980352b13c6f5efb857818feafd31a3388",
-        "idla_trace.csv": "b1792d36c1186a256b266609520b9f121455c6f51eb98af67944f5954be60d28",
+        "idla_roundness.csv": "0c570515b7f2016bf3e9166551076ed98959a20f814ed91befddfd7163fe72c2",
+        "idla_trace.csv": "69ed5e71ddf2131e5aab83910c02121b7230ee535c6e7bbb6ba942148adec55c",
     }),
     # TASEP coupling only accepts exp:1.0
     "tasep-coupling": (dict(kind="tasep-coupling", dist="exp:1.0", steps=6, trials=2), {
@@ -333,6 +350,18 @@ def test_output_bytes_match_golden(name, tmp_path):
     kw, expected = GOLDEN[name]
     run_experiment(_cfg(**kw, out=str(tmp_path)))
     assert _digests(tmp_path) == expected
+
+
+def test_idla_chunk_loop_matches_earlier_golden(monkeypatch, tmp_path):
+    from test_growth import _idla_reference_2d
+
+    monkeypatch.setattr(experiments_mod, "idla_grow", lambda seed, d, particles: ClusterTrace(
+        "idla", seed, d, _idla_reference_2d(seed, particles)))
+    run_experiment(_cfg(kind="idla", steps=300, seed=2, out=str(tmp_path)))
+    assert _digests(tmp_path) == {
+        "idla_roundness.csv": "6f19a9a093f6e6518cc9b79197192b980352b13c6f5efb857818feafd31a3388",
+        "idla_trace.csv": "b1792d36c1186a256b266609520b9f121455c6f51eb98af67944f5954be60d28",
+    }
 
 
 def test_oracle_mismatch_row_matches_golden(monkeypatch, tmp_path):

@@ -54,13 +54,6 @@ def test_lpp_axis_is_cumulative_sum():
     assert brute_force_lpp(f, (0, 0)) == 0.0
 
 
-def test_lpp_enumeration_count_matches_binomial():
-    f = make_field(uniform(0.5, 1.5), 9, "vertex", 2)
-    out = []
-    brute_force_lpp(f, (4, 3), count_out=out)
-    assert out == [oriented_path_count((4, 3))]
-
-
 def test_lpp_budget_refusal():
     f = make_field(uniform(0.5, 1.5), 9, "vertex", 2)
     with pytest.raises(BudgetExceeded):
