@@ -25,13 +25,12 @@ from .fpp import (
     max_distance_to_segment,
 )
 from .lpp import (
-    LppTimeMap,
-    _batch_tables,
+    _batch_corners,
+    _min_plus_2d,
     _trials_per_batch,
     exact_g,
     exact_shape_for,
     lpp_dp,
-    lpp_geodesic,
 )
 from .weights import DistributionSpec, WeightField, derive_seed
 
@@ -195,21 +194,16 @@ def _fpp_trial(args):
 
 
 def _lpp_batch(args):
-    """One batched DP sweep; (time, wandering or None, False) for each trial."""
+    """One batched sweep; (time, wandering or None, False) for each trial."""
     spec, target, seeds, want_geodesic = args
     d = len(target)
     fields = [WeightField(spec, s, "vertex", d) for s in seeds]
-    tables = _batch_tables(fields, target, (0,) * d)
-    out = []
-    for b, fld in enumerate(fields):
-        lmap = LppTimeMap(corner=target, table=tables[..., b], field=fld, origin=(0,) * d)
-        dev = None
-        if want_geodesic:
-            path = lpp_geodesic(lmap, fld, target)
-            pts = np.asarray((path.start,) + path.vertices, dtype=np.float64)
-            dev = max_distance_to_segment(pts, np.zeros(d), np.asarray(target, float))
-        out.append((lmap.time_to(target), dev, False))
-    return out
+    times, paths = _batch_corners(fields, target, want_geodesic)
+    devs = [None] * len(fields)
+    if want_geodesic:
+        devs = [max_distance_to_segment(p, np.zeros(d), np.asarray(target, float))
+                for p in paths]
+    return [(float(t), dev, False) for t, dev in zip(times, devs)]
 
 
 def _grid_targets(model: str, direction, n_grid):
@@ -466,39 +460,38 @@ def _corridor_graph(field: WeightField, lo: int, hi: int):
     return csr_matrix((data, (rows, cols)), shape=(nv, nv))
 
 
-def _twopoint_diag_time(field: WeightField, n: int, margin: int = 32) -> float:
+def _twopoint_diag_time(field: WeightField, n: int) -> float:
     """Exact full-lattice T(0, (n, n)) for weights bounded below by 1.
 
-    Solved on the window [-m, n+m]^2 and certified: any path leaving the
-    window takes at least 2n + 2m unit-or-larger steps, so a window optimum
-    below that bound is the true lattice optimum.  The margin doubles until
-    the certificate holds.
+    The oriented optimum U, over up-right paths in [0, n]^2, bounds T from
+    above, and every path takes at least 2n unit-or-larger steps.  So
+    U = 2n certifies T = 2n with no window solve: on the flat edge the unit
+    edges percolate in the oriented sense (Durrett-Liggett 1981).  Otherwise
+    T is solved once on the window [-m, n+m]^2 with m = floor((U - 2n)/2) + 1,
+    stopping the search at distance U: any path leaving the window takes at
+    least 2n + 2m > U >= T steps, so the window optimum is the lattice one.
     """
     from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
     if field.spec.support_min() < 1.0:
         raise ValueError("window certificate needs weights >= 1")
-    m = margin
-    while True:
-        lo, hi = -m, n + m
-        side = hi - lo + 1
-        graph = _corridor_graph(field, lo, hi)
-        src = (0 - lo) * side + (0 - lo)
-        tgt = (n - lo) * side + (n - lo)
-        dist = _sp_dijkstra(graph, directed=False, indices=src)
-        t = float(dist[tgt])
-        if t < 2 * n + 2 * m:
-            return t
-        if m > 4 * n + 64:
-            raise RuntimeError("window certificate failed to close; weights suspect")
-        m *= 2
+    u = _min_plus_2d(field.edge_window((0, 0), (n + 1, n + 1)))
+    if u == 2 * n:
+        return u
+    m = int((u - 2 * n) // 2) + 1
+    side = n + 2 * m + 1
+    graph = _corridor_graph(field, -m, n + m)
+    dist = _sp_dijkstra(graph, directed=False, indices=m * side + m, limit=u)
+    t = float(dist[(n + m) * side + n + m])
+    if not t < 2 * n + 2 * m:
+        raise RuntimeError("window certificate failed; weights suspect")
+    return t
 
 
 def _flat_edge_trial(args):
     p, n, child_seed = args
     fld = WeightField(DistributionSpec("twopoint", (p,)), child_seed, "edge", 2)
-    margin = 32 if p >= 0.75 else 96
-    return _twopoint_diag_time(fld, n, margin)
+    return _twopoint_diag_time(fld, n)
 
 
 def flat_edge_probe(p: float, n: int, trials: int, seed: int, workers: int = 1) -> FlatEdgeReport:

@@ -306,7 +306,11 @@ def _run_eden(config, spec, out, summary):
 
 
 def _run_idla(config, spec, out, summary):
-    trace = idla_grow(config.seed, config.dim, config.steps)
+    try:
+        trace = idla_grow(config.seed, config.dim, config.steps)
+    except ValueError as e:
+        # validate() bounds the first grid; the grid grows with the cluster
+        raise HardFailure(f"dim {config.dim}, steps {config.steps}: {e}") from e
     trace.to_csv(_record(summary, out, "idla_trace.csv"))
     checkpoints = sorted({max(1, config.steps // 16), config.steps // 4, config.steps})
     rows = [(n, *roundness(trace, n)) for n in checkpoints if n >= 1]

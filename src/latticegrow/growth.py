@@ -258,20 +258,26 @@ def roundness(trace: ClusterTrace, n: int):
     d = trace.dimension
     pts = np.concatenate([np.zeros((1, d), dtype=np.int64),
                           np.array(trace.vertices[:n], dtype=np.int64).reshape(-1, d)])
-    # squared norms are exact integers, so their roots are the same floats
-    # however they are summed
-    out_r = float(np.sqrt((pts * pts).sum(axis=1).max()))
+    # squared norms are exact integers, compared as such; sqrt is monotone, so
+    # the roots of the extreme ones are the radii however the norms are summed
+    pts_sq = (pts * pts).sum(axis=1)
+    out_r = float(np.sqrt(pts_sq.max()))
 
     # the window reaches past out_r, so it holds the cluster and some missing point
     reach = int(math.floor(out_r)) + 1
     side = 2 * reach + 1
-    member = np.zeros((side,) * d, dtype=bool)
-    member[tuple((pts + reach).T)] = True
-    axis_sq = np.arange(-reach, reach + 1, dtype=np.int64) ** 2
+    # int32 holds the window's norms below its maximum unless d reach^2 reaches
+    # it, which in d >= 2 takes a window of 2^31 cells
+    top = np.iinfo(np.int32).max
+    dtype = np.int32 if d * reach**2 < top else np.int64
+    axis_sq = np.arange(-reach, reach + 1, dtype=dtype) ** 2
     norm_sq = sum(axis_sq.reshape((side,) + (1,) * (d - 1 - j)) for j in range(d))
-    norms = np.sqrt(norm_sq)
-    nearest_missing = norms[~member].min()
-    in_r = float(norms[norms < nearest_missing].max(initial=0.0))
+    # members read as the largest value, so the minimum is the nearest missing
+    # point; every point nearer than that is a member, so the inradius is a
+    # member's norm
+    norm_sq[tuple((pts + reach).T)] = np.iinfo(dtype).max
+    nearest_missing = norm_sq.min()
+    in_r = float(np.sqrt(pts_sq[pts_sq < nearest_missing].max(initial=0)))
     return in_r, out_r
 
 

@@ -21,6 +21,20 @@ other dimensions a step gathers the d backward neighbors through flat
 indices.  A trial's table never depends on its batch-mates.  Batches are
 sized by an element budget (_BATCH_CELLS values in the working array, at
 least one trial), which bounds a batch's memory at any n.
+
+The d = 2 sweep has three outputs, each bit for bit:
+- lpp_dp keeps every anti-diagonal and un-skews them into the full table;
+- the estimators keep two anti-diagonals and read T(0, corner) off the
+  last one, and for wandering the sweep also stores one decision byte per
+  cell, T(i-1, j) >= T(i, j-1): lpp_geodesic's rule that a tie steps back
+  along the first axis.  A tall rectangle is swept transposed, with the
+  first axis as its columns, so there the byte is the strict comparison.
+  Walking the bytes back from the corner gives lpp_geodesic's path;
+- the same layout with +inf padding and min over edge weights gives the
+  oriented first-passage time U from (0, 0) to (n, n), an upper bound on
+  the lattice time T that certifies the flat-edge window solve
+  (estimators._twopoint_diag_time): U = 2n is T itself, and otherwise a
+  margin of (U - 2n)/2 + 1 around [0, n]^2 holds every path of time <= U.
 """
 
 from __future__ import annotations
@@ -69,7 +83,8 @@ class LppTimeMap:
 
 
 # element budget of one batch: float64 values in its skewed (or padded) table,
-# 8 MB; the batch's weights and output tables take about half as much each
+# 8 MB, or 1 MB of decision bytes where a sweep keeps two anti-diagonals only;
+# the batch's weights take about half the table's size
 _BATCH_CELLS = 1 << 20
 
 
@@ -82,15 +97,54 @@ def _trials_per_batch(corner) -> int:
     return max(1, _BATCH_CELLS // cells)
 
 
-def _dp_2d(w: np.ndarray) -> np.ndarray:
-    """Skewed anti-diagonal sweep of the corner-growth recursion.
+def _skew(w: np.ndarray) -> np.ndarray:
+    """Read-only view ws[k, i] = w[i, k - i] of a C-contiguous (m+1, n+1, B) grid, m <= n.
 
-    w is an (m+1, n+1) weight grid, optionally with a trailing trial axis
-    (m+1, n+1, B); the tables come back in the same shape.  Anti-diagonal k
-    is one contiguous row of t, t[k, i+1] = T(i, k-i), padded with -inf, so
-    each step is two slice operations over every trial at once.  The row
-    axis is the shorter side of the rectangle.  t holds about
-    _BATCH_CELLS values when B comes from _trials_per_batch.
+    ws[k, i] lies (k + i n) B values into w, never past its end; where
+    k - i falls outside [0, n] it reads another cell, which the sweeps'
+    slices never touch.
+    """
+    m, n, b = w.shape[0] - 1, w.shape[1] - 1, w.shape[2]
+    e = w.itemsize
+    return as_strided(w, (m + n + 1, m + 1, b), (b * e, n * b * e, e), writeable=False)
+
+
+def _sweep_2d(w: np.ndarray, rows: int, first_axis=None):
+    """Skewed anti-diagonal sweep of the corner-growth recursion, m <= n.
+
+    w is a C-contiguous float64 (m+1, n+1, B) grid.  Anti-diagonal k is
+    one contiguous row of t, t[k % rows, i+1] = T(i, k-i), padded with
+    -inf, so each step is two slice operations over every trial at once.
+    rows = m + n + 1 keeps every anti-diagonal; rows = 2 keeps the last
+    two, and needs no reset: a step reads row k-1 at columns 0 and k+1
+    only while those were never written, and its written span only moves
+    right.  first_axis, a comparison ufunc or None, fills dec[k, i] =
+    first_axis(T(i-1, j), T(i, j-1)), the backtrack's step down the row
+    axis, one bool per cell.  Returns (t, dec or None).
+    """
+    m, n, b = w.shape[0] - 1, w.shape[1] - 1, w.shape[2]
+    ws = _skew(w)
+    t = np.full((rows, m + 2, b), -math.inf)
+    t[0, 1] = 0.0
+    dec = None if first_axis is None else np.empty((m + n + 1, m + 1, b), dtype=bool)
+    for k in range(1, m + n + 1):
+        lo, hi = max(0, k - n), min(m, k)
+        prev, cur = t[(k - 1) % rows], t[k % rows, lo + 1 : hi + 2]
+        up, left = prev[lo : hi + 1], prev[lo + 1 : hi + 2]
+        if dec is not None:
+            first_axis(up, left, out=dec[k, lo : hi + 1])
+        # T(i, j) = w + max(T(i-1, j), T(i, j-1)): one max, one add per cell
+        np.maximum(up, left, out=cur)
+        cur += ws[k, lo : hi + 1]
+    return t, dec
+
+
+def _dp_2d(w: np.ndarray) -> np.ndarray:
+    """Full tables of an (m+1, n+1) weight grid, optionally with a trailing trial axis.
+
+    The tables come back in the shape of w.  The sweep's row axis is the
+    shorter side of the rectangle; its table holds about _BATCH_CELLS
+    values when B comes from _trials_per_batch.
     """
     if w.ndim == 2:
         return _dp_2d(w[..., None])[..., 0]
@@ -98,22 +152,34 @@ def _dp_2d(w: np.ndarray) -> np.ndarray:
     if m > n:
         # max is symmetric on tables (no NaN, no -0.0), so transposing is bit-exact
         return np.ascontiguousarray(_dp_2d(w.swapaxes(0, 1)).swapaxes(0, 1))
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    e = w.itemsize
-    # ws[k, i] = w[i, k - i] lies (k + i n) b values into w, never past its end
-    ws = as_strided(w, (m + n + 1, m + 1, b), (b * e, n * b * e, e), writeable=False)
-    t = np.full((m + n + 1, m + 2, b), -math.inf)
-    t[0, 1] = 0.0
-    for k in range(1, m + n + 1):
-        lo, hi = max(0, k - n), min(m, k)
-        prev, cur = t[k - 1], t[k, lo + 1 : hi + 2]
-        # T(i, j) = w + max(T(i-1, j), T(i, j-1)): one max, one add per cell
-        np.maximum(prev[lo : hi + 1], prev[lo + 1 : hi + 2], out=cur)
-        cur += ws[k, lo : hi + 1]
+    t, _ = _sweep_2d(np.ascontiguousarray(w, dtype=np.float64), m + n + 1)
     # un-skew: T(i, j) = t[i + j, i + 1] lies (i (m+3) + j (m+2)) b values past
     # t[0, 1]; T(m, n) is the last value of t
+    e = t.itemsize
     r = (m + 2) * b * e
     return as_strided(t[0, 1:], (m + 1, n + 1, b), (r + b * e, r, e)).copy()
+
+
+def _min_plus_2d(w: np.ndarray) -> float:
+    """Oriented first-passage time from (0, 0) to (n, n): the minimum over up-right paths.
+
+    w is an edge window of [0, n]^2 with its lower corner at the origin:
+    w[a, i, j] weights the edge from (i, j) to (i, j) + e_a.  The sweep is
+    _sweep_2d's with +inf padding and two rows,
+    U(i, j) = min(U(i-1, j) + w[0, i-1, j], U(i, j-1) + w[1, i, j-1]).
+    """
+    n = w.shape[1] - 1
+    w0, w1 = (_skew(w[a][..., None])[..., 0] for a in (0, 1))
+    u = np.full((2, n + 2), math.inf)
+    u[0, 1] = 0.0
+    for k in range(1, 2 * n + 1):
+        lo, hi = max(0, k - n), min(n, k)
+        prev, cur = u[(k - 1) % 2], u[k % 2, lo + 1 : hi + 2]
+        np.add(prev[lo + 1 : hi + 2], w1[k - 1, lo : hi + 1], out=cur)
+        # row 0 has no first-axis predecessor, and w0 no row -1
+        a = max(lo, 1)
+        np.minimum(cur[a - lo :], prev[a : hi + 1] + w0[k - 1, a - 1 : hi], out=cur[a - lo :])
+    return float(u[0, n + 1])
 
 
 def _dp_general(w: np.ndarray) -> np.ndarray:
@@ -151,6 +217,49 @@ def _batch_tables(fields, corner, origin) -> np.ndarray:
     shape = tuple(c + 1 for c in corner)
     w = np.stack([f.vertex_window(origin, shape) for f in fields], axis=-1)
     return _dp_2d(w) if len(corner) == 2 else _dp_general(w)
+
+
+def _batch_corners(fields, corner, geodesics: bool):
+    """T(0, corner) of several vertex fields, shape (B,), and optionally their geodesics.
+
+    Each geodesic is the (sum(corner) + 1, d) float array of lpp_geodesic's
+    vertices, origin first, with its tie rule.  In d = 2 the sweep keeps two
+    anti-diagonals and, for geodesics, one decision byte per cell; a tall
+    rectangle is swept transposed, where the row axis is the second axis, so
+    a tie steps down the row axis only under a strict comparison.
+    """
+    d = len(corner)
+    if d != 2:
+        tables = _batch_tables(fields, corner, (0,) * d)
+        paths = None
+        if geodesics:
+            geos = [lpp_geodesic(LppTimeMap(corner, tables[..., b], f, (0,) * d), f, corner)
+                    for b, f in enumerate(fields)]
+            paths = [np.asarray((g.start,) + g.vertices, dtype=np.float64) for g in geos]
+        return tables[corner], paths
+    flip = corner[0] > corner[1]
+    m, n = sorted(corner)
+    w = np.empty((m + 1, n + 1, len(fields)))
+    for b, f in enumerate(fields):
+        x = f.vertex_window((0, 0), (corner[0] + 1, corner[1] + 1))
+        w[..., b] = x.T if flip else x
+    rule = (np.greater if flip else np.greater_equal) if geodesics else None
+    t, dec = _sweep_2d(w, 2, rule)
+    times = t[(m + n) % 2, m + 1]
+    if not geodesics:
+        return times, None
+    paths = []
+    diag = np.arange(m + n + 1, dtype=np.float64)
+    for b in range(len(fields)):
+        buf = dec[..., b].tobytes()
+        rows = [0] * (m + n + 1)  # the path's row on each anti-diagonal
+        i = m
+        for k in range(m + n, 0, -1):
+            rows[k] = i
+            i -= buf[k * (m + 1) + i]
+        r = np.array(rows, dtype=np.float64)
+        paths.append(np.stack((diag - r, r) if flip else (r, diag - r), axis=1))
+    return times, paths
 
 
 def lpp_dp(field: WeightField, corner, origin=None) -> LppTimeMap:

@@ -25,9 +25,14 @@ from latticegrow import (
     wandering_series,
 )
 from latticegrow import lpp
-from latticegrow.estimators import ExponentFit, _sample_times
+from latticegrow.estimators import (
+    ExponentFit,
+    _corridor_graph,
+    _sample_times,
+    _twopoint_diag_time,
+)
 from latticegrow.fpp import max_distance_to_segment
-from latticegrow.lpp import lpp_dp, lpp_geodesic
+from latticegrow.lpp import _min_plus_2d, lpp_dp, lpp_geodesic
 from latticegrow.weights import WeightField, derive_seed
 
 
@@ -194,6 +199,57 @@ def test_flat_edge_rejects_bad_parameters():
         flat_edge_probe(0.8, 10, 5, 0)
 
 
+def _diag_time_doubling(field, n, margin=32):
+    """The window solver that the oriented certificate replaced: doubling margins."""
+    from scipy.sparse.csgraph import dijkstra
+
+    m = margin
+    while True:
+        side = n + 2 * m + 1
+        dist = dijkstra(_corridor_graph(field, -m, n + m), directed=False, indices=m * side + m)
+        t = float(dist[(n + m) * side + n + m])
+        if t < 2 * n + 2 * m:
+            return t
+        assert m <= 4 * n + 64
+        m *= 2
+
+
+@pytest.mark.parametrize("n", [50, 120])
+@pytest.mark.parametrize("p", [0.55, 0.65, 0.8])
+def test_flat_edge_time_matches_doubling_window(p, n):
+    for i in range(7):
+        fld = WeightField(two_point(p), derive_seed(7, "flat-window", p, n, i), "edge", 2)
+        assert _twopoint_diag_time(fld, n) == _diag_time_doubling(fld, n), i
+
+
+@pytest.mark.parametrize("p,seed,t,u", [
+    (0.55, 0, 104.0, 104.0),   # T == U > 2n: the search limit U keeps the target
+    (0.8, 0, 100.0, 100.0),    # U == 2n certifies T with no window
+    (0.45, 91, 112.0, 114.0),  # T < U: a path that steps back beats every oriented one
+    (0.3, 148, 128.0, 129.0),
+])
+def test_flat_edge_oriented_bound_cases(p, seed, t, u):
+    n = 50
+    fld = WeightField(two_point(p), seed, "edge", 2)
+    assert _min_plus_2d(fld.edge_window((0, 0), (n + 1, n + 1))) == u
+    assert _diag_time_doubling(fld, n) == t
+    assert _twopoint_diag_time(fld, n) == t
+
+
+def test_min_plus_matches_per_cell_loop():
+    n = 9
+    w = WeightField(two_point(0.5), 3, "edge", 2).edge_window((0, 0), (n + 1, n + 1))
+    u = np.full((n + 1, n + 1), math.inf)
+    u[0, 0] = 0.0
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if i:
+                u[i, j] = min(u[i, j], u[i - 1, j] + w[0, i - 1, j])
+            if j:
+                u[i, j] = min(u[i, j], u[i, j - 1] + w[1, i, j - 1])
+    assert _min_plus_2d(w) == u[n, n]
+
+
 # -- variance and wandering series -----------------------------------------------------
 
 def test_variance_constant_weights_zero():
@@ -238,6 +294,23 @@ def test_lpp_samples_independent_of_batching_and_workers(monkeypatch):
     for j, (n, tgt) in enumerate(zip(ns, targets)):
         for i in range(9):
             fld = WeightField(exponential(1.0), derive_seed(31, full_tag, n, i), "vertex", 2)
+            lmap = lpp_dp(fld, tgt)
+            path = lpp_geodesic(lmap, fld, tgt)
+            pts = np.asarray((path.start,) + path.vertices, dtype=np.float64)
+            assert times[j, i] == lmap.time_to(tgt)
+            assert devs[j, i] == max_distance_to_segment(pts, np.zeros(2), np.asarray(tgt, float))
+
+
+@pytest.mark.parametrize("spec", [two_point(0.5), geometric(0.7)], ids=lambda s: s.token())
+@pytest.mark.parametrize("direction", [(2, 1), (1, 2), (1, 1)], ids=["tall", "wide", "diagonal"])
+def test_lpp_decision_byte_samples_match_table_backtrack(spec, direction):
+    # ties are common under discrete laws; direction 2,1 takes the transposed sweep
+    ns, targets, times, devs, _ = _sample_times("lpp", spec, direction, [3, 8, 17], 6, 5,
+                                                "ties", 1, want_geodesic=True)
+    full_tag = f"ties:lpp:{spec.token()}:{tuple(float(c) for c in direction)}"
+    for j, (n, tgt) in enumerate(zip(ns, targets)):
+        for i in range(6):
+            fld = WeightField(spec, derive_seed(5, full_tag, n, i), "vertex", 2)
             lmap = lpp_dp(fld, tgt)
             path = lpp_geodesic(lmap, fld, tgt)
             pts = np.asarray((path.start,) + path.vertices, dtype=np.float64)

@@ -248,6 +248,19 @@ def test_cli_hard_failure_exit_code(monkeypatch, tmp_path):
     assert rc == 3
 
 
+def test_cli_idla_grid_past_limit_is_hard_failure(tmp_path):
+    # validate() accepts the first grid (5^10 cells); the grid outgrows the limit
+    src = str(Path(latticegrow.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticegrow.cli", "idla", "--dim", "10", "--steps", "40",
+         "--seed", "3", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("hard failure: dim 10, steps 40: ")
+
+
 @pytest.mark.parametrize(
     "argv,field",
     [
@@ -320,6 +333,11 @@ GOLDEN = {
     }),
     "flat-edge": (dict(kind="flat-edge", dist="twopoint:0.8", n_grid="50", trials=2), {
         "flat_edge.csv": "e910a6d0328f51ed9f1f12cca0c9abb2975dfe344eb5df1aa1f846e08ef7f134",
+    }),
+    # p = 0.55 reaches the window solve; the p = 0.8 entry never does
+    "flat-edge-window": (dict(kind="flat-edge", dist="twopoint:0.55", n_grid="50,120",
+                              trials=3), {
+        "flat_edge.csv": "1df80de5c668f6473bc72b80f270407f6c53e236bb8cd8bb3ca238386625adbc",
     }),
     "eden": (dict(kind="eden", steps=300, seed=5), {
         "eden_trace.csv": "d525b21fa976d7261c3b106f9bd147bac2e99bbdc917397ad01ee819b9eb3a6c",

@@ -417,6 +417,37 @@ def test_roundness_matches_reference_loop():
         roundness(trace, 4)
 
 
+def _roundness_float_norms(trace, n):
+    """roundness as it stood before integer norms: int64 window, float64 norms."""
+    d = trace.dimension
+    pts = np.concatenate([np.zeros((1, d), dtype=np.int64),
+                          np.array(trace.vertices[:n], dtype=np.int64).reshape(-1, d)])
+    out_r = float(np.sqrt((pts * pts).sum(axis=1).max()))
+    reach = int(math.floor(out_r)) + 1
+    side = 2 * reach + 1
+    member = np.zeros((side,) * d, dtype=bool)
+    member[tuple((pts + reach).T)] = True
+    axis_sq = np.arange(-reach, reach + 1, dtype=np.int64) ** 2
+    norm_sq = sum(axis_sq.reshape((side,) + (1,) * (d - 1 - j)) for j in range(d))
+    norms = np.sqrt(norm_sq)
+    nearest_missing = norms[~member].min()
+    in_r = float(norms[norms < nearest_missing].max(initial=0.0))
+    return in_r, out_r
+
+
+def test_roundness_integer_norms_match_float_norms():
+    for d in (2, 3, 4):
+        for seed in range(4):
+            for trace in (idla_grow(seed, d, 300), eden_grow(seed, d, 300)):
+                for n in (1, 40, 300):
+                    assert roundness(trace, n) == _roundness_float_norms(trace, n)
+    # d reach^2 past the int32 range takes the int64 window
+    sites = [(s * c,) for c in range(1, 46400) for s in (1, -1)]
+    trace = ClusterTrace(model="manual", seed=0, dimension=1, vertices=sites)
+    assert roundness(trace, len(sites)) == _roundness_float_norms(trace, len(sites))
+    assert roundness(trace, len(sites)) == (46399.0, 46399.0)
+
+
 def test_idla_roundness_ratio_moderate_n():
     trace = idla_grow(11, 2, 3000)
     rin, rout = roundness(trace, 3000)

@@ -20,7 +20,7 @@ from latticegrow import (
     two_point,
     uniform,
 )
-from latticegrow.lpp import _dp_2d
+from latticegrow.lpp import _batch_corners, _dp_2d
 
 LAWS = [exponential(1.0), geometric(0.3), uniform(0.5, 1.5), two_point(0.5), constant(1.0)]
 
@@ -144,6 +144,22 @@ def test_hyperplane_sweep_matches_cell_loop(spec, corner):
     axes = [np.arange(c + 1) for c in corner]
     w = f.vertex_weights(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
     assert lpp_dp(f, corner).table.tobytes() == _ref_dp_general(w).tobytes()
+
+
+@pytest.mark.parametrize("spec", [two_point(0.5), geometric(0.7)], ids=lambda s: s.token())
+@pytest.mark.parametrize("corner", [(4, 9), (9, 4), (6, 6), (0, 5), (5, 0), (0, 0), (2, 3, 1)],
+                         ids=["wide", "tall", "square", "row", "column", "0x0", "3d"])
+def test_corner_sweep_matches_table_and_geodesic(spec, corner):
+    # discrete laws tie often; a tall corner takes the transposed sweep, whose
+    # decision bytes must still break ties toward the original first axis
+    fields = [make_field(spec, 60 + b, "vertex", len(corner)) for b in range(3)]
+    times, paths = _batch_corners(fields, corner, True)
+    for f, t, pts in zip(fields, times, paths):
+        lmap = lpp_dp(f, corner)
+        geo = lpp_geodesic(lmap, f, corner)
+        assert t == lmap.time_to(corner)
+        assert pts.tobytes() == np.asarray((geo.start,) + geo.vertices, dtype=np.float64).tobytes()
+    assert _batch_corners(fields, corner, False)[0].tobytes() == times.tobytes()
 
 
 def test_general_dimension_recursion():
