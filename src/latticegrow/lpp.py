@@ -222,11 +222,9 @@ def _batch_tables(fields, corner, origin) -> np.ndarray:
 def _batch_corners(fields, corner, geodesics: bool):
     """T(0, corner) of several vertex fields, shape (B,), and optionally their geodesics.
 
-    Each geodesic is the (sum(corner) + 1, d) float array of lpp_geodesic's
-    vertices, origin first, with its tie rule.  In d = 2 the sweep keeps two
-    anti-diagonals and, for geodesics, one decision byte per cell; a tall
-    rectangle is swept transposed, where the row axis is the second axis, so
-    a tie steps down the row axis only under a strict comparison.
+    Each geodesic is lpp_geodesic's, as the (sum(corner) + 1, d) float array
+    of its vertices, origin first.  In d = 2 the sweep keeps two
+    anti-diagonals and, for geodesics, the decision bytes (module docstring).
     """
     d = len(corner)
     if d != 2:
