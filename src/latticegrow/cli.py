@@ -2,8 +2,8 @@
 
 One subcommand per experiment kind, plus `lpp-exact` for evaluating the
 closed-form shape functions.  Exit codes: 0 success, 2 configuration error,
-3 hard failure (budget exceeded, unresolved truncation, or verification
-mismatch).
+3 hard failure (budget exceeded, unresolved truncation, verification
+mismatch, or memory exhausted).
 """
 
 from __future__ import annotations
@@ -89,6 +89,9 @@ def main(argv=None) -> int:
         return 2
     except (HardFailure, BudgetExceeded) as e:
         print(f"hard failure: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:  # numpy's ArrayMemoryError included
+        print(f"hard failure: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3
     for name in summary["files"]:
         print(f"wrote {cfg.out}/{name}")

@@ -53,6 +53,11 @@ from .weights import WeightField, derive_seed, exponential, parse_dist_token
 
 __all__ = ["ExperimentConfig", "ConfigError", "HardFailure", "run_experiment", "KINDS"]
 
+# largest steps x steps table that tasep-coupling accepts (steps <= 2048); a
+# run peaks at about 310 bytes of memory per cell, most of it the CSV cells
+_TASEP_CELLS_MAX = 1 << 22
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
 
@@ -166,6 +171,9 @@ class ExperimentConfig:
                 raise ConfigError(f"steps: IDLA with {self.steps} particles in dimension "
                                   f"{self.dim} needs a grid of {cells} cells, "
                                   f"more than {_GRID_CELLS_MAX}")
+        if kind == "tasep-coupling" and self.steps ** 2 > _TASEP_CELLS_MAX:
+            raise ConfigError(f"steps: tasep-coupling with {self.steps} steps needs a table "
+                              f"of {self.steps ** 2} cells, more than {_TASEP_CELLS_MAX}")
         if "t" in reads and not 0 < self.t < math.inf:
             raise ConfigError(f"t: must be positive and finite for kind {kind}, got {self.t}")
         if "n_grid" not in reads:

@@ -5,12 +5,18 @@ the production solvers, except that the FPP search reads the same weight
 window (``LatticeBox.padded_weights``) as Dijkstra.  They are only meant for
 boxes of radius a few sites (FPP) or rectangles with at most a few thousand
 oriented paths (LPP).
+
+The FPP search walks a plain-Python adjacency of the box, built from that
+window once per field and box and reused by every target checked against the
+same field, so each edge costs one list read rather than a numpy index.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +52,35 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 
 
+@functools.lru_cache(maxsize=1)
+def _box_adjacency(field: WeightField, box: LatticeBox) -> dict:
+    """{vertex: [(neighbour, weight), ...]} over the box, neighbours in unit_steps order.
+
+    Reads the window array the solver reads (``LatticeBox.padded_weights``) once
+    and rejects zero weights up front.  Fields and boxes are frozen and weights
+    are pure functions of them, so the cached adjacency cannot go stale.
+    """
+    weights = box.padded_weights(field)
+    if np.any(weights <= 0.0):
+        raise ValueError("zero or negative edge weight; pruning would be unsound")
+    rows = weights.tolist()
+    r = box.radius
+    steps = unit_steps(box.dimension)
+    adj = {}
+    for u in itertools.product(range(-r, r + 1), repeat=box.dimension):
+        adj[u] = []
+        for k, s in enumerate(steps):
+            v = tuple(a + b for a, b in zip(u, s))
+            if not box.contains(v):
+                continue
+            # unit_steps pairs +e_j and -e_j; the edge sits at its lower endpoint
+            w = rows[k // 2]
+            for i in box.padded_index(min(u, v)):
+                w = w[i]
+            adj[u].append((v, w))
+    return adj
+
+
 def brute_force_fpp(
     field: WeightField,
     box: LatticeBox,
@@ -72,31 +107,20 @@ def brute_force_fpp(
             f"box has {box.vertex_count()} vertices, budget allows {budget.max_vertices}"
         )
 
-    d = field.dimension
-    steps = unit_steps(d)
-
-    # read the window array the solver reads, rejecting zero weights up front
-    weights = box.padded_weights(field)
-    if np.any(weights <= 0.0):
-        raise ValueError("zero or negative edge weight; pruning would be unsound")
-
-    def w(u, v):
-        axis = next(j for j in range(d) if u[j] != v[j])
-        return float(weights[(axis, *box.padded_index(min(u, v)))])
-
+    adj = _box_adjacency(field, box)
     per_step_floor = field.spec.support_min()
 
     def l1(u, v):
-        return sum(abs(a - b) for a, b in zip(u, v))
+        return sum(map(abs, map(operator.sub, u, v)))
 
     # seed the incumbent with one explicit staircase path so pruning can bite
     best = 0.0
     cur = source
-    for j in range(d):
+    for j in range(field.dimension):
         step = 1 if target[j] >= cur[j] else -1
         while cur[j] != target[j]:
             nxt = cur[:j] + (cur[j] + step,) + cur[j + 1 :]
-            best += w(cur, nxt)
+            best += dict(adj[cur])[nxt]
             cur = nxt
 
     paths_tried = 0
@@ -111,11 +135,10 @@ def brute_force_fpp(
         paths_tried += 1
         if paths_tried > budget.max_paths:
             raise BudgetExceeded(f"path budget {budget.max_paths} exceeded")
-        for s in steps:
-            v = tuple(a + b for a, b in zip(u, s))
-            if v in on_path or not box.contains(v):
+        for v, w in adj[u]:
+            if v in on_path:
                 continue
-            nacc = acc + w(u, v)
+            nacc = acc + w
             if nacc + per_step_floor * l1(v, target) >= best:
                 continue
             on_path.add(v)

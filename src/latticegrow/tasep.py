@@ -26,6 +26,12 @@ have reached site 1 (the particle born at the origin never passes *through*
 it).  In coupled mode the weights are read from an LPP vertex field in the
 same order and combined by the same recursion, so the step-time table equals
 the last-passage table bit for bit.
+
+``tasep_run`` evaluates the recursion in raster order, one particle row at a
+time, on Python floats: it reads a row of clocks with one ``tolist()``, keeps
+only the previous row as a list, and writes each finished row into the table
+with one slice assignment.  It shares no code with the LPP solver, so the
+coupling check compares two independent computations.
 """
 
 from __future__ import annotations
@@ -127,14 +133,21 @@ def tasep_run(
     )
 
     s = np.empty((particles, steps), dtype=np.float64)
+    up = [-math.inf] * steps  # row k-1; nothing above the first particle
     for k in range(particles):
-        for n in range(steps):
-            if k == 0 and n == 0:
-                s[0, 0] = 0.0
-                continue
-            up = s[k - 1, n] if k > 0 else -math.inf
-            left = s[k, n - 1] if n > 0 else -math.inf
-            s[k, n] = max(up, left) + w[k, n]
+        row = w[k].tolist()
+        left = -math.inf
+        start = 0
+        if k == 0:
+            left = row[0] = 0.0  # s(1, 1) = 0 consumes no clock
+            start = 1
+        for n in range(start, steps):
+            u = up[n]
+            # max(u, left) spelled out: the builtin's comparison, without the call
+            left = (left if left > u else u) + row[n]
+            row[n] = left
+        s[k] = row
+        up = row
     return StepTimeTable(s=s, coupling=coupling, field=field, seed=clock_seed)
 
 

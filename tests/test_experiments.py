@@ -89,6 +89,7 @@ def test_config_parse_errors_name_the_problem():
          "dist"),
         (dict(kind="radial-g", model="fpp", dist="exp:inf", n_grid="2,4", trials=3), "dist"),
         (dict(kind="lpp-shape", dist="const:inf", t=3.0, trials=2), "dist"),
+        (dict(kind="tasep-coupling", steps=2049, trials=1), "steps"),
     ],
 )
 def test_validation_rejects_naming_field(kw, field):
@@ -248,6 +249,29 @@ def test_cli_hard_failure_exit_code(monkeypatch, tmp_path):
     assert rc == 3
 
 
+def test_tasep_table_limit_is_inclusive():
+    # 2048^2 = 2^22 cells is the largest table; validate() allocates nothing
+    _cfg(kind="tasep-coupling", steps=2048, trials=1).validate()
+
+
+@pytest.mark.parametrize("exc,message", [
+    (MemoryError("Unable to allocate 8.00 TiB for an array"),
+     "Unable to allocate 8.00 TiB for an array"),
+    (MemoryError(), "out of memory"),
+])
+def test_cli_memory_error_is_hard_failure(monkeypatch, capsys, tmp_path, exc, message):
+    import latticegrow.cli as cli_mod
+
+    def boom(cfg):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "run_experiment", boom)
+    rc = main(["tasep-coupling", "--steps", "64", "--trials", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err == f"hard failure: {message}\n"
+
+
 def test_cli_idla_grid_past_limit_is_hard_failure(tmp_path):
     # validate() accepts the first grid (5^10 cells); the grid outgrows the limit
     src = str(Path(latticegrow.__file__).parents[1])
@@ -289,6 +313,7 @@ def test_cli_idla_grid_past_limit_is_hard_failure(tmp_path):
         (["lpp-shape", "--dist", "const:inf", "--t", "3", "--trials", "2"], "dist"),
         (["idla", "--dim", "13", "--steps", "1"], "dim"),
         (["idla", "--steps", "1000000000"], "steps"),
+        (["tasep-coupling", "--steps", "100000000", "--trials", "1"], "steps"),
     ],
 )
 def test_cli_bad_input_exits_2_without_traceback(argv, field, tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +11,86 @@ from latticegrow import (
     brute_force_fpp,
     brute_force_lpp,
     constant,
+    geometric,
     make_field,
     oriented_path_count,
     two_point,
     uniform,
 )
+from latticegrow.fpp import unit_steps
+
+
+def _brute_force_fpp_reference(field, box, source, target, budget=EnumerationBudget()):
+    """The search as brute_force_fpp ran it before it read a cached Python
+    adjacency: every edge through padded_index and a numpy index, every call
+    hashing its own window.  Kept to pin the adjacency version with ==."""
+    if field.attachment != "edge":
+        raise ValueError("FPP enumeration needs an edge field")
+    source = tuple(int(c) for c in source)
+    target = tuple(int(c) for c in target)
+    if not box.contains(source) or not box.contains(target):
+        raise ValueError("source and target must lie inside the box")
+    if box.vertex_count() > budget.max_vertices:
+        raise BudgetExceeded(
+            f"box has {box.vertex_count()} vertices, budget allows {budget.max_vertices}"
+        )
+
+    d = field.dimension
+    steps = unit_steps(d)
+    weights = box.padded_weights(field)
+    if np.any(weights <= 0.0):
+        raise ValueError("zero or negative edge weight; pruning would be unsound")
+
+    def w(u, v):
+        axis = next(j for j in range(d) if u[j] != v[j])
+        return float(weights[(axis, *box.padded_index(min(u, v)))])
+
+    per_step_floor = field.spec.support_min()
+
+    def l1(u, v):
+        return sum(abs(a - b) for a, b in zip(u, v))
+
+    best = 0.0
+    cur = source
+    for j in range(d):
+        step = 1 if target[j] >= cur[j] else -1
+        while cur[j] != target[j]:
+            nxt = cur[:j] + (cur[j] + step,) + cur[j + 1 :]
+            best += w(cur, nxt)
+            cur = nxt
+
+    paths_tried = 0
+    on_path = {source}
+
+    def search(u, acc):
+        nonlocal best, paths_tried
+        if u == target:
+            if acc < best:
+                best = acc
+            return
+        paths_tried += 1
+        if paths_tried > budget.max_paths:
+            raise BudgetExceeded(f"path budget {budget.max_paths} exceeded")
+        for s in steps:
+            v = tuple(a + b for a, b in zip(u, s))
+            if v in on_path or not box.contains(v):
+                continue
+            nacc = acc + w(u, v)
+            if nacc + per_step_floor * l1(v, target) >= best:
+                continue
+            on_path.add(v)
+            search(v, nacc)
+            on_path.discard(v)
+
+    if source == target:
+        return 0.0
+    search(source, 0.0)
+    return best
+
+
+def _box_vertices(box):
+    r = box.radius
+    return list(itertools.product(range(-r, r + 1), repeat=box.dimension))
 
 
 def test_oriented_path_count_values():
@@ -98,3 +175,69 @@ def test_fpp_enumeration_order_free():
     a = brute_force_fpp(f, box, (0, 0), (2, 2))
     b = brute_force_fpp(f, box, (0, 0), (2, 2))
     assert a == b
+
+
+# the laws with atoms (two-point, geometric) make tied paths and tied pruning tests
+LAWS = {"unif": uniform(0.5, 1.5), "twopoint": two_point(0.6), "geom": geometric(0.5)}
+BOXES = [
+    pytest.param(LatticeBox(1, 4), [(0,), (-3,), (4,)], id="d1"),
+    pytest.param(LatticeBox(2, 2), [(0, 0), (1, -2), (-2, 2)], id="d2"),
+    pytest.param(LatticeBox(2, 3), [(-1, 2)], id="d2-oracle-box"),
+    pytest.param(LatticeBox(3, 1), [(0, 0, 0), (1, -1, 0)], id="d3"),
+]
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("box,sources", BOXES)
+def test_fpp_matches_reference_search(law, box, sources):
+    f = make_field(LAWS[law], 41, "edge", box.dimension)
+    for source in sources:
+        for target in _box_vertices(box):
+            assert brute_force_fpp(f, box, source, target) == _brute_force_fpp_reference(
+                f, box, source, target
+            )
+
+
+def test_fpp_interleaved_fields_match_reference():
+    # A, B, A: the adjacency of A is rebuilt after B evicted it, never reused for B
+    box = LatticeBox(2, 2)
+    a = make_field(two_point(0.5), 7, "edge", 2)
+    b = make_field(two_point(0.5), 8, "edge", 2)
+    targets = _box_vertices(box)
+    runs = []
+    for f in (a, b, a):
+        got = [brute_force_fpp(f, box, (1, 0), t) for t in targets]
+        assert got == [_brute_force_fpp_reference(f, box, (1, 0), t) for t in targets]
+        runs.append(got)
+    assert runs[0] == runs[2] != runs[1]
+    # a different box on the same field misses the cache too
+    small = LatticeBox(2, 1)
+    for t in _box_vertices(small):
+        assert brute_force_fpp(a, small, (0, 0), t) == _brute_force_fpp_reference(
+            a, small, (0, 0), t
+        )
+
+
+def _message(exc_type, fn, *args, **kw):
+    with pytest.raises(exc_type) as info:
+        fn(*args, **kw)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("fn", [brute_force_fpp, _brute_force_fpp_reference])
+def test_fpp_error_messages_unchanged(fn):
+    zero = make_field(constant(0.0), 0, "edge", 2)
+    for _ in range(2):  # a failed adjacency build is not cached
+        assert _message(ValueError, fn, zero, LatticeBox(2, 2), (0, 0), (0, 0)) == (
+            "zero or negative edge weight; pruning would be unsound"
+        )
+    f = make_field(uniform(0.5, 1.5), 5, "edge", 2)
+    assert _message(BudgetExceeded, fn, f, LatticeBox(2, 2), (0, 0), (2, 2),
+                    budget=EnumerationBudget(max_paths=3)) == "path budget 3 exceeded"
+    assert _message(BudgetExceeded, fn, f, LatticeBox(2, 4), (0, 0), (1, 0),
+                    budget=EnumerationBudget(max_vertices=50)) == (
+        "box has 81 vertices, budget allows 50"
+    )
+    assert _message(ValueError, fn, f, LatticeBox(2, 2), (0, 0), (3, 0)) == (
+        "source and target must lie inside the box"
+    )

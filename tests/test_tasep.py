@@ -15,6 +15,40 @@ from latticegrow import (
     tasep_run,
     uniform,
 )
+from latticegrow.tasep import _clock_matrix
+
+
+def _tasep_reference(particles, steps, *, clock_seed=None, field=None, clocks=None):
+    """The recursion cell by cell on numpy scalars, as tasep_run computed it before
+    it moved to rows of Python floats; kept to pin the row version bit for bit."""
+    w, _ = _clock_matrix(particles, steps, seed=clock_seed, field=field, clocks=clocks)
+    s = np.empty((particles, steps), dtype=np.float64)
+    for k in range(particles):
+        for n in range(steps):
+            if k == 0 and n == 0:
+                s[0, 0] = 0.0
+                continue
+            up = s[k - 1, n] if k > 0 else -math.inf
+            left = s[k, n - 1] if n > 0 else -math.inf
+            s[k, n] = max(up, left) + w[k, n]
+    return s
+
+
+@pytest.mark.parametrize("mode", ["clocks", "clock_seed", "field"])
+@pytest.mark.parametrize("k,n", [(1, 1), (1, 7), (7, 1), (5, 9), (64, 64)])
+def test_row_recursion_matches_cell_reference(mode, k, n):
+    if mode == "clocks":
+        # clocks in {0, 1, 2}: zero clocks and tied arguments of the max throughout
+        clocks = np.random.default_rng(k * 100 + n).integers(0, 3, size=(k, n)).astype(float)
+        clocks.flat[::4] = 0.0
+        source = {"clocks": clocks}
+    elif mode == "clock_seed":
+        source = {"clock_seed": 17}
+    else:
+        source = {"field": make_field(exponential(1.0), 23, "vertex", 2)}
+    table = tasep_run(k, n, **source)
+    assert table.s.dtype == np.float64 and table.s.shape == (k, n)
+    assert table.s.tobytes() == _tasep_reference(k, n, **source).tobytes()
 
 
 def test_single_particle_steps_at_clock_partial_sums():
