@@ -25,8 +25,10 @@ from .fpp import (
     max_distance_to_segment,
 )
 from .lpp import (
+    _SAT,
     _batch_corners,
     _min_plus_2d,
+    _min_plus_trials_per_batch,
     _trials_per_batch,
     exact_g,
     exact_shape_for,
@@ -60,8 +62,13 @@ __all__ = [
 MIN_RADIAL_TRIALS = 2
 MIN_VARIANCE_TRIALS = 200
 MIN_FLAT_EDGE_N = 50
+# the window solve's int16 times stay exact while T <= 4n < _SAT
+MAX_FLAT_EDGE_N = (_SAT - 1) // 4
 MIN_FIT_POINTS = 4
 MIN_FIT_SPAN = 8
+# largest first box or table of a shape trial, in vertices; its two retries
+# double the side, so a trial allocates at most 16 times as many
+SHAPE_CELLS_MAX = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +329,23 @@ def fekete_envelope(seq: Series) -> FeketeReport:
     return FeketeReport(ns=ns, envelope=envelope, violations=violations)
 
 
+def _ball_side(model: str, spec: DistributionSpec, t: float) -> int:
+    """A shape trial's first box radius (FPP) or table corner (LPP); a retry doubles it."""
+    if model == "fpp":
+        return int(math.ceil(4.0 * t / spec.mean())) + 10
+    return int(math.ceil(2.5 * t / spec.mean())) + 8
+
+
+def _ball_cells(model: str, spec: DistributionSpec, t: float) -> int:
+    """Vertices in a shape trial's first box (FPP) or table (LPP), in d = 2."""
+    side = _ball_side(model, spec, t)
+    return (2 * side + 1) ** 2 if model == "fpp" else (side + 1) ** 2
+
+
 def _fpp_ball_trial(args):
     spec, t, child_seed, d = args
     fld = WeightField(spec, child_seed, "edge", d)
-    base = int(math.ceil(4.0 * t / spec.mean())) + 10
+    base = _ball_side("fpp", spec, t)
     for attempt in range(3):
         box = LatticeBox(d, base << attempt)
         pmap = fpp_dijkstra(fld, (0,) * d, box, time_budget=t)
@@ -337,7 +357,7 @@ def _fpp_ball_trial(args):
 def _lpp_ball_trial(args):
     spec, t, child_seed, d = args
     fld = WeightField(spec, child_seed, "vertex", d)
-    side = int(math.ceil(2.5 * t / spec.mean())) + 8
+    side = _ball_side("lpp", spec, t)
     for attempt in range(3):
         s = side << attempt
         lmap = lpp_dp(fld, (s,) * d)
@@ -446,7 +466,7 @@ def _convexity_violation_fraction(angles, radii, stderrs, circular: bool) -> flo
 
 
 def _corridor_graph(field: WeightField, lo: int, hi: int):
-    """CSR adjacency of the [lo, hi]^2 grid with weights from the field."""
+    """CSR adjacency of the [lo, hi]^2 grid with weights from the field (a test reference)."""
     from scipy.sparse import csr_matrix
 
     side = hi - lo + 1
@@ -460,38 +480,49 @@ def _corridor_graph(field: WeightField, lo: int, hi: int):
     return csr_matrix((data, (rows, cols)), shape=(nv, nv))
 
 
-def _twopoint_diag_time(field: WeightField, n: int) -> float:
-    """Exact full-lattice T(0, (n, n)) for weights bounded below by 1.
+def _edge_windows(fields, lo: int, side: int) -> np.ndarray:
+    """int8 (2, side, side, B) edge weights of [lo, lo + side)^2, trial b from fields[b]."""
+    w = np.empty((2, side, side, len(fields)), dtype=np.int8)
+    for b, f in enumerate(fields):
+        w[..., b] = f.edge_window((lo, lo), (side, side))
+    return w
+
+
+def _twopoint_diag_time(fields, n: int) -> np.ndarray:
+    """Exact full-lattice T(0, (n, n)) of several two-point edge fields, one float each.
 
     The oriented optimum U, over up-right paths in [0, n]^2, bounds T from
-    above, and every path takes at least 2n unit-or-larger steps.  So
+    above, and every path takes at least 2n steps of weight 1 or 2.  So
     U = 2n certifies T = 2n with no window solve: on the flat edge the unit
-    edges percolate in the oriented sense (Durrett-Liggett 1981).  Otherwise
-    T is solved once on the window [-m, n+m]^2 with m = floor((U - 2n)/2) + 1,
-    stopping the search at distance U: any path leaving the window takes at
-    least 2n + 2m > U >= T steps, so the window optimum is the lattice one.
+    edges percolate in the oriented sense (Durrett-Liggett 1981).  A path
+    with j backward steps takes 2n + 2j steps, so one of time <= U has
+    j <= K = floor((U - 2n)/2) and stays in [-K, n+K]^2.  The other trials
+    are solved together on the window [-m, n+m]^2, m = K + 1 for the
+    batch's largest K, by K backward-step layers of the min-plus sweep
+    (lpp._min_plus_2d): that is T exactly, since any path leaving the
+    window takes at least 2n + 2m > U >= T steps.  The times are integers
+    at most 4n < lpp._SAT, so the int16 sweep is exact.
     """
-    from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
+    if any(f.spec.kind != "twopoint" for f in fields):
+        raise ValueError("window solve needs two-point weights 1 and 2")
+    u = _min_plus_2d(_edge_windows(fields, 0, n + 1))[2 * n + 1, n + 1]
+    times = u.astype(np.float64)
+    slow = np.flatnonzero(u > 2 * n)
+    if slow.size:
+        k = int(u.max() - 2 * n) // 2
+        m = k + 1
+        w = _edge_windows([fields[i] for i in slow], -m, n + 2 * m + 1)
+        t = _min_plus_2d(w, m, k)[2 * (n + m) + 1, n + m + 1]
+        if not np.all(t < 2 * n + 2 * m):
+            raise RuntimeError("window certificate failed; weights suspect")
+        times[slow] = t
+    return times
 
-    if field.spec.support_min() < 1.0:
-        raise ValueError("window certificate needs weights >= 1")
-    u = _min_plus_2d(field.edge_window((0, 0), (n + 1, n + 1)))
-    if u == 2 * n:
-        return u
-    m = int((u - 2 * n) // 2) + 1
-    side = n + 2 * m + 1
-    graph = _corridor_graph(field, -m, n + m)
-    dist = _sp_dijkstra(graph, directed=False, indices=m * side + m, limit=u)
-    t = float(dist[(n + m) * side + n + m])
-    if not t < 2 * n + 2 * m:
-        raise RuntimeError("window certificate failed; weights suspect")
-    return t
 
-
-def _flat_edge_trial(args):
-    p, n, child_seed = args
-    fld = WeightField(DistributionSpec("twopoint", (p,)), child_seed, "edge", 2)
-    return _twopoint_diag_time(fld, n)
+def _flat_edge_batch(args):
+    p, n, seeds = args
+    spec = DistributionSpec("twopoint", (p,))
+    return _twopoint_diag_time([WeightField(spec, s, "edge", 2) for s in seeds], n)
 
 
 def flat_edge_probe(p: float, n: int, trials: int, seed: int, workers: int = 1) -> FlatEdgeReport:
@@ -500,14 +531,20 @@ def flat_edge_probe(p: float, n: int, trials: int, seed: int, workers: int = 1) 
     The ratio is always >= 1 (weights are >= 1 and every path has at least
     2n edges).  Ratios near 1 indicate the diagonal lies on the flat edge of
     the limit shape; ratios bounded away from 1 indicate strict interiority.
+    Trials go to the window solve in batches of nearly equal size, sized by
+    the min-plus sweep's byte budget on [0, n]^2; each trial keeps its own
+    field, so the times do not depend on the batching or the workers.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    if n < MIN_FLAT_EDGE_N:
-        raise ValueError(f"n must be >= {MIN_FLAT_EDGE_N}, got {n}")
+    if not MIN_FLAT_EDGE_N <= n <= MAX_FLAT_EDGE_N:
+        raise ValueError(f"n must lie in [{MIN_FLAT_EDGE_N}, {MAX_FLAT_EDGE_N}], got {n}")
     tag = f"flat-edge:{p}"
-    tasks = [(float(p), int(n), derive_seed(seed, tag, n, i)) for i in range(trials)]
-    times = np.array(_map_trials(_flat_edge_trial, tasks, workers))
+    seeds = [derive_seed(seed, tag, n, i) for i in range(trials)]
+    nb = -(-trials // _min_plus_trials_per_batch(n + 1))
+    tasks = [(float(p), int(n), seeds[a * trials // nb : (a + 1) * trials // nb])
+             for a in range(nb)]
+    times = np.concatenate(_map_trials(_flat_edge_batch, tasks, workers))
     ratios = times / (2.0 * n)
     mean, se = _mean_se(ratios)
     return FlatEdgeReport(

@@ -22,10 +22,13 @@ from ._output import write_csv
 from .estimators import (
     MIN_FIT_POINTS,
     MIN_FIT_SPAN,
+    MAX_FLAT_EDGE_N,
     MIN_FLAT_EDGE_N,
     MIN_RADIAL_TRIALS,
     MIN_VARIANCE_TRIALS,
+    SHAPE_CELLS_MAX,
     Series,
+    _ball_cells,
     _check_model,
     _grid_targets,
     chi_from_variance_fit,
@@ -176,14 +179,23 @@ class ExperimentConfig:
                               f"of {self.steps ** 2} cells, more than {_TASEP_CELLS_MAX}")
         if "t" in reads and not 0 < self.t < math.inf:
             raise ConfigError(f"t: must be positive and finite for kind {kind}, got {self.t}")
+        if kind in ("fpp-shape", "lpp-shape"):
+            try:
+                cells = _ball_cells(kind[:3], spec, self.t)
+            except OverflowError:  # t / mean overflows a float
+                cells = math.inf
+            if cells > SHAPE_CELLS_MAX:
+                raise ConfigError(f"t: {kind} at t = {self.t} needs more than "
+                                  f"{SHAPE_CELLS_MAX} vertices in its first box")
         if "n_grid" not in reads:
             return
         grid = self.n_grid_list()
         if not grid:
             raise ConfigError(f"n_grid: required for kind {kind}")
         if kind == "flat-edge":
-            if min(grid) < MIN_FLAT_EDGE_N:
-                raise ConfigError(f"n_grid: flat-edge needs n >= {MIN_FLAT_EDGE_N}, got {grid}")
+            if not MIN_FLAT_EDGE_N <= min(grid) <= max(grid) <= MAX_FLAT_EDGE_N:
+                raise ConfigError(f"n_grid: flat-edge needs n in [{MIN_FLAT_EDGE_N}, "
+                                  f"{MAX_FLAT_EDGE_N}], got {grid}")
             return
         if kind == "exponents" and (len(grid) < MIN_FIT_POINTS
                                     or max(grid) < MIN_FIT_SPAN * min(grid)):

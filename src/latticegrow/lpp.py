@@ -30,11 +30,18 @@ The d = 2 sweep has three outputs, each bit for bit:
   along the first axis.  A tall rectangle is swept transposed, with the
   first axis as its columns, so there the byte is the strict comparison.
   Walking the bytes back from the corner gives lpp_geodesic's path;
-- the same layout with +inf padding and min over edge weights gives the
-  oriented first-passage time U from (0, 0) to (n, n), an upper bound on
-  the lattice time T that certifies the flat-edge window solve
-  (estimators._twopoint_diag_time): U = 2n is T itself, and otherwise a
-  margin of (U - 2n)/2 + 1 around [0, n]^2 holds every path of time <= U.
+- the same layout with min over edge weights gives first-passage times
+  for two-point weights in {1, 2} (_min_plus_2d), in int16 with a sentinel
+  _SAT just below 2^15 for unreached cells.  Min and add commute with
+  saturation at _SAT, so every cell holds min(_SAT, T) exactly.  Layer 0 is
+  the up-right sweep; it gives the oriented time U from (0, 0) to (n, n),
+  an upper bound on the lattice time T.  Layer j relaxes every cell by one
+  down or left step from layer j - 1 and sweeps forward again, in the same
+  pass over the anti-diagonals, so it holds the least time over paths with
+  at most j backward steps.  A path of time <= U has 2n + 2j steps of
+  weight >= 1, so j <= K = floor((U - 2n)/2): K layers on the window with
+  margin K + 1 around [0, n]^2 give T, the flat-edge solve
+  (estimators._twopoint_diag_time), exact while 4n < _SAT.
 """
 
 from __future__ import annotations
@@ -95,6 +102,16 @@ def _trials_per_batch(corner) -> int:
     else:
         cells = math.prod(c + 2 for c in corner)  # padded table
     return max(1, _BATCH_CELLS // cells)
+
+
+def _min_plus_trials_per_batch(size: int) -> int:
+    """How many trials of _min_plus_2d on a size x size grid fit the budget, at least one.
+
+    The budget is counted in bytes (8 per value): per trial the sweep holds
+    its int16 table and two int16 weights per cell.
+    """
+    per_trial = 2 * (2 * size + 1) * (size + 2) + 4 * 2 * size * (size + 1)
+    return max(1, 8 * _BATCH_CELLS // per_trial)
 
 
 def _skew(w: np.ndarray) -> np.ndarray:
@@ -160,26 +177,69 @@ def _dp_2d(w: np.ndarray) -> np.ndarray:
     return as_strided(t[0, 1:], (m + 1, n + 1, b), (r + b * e, r, e)).copy()
 
 
-def _min_plus_2d(w: np.ndarray) -> float:
-    """Oriented first-passage time from (0, 0) to (n, n): the minimum over up-right paths.
+# the min-plus sweep's uint16 sentinel for "not reached", and the weight of
+# an edge from outside the grid: a time plus _OUT is never below _SAT, and
+# _SAT + _OUT still fits in uint16
+_SAT = (1 << 15) - 1
+_OUT = 1 << 15
 
-    w is an edge window of [0, n]^2 with its lower corner at the origin:
-    w[a, i, j] weights the edge from (i, j) to (i, j) + e_a.  The sweep is
-    _sweep_2d's with +inf padding and two rows,
-    U(i, j) = min(U(i-1, j) + w[0, i-1, j], U(i, j-1) + w[1, i, j-1]).
+
+def _min_plus_2d(w: np.ndarray, source: int = 0, rounds: int = 0) -> np.ndarray:
+    """First-passage times from (source, source) on an L x L grid, saturated at _SAT.
+
+    w is an integer (2, L, L, B) edge window with weights 0 to 2:
+    w[a, i, j, b] weights trial b's edge from (i, j) to (i, j) + e_a; edges
+    leaving the grid are ignored.  Returns the uint16 skewed table t with
+    t[i + j + 1, i + 1] = min(_SAT, T_r(i, j)) per trial, r = rounds, where
+    T_r is the least time over grid paths with at most r backward (down or
+    left) steps; every other cell of t holds _SAT.
+
+    Layer 0 is the up-right sweep.  Layer r relaxes each cell by one step
+    back from layer r - 1 and one step forward from layer r, in one pass
+    over the anti-diagonals: diagonal k of layer r needs diagonal k + 1 of
+    layer r - 1 and diagonal k - 1 of layer r.  So layer r can relax
+    diagonal k while layer r + 1 relaxes k - 2, and each step of the loop
+    relaxes one diagonal of every layer at once, the diagonals two apart:
+    one add of the four neighbours' times to the four edge weights, one
+    min over the four, and one min into the diagonals.  A step covers the
+    union of its diagonals' cells; off the grid the edges weigh _OUT, so
+    those cells stay at _SAT.
     """
-    n = w.shape[1] - 1
-    w0, w1 = (_skew(w[a][..., None])[..., 0] for a in (0, 1))
-    u = np.full((2, n + 2), math.inf)
-    u[0, 1] = 0.0
-    for k in range(1, 2 * n + 1):
-        lo, hi = max(0, k - n), min(n, k)
-        prev, cur = u[(k - 1) % 2], u[k % 2, lo + 1 : hi + 2]
-        np.add(prev[lo + 1 : hi + 2], w1[k - 1, lo : hi + 1], out=cur)
-        # row 0 has no first-axis predecessor, and w0 no row -1
-        a = max(lo, 1)
-        np.minimum(cur[a - lo :], prev[a : hi + 1] + w0[k - 1, a - 1 : hi], out=cur[a - lo :])
-    return float(u[0, n + 1])
+    size, b = w.shape[1], w.shape[3]
+    t = np.full((2 * size + 1, size + 2, b), _SAT, dtype=np.uint16)
+    t[2 * source + 1, source + 1] = 0
+    # f[k, 0, i] and f[k, 1, i] weight the edges into cell (i, k - i) from
+    # (i - 1, j) and from (i, j - 1); f[i + j + 1, a, i + 1 - a] is the
+    # edge from (i, j) along e_a, and an edge with an end off the grid
+    # weighs _OUT
+    f = np.full((2 * size, 2, size + 1, b), _OUT, dtype=np.uint16)
+    fr, fa, fc, e = f.strides
+    for a in (0, 1):
+        into = as_strided(f[1:, a, 1 - a :], (size, size, b), (fr + fc, fr, e))
+        into[: size - 1 + a, : size - a] = w[a, : size - 1 + a, : size - a]
+    # the neighbours of cell (i, k - i): fwd[k, c, i] = t[k, i + c] holds
+    # (i - 1, j) and (i, j - 1), weighted by f[k]; back[k, c, i] =
+    # t[k + 2, i + 1 + c] holds (i, j + 1) and (i + 1, j), weighted by
+    # fb[k, c, i] = f[k + 1, 1 - c, i + c]
+    rs, cs, _ = t.strides
+    fwd = as_strided(t, (2 * size - 1, 2, size, b), (rs, cs, cs, e), writeable=False)
+    back = as_strided(t[2:, 1:], (2 * size - 1, 2, size, b), (rs, cs, cs, e), writeable=False)
+    fb = as_strided(f[1:, 1], (2 * size - 1, 2, size, b), (fr, fc - fa, fc, e), writeable=False)
+    via = np.empty((rounds + 1, 2, 2, size, b), dtype=np.uint16)
+    best = np.empty((rounds + 1, size, b), dtype=np.uint16)
+    # layer r relaxes diagonal k = step - 2r; below 2 source - r a diagonal
+    # takes more than r steps back to reach, so it stays at _SAT
+    for step in range(2 * source, 2 * size - 1 + 2 * rounds):
+        r_lo, r_hi = max(0, (step - 2 * size + 3) // 2), min(rounds, step // 2, step - 2 * source)
+        k_lo, k_hi = step - 2 * r_hi, step - 2 * r_lo
+        lo, hi = max(0, k_lo - size + 1), min(size - 1, k_hi) + 1
+        ks, s = slice(k_lo, k_hi + 1, 2), via[: r_hi - r_lo + 1, :, :, : hi - lo]
+        np.add(fwd[ks, :, lo:hi], f[ks, :, lo:hi], out=s[:, 0])
+        np.add(back[ks, :, lo:hi], fb[ks, :, lo:hi], out=s[:, 1])
+        m = np.minimum.reduce(s, axis=(1, 2), out=best[: r_hi - r_lo + 1, : hi - lo])
+        cur = t[k_lo + 1 : k_hi + 2 : 2, lo + 1 : hi + 1]
+        np.minimum(cur, m, out=cur)
+    return t
 
 
 def _dp_general(w: np.ndarray) -> np.ndarray:

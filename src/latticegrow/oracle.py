@@ -8,7 +8,9 @@ oriented paths (LPP).
 
 The FPP search walks a plain-Python adjacency of the box, built from that
 window once per field and box and reused by every target checked against the
-same field, so each edge costs one list read rather than a numpy index.
+same field, so each edge costs one list read rather than a numpy index.  The
+LPP enumeration likewise hashes one vertex rectangle per field and slices it
+for every target inside.
 """
 
 from __future__ import annotations
@@ -151,6 +153,23 @@ def brute_force_fpp(
     return best
 
 
+# smallest side of the weight rectangle brute_force_lpp hashes per field; a
+# target past it gets a rectangle of its own
+_RECTANGLE = 16
+
+
+@functools.lru_cache(maxsize=1)
+def _vertex_rectangle(field: WeightField, rows: int, cols: int) -> np.ndarray:
+    """Weights of the vertices [0, rows) x [0, cols), hashed once for every target inside.
+
+    Built from the coordinate arrays of the vector route, so the bits are
+    the ones ``field.vertex_weights`` gives each vertex.  Fields are frozen
+    and weights pure, so the cached rectangle cannot go stale.
+    """
+    grid = np.stack(np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij"), axis=-1)
+    return field.vertex_weights(grid)
+
+
 def oriented_path_count(target) -> int:
     """Number of oriented lattice paths from the origin to target >= 0 (d = 2)."""
     x1, x2 = (int(c) for c in target)
@@ -184,8 +203,7 @@ def brute_force_lpp(
     if x1 == 0 and x2 == 0:
         return 0.0
 
-    grid = np.stack(np.meshgrid(np.arange(x1 + 1), np.arange(x2 + 1), indexing="ij"), axis=-1)
-    wgrid = field.vertex_weights(grid)
+    wgrid = _vertex_rectangle(field, max(x1 + 1, _RECTANGLE), max(x2 + 1, _RECTANGLE))
 
     nsteps = x1 + x2
     # a path is the choice of which of the x1+x2 steps move along the first axis

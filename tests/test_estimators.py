@@ -25,14 +25,16 @@ from latticegrow import (
     wandering_series,
 )
 from latticegrow import lpp
+from latticegrow import estimators
 from latticegrow.estimators import (
     ExponentFit,
     _corridor_graph,
+    _edge_windows,
     _sample_times,
     _twopoint_diag_time,
 )
 from latticegrow.fpp import max_distance_to_segment
-from latticegrow.lpp import _min_plus_2d, lpp_dp, lpp_geodesic
+from latticegrow.lpp import _SAT, _min_plus_2d, lpp_dp, lpp_geodesic
 from latticegrow.weights import WeightField, derive_seed
 
 
@@ -214,16 +216,29 @@ def _diag_time_doubling(field, n, margin=32):
         m *= 2
 
 
+def _diag_u(field, n):
+    """The oriented bound U of one field, from the min-plus sweep on [0, n]^2."""
+    return _min_plus_2d(_edge_windows([field], 0, n + 1))[2 * n + 1, n + 1, 0]
+
+
 @pytest.mark.parametrize("n", [50, 120])
-@pytest.mark.parametrize("p", [0.55, 0.65, 0.8])
+@pytest.mark.parametrize("p", [0.3, 0.45, 0.55, 0.65, 0.8])
 def test_flat_edge_time_matches_doubling_window(p, n):
-    for i in range(7):
-        fld = WeightField(two_point(p), derive_seed(7, "flat-window", p, n, i), "edge", 2)
-        assert _twopoint_diag_time(fld, n) == _diag_time_doubling(fld, n), i
+    # seven trials at p, plus one that is on the flat edge and one that is
+    # not, so every batch mixes U = 2n with U > 2n and the margins differ
+    fields = [WeightField(two_point(p), derive_seed(7, "flat-window", p, n, i), "edge", 2)
+              for i in range(7)]
+    fields += [WeightField(two_point(q), derive_seed(7, "flat-mix", q, n), "edge", 2)
+               for q in (0.95, 0.45)]
+    us = [_diag_u(f, n) for f in fields]
+    assert min(us) == 2 * n < max(us)
+    times = _twopoint_diag_time(fields, n)
+    assert times.dtype == np.float64
+    assert list(times) == [_diag_time_doubling(f, n) for f in fields]
 
 
 @pytest.mark.parametrize("p,seed,t,u", [
-    (0.55, 0, 104.0, 104.0),   # T == U > 2n: the search limit U keeps the target
+    (0.55, 0, 104.0, 104.0),   # T == U > 2n
     (0.8, 0, 100.0, 100.0),    # U == 2n certifies T with no window
     (0.45, 91, 112.0, 114.0),  # T < U: a path that steps back beats every oriented one
     (0.3, 148, 128.0, 129.0),
@@ -231,14 +246,110 @@ def test_flat_edge_time_matches_doubling_window(p, n):
 def test_flat_edge_oriented_bound_cases(p, seed, t, u):
     n = 50
     fld = WeightField(two_point(p), seed, "edge", 2)
-    assert _min_plus_2d(fld.edge_window((0, 0), (n + 1, n + 1))) == u
+    assert _diag_u(fld, n) == u
     assert _diag_time_doubling(fld, n) == t
-    assert _twopoint_diag_time(fld, n) == t
+    assert _twopoint_diag_time([fld], n)[0] == t
+
+
+def test_flat_edge_rejects_other_weights():
+    with pytest.raises(ValueError, match="two-point"):
+        _twopoint_diag_time([WeightField(geometric(0.5), 1, "edge", 2)], 50)
+
+
+def _spy_batches(monkeypatch, run=True):
+    """Record the batch sizes flat_edge_probe sends; with run=False skip the solves."""
+    sizes = []
+    map_trials = estimators._map_trials
+
+    def spy(fn, tasks, workers):
+        sizes.append([len(task[2]) for task in tasks])
+        if run:
+            return map_trials(fn, tasks, workers)
+        return [np.full(len(task[2]), 100.0) for task in tasks]
+
+    monkeypatch.setattr(estimators, "_map_trials", spy)
+    return sizes
+
+
+def test_flat_edge_probe_independent_of_batching_and_workers(monkeypatch):
+    sizes = _spy_batches(monkeypatch)
+    reports = []
+    # at n = 50 the default budget holds all 20 trials, 2^14 values hold 4
+    for workers, budget in [(1, None), (1, 1), (1, 1 << 30), (2, 1), (2, 1 << 14)]:
+        if budget is not None:
+            monkeypatch.setattr(lpp, "_BATCH_CELLS", budget)
+        reports.append(flat_edge_probe(0.55, 50, 20, 4, workers=workers))
+    assert sizes == [[20], [1] * 20, [20], [1] * 20, [4] * 5]
+    assert all(r == reports[0] for r in reports)
+
+
+def test_flat_edge_batches_split_evenly(monkeypatch):
+    sizes = _spy_batches(monkeypatch, run=False)
+    monkeypatch.setattr(estimators, "_min_plus_trials_per_batch", lambda size: 6)
+    flat_edge_probe(0.55, 50, 20, 4)
+    flat_edge_probe(0.55, 50, 6, 4)
+    assert sizes == [[5, 5, 5, 5], [6]]
+
+
+def _back_step_reference(w, source, rounds):
+    """Least time over grid paths from (source, source) with at most `rounds` backward steps.
+
+    Bellman-Ford on (cell, backward steps used) pairs, one cell at a time,
+    until no time changes; unreached cells stay inf.
+    """
+    size = w.shape[1]
+    inf = math.inf
+    d = [[[inf] * size for _ in range(size)] for _ in range(rounds + 1)]
+    d[0][source][source] = 0.0
+    changed = True
+    while changed:
+        changed = False
+        for r in range(rounds + 1):
+            for i in range(size):
+                for j in range(size):
+                    # (neighbour, edge weight, layer the step comes from)
+                    steps = []
+                    if i:
+                        steps.append(((i - 1, j), w[0, i - 1, j], r))
+                    if j:
+                        steps.append(((i, j - 1), w[1, i, j - 1], r))
+                    if r and i + 1 < size:
+                        steps.append(((i + 1, j), w[0, i, j], r - 1))
+                    if r and j + 1 < size:
+                        steps.append(((i, j + 1), w[1, i, j], r - 1))
+                    best = d[r - 1][i][j] if r else inf
+                    for (a, b), wt, layer in steps:
+                        best = min(best, d[layer][a][b] + wt)
+                    if best < d[r][i][j]:
+                        d[r][i][j] = best
+                        changed = True
+    return np.array(d[rounds])
+
+
+@pytest.mark.parametrize("source,rounds", [(0, 0), (0, 2), (4, 0), (4, 1), (4, 3), (2, 12)])
+def test_back_step_sweep_matches_per_cell_bellman_ford(source, rounds):
+    n = 9
+    fields = [WeightField(two_point(0.5), seed, "edge", 2) for seed in (3, 4)]
+    w = _edge_windows(fields, -2, n + 1)
+    t = _min_plus_2d(w, source, rounds)
+    assert t.dtype == np.uint16 and t.shape == (2 * n + 3, n + 3, 2)
+    for b in range(2):
+        ref = _back_step_reference(w[..., b].astype(np.float64), source, rounds)
+        got = np.array([[t[i + j + 1, i + 1, b] for j in range(n + 1)] for i in range(n + 1)],
+                       dtype=np.float64)
+        got[got == _SAT] = math.inf
+        assert np.array_equal(got, ref)
+        # the cells off the grid keep the sentinel
+        mask = np.ones(t.shape[:2], dtype=bool)
+        for i in range(n + 1):
+            mask[i + 1 : i + n + 2, i + 1] = False
+        assert np.all(t[mask, b] == _SAT)
 
 
 def test_min_plus_matches_per_cell_loop():
     n = 9
-    w = WeightField(two_point(0.5), 3, "edge", 2).edge_window((0, 0), (n + 1, n + 1))
+    fld = WeightField(two_point(0.5), 3, "edge", 2)
+    w = fld.edge_window((0, 0), (n + 1, n + 1))
     u = np.full((n + 1, n + 1), math.inf)
     u[0, 0] = 0.0
     for i in range(n + 1):
@@ -247,7 +358,7 @@ def test_min_plus_matches_per_cell_loop():
                 u[i, j] = min(u[i, j], u[i - 1, j] + w[0, i - 1, j])
             if j:
                 u[i, j] = min(u[i, j], u[i, j - 1] + w[1, i, j - 1])
-    assert _min_plus_2d(w) == u[n, n]
+    assert _diag_u(fld, n) == u[n, n]
 
 
 # -- variance and wandering series -----------------------------------------------------

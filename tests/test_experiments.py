@@ -10,6 +10,7 @@ import pytest
 import latticegrow
 import latticegrow.experiments as experiments_mod
 from latticegrow.cli import main
+from latticegrow.estimators import MAX_FLAT_EDGE_N, flat_edge_probe
 from latticegrow.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -90,6 +91,8 @@ def test_config_parse_errors_name_the_problem():
         (dict(kind="radial-g", model="fpp", dist="exp:inf", n_grid="2,4", trials=3), "dist"),
         (dict(kind="lpp-shape", dist="const:inf", t=3.0, trials=2), "dist"),
         (dict(kind="tasep-coupling", steps=2049, trials=1), "steps"),
+        (dict(kind="fpp-shape", dist="unif:0.5:1.5", t=1e308, trials=2), "t"),
+        (dict(kind="lpp-shape", dist="exp:1e300", t=1.0, trials=2), "t"),
     ],
 )
 def test_validation_rejects_naming_field(kw, field):
@@ -285,6 +288,52 @@ def test_cli_idla_grid_past_limit_is_hard_failure(tmp_path):
     assert proc.stderr.startswith("hard failure: dim 10, steps 40: ")
 
 
+@pytest.mark.parametrize("kind,dist,t_ok,t_bad", [
+    ("fpp-shape", "unif:0.5:1.5", 125.25, 125.26),  # first box radius 511, then 512
+    ("lpp-shape", "exp:1.0", 406.0, 406.01),        # first table corner 1023, then 1024
+])
+def test_shape_box_limit_is_inclusive(kind, dist, t_ok, t_bad):
+    _cfg(kind=kind, dist=dist, t=t_ok, trials=2).validate()
+    with pytest.raises(ConfigError, match="^t: "):
+        _cfg(kind=kind, dist=dist, t=t_bad, trials=2).validate()
+
+
+def test_flat_edge_n_limit_is_inclusive():
+    _cfg(kind="flat-edge", dist="twopoint:0.55", n_grid=str(MAX_FLAT_EDGE_N), trials=1).validate()
+    with pytest.raises(ConfigError, match="^n_grid: "):
+        _cfg(kind="flat-edge", dist="twopoint:0.55", n_grid=f"50,{MAX_FLAT_EDGE_N + 1}",
+             trials=1).validate()
+    with pytest.raises(ValueError, match="n must lie in"):
+        flat_edge_probe(0.55, MAX_FLAT_EDGE_N + 1, 1, 0)
+
+
+def test_cli_kinds_import_no_scipy(tmp_path):
+    # importing scipy.sparse costs about half a second and 30 MB per process;
+    # every kind runs in one fresh interpreter, the flat-edge window solve first
+    runs = [
+        ["flat-edge", "--dist", "twopoint:0.55", "--n-grid", "50", "--trials", "4"],
+        ["radial-g", "--model", "fpp", "--dist", "unif:0.5:1.5", "--n-grid", "2,4",
+         "--trials", "2"],
+        ["radial-g", "--model", "lpp", "--n-grid", "2,4", "--trials", "2"],
+        ["exponents", "--n-grid", "2,4,8,16", "--trials", "200"],
+        ["fpp-shape", "--dist", "unif:0.5:1.5", "--t", "2", "--trials", "2"],
+        ["lpp-shape", "--t", "2", "--trials", "2"],
+        ["eden", "--steps", "10"],
+        ["idla", "--steps", "10"],
+        ["tasep-coupling", "--steps", "4", "--trials", "1"],
+        ["oracle-check", "--dist", "unif:0.5:1.5", "--trials", "1"],
+    ]
+    runs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
+    code = ("import sys; from latticegrow import cli; "
+            f"assert [cli.main(a) for a in {runs!r}] == [0] * {len(runs)}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(latticegrow.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize(
     "argv,field",
     [
@@ -314,6 +363,10 @@ def test_cli_idla_grid_past_limit_is_hard_failure(tmp_path):
         (["idla", "--dim", "13", "--steps", "1"], "dim"),
         (["idla", "--steps", "1000000000"], "steps"),
         (["tasep-coupling", "--steps", "100000000", "--trials", "1"], "steps"),
+        (["fpp-shape", "--dist", "unif:0.5:1.5", "--t", "1e9", "--trials", "2"], "t"),
+        (["lpp-shape", "--dist", "exp:1.0", "--t", "1e9", "--trials", "2"], "t"),
+        (["flat-edge", "--dist", "twopoint:0.55", "--n-grid", "50,8192", "--trials", "2"],
+         "n_grid"),
     ],
 )
 def test_cli_bad_input_exits_2_without_traceback(argv, field, tmp_path):

@@ -11,6 +11,7 @@ from latticegrow import (
     make_field,
     tasep_run,
 )
+from latticegrow import _output
 from latticegrow.fpp import ball_to_csv
 from latticegrow.growth import roundness_series_to_csv
 from latticegrow.tasep import current_series, current_series_to_csv
@@ -85,3 +86,18 @@ def test_current_series_csv(tmp_path):
     assert lines[0] == "t,c_t"
     assert len(lines) == 9
     assert lines[1].endswith(",0")
+
+
+def test_write_csv_slices_keep_the_bytes(tmp_path, monkeypatch):
+    f = make_field(exponential(1.0), 4, "vertex", 2)
+    lmap = lpp_dp(f, (6, 4))  # 35 rows
+    whole = tmp_path / "whole.csv"
+    lmap.to_csv(whole)
+    for rows in (1, 3, 5, 34, 35, 36):
+        monkeypatch.setattr(_output, "_ROWS_PER_WRITE", rows)
+        sliced = tmp_path / f"sliced{rows}.csv"
+        lmap.to_csv(sliced)
+        assert sliced.read_bytes() == whole.read_bytes(), rows
+    empty = tmp_path / "empty.csv"
+    _output.write_csv(empty, ("a", "b"), ((), ()))
+    assert empty.read_text() == "a,b\n"

@@ -18,6 +18,7 @@ from latticegrow import (
     uniform,
 )
 from latticegrow.fpp import unit_steps
+from latticegrow.weights import WeightField
 
 
 def _brute_force_fpp_reference(field, box, source, target, budget=EnumerationBudget()):
@@ -241,3 +242,53 @@ def test_fpp_error_messages_unchanged(fn):
     assert _message(ValueError, fn, f, LatticeBox(2, 2), (0, 0), (3, 0)) == (
         "source and target must lie inside the box"
     )
+
+
+def _brute_force_lpp_reference(field, target):
+    """A path-by-path enumeration that hashes its own (x1+1) x (x2+1) window
+    per call, as brute_force_lpp did before it cached one rectangle per
+    field.  Kept to pin the cached rectangle with ==."""
+    x1, x2 = (int(c) for c in target)
+    if x1 == 0 and x2 == 0:
+        return 0.0
+    grid = np.stack(np.meshgrid(np.arange(x1 + 1), np.arange(x2 + 1), indexing="ij"), axis=-1)
+    wgrid = field.vertex_weights(grid)
+    best = -np.inf
+    for xs in itertools.combinations(range(x1 + x2), x1):
+        i = j = 0
+        acc = 0.0
+        for step in range(x1 + x2):
+            if step in xs:
+                i += 1
+            else:
+                j += 1
+            acc = acc + wgrid[i, j]
+        best = max(best, acc)
+    return float(best)
+
+
+@pytest.mark.parametrize("law", [uniform(0.5, 1.5), geometric(0.4), two_point(0.5)],
+                         ids=lambda s: s.token())
+def test_lpp_cached_rectangle_matches_reference(law):
+    a, b = (make_field(law, s, "vertex", 2) for s in (21, 22))
+    targets = [(x1, x2) for x1 in range(5) for x2 in range(5)]
+    targets += [(20, 0), (0, 17), (15, 1), (16, 2), (3, 4)]
+    for fld in (a, b, a):  # interleaved fields evict each other's rectangle
+        for tgt in targets:
+            assert brute_force_lpp(fld, tgt) == _brute_force_lpp_reference(fld, tgt), tgt
+
+
+def test_lpp_hashes_one_rectangle_per_field(monkeypatch):
+    calls = []
+    vertex_weights = WeightField.vertex_weights
+
+    def spy(self, coords):
+        calls.append(coords.shape)
+        return vertex_weights(self, coords)
+
+    monkeypatch.setattr(WeightField, "vertex_weights", spy)
+    for seed in (31, 32):
+        fld = make_field(uniform(0.5, 1.5), seed, "vertex", 2)
+        for tgt in itertools.product(range(5), repeat=2):
+            brute_force_lpp(fld, tgt)
+    assert calls == [(16, 16, 2)] * 2
