@@ -62,7 +62,7 @@ __all__ = [
 MIN_RADIAL_TRIALS = 2
 MIN_VARIANCE_TRIALS = 200
 MIN_FLAT_EDGE_N = 50
-# the window solve's int16 times stay exact while T <= 4n < _SAT
+# the window solve's uint16 times stay exact while T <= 4n < _SAT
 MAX_FLAT_EDGE_N = (_SAT - 1) // 4
 MIN_FIT_POINTS = 4
 MIN_FIT_SPAN = 8
@@ -501,7 +501,7 @@ def _twopoint_diag_time(fields, n: int) -> np.ndarray:
     batch's largest K, by K backward-step layers of the min-plus sweep
     (lpp._min_plus_2d): that is T exactly, since any path leaving the
     window takes at least 2n + 2m > U >= T steps.  The times are integers
-    at most 4n < lpp._SAT, so the int16 sweep is exact.
+    at most 4n < lpp._SAT, so the uint16 sweep is exact.
     """
     if any(f.spec.kind != "twopoint" for f in fields):
         raise ValueError("window solve needs two-point weights 1 and 2")
@@ -539,6 +539,8 @@ def flat_edge_probe(p: float, n: int, trials: int, seed: int, workers: int = 1) 
         raise ValueError(f"p must lie in (0, 1), got {p}")
     if not MIN_FLAT_EDGE_N <= n <= MAX_FLAT_EDGE_N:
         raise ValueError(f"n must lie in [{MIN_FLAT_EDGE_N}, {MAX_FLAT_EDGE_N}], got {n}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     tag = f"flat-edge:{p}"
     seeds = [derive_seed(seed, tag, n, i) for i in range(trials)]
     nb = -(-trials // _min_plus_trials_per_batch(n + 1))

@@ -20,9 +20,9 @@ import numpy as np
 from . import __version__
 from ._output import write_csv
 from .estimators import (
+    MAX_FLAT_EDGE_N,
     MIN_FIT_POINTS,
     MIN_FIT_SPAN,
-    MAX_FLAT_EDGE_N,
     MIN_FLAT_EDGE_N,
     MIN_RADIAL_TRIALS,
     MIN_VARIANCE_TRIALS,

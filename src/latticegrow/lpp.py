@@ -31,17 +31,17 @@ The d = 2 sweep has three outputs, each bit for bit:
   first axis as its columns, so there the byte is the strict comparison.
   Walking the bytes back from the corner gives lpp_geodesic's path;
 - the same layout with min over edge weights gives first-passage times
-  for two-point weights in {1, 2} (_min_plus_2d), in int16 with a sentinel
-  _SAT just below 2^15 for unreached cells.  Min and add commute with
-  saturation at _SAT, so every cell holds min(_SAT, T) exactly.  Layer 0 is
-  the up-right sweep; it gives the oriented time U from (0, 0) to (n, n),
-  an upper bound on the lattice time T.  Layer j relaxes every cell by one
-  down or left step from layer j - 1 and sweeps forward again, in the same
-  pass over the anti-diagonals, so it holds the least time over paths with
-  at most j backward steps.  A path of time <= U has 2n + 2j steps of
-  weight >= 1, so j <= K = floor((U - 2n)/2): K layers on the window with
-  margin K + 1 around [0, n]^2 give T, the flat-edge solve
-  (estimators._twopoint_diag_time), exact while 4n < _SAT.
+  for two-point weights in {1, 2} (_min_plus_2d), in uint16 with the
+  sentinel _SAT = 2^15 - 1 for unreached cells.  Min and add commute with
+  saturation at _SAT, so every cell holds min(_SAT, T) exactly.  Layer 0
+  is the up-right sweep; it gives the oriented time U from (0, 0) to
+  (n, n), an upper bound on the lattice time T.  Layer j relaxes every
+  cell by one down or left step from layer j - 1 and sweeps forward again,
+  so it holds the least time over paths with at most j backward steps; all
+  layers advance together, one diagonal each per numpy step.  A path of
+  time <= U has 2n + 2j steps of weight >= 1, so j <= K = floor((U - 2n)/2):
+  K layers on the window with margin K + 1 around [0, n]^2 give T, the
+  flat-edge solve (estimators._twopoint_diag_time), exact while 4n < _SAT.
 """
 
 from __future__ import annotations
@@ -108,7 +108,10 @@ def _min_plus_trials_per_batch(size: int) -> int:
     """How many trials of _min_plus_2d on a size x size grid fit the budget, at least one.
 
     The budget is counted in bytes (8 per value): per trial the sweep holds
-    its int16 table and two int16 weights per cell.
+    a uint16 time and two uint16 weights per cell.  The flat-edge probe
+    sizes its batches on [0, n]^2, so a window solve's batch is larger by
+    the margin: 2m more on a side (1.2 times the bytes at n = 300,
+    p = 0.55, and at most 9 times when U = 4n).
     """
     per_trial = 2 * (2 * size + 1) * (size + 2) + 4 * 2 * size * (size + 1)
     return max(1, 8 * _BATCH_CELLS // per_trial)

@@ -167,7 +167,9 @@ def _vertex_rectangle(field: WeightField, rows: int, cols: int) -> np.ndarray:
     and weights pure, so the cached rectangle cannot go stale.
     """
     grid = np.stack(np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij"), axis=-1)
-    return field.vertex_weights(grid)
+    weights = field.vertex_weights(grid)
+    weights.setflags(write=False)  # every later call gets this same array
+    return weights
 
 
 def oriented_path_count(target) -> int:

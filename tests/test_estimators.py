@@ -199,6 +199,8 @@ def test_flat_edge_rejects_bad_parameters():
         flat_edge_probe(1.2, 100, 5, 0)
     with pytest.raises(ValueError):
         flat_edge_probe(0.8, 10, 5, 0)
+    with pytest.raises(ValueError, match="trials"):
+        flat_edge_probe(0.8, 50, 0, 0)
 
 
 def _diag_time_doubling(field, n, margin=32):
