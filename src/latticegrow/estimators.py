@@ -69,6 +69,8 @@ MIN_FIT_SPAN = 8
 # largest first box or table of a shape trial, in vertices; its two retries
 # double the side, so a trial allocates at most 16 times as many
 SHAPE_CELLS_MAX = 1 << 20
+# largest first FPP box, or one trial's LPP table, at a grid point, in vertices
+TRIAL_CELLS_MAX = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +172,25 @@ def _check_model(model: str, spec: DistributionSpec) -> None:
         )
 
 
+def _fpp_first_radius(target) -> int:
+    """The first box radius of a point passage time; a retry doubles it."""
+    return int(math.ceil(1.3 * sum(abs(c) for c in target))) + 10
+
+
+def _trial_cells(model: str, target) -> int:
+    """Vertices in a grid point's first FPP box, or in one trial's LPP table."""
+    if model == "fpp":
+        return (2 * _fpp_first_radius(target) + 1) ** len(target)
+    return math.prod(c + 1 for c in target)
+
+
 def _fpp_target_solve(field: WeightField, target, *, want_geodesic: bool):
     """Exact point passage time on an adaptively enlarged box.
 
     Exactness is certified by the boundary flag: when no face vertex settles
     at or below T(target), enlarging the box cannot change any value.
     """
-    l1 = sum(abs(c) for c in target)
-    base = int(math.ceil(1.3 * l1)) + 10
+    base = _fpp_first_radius(target)
     for attempt in range(3):
         box = LatticeBox(field.dimension, base << attempt)
         pmap = fpp_dijkstra(field, (0,) * field.dimension, box, target=target)

@@ -27,10 +27,12 @@ from .estimators import (
     MIN_RADIAL_TRIALS,
     MIN_VARIANCE_TRIALS,
     SHAPE_CELLS_MAX,
+    TRIAL_CELLS_MAX,
     Series,
     _ball_cells,
     _check_model,
     _grid_targets,
+    _trial_cells,
     chi_from_variance_fit,
     estimate_radial_g,
     fit_exponent,
@@ -59,6 +61,8 @@ __all__ = ["ExperimentConfig", "ConfigError", "HardFailure", "run_experiment", "
 # largest steps x steps table that tasep-coupling accepts (steps <= 2048); a
 # run peaks at about 310 bytes of memory per cell, most of it the CSV cells
 _TASEP_CELLS_MAX = 1 << 22
+# most worker processes a run starts; multiprocessing.Pool starts every one
+MAX_WORKERS = 64
 
 
 class ConfigError(ValueError):
@@ -164,6 +168,8 @@ class ExperimentConfig:
             if name in reads and getattr(self, name) < low:
                 raise ConfigError(f"{name}: must be >= {low} for kind {kind}, "
                                   f"got {getattr(self, name)}")
+        if "workers" in reads and self.workers > MAX_WORKERS:
+            raise ConfigError(f"workers: must be <= {MAX_WORKERS}, got {self.workers}")
         if kind == "idla":
             # the walker's first occupancy grid has radius 2 or more: 5^dim cells or more
             if self.dim > math.log(_GRID_CELLS_MAX, 5):
@@ -201,11 +207,15 @@ class ExperimentConfig:
                                     or max(grid) < MIN_FIT_SPAN * min(grid)):
             raise ConfigError(f"n_grid: exponent fits need {MIN_FIT_POINTS}+ points spanning "
                               f"a factor of {MIN_FIT_SPAN}, got {grid}")
+        model = "lpp" if kind == "exponents" else self.model
         try:
-            _, _, targets = _grid_targets("lpp" if kind == "exponents" else self.model,
-                                          direction, grid)
+            _, _, targets = _grid_targets(model, direction, grid)
         except ValueError as e:
             raise ConfigError(str(e)) from None
+        cells = _trial_cells(model, targets[-1])
+        if cells > TRIAL_CELLS_MAX:
+            raise ConfigError(f"n_grid: {kind} at n = {max(grid)} needs {cells} vertices in "
+                              f"one trial's box or table, more than {TRIAL_CELLS_MAX}")
         # an oriented path to a point on an axis is straight, so it never wanders
         if kind == "exponents" and any(sum(c > 0 for c in tgt) < 2 for tgt in targets):
             raise ConfigError(f"direction: exponents needs targets off the axes, got {targets}")

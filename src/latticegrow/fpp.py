@@ -7,10 +7,21 @@ instead a boundary-hit flag reports whether truncation could have biased any
 value at or below the solve's horizon, which callers use either to certify
 exactness (flag off means enlarging the box cannot change anything) or to
 propagate a warning.
+
+Two settle loops give bit-identical maps.  The heap loop pops one vertex at
+a time.  The bucket loop (Dial's bucket queue in the bulk-synchronous form
+of Meyer and Sanders' Delta-stepping) settles every unsettled vertex below
+t_min + omega in one numpy step, omega being the window's least weight:
+float addition rounds monotonically, so no relaxation from an unsettled
+vertex can produce a key below fl(t_min + omega), and those vertices are the
+heap's next pops.  The bucket loop is chosen from the law and the box
+(``_use_buckets``); exponential and zero-weight laws and small boxes keep
+the heap.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field as dc_field
@@ -74,6 +85,14 @@ class LatticeBox:
         """Index of vertex v in the padded box: v - corner + 1."""
         return tuple(int(a) - c + 1 for a, c in zip(v, self.corner()))
 
+    def padded_shape(self) -> tuple:
+        """Shape of the box grown by one layer of padding."""
+        return (2 * self.radius + 3,) * self.dimension
+
+    def flat_index(self, v) -> int:
+        """Row-major index of vertex v on the padded box; it orders like the tuples."""
+        return int(np.ravel_multi_index(self.padded_index(v), self.padded_shape()))
+
     def padded_weights(self, field: WeightField) -> np.ndarray:
         """Weights of the box's edges, on the box grown by one layer of padding.
 
@@ -83,7 +102,7 @@ class LatticeBox:
         geodesic backtracking and the brute-force oracle all read.
         """
         n = 2 * self.radius + 1
-        w = field.edge_window(tuple(c - 1 for c in self.corner()), (n + 2,) * self.dimension)
+        w = field.edge_window(tuple(c - 1 for c in self.corner()), self.padded_shape())
         for k in range(self.dimension):
             face = np.moveaxis(w, k + 1, 1)
             face[:, [0, n + 1]] = math.inf
@@ -91,35 +110,64 @@ class LatticeBox:
         return w
 
 
-@dataclass
+@dataclass(eq=False)
 class PassageTimeMap:
     """Finite table of passage times T(source, .) from one Dijkstra solve.
 
-    times maps each settled vertex to its exact in-box passage time; order
-    records the settling sequence (used by the infection-order coupling).
+    The solve leaves the settled vertices as flat indices on the padded box
+    (``flat``, in settling order) with their exact in-box passage times
+    (``settled_times``), next to the weight window it read (``window``).
+    ``times`` (vertex -> time) and ``order`` (the settling sequence, used by
+    the infection-order coupling) are built from those arrays on first read.
     horizon is the largest t for which the ball B(t) is fully settled, and
-    boundary_hit reports whether any vertex on the box face settled with
-    time at or below that horizon.
+    boundary_hit reports whether any vertex on the box face settled.
     """
 
     source: Vertex
     box: LatticeBox
-    times: dict = dc_field(default_factory=dict)
-    order: list = dc_field(default_factory=list)
+    flat: np.ndarray = dc_field(repr=False)
+    settled_times: np.ndarray = dc_field(repr=False)
+    window: np.ndarray = dc_field(repr=False)
     horizon: float = math.inf
     boundary_hit: bool = False
 
+    def _coords(self, flat: np.ndarray) -> np.ndarray:
+        """Coordinates (one row per vertex) of flat indices on the padded box."""
+        coords = np.stack(np.unravel_index(flat, self.box.padded_shape()), axis=-1)
+        return coords + np.array(self.box.corner(), dtype=np.int64) - 1
+
+    @functools.cached_property
+    def order(self) -> list:
+        return list(map(tuple, self._coords(self.flat).tolist()))
+
+    @functools.cached_property
+    def times(self) -> dict:
+        return dict(zip(self.order, self.settled_times.tolist()))
+
     def time_to(self, v) -> float:
         v = tuple(v)
-        if v not in self.times:
-            raise KeyError(f"vertex {v} was not settled")
-        return self.times[v]
+        if self.box.contains(v) and tuple(map(int, v)) == v:
+            at = np.flatnonzero(self.flat == self.box.flat_index(v))
+            if at.size:
+                return float(self.settled_times[at[0]])
+        raise KeyError(f"vertex {v} was not settled")
 
     def to_csv(self, path) -> None:
         d = self.box.dimension
-        coords = np.array(self.order, dtype=np.int64).reshape(-1, d)
         write_csv(path, [f"x{i + 1}" for i in range(d)] + ["T"],
-                  [*coords.T, [self.times[v] for v in self.order]])
+                  [*self._coords(self.flat).T, self.settled_times])
+
+
+# a bucket is about support_min / mean of a mean step wide, along a front
+# about one box side long; the bucket loop runs when that product,
+# support_min * (2 radius + 1) / mean, reaches this many vertices
+_BUCKET_FRONT = 64
+
+
+def _use_buckets(spec, radius: int) -> bool:
+    """Whether a solve of this law on this box takes the bucket loop."""
+    least = spec.support_min()
+    return least > 0 and least * (2 * radius + 1) >= _BUCKET_FRONT * spec.mean()
 
 
 def fpp_dijkstra(
@@ -141,7 +189,15 @@ def fpp_dijkstra(
     (``LatticeBox.padded_weights``), so cost and memory grow with the box
     volume (2 radius + 1)^d even when few vertices settle.  Vertices are
     numbered row-major on the padded box, which orders them like their
-    coordinate tuples, so heap ties break lexicographically.
+    coordinate tuples, so ties break lexicographically.
+
+    Two settle loops give the same times, order, horizon and flag: a binary
+    heap that settles one vertex per pop, and a bucket loop that settles
+    every vertex below t_min + omega in one numpy step (see ``_bucket_settle``).
+    The bucket loop runs when ``_use_buckets`` holds for the field's law and
+    the box: a least weight bounded away from 0 and a box wide enough that a
+    bucket holds many vertices.  Exponential and zero-weight laws, and small
+    boxes, keep the heap.
     """
     if field.attachment != "edge":
         raise ValueError("FPP needs an edge weight field")
@@ -158,30 +214,52 @@ def fpp_dijkstra(
         raise ValueError(f"time budget must be nonnegative, got {time_budget}")
 
     d = box.dimension
-    shape = (2 * box.radius + 3,) * d
-    origin = tuple(c - 1 for c in box.corner())  # the padded box's lowest vertex
+    shape = box.padded_shape()
     weights = box.padded_weights(field)
-    on_face = np.zeros(shape, dtype=bool)
-    for k in range(d):
-        np.moveaxis(on_face, k, 0)[[1, shape[0] - 2]] = True
-    on_face = memoryview(on_face.reshape(-1))
     strides = [shape[0] ** (d - 1 - j) for j in range(d)]
-    # per axis: the flat offset of +e_j and the weights of edges leaving forward
-    relax = [(s, memoryview(weights[j].reshape(-1))) for j, s in enumerate(strides)]
-
-    def flat(v):
-        return sum((c - o) * s for c, o, s in zip(v, origin, strides))
-
-    tgt = flat(target) if target is not None else -1
+    tgt = box.flat_index(target) if target is not None else -1
     cap = max_settled if max_settled is not None else math.inf
     budget = float(time_budget) if time_budget is not None else math.inf
-    best = [math.inf] * weights[0].size
-    src = flat(source)
+    settle = _bucket_settle if _use_buckets(field.spec, box.radius) else _heap_settle
+    order, times = settle(
+        weights.reshape(d, -1), strides, box.flat_index(source), tgt, budget, cap
+    )
+
+    if order[-1] == tgt or len(order) >= cap:
+        # unsettled vertices tied exactly at the last time may remain unsettled
+        horizon = math.nextafter(float(times[-1]), -math.inf)
+    else:
+        # everything with T <= budget settled before the first over-budget pop
+        horizon = budget
+    # settled times never decrease, so every settled face vertex lies at or
+    # below the cut the flag certifies (the budget, or the last settled time)
+    padded = np.unravel_index(order, shape)
+    boundary_hit = any(bool(((c == 1) | (c == shape[0] - 2)).any()) for c in padded)
+
+    return PassageTimeMap(
+        source=source,
+        box=box,
+        flat=order,
+        settled_times=times,
+        window=weights,
+        horizon=horizon,
+        boundary_hit=boundary_hit,
+    )
+
+
+def _heap_settle(weights, strides, src, tgt, budget, cap):
+    """Settle one vertex per heap pop, in (time, flat index) order.
+
+    weights[j] holds the weight of the edge from each flat index along +e_j.
+    Returns the settled flat indices and times, in settling order.
+    """
+    # per axis: the flat offset of +e_j and the weights of edges leaving forward
+    relax = [(s, memoryview(w)) for s, w in zip(strides, weights)]
+    best = [math.inf] * weights.shape[1]
     best[src] = 0.0
     heap = [(0.0, src)]
     order: list = []
     times: list = []
-    face_hit_time = math.inf
 
     while heap:
         t, u = heapq.heappop(heap)
@@ -191,8 +269,6 @@ def fpp_dijkstra(
             break
         order.append(u)
         times.append(t)
-        if face_hit_time == math.inf and on_face[u]:
-            face_hit_time = t
         if u == tgt or len(order) >= cap:
             break
         # settled neighbours fail nt < best[v] since weights are nonnegative,
@@ -209,24 +285,76 @@ def fpp_dijkstra(
                 best[v] = nt
                 heapq.heappush(heap, (nt, v))
 
-    coords = np.stack(np.unravel_index(np.array(order, dtype=np.int64), shape), axis=-1)
-    order = list(map(tuple, (coords + np.array(origin, dtype=np.int64)).tolist()))
+    return np.array(order, dtype=np.int64), np.array(times)
 
-    if order[-1] == target or len(order) >= cap:
-        # unsettled vertices tied exactly at the last time may remain in the heap
-        flag_cut, horizon = times[-1], math.nextafter(times[-1], -math.inf)
-    else:
-        # everything with T <= budget settled before the first over-budget pop
-        flag_cut = horizon = budget
 
-    return PassageTimeMap(
-        source=source,
-        box=box,
-        times=dict(zip(order, times)),
-        order=order,
-        horizon=horizon,
-        boundary_hit=face_hit_time <= flag_cut,
-    )
+def _bucket_settle(weights, strides, src, tgt, budget, cap):
+    """Settle a whole bucket per numpy step, in the heap's order; same contract.
+
+    Let omega be the least weight in the window and t_min the least tentative
+    time among unsettled vertices.  A relaxation from an unsettled u gives
+    fl(t(u) + w) >= fl(t_min + omega) = thr, since float addition rounds
+    monotonically, so every unsettled vertex with t < thr is final and the
+    heap would pop exactly those next, in (t, flat index) order, with no push
+    in between sorting before them.  One step settles them all, cut by the
+    stop rules, and relaxes each of the 2d directions with vectorised
+    compares (within one direction the destinations are distinct).  When thr
+    == t_min (omega is 0 or below t_min's ulp) a step settles only the
+    (t, index)-least vertex, which is one heap pop.  The frontier is an index
+    array with a membership mask.
+    """
+    omega = float(weights.min())
+    best = np.full(weights.shape[1], math.inf)
+    best[src] = 0.0
+    front = np.array([src], dtype=np.int64)
+    in_front = np.zeros(weights.shape[1], dtype=bool)
+    in_front[src] = True
+    order: list = []
+    times: list = []
+    settled = 0
+
+    while front.size:
+        tf = best[front]
+        t_min = tf.min()
+        thr = t_min + omega
+        if thr > t_min:
+            take = tf < thr
+        else:
+            take = front == front[tf == t_min].min()
+        bucket, bt = front[take], tf[take]
+        front = front[~take]
+        in_front[bucket] = False
+        if bucket.size > 1:
+            by = np.lexsort((bucket, bt))
+            bucket, bt = bucket[by], bt[by]
+        # the heap's stops: a pop over budget settles nothing; a pop that
+        # settles the target or the cap-th vertex is the last
+        k = int(np.searchsorted(bt, budget, side="right"))
+        stop = k < bucket.size
+        hit = np.flatnonzero(bucket[:k] == tgt)
+        if hit.size:
+            k, stop = int(hit[0]) + 1, True
+        if k and settled + k >= cap:
+            k, stop = max(cap - settled, 1), True
+        bucket, bt = bucket[:k], bt[:k]
+        order.append(bucket)
+        times.append(bt)
+        settled += k
+        if stop:
+            break
+        new = [front]
+        for s, w in zip(strides, weights):
+            back = bucket - s
+            for dest, nt in ((bucket + s, bt + w[bucket]), (back, bt + w[back])):
+                better = nt < best[dest]
+                dest = dest[better]
+                best[dest] = nt[better]
+                dest = dest[~in_front[dest]]
+                in_front[dest] = True
+                new.append(dest)
+        front = np.concatenate(new)
+
+    return np.concatenate(order), np.concatenate(times)
 
 
 def fpp_ball(pmap: PassageTimeMap, t: float) -> set:
@@ -237,7 +365,7 @@ def fpp_ball(pmap: PassageTimeMap, t: float) -> set:
     """
     if t > pmap.horizon:
         raise ValueError(f"t={t} exceeds the settled horizon {pmap.horizon}")
-    return {v for v, tau in pmap.times.items() if tau <= t}
+    return set(map(tuple, pmap._coords(pmap.flat[pmap.settled_times <= t]).tolist()))
 
 
 def ball_to_csv(ball, d: int, path) -> None:
@@ -261,14 +389,15 @@ def fpp_geodesic(field: WeightField, pmap: PassageTimeMap, target) -> Geodesic:
     neighbor u with T(u) + w(u, v) == T(v) exactly, which pins a canonical
     geodesic even when atomic weights make the minimizer non-unique.  The
     equality test is exact because Dijkstra assigned T(v) as exactly such a
-    sum, and w is read from the same window array (``pmap.box.padded_weights``)
-    the solve read.  Vertices already on the partial path are skipped so that
-    plateaus of zero-weight edges cannot cycle.
+    sum, and w is read from the window array the solve read (``pmap.window``,
+    so field, the one the map was solved on, is not hashed again).  Vertices
+    already on the partial path are skipped so that plateaus of zero-weight
+    edges cannot cycle.
     """
     target = tuple(int(c) for c in target)
     if target not in pmap.times:
         raise KeyError(f"target {target} was not settled")
-    weights = pmap.box.padded_weights(field)
+    weights = pmap.window
     steps = unit_steps(pmap.box.dimension)
     path = [target]
     seen = {target}

@@ -12,6 +12,7 @@ import latticegrow.experiments as experiments_mod
 from latticegrow.cli import main
 from latticegrow.estimators import MAX_FLAT_EDGE_N, flat_edge_probe
 from latticegrow.experiments import (
+    MAX_WORKERS,
     ConfigError,
     ExperimentConfig,
     HardFailure,
@@ -298,6 +299,49 @@ def test_shape_box_limit_is_inclusive(kind, dist, t_ok, t_bad):
         _cfg(kind=kind, dist=dist, t=t_bad, trials=2).validate()
 
 
+@pytest.mark.parametrize("kind,model,n_ok,n_bad", [
+    # first FPP box radius 2046 (4093^2 vertices), then 2049 (4099^2)
+    ("radial-g", "fpp", 783, 784),
+    # one trial's LPP table (n + 1)^2 = 4096^2 = 2^24, then 4097^2
+    ("radial-g", "lpp", 4095, 4096),
+    ("exponents", "", 4095, 4096),
+])
+def test_trial_box_limit_is_inclusive(kind, model, n_ok, n_bad):
+    kw = dict(kind=kind, model=model, dist="unif:0.5:1.5", trials=2 if model else 200)
+    _cfg(n_grid=f"{n_ok // 8},{n_ok // 4},{n_ok // 2},{n_ok}", **kw).validate()
+    with pytest.raises(ConfigError, match="^n_grid: .* more than 16777216$"):
+        _cfg(n_grid=f"{n_bad // 8},{n_bad // 4},{n_bad // 2},{n_bad}", **kw).validate()
+
+
+def test_trial_box_limit_admits_three_dimensional_fpp():
+    # 147^3 vertices, about 3.2 M
+    _cfg(kind="radial-g", model="fpp", dist="unif:0.5:1.5", direction="1,1,1", dim=3,
+         n_grid="4,8,16", trials=2).validate()
+
+
+def test_workers_cap_is_inclusive():
+    kw = dict(kind="radial-g", model="fpp", dist="unif:0.5:1.5", n_grid="4,8", trials=2)
+    _cfg(workers=MAX_WORKERS, **kw).validate()
+    with pytest.raises(ConfigError, match="^workers: "):
+        _cfg(workers=MAX_WORKERS + 1, **kw).validate()
+
+
+def test_cli_rejects_workers_over_cap_before_any_pool(monkeypatch, tmp_path, capsys):
+    # in-process, with pools refused: a broken cap must not start a process
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    code = main(["radial-g", "--model", "fpp", "--dist", "unif:0.5:1.5", "--n-grid", "4,8",
+                 "--trials", "2", "--workers", str(MAX_WORKERS + 1),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: workers: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_flat_edge_n_limit_is_inclusive():
     _cfg(kind="flat-edge", dist="twopoint:0.55", n_grid=str(MAX_FLAT_EDGE_N), trials=1).validate()
     with pytest.raises(ConfigError, match="^n_grid: "):
@@ -367,6 +411,8 @@ def test_cli_kinds_import_no_scipy(tmp_path):
         (["lpp-shape", "--dist", "exp:1.0", "--t", "1e9", "--trials", "2"], "t"),
         (["flat-edge", "--dist", "twopoint:0.55", "--n-grid", "50,8192", "--trials", "2"],
          "n_grid"),
+        (["radial-g", "--model", "fpp", "--n-grid", "10000000", "--trials", "2"], "n_grid"),
+        (["radial-g", "--model", "lpp", "--n-grid", "10000000", "--trials", "2"], "n_grid"),
     ],
 )
 def test_cli_bad_input_exits_2_without_traceback(argv, field, tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +19,9 @@ from latticegrow import (
     uniform,
     wandering_deviation,
 )
+from latticegrow import fpp
+from latticegrow.experiments import ExperimentConfig, run_experiment
+from latticegrow.weights import WeightField, parse_dist_token
 
 ORIGIN = (0, 0)
 
@@ -292,3 +296,144 @@ def test_greedy_high_dimension_mean_short_run():
 def test_lattice_point_floor_convention():
     assert lattice_point((2.7, -1.2)) == (2, -2)
     assert lattice_point((3.0, 1.999)) == (3, 1)
+
+
+# -- bucket loop against the heap loop ----------------------------------------------
+
+def _solve_on(loop, monkeypatch, *args, **kw):
+    """fpp_dijkstra with the selection constant forcing one settle loop."""
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(fpp, "_BUCKET_FRONT", 0 if loop == "bucket" else math.inf)
+        for name in ("bucket", "heap"):
+            real = getattr(fpp, f"_{name}_settle")
+            m.setattr(fpp, f"_{name}_settle",
+                      lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
+        pmap = fpp_dijkstra(*args, **kw)
+    assert calls == [loop]
+    return pmap
+
+
+def _same_map(a, b):
+    assert a.order == b.order
+    assert a.times == b.times
+    assert a.horizon == b.horizon
+    assert a.boundary_hit == b.boundary_hit
+
+
+BUCKET_LAWS = ["unif:0.5:1.5", "unif:0.25:1.75", "twopoint:0.55", "geom:0.4", "const:1"]
+
+
+@pytest.mark.parametrize("token", BUCKET_LAWS)
+@pytest.mark.parametrize("d,radius,source,target", [
+    (1, 12, (-3,), (7,)),
+    (2, 7, (1, -2), (-3, 4)),
+    (3, 3, (0, 1, -1), (2, -2, 1)),
+])
+def test_bucket_loop_equals_heap_loop(token, d, radius, source, target, monkeypatch):
+    box = LatticeBox(d, radius)
+    for seed in range(4):
+        f = make_field(parse_dist_token(token), seed, "edge", d)
+        full = _solve_on("heap", monkeypatch, f, source, box)
+        # a budget equal to a settled time, and one between two of them
+        mid = full.times[full.order[len(full.order) // 3]]
+        stops = [{}, {"target": target}, {"time_budget": mid},
+                 {"time_budget": math.nextafter(mid, math.inf)}, {"max_settled": 23},
+                 {"max_settled": 1}, {"max_settled": 0},
+                 {"target": target, "time_budget": 2 * mid, "max_settled": len(full.order) // 2}]
+        for kw in stops:
+            heap = _solve_on("heap", monkeypatch, f, source, box, **kw)
+            _same_map(_solve_on("bucket", monkeypatch, f, source, box, **kw), heap)
+        _same_map(_solve_on("bucket", monkeypatch, f, source, box), full)
+
+
+def test_bucket_loop_with_near_zero_law_matches_heap(monkeypatch):
+    # unif:1e-20:1 is bounded away from 0 only on paper; its buckets hold few vertices
+    f = make_field(parse_dist_token("unif:1e-20:1"), 5, "edge", 2)
+    box = LatticeBox(2, 6)
+    for kw in ({}, {"target": (3, -2)}, {"time_budget": 0.8}, {"max_settled": 40}):
+        heap = _solve_on("heap", monkeypatch, f, (1, 1), box, **kw)
+        _same_map(_solve_on("bucket", monkeypatch, f, (1, 1), box, **kw), heap)
+
+
+@pytest.mark.parametrize("least", [0.0, 1e-300])
+def test_bucket_loop_one_pop_per_step_matches_heap(least, monkeypatch):
+    # a window whose least weight is 0 (or below every later time's ulp) makes
+    # t_min + omega == t_min, so each step settles the (t, index)-least vertex;
+    # zero-weight edges also settle tied vertices out of index order
+    real = LatticeBox.padded_weights
+
+    def with_light_edges(self, field):
+        w = real(self, field)
+        interior = np.isfinite(w)
+        w[interior & (np.arange(w.size).reshape(w.shape) % 5 == 0)] = least
+        return w
+
+    monkeypatch.setattr(LatticeBox, "padded_weights", with_light_edges)
+    box = LatticeBox(2, 5)
+    for token in ("const:1", "twopoint:0.5"):
+        f = make_field(parse_dist_token(token), 2, "edge", 2)
+        for kw in ({}, {"target": (2, -3)}, {"time_budget": 2.0}, {"max_settled": 30}):
+            heap = _solve_on("heap", monkeypatch, f, (0, 1), box, **kw)
+            _same_map(_solve_on("bucket", monkeypatch, f, (0, 1), box, **kw), heap)
+
+
+def test_bucket_selection_follows_law_and_box():
+    unif = parse_dist_token("unif:0.5:1.5")
+    # radial-g's first boxes along (1, 1): n = 16, 32 and 64 give radius 52, 94, 177
+    assert [fpp._use_buckets(unif, r) for r in (52, 63, 64, 94, 177)] == [
+        False, False, True, True, True]
+    assert not fpp._use_buckets(unif, 3)  # the oracle's boxes
+    for token in ("exp:1.0", "const:0", "unif:0:1"):
+        assert not fpp._use_buckets(parse_dist_token(token), 10**6)
+    assert fpp._use_buckets(parse_dist_token("const:1"), 32)
+
+
+def test_radial_g_csv_same_bytes_on_either_loop(tmp_path, monkeypatch):
+    out = {}
+    for loop, front in (("heap", math.inf), ("bucket", 0)):
+        monkeypatch.setattr(fpp, "_BUCKET_FRONT", front)
+        cfg = ExperimentConfig(kind="radial-g", model="fpp", dist="unif:0.5:1.5",
+                               n_grid="8,16,32", trials=3, seed=11, out=str(tmp_path / loop))
+        run_experiment(cfg)
+        out[loop] = (tmp_path / loop / "radial_g.csv").read_bytes()
+    assert out["heap"] == out["bucket"]
+
+
+@pytest.mark.parametrize("loop", ["heap", "bucket"])
+def test_lazy_views_match_the_settled_arrays(loop, monkeypatch):
+    f = make_field(uniform(0.5, 1.5), 8, "edge", 3)
+    box = LatticeBox(3, 3)
+    pmap = _solve_on(loop, monkeypatch, f, (1, 0, -1), box, time_budget=2.5)
+    side = 2 * box.radius + 3
+    eager = []
+    for i in pmap.flat.tolist():  # row-major on the padded box, corner at -radius - 1
+        coords = []
+        for _ in range(3):
+            i, c = divmod(i, side)
+            coords.append(c - box.radius - 1)
+        eager.append(tuple(reversed(coords)))
+    assert pmap.order == eager
+    assert pmap.times == dict(zip(eager, pmap.settled_times.tolist()))
+    assert all(pmap.time_to(v) == t for v, t in pmap.times.items())
+    assert fpp_ball(pmap, 2.5) == set(pmap.times)
+    assert pmap.boundary_hit == any(max(map(abs, v)) == box.radius for v in pmap.order)
+    for v in [(3, 3, 3), (9, 0, 0), (0.5, 0, -1)]:
+        with pytest.raises(KeyError):
+            pmap.time_to(v)
+
+
+def test_one_window_per_solve_and_geodesic(monkeypatch):
+    calls = []
+    real = WeightField.edge_window
+
+    def counted(self, *a, **kw):
+        calls.append(a)
+        return real(self, *a, **kw)
+
+    monkeypatch.setattr(WeightField, "edge_window", counted)
+    f = make_field(uniform(0.5, 1.5), 4, "edge", 2)
+    pmap = fpp_dijkstra(f, ORIGIN, LatticeBox(2, 6), target=(3, 2))
+    geo = fpp_geodesic(f, pmap, (3, 2))
+    assert len(calls) == 1
+    assert geo.total_time == pmap.time_to((3, 2))
