@@ -199,7 +199,7 @@ def _fpp_target_solve(field: WeightField, target, *, want_geodesic: bool):
     t = pmap.time_to(target)
     dev = None
     if want_geodesic:
-        geo = fpp_geodesic(field, pmap, target)
+        geo = fpp_geodesic(pmap, target)
         pts = np.asarray(geo.vertices, dtype=np.float64)
         dev = max_distance_to_segment(
             pts, np.zeros(field.dimension), np.asarray(target, float)

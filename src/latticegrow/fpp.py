@@ -15,8 +15,8 @@ t_min + omega in one numpy step, omega being the window's least weight:
 float addition rounds monotonically, so no relaxation from an unsettled
 vertex can produce a key below fl(t_min + omega), and those vertices are the
 heap's next pops.  The bucket loop is chosen from the law and the box
-(``_use_buckets``); exponential and zero-weight laws and small boxes keep
-the heap.
+(``_use_buckets``), where it was measured to win; exponential and
+zero-weight laws, d = 1 and small boxes keep the heap.
 """
 
 from __future__ import annotations
@@ -146,7 +146,8 @@ class PassageTimeMap:
 
     def time_to(self, v) -> float:
         v = tuple(v)
-        if self.box.contains(v) and tuple(map(int, v)) == v:
+        if (len(v) == self.box.dimension and self.box.contains(v)
+                and tuple(map(int, v)) == v):
             at = np.flatnonzero(self.flat == self.box.flat_index(v))
             if at.size:
                 return float(self.settled_times[at[0]])
@@ -158,16 +159,23 @@ class PassageTimeMap:
                   [*self._coords(self.flat).T, self.settled_times])
 
 
-# a bucket is about support_min / mean of a mean step wide, along a front
-# about one box side long; the bucket loop runs when that product,
-# support_min * (2 radius + 1) / mean, reaches this many vertices
-_BUCKET_FRONT = 64
+# a bucket step costs about twenty heap pops, so the bucket loop pays once a
+# bucket holds enough vertices; a bucket is a slice of a front about
+# (2 radius + 1)^(d - 1) vertices wide, and the crossovers of forced solves
+# of six laws (BENCH_fpp_buckets.json, "selection") sit near one value of
+# sqrt(support_min / mean) (2 radius + 1)^(d - 1) per dimension (51-97 in
+# d = 2, 827-1025 in d = 3), whose median is listed here; d = 1 lost at
+# every box size and d >= 4 was not measured, so both keep the heap
+_BUCKET_FRONT = {2: 70, 3: 1000}
 
 
-def _use_buckets(spec, radius: int) -> bool:
+def _use_buckets(spec, box: LatticeBox) -> bool:
     """Whether a solve of this law on this box takes the bucket loop."""
     least = spec.support_min()
-    return least > 0 and least * (2 * radius + 1) >= _BUCKET_FRONT * spec.mean()
+    front = _BUCKET_FRONT.get(box.dimension, math.inf)
+    return least > 0 and (
+        math.sqrt(least / spec.mean()) * (2 * box.radius + 1) ** (box.dimension - 1) >= front
+    )
 
 
 def fpp_dijkstra(
@@ -195,9 +203,9 @@ def fpp_dijkstra(
     heap that settles one vertex per pop, and a bucket loop that settles
     every vertex below t_min + omega in one numpy step (see ``_bucket_settle``).
     The bucket loop runs when ``_use_buckets`` holds for the field's law and
-    the box: a least weight bounded away from 0 and a box wide enough that a
-    bucket holds many vertices.  Exponential and zero-weight laws, and small
-    boxes, keep the heap.
+    the box: a least weight bounded away from 0 and, in d = 2 or 3, a box wide
+    enough that a bucket holds many vertices.  Exponential and zero-weight
+    laws, d = 1 and small boxes keep the heap.
     """
     if field.attachment != "edge":
         raise ValueError("FPP needs an edge weight field")
@@ -220,7 +228,7 @@ def fpp_dijkstra(
     tgt = box.flat_index(target) if target is not None else -1
     cap = max_settled if max_settled is not None else math.inf
     budget = float(time_budget) if time_budget is not None else math.inf
-    settle = _bucket_settle if _use_buckets(field.spec, box.radius) else _heap_settle
+    settle = _bucket_settle if _use_buckets(field.spec, box) else _heap_settle
     order, times = settle(
         weights.reshape(d, -1), strides, box.flat_index(source), tgt, budget, cap
     )
@@ -382,17 +390,16 @@ class Geodesic:
     tie_break: str = "lexicographic-predecessor"
 
 
-def fpp_geodesic(field: WeightField, pmap: PassageTimeMap, target) -> Geodesic:
+def fpp_geodesic(pmap: PassageTimeMap, target) -> Geodesic:
     """Recover a minimizing path to a settled target by backtracking.
 
     At each vertex the predecessor is the lexicographically smallest settled
     neighbor u with T(u) + w(u, v) == T(v) exactly, which pins a canonical
     geodesic even when atomic weights make the minimizer non-unique.  The
     equality test is exact because Dijkstra assigned T(v) as exactly such a
-    sum, and w is read from the window array the solve read (``pmap.window``,
-    so field, the one the map was solved on, is not hashed again).  Vertices
-    already on the partial path are skipped so that plateaus of zero-weight
-    edges cannot cycle.
+    sum, and w is read from the window array the solve read (``pmap.window``;
+    no field is hashed again).  Vertices already on the partial path are
+    skipped so that plateaus of zero-weight edges cannot cycle.
     """
     target = tuple(int(c) for c in target)
     if target not in pmap.times:

@@ -82,7 +82,7 @@ def test_metric_properties_interior():
 def test_geodesic_weight_sum_is_exact():
     f = make_field(uniform(0.5, 1.5), 7, "edge", 2)
     pmap = fpp_dijkstra(f, ORIGIN, LatticeBox(2, 5))
-    geo = fpp_geodesic(f, pmap, (2, 2))
+    geo = fpp_geodesic(pmap, (2, 2))
     acc = 0.0
     for a, b in zip(geo.vertices, geo.vertices[1:]):
         acc = acc + f.edge_weight(a, b)
@@ -95,7 +95,7 @@ def test_exponential_time_equals_geodesic_edge_weight_sum():
     for seed in range(20):
         f = make_field(exponential(1.0), seed, "edge", 2)
         pmap = fpp_dijkstra(f, ORIGIN, LatticeBox(2, 8), target=(4, 3))
-        geo = fpp_geodesic(f, pmap, (4, 3))
+        geo = fpp_geodesic(pmap, (4, 3))
         acc = 0.0
         for a, b in zip(geo.vertices, geo.vertices[1:]):
             j = next(i for i in range(2) if a[i] != b[i])
@@ -106,7 +106,7 @@ def test_exponential_time_equals_geodesic_edge_weight_sum():
 def test_geodesic_prefix_property():
     f = make_field(exponential(1.0), 13, "edge", 2)
     pmap = fpp_dijkstra(f, ORIGIN, LatticeBox(2, 6))
-    geo = fpp_geodesic(f, pmap, (3, -2))
+    geo = fpp_geodesic(pmap, (3, -2))
     acc = 0.0
     for a, b in zip(geo.vertices, geo.vertices[1:]):
         acc = acc + f.edge_weight(a, b)
@@ -117,21 +117,21 @@ def test_geodesic_matches_brute_force_weight():
     f = make_field(uniform(0.5, 1.5), 7, "edge", 2)
     box = LatticeBox(2, 4)
     pmap = fpp_dijkstra(f, ORIGIN, box)
-    geo = fpp_geodesic(f, pmap, (2, 2))
+    geo = fpp_geodesic(pmap, (2, 2))
     assert geo.total_time == brute_force_fpp(f, box, ORIGIN, (2, 2))
 
 
 def test_constant_weight_axis_geodesic_lex_tie_break():
     f = make_field(constant(1.0), 0, "edge", 2)
     pmap = fpp_dijkstra(f, ORIGIN, LatticeBox(2, 4))
-    geo = fpp_geodesic(f, pmap, (3, 0))
+    geo = fpp_geodesic(pmap, (3, 0))
     assert geo.vertices == ((0, 0), (1, 0), (2, 0), (3, 0))
 
 
 def test_tie_break_is_lexicographically_smallest():
     f = make_field(constant(1.0), 0, "edge", 2)
     pmap = fpp_dijkstra(f, ORIGIN, LatticeBox(2, 3))
-    geo = fpp_geodesic(f, pmap, (1, 1))
+    geo = fpp_geodesic(pmap, (1, 1))
     # both predecessors of (1,1) minimize; (0,1) < (1,0) lexicographically
     assert geo.vertices == ((0, 0), (0, 1), (1, 1))
 
@@ -139,7 +139,7 @@ def test_tie_break_is_lexicographically_smallest():
 def test_single_vertex_geodesic():
     f = make_field(exponential(1.0), 1, "edge", 2)
     pmap = fpp_dijkstra(f, ORIGIN, LatticeBox(2, 2))
-    geo = fpp_geodesic(f, pmap, ORIGIN)
+    geo = fpp_geodesic(pmap, ORIGIN)
     assert geo.vertices == (ORIGIN,)
     assert geo.total_time == 0.0
 
@@ -148,7 +148,7 @@ def test_target_not_settled_raises():
     f = make_field(exponential(1.0), 1, "edge", 2)
     pmap = fpp_dijkstra(f, ORIGIN, LatticeBox(2, 4), max_settled=3)
     with pytest.raises(KeyError):
-        fpp_geodesic(f, pmap, (4, 4))
+        fpp_geodesic(pmap, (4, 4))
 
 
 # -- balls ---------------------------------------------------------------------
@@ -301,10 +301,10 @@ def test_lattice_point_floor_convention():
 # -- bucket loop against the heap loop ----------------------------------------------
 
 def _solve_on(loop, monkeypatch, *args, **kw):
-    """fpp_dijkstra with the selection constant forcing one settle loop."""
+    """fpp_dijkstra with the loop selection forced to one settle loop."""
     calls = []
     with monkeypatch.context() as m:
-        m.setattr(fpp, "_BUCKET_FRONT", 0 if loop == "bucket" else math.inf)
+        m.setattr(fpp, "_use_buckets", lambda spec, box: loop == "bucket")
         for name in ("bucket", "heap"):
             real = getattr(fpp, f"_{name}_settle")
             m.setattr(fpp, f"_{name}_settle",
@@ -380,19 +380,24 @@ def test_bucket_loop_one_pop_per_step_matches_heap(least, monkeypatch):
 
 def test_bucket_selection_follows_law_and_box():
     unif = parse_dist_token("unif:0.5:1.5")
-    # radial-g's first boxes along (1, 1): n = 16, 32 and 64 give radius 52, 94, 177
-    assert [fpp._use_buckets(unif, r) for r in (52, 63, 64, 94, 177)] == [
-        False, False, True, True, True]
-    assert not fpp._use_buckets(unif, 3)  # the oracle's boxes
+    # radial-g's first boxes along (1, 1): n = 8, 16, 32 and 64 give radius
+    # 31, 52, 94 and 177; sqrt(0.5) (2 r + 1) reaches 70 at r = 49
+    assert [fpp._use_buckets(unif, LatticeBox(2, r)) for r in (3, 31, 48, 49, 52, 94, 177)] == [
+        False, False, False, True, True, True, True]
+    # in d = 3, sqrt(0.5) (2 r + 1)^2 reaches 1000 at r = 19
+    assert [fpp._use_buckets(unif, LatticeBox(3, r)) for r in (3, 18, 19)] == [False, False, True]
+    const = parse_dist_token("const:1")
+    assert [fpp._use_buckets(const, LatticeBox(2, r)) for r in (34, 35)] == [False, True]
+    for d in (1, 4):
+        assert not fpp._use_buckets(const, LatticeBox(d, 10**4))
     for token in ("exp:1.0", "const:0", "unif:0:1"):
-        assert not fpp._use_buckets(parse_dist_token(token), 10**6)
-    assert fpp._use_buckets(parse_dist_token("const:1"), 32)
+        assert not fpp._use_buckets(parse_dist_token(token), LatticeBox(2, 10**6))
 
 
 def test_radial_g_csv_same_bytes_on_either_loop(tmp_path, monkeypatch):
     out = {}
-    for loop, front in (("heap", math.inf), ("bucket", 0)):
-        monkeypatch.setattr(fpp, "_BUCKET_FRONT", front)
+    for loop in ("heap", "bucket"):
+        monkeypatch.setattr(fpp, "_use_buckets", lambda spec, box, _loop=loop: _loop == "bucket")
         cfg = ExperimentConfig(kind="radial-g", model="fpp", dist="unif:0.5:1.5",
                                n_grid="8,16,32", trials=3, seed=11, out=str(tmp_path / loop))
         run_experiment(cfg)
@@ -418,7 +423,8 @@ def test_lazy_views_match_the_settled_arrays(loop, monkeypatch):
     assert all(pmap.time_to(v) == t for v, t in pmap.times.items())
     assert fpp_ball(pmap, 2.5) == set(pmap.times)
     assert pmap.boundary_hit == any(max(map(abs, v)) == box.radius for v in pmap.order)
-    for v in [(3, 3, 3), (9, 0, 0), (0.5, 0, -1)]:
+    # off the box, not integer, and with too many or too few coordinates
+    for v in [(3, 3, 3), (9, 0, 0), (0.5, 0, -1), (1, 0, -1, 0), (1, 0), (1,)]:
         with pytest.raises(KeyError):
             pmap.time_to(v)
 
@@ -434,6 +440,6 @@ def test_one_window_per_solve_and_geodesic(monkeypatch):
     monkeypatch.setattr(WeightField, "edge_window", counted)
     f = make_field(uniform(0.5, 1.5), 4, "edge", 2)
     pmap = fpp_dijkstra(f, ORIGIN, LatticeBox(2, 6), target=(3, 2))
-    geo = fpp_geodesic(f, pmap, (3, 2))
+    geo = fpp_geodesic(pmap, (3, 2))
     assert len(calls) == 1
     assert geo.total_time == pmap.time_to((3, 2))
