@@ -170,14 +170,15 @@ class ExperimentConfig:
                                   f"got {getattr(self, name)}")
         if "workers" in reads and self.workers > MAX_WORKERS:
             raise ConfigError(f"workers: must be <= {MAX_WORKERS}, got {self.workers}")
-        if kind == "idla":
-            # the walker's first occupancy grid has radius 2 or more: 5^dim cells or more
+        if kind in ("eden", "idla"):
+            # the first occupancy grid has radius 2 or more: 5^dim cells or more
+            name, unit = ("IDLA", "particles") if kind == "idla" else ("Eden", "steps")
             if self.dim > math.log(_GRID_CELLS_MAX, 5):
-                raise ConfigError(f"dim: IDLA needs a grid of at least 5^{self.dim} cells, "
+                raise ConfigError(f"dim: {name} needs a grid of at least 5^{self.dim} cells, "
                                   f"more than {_GRID_CELLS_MAX}")
             cells = (2 * _first_radius(self.dim, self.steps) + 1) ** self.dim
             if cells > _GRID_CELLS_MAX:
-                raise ConfigError(f"steps: IDLA with {self.steps} particles in dimension "
+                raise ConfigError(f"steps: {name} with {self.steps} {unit} in dimension "
                                   f"{self.dim} needs a grid of {cells} cells, "
                                   f"more than {_GRID_CELLS_MAX}")
         if kind == "tasep-coupling" and self.steps ** 2 > _TASEP_CELLS_MAX:
@@ -328,7 +329,11 @@ def _run_flat_edge(config, spec, out, summary):
 
 
 def _run_eden(config, spec, out, summary):
-    trace = eden_grow(config.seed, config.dim, config.steps)
+    try:
+        trace = eden_grow(config.seed, config.dim, config.steps)
+    except ValueError as e:
+        # validate() bounds the first grid; the grid grows with the cluster
+        raise HardFailure(f"dim {config.dim}, steps {config.steps}: {e}") from e
     trace.to_csv(_record(summary, out, "eden_trace.csv"))
     rin, rout = roundness(trace, config.steps)
     summary["estimates"]["inradius"] = rin

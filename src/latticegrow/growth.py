@@ -10,29 +10,51 @@ exponential edge weights reproduces the Eden law exactly, by memorylessness;
 it is obtained here by recording the settling order of the shortest-path
 solve rather than simulating clocks.
 
+Eden and IDLA keep the cluster in a dense grid of one byte per site of the
+box [-radius, radius]^d, addressed by flat index.  The grid grows by half
+its radius when a site reaches its outer layer, so every neighbour of a
+site lies inside it.
+
 The IDLA walks read one stream of directions, rng.integers(0, 2d) indexing
-unit_steps(d), drawn in blocks of 64, 128, ... up to 2^16 draws.  A walk is
-the cumulative sum of the directions' flat-index offsets into a dense
-occupancy grid, checked a window at a time with one gather.  Each walk
-starts on the draw right after the previous walk's exit move, so successive
+unit_steps(d), drawn in blocks of 64, 128, ... up to 2^16 draws.  Each walk
+starts on the draw right after the previous walk's last move, so successive
 walks read disjoint, consecutive stretches of one i.i.d. stream, each
 starting at a stopping time: by the strong Markov property they are
 independent simple random walks, and the traces have the IDLA law.  Each
 element of rng.integers(0, k, size=m) consumes one 32-bit word of the
-generator, so the traces are those of a loop drawing one direction per move:
-how the stream is cut into blocks does not change the draws, and the grid's
-size never shows in the trace.
+generator, so how the stream is cut into blocks does not change the draws.
+Outside d = 2 a walk is the cumulative sum of its directions' flat-index
+offsets, checked a window at a time with one gather, and the traces are
+those of a loop drawing one direction per move.
+
+In d = 2 the walker jumps across occupied squares (Muller's walk on
+spheres on the lattice, as in Friedrich and Levine, arXiv:1006.1003).  If
+the square z + [-s, s]^2 around the walker's position z lies inside the
+cluster, the walk adds no site before it first meets the square's
+boundary, and where it meets it has the exit law of the square from its
+centre: the discrete Poisson kernel, tabulated lazily for s = 2, 4, 8, ...
+The walker moves there in one jump, drawn with a uniform from a second
+generator spawned from the seed.  By the strong Markov property the jump
+has the law of the moves it replaces, so the traces keep the IDLA law; they
+are no longer those of the one-direction-per-move loop, except up to the
+first jump.  s = 2^k comes from a level map, the largest k with that square
+full, rebuilt every _LEVEL_REFRESH particles and after each grid growth.
+Occupancy only grows, so a square full when the map was built stays full:
+a stale map is a lower bound, and every jump stays inside the cluster.
+Where the level is 0 the walker takes the next direction of the stream.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._output import write_csv
-from .fpp import LatticeBox, fpp_dijkstra, unit_steps
+from .fpp import LatticeBox, fpp_dijkstra
 from .weights import WeightField
 
 __all__ = [
@@ -54,8 +76,7 @@ class ClusterTrace:
     vertices: list
 
     def cluster_at(self, n: int) -> set:
-        if n > len(self.vertices):
-            raise ValueError(f"trace has only {len(self.vertices)} steps, asked for {n}")
+        _check_steps(self, n)
         s = {(0,) * self.dimension}
         s.update(self.vertices[:n])
         return s
@@ -67,6 +88,13 @@ class ClusterTrace:
                   [np.arange(1, len(coords) + 1), *coords.T])
 
 
+def _check_steps(trace: ClusterTrace, n: int) -> None:
+    if n < 0:
+        raise ValueError(f"step count must be >= 0, got {n}")
+    if n > len(trace.vertices):
+        raise ValueError(f"trace has only {len(trace.vertices)} steps, asked for {n}")
+
+
 def eden_grow(seed: int, d: int, steps: int) -> ClusterTrace:
     """Grow an Eden cluster for the given number of steps."""
     if steps < 1:
@@ -74,29 +102,38 @@ def eden_grow(seed: int, d: int, steps: int) -> ClusterTrace:
     if d < 1:
         raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    moves = unit_steps(d)
-    origin = (0,) * d
-    cluster = {origin}
-    # boundary edges as (inner, outer) pairs; edges whose outer endpoint got
-    # absorbed are removed lazily when drawn, which keeps the draw uniform
-    # over the current boundary-edge multiset
-    edges = [(origin, tuple(m)) for m in moves]
+    radius = _first_radius(d, steps)
+    cells = _grid(d, radius)
+    origin = len(cells) // 2
+    cells[origin] = 1
+    offsets = _step_offsets(d, radius)
+    # outer endpoints of the boundary edges, as flat indices; edges whose outer
+    # endpoint got absorbed are removed lazily when drawn, which keeps the draw
+    # uniform over the current boundary-edge multiset
+    edges = [origin + m for m in offsets]
     added = []
     for _ in range(steps):
         while True:
             i = int(rng.integers(len(edges)))
-            inner, outer = edges[i]
-            if outer in cluster:
+            outer = edges[i]
+            if cells[outer]:
                 edges[i] = edges[-1]
                 edges.pop()
                 continue
             break
-        cluster.add(outer)
-        added.append(outer)
-        for m in moves:
-            nb = tuple(a + b for a, b in zip(outer, m))
-            if nb not in cluster:
-                edges.append((outer, nb))
+        site = _site(outer, d, radius)
+        added.append(site)
+        # every edge's outer endpoint neighbours a site; its own neighbours
+        # stay inside while it is off the grid's outer layer
+        if max(abs(c) for c in site) >= radius:
+            cells, new_radius = _grow_grid(cells, d, radius)
+            *edges, outer = _regrid(edges + [outer], d, radius, new_radius)
+            radius = new_radius
+            offsets = _step_offsets(d, radius)
+        cells[outer] = 1
+        for m in offsets:
+            if not cells[outer + m]:
+                edges.append(outer + m)
     return ClusterTrace(model="eden", seed=seed, dimension=d, vertices=added)
 
 
@@ -134,8 +171,12 @@ _WALK_CAP_BASE = 100_000
 # small first blocks keep one-particle calls cheap, and the cap keeps the
 # block's few arrays (8 bytes a draw each) near a megabyte
 _BLOCK_MAX = 1 << 16
-# largest occupancy grid, in cells of one byte, that idla_grow will allocate
+# largest occupancy grid, in cells of one byte, that idla_grow and eden_grow
+# will allocate
 _GRID_CELLS_MAX = 1 << 28
+# the d = 2 walker rebuilds its level map after this many particles; at
+# 20,000 sites that many add about half a layer to the cluster
+_LEVEL_REFRESH = 256
 
 
 def idla_grow(seed: int, d: int, particles: int) -> ClusterTrace:
@@ -144,20 +185,27 @@ def idla_grow(seed: int, d: int, particles: int) -> ClusterTrace:
     Each walk runs until its first position outside the current cluster;
     that position is added.  A generous per-particle step cap guards against
     implementation bugs (the exit time is finite almost surely) and raises
-    if exceeded.  The occupancy grid holds (2 radius + 1)^d bytes, radius
-    at least 2; one larger than _GRID_CELLS_MAX raises ValueError, which
-    bounds the dimension (12 for a cluster of sup-norm radius 1).
+    if exceeded; in d = 2 a jump counts as one move.  The occupancy grid
+    holds (2 radius + 1)^d bytes, radius at least 2; one larger than
+    _GRID_CELLS_MAX raises ValueError, which bounds the dimension (12 for a
+    cluster of sup-norm radius 1).
     """
     if particles < 1:
         raise ValueError("particles must be >= 1")
     if d < 1:
         raise ValueError("dimension must be >= 1")
+    added = _walk_squares(seed, particles) if d == 2 else _walk_blocks(seed, d, particles)
+    return ClusterTrace(model="idla", seed=seed, dimension=d, vertices=added)
+
+
+def _walk_blocks(seed: int, d: int, particles: int) -> list:
+    """IDLA sites in any dimension, each walk a cumulative sum of a block of draws."""
     rng = np.random.default_rng(seed)
     radius = _first_radius(d, particles)
-    occ = _grid(d, radius)
-    occ[(radius,) * d] = True
-    offsets = _step_offsets(occ)
-    flat = occ.reshape(-1)
+    cells = _grid(d, radius)
+    cells[len(cells) // 2] = 1
+    flat = np.frombuffer(cells, dtype=np.uint8)
+    offsets = np.array(_step_offsets(d, radius), dtype=np.int64)
     draws = np.empty(0, dtype=np.int64)
     cum = np.zeros(1, dtype=np.int64)  # cum[k] = flat offset after the block's first k moves
     start = 0  # the next walk's first move in the block
@@ -167,7 +215,7 @@ def idla_grow(seed: int, d: int, particles: int) -> ClusterTrace:
     for _ in range(particles):
         cap = _WALK_CAP_BASE + 200 * (len(added) + 26)
         limit = max(cap, 0)
-        base = (occ.size - 1) // 2 - int(cum[start])  # the origin is the centre cell
+        base = len(cells) // 2 - int(cum[start])  # the origin is the centre cell
         taken = 0  # moves of this walk in earlier blocks
         lo = start
         window = 1024  # about a typical walk at a few thousand particles; doubles
@@ -182,10 +230,7 @@ def idla_grow(seed: int, d: int, particles: int) -> ClusterTrace:
                 start = lo = 0
             hi = min(lo + window, len(draws), start + limit - taken)
             if hi <= lo:
-                raise RuntimeError(
-                    f"random walk exceeded the safety cap ({cap} steps); "
-                    "this indicates a bug in the growth bookkeeping"
-                )
+                raise _cap_exceeded(cap)
             # moves after the exit may leave the grid; clip keeps their reads in
             # bounds, and the exit itself neighbours the cluster, so it lies inside
             inside = flat.take(cum[lo + 1:hi + 1] + base, mode="clip")
@@ -195,29 +240,178 @@ def idla_grow(seed: int, d: int, particles: int) -> ClusterTrace:
             lo = hi
             window *= 2
         cell = base + int(cum[lo + j + 1])
-        flat[cell] = True
+        cells[cell] = 1
         start = lo + j + 1
 
-        site = []
-        for _ in range(d):
-            cell, c = divmod(cell, 2 * radius + 1)
-            site.append(c - radius)
-        site = tuple(reversed(site))
+        site = _site(cell, d, radius)
         added.append(site)
         # a walk's exit neighbours a site, so it stays inside while every site is
         # off the grid's outer layer
         if max(abs(c) for c in site) >= radius:
-            occ, radius = _grow_grid(occ, radius)
-            offsets = _step_offsets(occ)
-            flat = occ.reshape(-1)
+            cells, radius = _grow_grid(cells, d, radius)
+            flat = np.frombuffer(cells, dtype=np.uint8)
+            offsets = np.array(_step_offsets(d, radius), dtype=np.int64)
             np.cumsum(offsets[draws], out=cum[1:])
+    return added
 
-    return ClusterTrace(model="idla", seed=seed, dimension=d, vertices=added)
+
+def _cap_exceeded(cap: int) -> RuntimeError:
+    return RuntimeError(f"random walk exceeded the safety cap ({cap} steps); "
+                        "this indicates a bug in the growth bookkeeping")
 
 
-def _step_offsets(occ: np.ndarray) -> np.ndarray:
-    """Flat-index offset of each of unit_steps(d) in a grid of one-byte cells."""
-    return np.array([sign * s for s in occ.strides for sign in (1, -1)], dtype=np.int64)
+def _walk_squares(seed: int, particles: int) -> list:
+    """IDLA sites in d = 2, jumping across fully occupied squares.
+
+    A grid cell holds 0 if empty, else 1 + its level: the largest k with
+    the square of radius 2^k around it inside the cluster, 0 if none.  On
+    level 0 the walker takes the next direction; on level k it jumps to the
+    boundary of that square, drawn from exits[k - 1] with a uniform from
+    its own stream.
+    """
+    rng = np.random.default_rng(seed)
+    jump_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    radius = _first_radius(2, particles)
+    cells = _grid(2, radius)
+    centre = len(cells) // 2
+    cells[centre] = 1
+    offsets = _step_offsets(2, radius)
+    exits = []
+    dirs, di, block = [], 0, 64
+    us, ui, ublock = [], 0, 64
+    added = []
+
+    for p in range(particles):
+        if p % _LEVEL_REFRESH == 0 and p:
+            exits = _mark_levels(cells, radius)
+        cap = _WALK_CAP_BASE + 200 * (p + 26)
+        pos = centre
+        moves = 0
+        while True:
+            v = cells[pos]
+            if not v:
+                break
+            if moves >= cap:
+                raise _cap_exceeded(cap)
+            moves += 1
+            if v == 1:
+                if di == len(dirs):
+                    dirs, di = rng.integers(0, 4, size=block).tolist(), 0
+                    block = min(2 * block, _BLOCK_MAX)
+                pos += offsets[dirs[di]]
+                di += 1
+            else:
+                if ui == len(us):
+                    us, ui = jump_rng.random(ublock).tolist(), 0
+                    ublock = min(2 * ublock, _BLOCK_MAX)
+                jumps, cdf = exits[v - 2]
+                pos += jumps[bisect.bisect_right(cdf, us[ui])]
+                ui += 1
+        cells[pos] = 1
+        site = _site(pos, 2, radius)
+        added.append(site)
+        if max(abs(site[0]), abs(site[1])) >= radius:
+            cells, radius = _grow_grid(cells, 2, radius)
+            centre = len(cells) // 2
+            offsets = _step_offsets(2, radius)
+            exits = _mark_levels(cells, radius)
+    return added
+
+
+def _mark_levels(cells: bytearray, radius: int) -> list:
+    """Write 1 + level into each occupied cell of a d = 2 grid; return the jump tables.
+
+    Entry k - 1 pairs the flat-index jumps from a level-k cell to the
+    boundary of its radius-2^k square with their cumulative law.
+    """
+    grid = _shaped(cells, 2, radius)
+    occ = grid != 0
+    levels = _level_map(occ)
+    grid[...] = occ + levels
+    side = 2 * radius + 1
+    exits = []
+    for k in range(1, int(levels.max()) + 1):
+        rows, cols, cdf = _square_exit_law(1 << k)
+        exits.append(((rows * side + cols).tolist(), cdf))
+    return exits
+
+
+def _level_map(occ: np.ndarray) -> np.ndarray:
+    """Largest k >= 1 with the square of radius 2^k around the cell all occupied, else 0.
+
+    Doubling erosion: the square of radius 2h around c is the union of those
+    of radius h around c + (+-h, +-h).  Cells off the grid count as empty.
+    """
+    levels = np.zeros(occ.shape, dtype=np.uint8)
+    rows = occ[:-2] & occ[1:-1] & occ[2:]
+    full = np.zeros_like(occ)  # the radius-h squares, h = 1 first
+    full[1:-1, 1:-1] = rows[:, :-2] & rows[:, 1:-1] & rows[:, 2:]
+    h = 1
+    while full.any():
+        wider = np.zeros_like(full)
+        wider[h:-h, h:-h] = (full[:-2 * h, :-2 * h] & full[2 * h:, :-2 * h]
+                             & full[:-2 * h, 2 * h:] & full[2 * h:, 2 * h:])
+        levels += wider
+        full = wider
+        h *= 2
+    return levels
+
+
+@functools.cache
+def _square_exit_law(s: int):
+    """Where a walk from the centre of z + [-s, s]^2 first meets the square's boundary.
+
+    Returns rows, cols and cdf: the 4 (2s - 1) boundary points off the
+    corners, relative to z (sides x = s, x = -s, y = s, y = -s, each from
+    height 1 - s up), and the cumulative law of the hitting point over them,
+    its last entry exactly 1.  On a side the mass at height j is the
+    discrete Poisson kernel of a square of side n = 2s (Lawler and Limic,
+    Random Walk: A Modern Introduction, 2010, ch. 8):
+    (2/n) sum over odd m of sin(m pi/2) sin(m pi (j + s)/n) / (2 cosh(a_m s)),
+    with cosh a_m = 2 - cos(m pi / n).
+    """
+    n = 2 * s
+    m = np.arange(1, n, 2)
+    a = np.arccosh(2.0 - np.cos(m * np.pi / n))
+    e = np.exp(-a * s)  # 1 / (2 cosh(a s)) = e / (1 + e^2), which cannot overflow
+    # e falls with m; modes below 1e-17 of the first move the law by less than
+    # a uniform resolves, and dropping them keeps the sums O(s) in memory
+    keep = e >= 1e-17 * e[0]
+    m, e = m[keep], e[keep]
+    weight = (2.0 / n) * np.where(m % 4 == 1, 1.0, -1.0) * e / (1.0 + e * e)
+    shifted = np.arange(1, n)  # j + s for the heights j = 1 - s, ..., s - 1
+    # m (j + s) is reduced mod 2n first, so the sine's argument stays below 2 pi
+    side = (np.sin(np.pi * (np.outer(shifted, m) % (2 * n)) / n) * weight).sum(axis=1)
+    height = shifted - s
+    edge = np.full_like(height, s)
+    rows = np.concatenate([edge, -edge, height, height])
+    cols = np.concatenate([height, height, edge, -edge])
+    cdf = np.cumsum(np.tile(side, 4))
+    cdf /= cdf[-1]
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols, tuple(cdf.tolist())
+
+
+def _regrid(indices: list, d: int, radius: int, new_radius: int) -> list:
+    """Flat indices into the grid of one radius, moved to the grown grid."""
+    coords = np.unravel_index(np.array(indices, dtype=np.int64), (2 * radius + 1,) * d)
+    off = new_radius - radius
+    return np.ravel_multi_index(tuple(c + off for c in coords),
+                                (2 * new_radius + 1,) * d).tolist()
+
+
+def _site(cell: int, d: int, radius: int) -> tuple:
+    """Coordinates of a flat index into the grid of this radius."""
+    site = []
+    for _ in range(d):
+        cell, c = divmod(cell, 2 * radius + 1)
+        site.append(c - radius)
+    return tuple(reversed(site))
+
+
+def _step_offsets(d: int, radius: int) -> list:
+    """Flat-index offset of each of unit_steps(d) in the grid of this radius."""
+    return [sign * (2 * radius + 1) ** (d - 1 - i) for i in range(d) for sign in (1, -1)]
 
 
 def _first_radius(d: int, particles: int) -> int:
@@ -230,19 +424,27 @@ def _first_radius(d: int, particles: int) -> int:
     return max(2, int(1.2 * (particles / ball) ** (1 / d)) + 1)
 
 
-def _grid(d: int, radius: int) -> np.ndarray:
+def _grid(d: int, radius: int) -> bytearray:
+    """Empty occupancy grid of the box [-radius, radius]^d, one byte a site, C order."""
     cells = (2 * radius + 1) ** d
     if cells > _GRID_CELLS_MAX:
-        raise ValueError(f"IDLA in dimension {d} needs a grid of {cells} cells, "
+        raise ValueError(f"a growth grid in dimension {d} needs {cells} cells, "
                          f"more than {_GRID_CELLS_MAX}")
-    return np.zeros((2 * radius + 1,) * d, dtype=bool)
+    return bytearray(cells)
 
 
-def _grow_grid(occ: np.ndarray, radius: int):
+def _shaped(cells: bytearray, d: int, radius: int) -> np.ndarray:
+    """The grid as a writable d-dimensional array over the same bytes."""
+    return np.frombuffer(cells, dtype=np.uint8).reshape((2 * radius + 1,) * d)
+
+
+def _grow_grid(cells: bytearray, d: int, radius: int):
+    """The grid, radius half as large again, with the old one at its centre."""
     new_radius = radius + (radius + 1) // 2
-    new = _grid(occ.ndim, new_radius)
+    new = _grid(d, new_radius)
     off = new_radius - radius
-    new[(slice(off, off + occ.shape[0]),) * occ.ndim] = occ
+    _shaped(new, d, new_radius)[(slice(off, off + 2 * radius + 1),) * d] = (
+        _shaped(cells, d, radius))
     return new, new_radius
 
 
@@ -253,8 +455,7 @@ def roundness(trace: ClusterTrace, n: int):
     point with norm <= r belongs to S_n; the outradius is the largest norm
     attained by S_n.  For S_0 = {origin} this gives (0, 0).
     """
-    if n > len(trace.vertices):
-        raise ValueError(f"trace has only {len(trace.vertices)} steps, asked for {n}")
+    _check_steps(trace, n)
     d = trace.dimension
     pts = np.concatenate([np.zeros((1, d), dtype=np.int64),
                           np.array(trace.vertices[:n], dtype=np.int64).reshape(-1, d)])

@@ -9,6 +9,7 @@ import pytest
 
 import latticegrow
 import latticegrow.experiments as experiments_mod
+from latticegrow import growth
 from latticegrow.cli import main
 from latticegrow.estimators import MAX_FLAT_EDGE_N, flat_edge_probe
 from latticegrow.experiments import (
@@ -413,6 +414,8 @@ def test_cli_kinds_import_no_scipy(tmp_path):
          "n_grid"),
         (["radial-g", "--model", "fpp", "--n-grid", "10000000", "--trials", "2"], "n_grid"),
         (["radial-g", "--model", "lpp", "--n-grid", "10000000", "--trials", "2"], "n_grid"),
+        (["eden", "--dim", "13", "--steps", "1"], "dim"),
+        (["eden", "--steps", "1000000000"], "steps"),
     ],
 )
 def test_cli_bad_input_exits_2_without_traceback(argv, field, tmp_path):
@@ -466,11 +469,11 @@ GOLDEN = {
     "eden": (dict(kind="eden", steps=300, seed=5), {
         "eden_trace.csv": "d525b21fa976d7261c3b106f9bd147bac2e99bbdc917397ad01ee819b9eb3a6c",
     }),
-    # re-recorded when every IDLA walk came to start right after the previous
-    # exit; the earlier digests are pinned to the d = 2 chunk loop below
+    # re-recorded when the d = 2 walker came to jump across occupied squares;
+    # the earlier digests are pinned to the walkers they came from below
     "idla": (dict(kind="idla", steps=300, seed=2), {
-        "idla_roundness.csv": "0c570515b7f2016bf3e9166551076ed98959a20f814ed91befddfd7163fe72c2",
-        "idla_trace.csv": "69ed5e71ddf2131e5aab83910c02121b7230ee535c6e7bbb6ba942148adec55c",
+        "idla_roundness.csv": "c378af207baad14118cc4bc7f246e5377654cb6c9aee00bb41f6be2d5ee0fcbf",
+        "idla_trace.csv": "a6fe12fbfcab737f6fedab3d2a8186a63c584b3f31a76ebb9037d54cd8db93b4",
     }),
     # TASEP coupling only accepts exp:1.0
     "tasep-coupling": (dict(kind="tasep-coupling", dist="exp:1.0", steps=6, trials=2), {
@@ -503,6 +506,17 @@ def test_idla_chunk_loop_matches_earlier_golden(monkeypatch, tmp_path):
     assert _digests(tmp_path) == {
         "idla_roundness.csv": "6f19a9a093f6e6518cc9b79197192b980352b13c6f5efb857818feafd31a3388",
         "idla_trace.csv": "b1792d36c1186a256b266609520b9f121455c6f51eb98af67944f5954be60d28",
+    }
+
+
+def test_idla_block_walker_matches_earlier_golden(monkeypatch, tmp_path):
+    # the step-by-step walker, which d = 2 ran before its jumps
+    monkeypatch.setattr(experiments_mod, "idla_grow", lambda seed, d, particles: ClusterTrace(
+        "idla", seed, d, growth._walk_blocks(seed, d, particles)))
+    run_experiment(_cfg(kind="idla", steps=300, seed=2, out=str(tmp_path)))
+    assert _digests(tmp_path) == {
+        "idla_roundness.csv": "0c570515b7f2016bf3e9166551076ed98959a20f814ed91befddfd7163fe72c2",
+        "idla_trace.csv": "69ed5e71ddf2131e5aab83910c02121b7230ee535c6e7bbb6ba942148adec55c",
     }
 
 

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.sparse import identity, lil_matrix
+from scipy.sparse.linalg import spsolve
 from scipy.stats import ks_2samp
 
 from latticegrow import (
@@ -28,6 +30,19 @@ def _first_site_frequencies(grow, trials):
     return counts
 
 
+def _counting_grow_grid(monkeypatch):
+    grown = []
+    grow_grid = growth._grow_grid
+
+    def counting_grow_grid(cells, d, radius):
+        grown.append(radius)
+        return grow_grid(cells, d, radius)
+
+    monkeypatch.setattr(growth, "_first_radius", lambda d, particles: 2)
+    monkeypatch.setattr(growth, "_grow_grid", counting_grow_grid)
+    return grown
+
+
 # -- Eden -----------------------------------------------------------------------
 
 def test_eden_first_site_uniform():
@@ -47,6 +62,44 @@ def test_eden_adjacency_and_cluster_size_invariants():
             assert any(tuple(a + b for a, b in zip(v, m)) in s for m in NEIGHBORS_2D)
             s.add(v)
         assert len(trace.cluster_at(40)) == 41
+
+
+def _eden_reference(seed, d, steps):
+    """The tuple-and-set Eden loop that the flat-index grid replaced."""
+    rng = np.random.default_rng(seed)
+    moves = unit_steps(d)
+    origin = (0,) * d
+    cluster = {origin}
+    edges = [(origin, tuple(m)) for m in moves]
+    added = []
+    for _ in range(steps):
+        while True:
+            i = int(rng.integers(len(edges)))
+            inner, outer = edges[i]
+            if outer in cluster:
+                edges[i] = edges[-1]
+                edges.pop()
+                continue
+            break
+        cluster.add(outer)
+        added.append(outer)
+        for m in moves:
+            nb = tuple(a + b for a, b in zip(outer, m))
+            if nb not in cluster:
+                edges.append((outer, nb))
+    return added
+
+
+def test_eden_matches_tuple_loop(monkeypatch):
+    for d, steps in ((1, 200), (2, 2000), (3, 1500)):
+        for seed in range(3):
+            assert eden_grow(seed, d, steps).vertices == _eden_reference(seed, d, steps)
+    grown = _counting_grow_grid(monkeypatch)
+    for d, steps in ((1, 60), (2, 2000), (3, 1500)):
+        for seed in (3, 4):
+            grown.clear()
+            assert eden_grow(seed, d, steps).vertices == _eden_reference(seed, d, steps)
+            assert len(grown) >= 3, (d, grown)
 
 
 def _domino_boundary_edges(s1):
@@ -188,12 +241,15 @@ def test_idla_second_site_exact_chain():
 
 
 def test_idla_one_new_vertex_invariant():
-    trace = idla_grow(7, 2, 150)
-    s = {(0, 0)}
-    for v in trace.vertices:
-        assert v not in s
-        s.add(v)
-    assert len(s) == 151
+    # each site is new and neighbours the cluster, jumps or not
+    for seed, particles in ((7, 150), (8, 3000)):
+        trace = idla_grow(seed, 2, particles)
+        s = {(0, 0)}
+        for v in trace.vertices:
+            assert v not in s
+            assert any((v[0] + dx, v[1] + dy) in s for dx, dy in NEIGHBORS_2D)
+            s.add(v)
+        assert len(s) == particles + 1
 
 
 def test_idla_generic_dimension_matches_invariants():
@@ -280,11 +336,25 @@ def _idla_reference_generic(seed, d, particles):
 def test_idla_2d_matches_reference_loop():
     for seed in range(12):
         for particles in (1, 2, 5, 150):
-            assert idla_grow(seed, 2, particles).vertices == _idla_reference_generic(
+            assert growth._walk_blocks(seed, 2, particles) == _idla_reference_generic(
                 seed, 2, particles), (seed, particles)
     # the per-move loop takes about 1.5 s a seed at this size
     for seed in (7, 3):
-        assert idla_grow(seed, 2, 1500).vertices == _idla_reference_generic(seed, 2, 1500)
+        assert growth._walk_blocks(seed, 2, 1500) == _idla_reference_generic(seed, 2, 1500)
+
+
+def test_idla_walks_before_the_first_jump_match_reference(monkeypatch):
+    # no level map before the first refresh, so no jumps: the first
+    # _LEVEL_REFRESH walks read the direction stream move by move
+    first = growth._LEVEL_REFRESH
+    for seed in range(4):
+        assert idla_grow(seed, 2, first + 200).vertices[:first] == growth._walk_blocks(
+            seed, 2, first), seed
+    # with every level 0, every walk steps, through refreshes and grid growths
+    monkeypatch.setattr(growth, "_level_map", lambda occ: np.zeros(occ.shape, np.uint8))
+    monkeypatch.setattr(growth, "_first_radius", lambda d, particles: 2)
+    for seed in (3, 4):
+        assert idla_grow(seed, 2, 1500).vertices == growth._walk_blocks(seed, 2, 1500)
 
 
 def test_idla_other_dimensions_match_reference_loop():
@@ -296,19 +366,13 @@ def test_idla_other_dimensions_match_reference_loop():
 
 
 def test_idla_matches_reference_through_grid_doublings(monkeypatch):
-    grown = []
-    grow_grid = growth._grow_grid
-
-    def counting_grow_grid(occ, radius):
-        grown.append(radius)
-        return grow_grid(occ, radius)
-
-    monkeypatch.setattr(growth, "_first_radius", lambda d, particles: 2)
-    monkeypatch.setattr(growth, "_grow_grid", counting_grow_grid)
+    # d = 2 runs the block walker, the jump walker's reference
+    grown = _counting_grow_grid(monkeypatch)
     for seed, d, particles in ((4, 2, 700), (5, 3, 1500), (6, 1, 40)):
         grown.clear()
-        assert idla_grow(seed, d, particles).vertices == _idla_reference_generic(
-            seed, d, particles)
+        sites = (growth._walk_blocks(seed, d, particles) if d == 2
+                 else idla_grow(seed, d, particles).vertices)
+        assert sites == _idla_reference_generic(seed, d, particles)
         assert len(grown) >= 3, (d, grown)
 
 
@@ -324,24 +388,130 @@ def _first_failure(grow, most):
 
 def test_idla_cap_raises_at_the_same_particle(monkeypatch):
     # cap = base + 200 * (cluster size + 25), and a walk may take cap moves
-    # but not one more
-    for d in (1, 2, 3):
+    # but not one more; the d = 2 jump walker takes no jump this early
+    walkers = [(1, lambda s, p: idla_grow(s, 1, p).vertices),
+               (2, lambda s, p: growth._walk_blocks(s, 2, p)),
+               (2, lambda s, p: idla_grow(s, 2, p).vertices),
+               (3, lambda s, p: idla_grow(s, 3, p).vertices)]
+    for d, walk in walkers:
         monkeypatch.setattr(growth, "_WALK_CAP_BASE", -5200)  # cap 0 for the first walk
-        assert _first_failure(lambda p: idla_grow(0, d, p), 5) == 1
+        assert _first_failure(lambda p: walk(0, p), 5) == 1
         assert _first_failure(lambda p: _idla_reference_generic(0, d, p), 5) == 1
         monkeypatch.setattr(growth, "_WALK_CAP_BASE", -5199)  # cap 1
-        assert idla_grow(0, d, 30).vertices == _idla_reference_generic(0, d, 30)
+        assert walk(0, 30) == _idla_reference_generic(0, d, 30)
+
+
+def _ratio_at(n):
+    def ratio(vertices):
+        rin, rout = roundness(ClusterTrace("idla", 0, 2, vertices), n)
+        return rout / rin
+    return ratio
 
 
 def test_idla_roundness_law_matches_chunk_loop():
     # same law, different draws: the out/in ratio at N = 100 over disjoint seeds
-    def ratio(vertices):
-        rin, rout = roundness(ClusterTrace("idla", 0, 2, vertices), 100)
-        return rout / rin
-
+    ratio = _ratio_at(100)
     old = [ratio(_idla_reference_2d(seed, 100)) for seed in range(400)]
     new = [ratio(idla_grow(seed, 2, 100).vertices) for seed in range(10_000, 10_400)]
     assert ks_2samp(old, new).pvalue >= 0.001
+
+
+@pytest.mark.parametrize("particles,refresh,seeds", [
+    (100, 8, 400),     # a map every 8 particles, so small clusters jump too
+    (1000, None, 200),
+])
+def test_idla_roundness_law_matches_block_walker(monkeypatch, particles, refresh, seeds):
+    # jumps change the draws, not the law: the out/in ratio over disjoint seeds
+    if refresh is not None:
+        monkeypatch.setattr(growth, "_LEVEL_REFRESH", refresh)
+    ratio = _ratio_at(particles)
+    old = [ratio(growth._walk_blocks(seed, 2, particles)) for seed in range(seeds)]
+    new = [ratio(idla_grow(seed, 2, particles).vertices)
+           for seed in range(20_000, 20_000 + seeds)]
+    assert ks_2samp(old, new).pvalue >= 0.001
+
+
+def _exit_law_by_solve(s):
+    """Exit law of the square [-s, s]^2 from 0, by a sparse absorbing-chain solve."""
+    inner = [(x, y) for x in range(1 - s, s) for y in range(1 - s, s)]
+    index = {v: i for i, v in enumerate(inner)}
+    outer = sorted({(x + dx, y + dy) for x, y in inner for dx, dy in NEIGHBORS_2D} - set(index))
+    column = {v: i for i, v in enumerate(outer)}
+    q = lil_matrix((len(inner), len(inner)))
+    r = lil_matrix((len(inner), len(outer)))
+    for (x, y), i in index.items():
+        for dx, dy in NEIGHBORS_2D:
+            w = (x + dx, y + dy)
+            if w in index:
+                q[i, index[w]] += 0.25
+            else:
+                r[i, column[w]] += 0.25
+    # the centre's row of the Green's function (I - Q)^-1, then its exits
+    centre = np.zeros(len(inner))
+    centre[index[(0, 0)]] = 1.0
+    green = spsolve((identity(len(inner)) - q).T.tocsc(), centre)
+    return dict(zip(outer, r.T.tocsr() @ green))
+
+
+# s = 32 also drops the modes too small to move the law
+@pytest.mark.parametrize("s", [2, 4, 8, 32])
+def test_square_exit_law_matches_linear_solve(s):
+    rows, cols, cdf = growth._square_exit_law(s)
+    assert cdf[-1] == 1.0 and len(cdf) == 4 * (2 * s - 1)
+    law = dict(zip(zip(rows.tolist(), cols.tolist()), np.diff(cdf, prepend=0.0)))
+    exact = _exit_law_by_solve(s)
+    assert set(law) == set(exact)  # the boundary off the corners
+    for point, p in exact.items():
+        assert abs(law[point] - p) <= 1e-14, (point, law[point], p)
+    for x, y in law:
+        for image in ((-x, y), (x, -y), (y, x), (-y, -x), (-x, -y), (y, -x), (-y, x)):
+            assert abs(law[image] - law[(x, y)]) <= 1e-14
+
+
+def _exact_levels(occ):
+    """Largest k >= 1 with every cell of the radius-2^k square around the cell occupied."""
+    side = occ.shape[0]
+    table = np.zeros((side + 1, side + 1), dtype=np.int64)
+    table[1:, 1:] = occ.astype(np.int64).cumsum(0).cumsum(1)
+    levels = np.zeros(occ.shape, dtype=np.int64)
+    k = 1
+    while 2 ** (k + 1) + 1 <= side:
+        r = 2 ** k
+        w = 2 * r + 1
+        count = table[w:, w:] - table[:-w, w:] - table[w:, :-w] + table[:-w, :-w]
+        levels[r:side - r, r:side - r] += count == w * w
+        k += 1
+    return levels
+
+
+def test_idla_level_map_is_a_lower_bound(monkeypatch):
+    # every cell the walker reads at level k has its radius-2^k square
+    # occupied: built exactly, still after the map went stale, and after the
+    # stale map was copied into a grown grid
+    grown = _counting_grow_grid(monkeypatch)
+    monkeypatch.setattr(growth, "_LEVEL_REFRESH", 40)
+    mark_levels = growth._mark_levels
+    built = []
+
+    def checked(cells, radius):
+        grid = np.frombuffer(cells, dtype=np.uint8).reshape((2 * radius + 1,) * 2)
+        occ = grid > 0
+        exact = _exact_levels(occ)
+        assert (grid[occ] - 1 <= exact[occ]).all()  # the stale map
+        exits = mark_levels(cells, radius)
+        assert (np.where(occ, grid.astype(np.int64) - 1, 0) == exact).all()
+        assert len(exits) == exact.max()
+        built.append(int(exact.max()))
+        return exits
+
+    monkeypatch.setattr(growth, "_mark_levels", checked)
+    for seed in (1, 2):
+        grown.clear()
+        built.clear()
+        trace = idla_grow(seed, 2, 3000)
+        assert len(set(trace.vertices)) == 3000
+        assert len(grown) >= 3 and len(built) > 3000 // 40
+        assert max(built) >= 3, built
 
 
 def test_lattice_symmetry_of_first_step_all_models():
@@ -359,6 +529,15 @@ def test_lattice_symmetry_of_first_step_all_models():
 
 
 # -- roundness -----------------------------------------------------------------------
+
+def test_negative_step_count_is_refused():
+    trace = eden_grow(0, 2, 10)
+    for ask in (lambda n: trace.cluster_at(n), lambda n: roundness(trace, n)):
+        with pytest.raises(ValueError, match=">= 0"):
+            ask(-3)
+        ask(0)
+    assert len(trace.cluster_at(10)) == 11
+
 
 def test_roundness_origin_only():
     trace = ClusterTrace(model="manual", seed=0, dimension=2, vertices=[])
