@@ -4,17 +4,20 @@ One subcommand per experiment kind, plus `lpp-exact` for evaluating the
 closed-form shape functions.  Exit codes: 0 success, 2 configuration error,
 3 hard failure (budget exceeded, unresolved truncation, verification
 mismatch, or memory exhausted).
+
+This module and ``experiments`` import only the standard library, so parsing,
+``--help`` and usage errors load no numpy; a run imports the solver modules
+of its own kind (see ``experiments``), and ``lpp-exact`` imports ``lpp``.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .experiments import KINDS, ConfigError, ExperimentConfig, HardFailure, run_experiment
-from .lpp import ExactShape, exact_g
-from .oracle import BudgetExceeded
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -61,21 +64,47 @@ def _config_from_args(args) -> ExperimentConfig:
     return cfg
 
 
+def _lpp_exact(args) -> float:
+    """g(x) of the closed-form shape; a ConfigError names the bad option."""
+    import numpy as np
+
+    from .lpp import ExactShape, exact_g
+
+    try:
+        point = tuple(float(v) for v in args.x.split(","))
+    except ValueError as e:
+        raise ConfigError(f"x: {e}") from None
+    if not all(map(math.isfinite, point)):
+        raise ConfigError(f"x: coordinates must be finite, got {args.x}")
+    if args.model == "exp":
+        if args.p is not None:
+            raise ConfigError(f"p: the exp shape takes no --p, got {args.p}")
+        shape = ExactShape("exponential")
+    else:
+        if args.p is None:
+            raise ConfigError("p: the geom shape needs --p")
+        try:
+            shape = ExactShape("geometric", p=args.p)
+        except ValueError as e:
+            raise ConfigError(f"p: {e}") from None
+    try:
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            value = exact_g(shape, point)
+    except ValueError as e:
+        raise ConfigError(f"x: {e}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"x: g({args.x}) overflows a float")
+    return value
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.command == "lpp-exact":
         try:
-            point = tuple(float(v) for v in args.x.split(","))
-            if args.model == "exp":
-                shape = ExactShape("exponential")
-            else:
-                if args.p is None:
-                    raise ValueError("geom shape needs --p")
-                shape = ExactShape("geometric", p=args.p)
-            value = exact_g(shape, point)
-        except ValueError as e:
+            value = _lpp_exact(args)
+        except ConfigError as e:
             print(f"config error: {e}", file=sys.stderr)
             return 2
         print(format(value, ".17g"))
@@ -87,7 +116,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (HardFailure, BudgetExceeded) as e:
+    except HardFailure as e:
         print(f"hard failure: {e}", file=sys.stderr)
         return 3
     except MemoryError as e:  # numpy's ArrayMemoryError included

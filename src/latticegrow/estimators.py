@@ -10,7 +10,6 @@ solves carry a truncation flag that propagates into per-point warnings.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
@@ -18,6 +17,7 @@ import numpy as np
 from ._output import write_csv
 from .fpp import (
     LatticeBox,
+    _check_fpp_law,
     fpp_ball,
     fpp_dijkstra,
     fpp_geodesic,
@@ -154,6 +154,8 @@ class ExponentFit:
 
 def _map_trials(fn, tasks, workers: int):
     if workers and workers > 1:
+        import multiprocessing
+
         # one task at a time: a task is a solve or a batch of them, so a chunk
         # of several would leave one worker finishing the tail alone
         with multiprocessing.Pool(processes=workers) as pool:
@@ -164,12 +166,8 @@ def _map_trials(fn, tasks, workers: int):
 def _check_model(model: str, spec: DistributionSpec) -> None:
     if model not in ("fpp", "lpp"):
         raise ValueError(f"model must be 'fpp' or 'lpp', got {model!r}")
-    # surrogate for "not too many zero weights": continuous, or bounded away from 0
-    if model == "fpp" and not (spec.is_continuous() or spec.support_min() > 0):
-        raise ValueError(
-            f"FPP estimation needs a continuous distribution or one with "
-            f"strictly positive support, got {spec.token()}"
-        )
+    if model == "fpp":
+        _check_fpp_law(spec)
 
 
 def _fpp_first_radius(target) -> int:

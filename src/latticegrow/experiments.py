@@ -5,6 +5,10 @@ emits raw series CSVs, a machine-readable summary.json (estimates, fits,
 residuals, warnings), and a reproducibility stanza echoing the config and
 the package version.  Identical configs produce byte-identical CSVs; the
 only timestamp lives in the JSON summary.
+
+This module imports only the standard library.  Each kind's checks in
+``validate`` and its runner import that kind's solver modules when they run,
+so a process loads numpy and the solvers it needs and no others.
 """
 
 from __future__ import annotations
@@ -15,51 +19,13 @@ import time
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from ._output import write_csv
-from .estimators import (
-    MAX_FLAT_EDGE_N,
-    MIN_FIT_POINTS,
-    MIN_FIT_SPAN,
-    MIN_FLAT_EDGE_N,
-    MIN_RADIAL_TRIALS,
-    MIN_VARIANCE_TRIALS,
-    SHAPE_CELLS_MAX,
-    TRIAL_CELLS_MAX,
-    Series,
-    _ball_cells,
-    _check_model,
-    _grid_targets,
-    _trial_cells,
-    chi_from_variance_fit,
-    estimate_radial_g,
-    fit_exponent,
-    flat_edge_probe,
-    kpz_residual,
-    shape_boundary_estimate,
-    variance_series,
-    wandering_series,
-)
-from .fpp import LatticeBox, fpp_dijkstra
-from .growth import (
-    _GRID_CELLS_MAX,
-    _first_radius,
-    eden_grow,
-    idla_grow,
-    roundness,
-    roundness_series_to_csv,
-)
-from .lpp import exact_g, exact_shape_for, lpp_dp
-from .oracle import brute_force_fpp, brute_force_lpp
-from .tasep import coupling_equivalence, current_at, tasep_run
-from .weights import WeightField, derive_seed, exponential, parse_dist_token
 
 __all__ = ["ExperimentConfig", "ConfigError", "HardFailure", "run_experiment", "KINDS"]
 
 # largest steps x steps table that tasep-coupling accepts (steps <= 2048); a
-# run peaks at about 310 bytes of memory per cell, most of it the CSV cells
+# run peaks at about 55 bytes of memory per cell (228 MB at steps = 2048),
+# most of it the step-time and LPP tables; the CSV text is a few MB
 _TASEP_CELLS_MAX = 1 << 22
 # most worker processes a run starts; multiprocessing.Pool starts every one
 MAX_WORKERS = 64
@@ -136,10 +102,14 @@ class ExperimentConfig:
                                   f"default {f.default!r}, got {value!r}")
         if kind == "radial-g" and self.model not in ("fpp", "lpp"):
             raise ConfigError(f"model: radial-g needs 'fpp' or 'lpp', got {self.model!r}")
+        from .weights import exponential, parse_dist_token
+
         try:
             spec = parse_dist_token(self.dist)
             if kind in ("fpp-shape", "oracle-check") or (kind, self.model) == ("radial-g", "fpp"):
-                _check_model("fpp", spec)
+                from .fpp import _check_fpp_law
+
+                _check_fpp_law(spec)
         except ValueError as e:
             raise ConfigError(f"dist: {e}") from None
         if kind == "flat-edge" and spec.kind != "twopoint":
@@ -155,12 +125,16 @@ class ExperimentConfig:
             if self.dim != len(direction):
                 raise ConfigError(f"dim: {kind} works in the dimension of direction "
                                   f"({len(direction)}), got {self.dim}")
+            from .estimators import MIN_RADIAL_TRIALS, MIN_VARIANCE_TRIALS
+
+            least_trials = MIN_RADIAL_TRIALS if kind == "radial-g" else MIN_VARIANCE_TRIALS
+        else:
+            least_trials = 1
         least = {
             "dim": 1,
             "workers": 1,
             "seed": 0,
-            "trials": {"radial-g": MIN_RADIAL_TRIALS,
-                       "exponents": MIN_VARIANCE_TRIALS}.get(kind, 1),
+            "trials": least_trials,
             # a 1 x 1 TASEP table cannot determine the current at any time
             "steps": 2 if kind == "tasep-coupling" else 1,
         }
@@ -171,6 +145,8 @@ class ExperimentConfig:
         if "workers" in reads and self.workers > MAX_WORKERS:
             raise ConfigError(f"workers: must be <= {MAX_WORKERS}, got {self.workers}")
         if kind in ("eden", "idla"):
+            from .growth import _GRID_CELLS_MAX, _first_radius
+
             # the first occupancy grid has radius 2 or more: 5^dim cells or more
             name, unit = ("IDLA", "particles") if kind == "idla" else ("Eden", "steps")
             if self.dim > math.log(_GRID_CELLS_MAX, 5):
@@ -187,6 +163,8 @@ class ExperimentConfig:
         if "t" in reads and not 0 < self.t < math.inf:
             raise ConfigError(f"t: must be positive and finite for kind {kind}, got {self.t}")
         if kind in ("fpp-shape", "lpp-shape"):
+            from .estimators import SHAPE_CELLS_MAX, _ball_cells
+
             try:
                 cells = _ball_cells(kind[:3], spec, self.t)
             except OverflowError:  # t / mean overflows a float
@@ -196,6 +174,16 @@ class ExperimentConfig:
                                   f"{SHAPE_CELLS_MAX} vertices in its first box")
         if "n_grid" not in reads:
             return
+        from .estimators import (
+            MAX_FLAT_EDGE_N,
+            MIN_FIT_POINTS,
+            MIN_FIT_SPAN,
+            MIN_FLAT_EDGE_N,
+            TRIAL_CELLS_MAX,
+            _grid_targets,
+            _trial_cells,
+        )
+
         grid = self.n_grid_list()
         if not grid:
             raise ConfigError(f"n_grid: required for kind {kind}")
@@ -224,6 +212,8 @@ class ExperimentConfig:
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run one experiment, write its artifacts, return the summary dict."""
+    from .weights import parse_dist_token
+
     config.validate()
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -254,6 +244,11 @@ def _record(summary: dict, out: Path, name: str) -> Path:
 
 
 def _run_radial_g(config, spec, out, summary):
+    import numpy as np
+
+    from .estimators import estimate_radial_g
+    from .lpp import exact_g, exact_shape_for
+
     seq = estimate_radial_g(
         config.model, spec, config.direction_tuple(), config.n_grid_list(),
         config.trials, config.seed, workers=config.workers,
@@ -275,6 +270,10 @@ def _run_radial_g(config, spec, out, summary):
 
 
 def _run_shape(config, spec, out, summary):
+    import numpy as np
+
+    from .estimators import shape_boundary_estimate
+
     model = "fpp" if config.kind == "fpp-shape" else "lpp"
     if model == "fpp":
         angles = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
@@ -293,6 +292,14 @@ def _run_shape(config, spec, out, summary):
 
 
 def _run_exponents(config, spec, out, summary):
+    from .estimators import (
+        chi_from_variance_fit,
+        fit_exponent,
+        kpz_residual,
+        variance_series,
+        wandering_series,
+    )
+
     direction = config.direction_tuple()
     grid = config.n_grid_list()
     vs = variance_series("lpp", spec, direction, grid, config.trials,
@@ -317,6 +324,8 @@ def _run_exponents(config, spec, out, summary):
 
 
 def _run_flat_edge(config, spec, out, summary):
+    from .estimators import Series, flat_edge_probe
+
     reps = [
         flat_edge_probe(spec.params[0], n, config.trials, config.seed, workers=config.workers)
         for n in config.n_grid_list()
@@ -329,6 +338,8 @@ def _run_flat_edge(config, spec, out, summary):
 
 
 def _run_eden(config, spec, out, summary):
+    from .growth import eden_grow, roundness
+
     try:
         trace = eden_grow(config.seed, config.dim, config.steps)
     except ValueError as e:
@@ -341,6 +352,8 @@ def _run_eden(config, spec, out, summary):
 
 
 def _run_idla(config, spec, out, summary):
+    from .growth import idla_grow, roundness, roundness_series_to_csv
+
     try:
         trace = idla_grow(config.seed, config.dim, config.steps)
     except ValueError as e:
@@ -358,6 +371,12 @@ def _run_idla(config, spec, out, summary):
 
 
 def _run_tasep(config, spec, out, summary):
+    import numpy as np
+
+    from .lpp import lpp_dp
+    from .tasep import coupling_equivalence, current_at, tasep_run
+    from .weights import WeightField, derive_seed
+
     k = config.steps
     mismatches = 0
     probe_failures = 0
@@ -389,22 +408,33 @@ def _run_tasep(config, spec, out, summary):
 
 
 def _run_oracle_check(config, spec, out, summary):
+    import numpy as np
+
+    from ._output import write_csv
+    from .fpp import LatticeBox, fpp_dijkstra
+    from .lpp import lpp_dp
+    from .oracle import BudgetExceeded, brute_force_fpp, brute_force_lpp
+    from .weights import WeightField, derive_seed
+
     mismatches = []
     box = LatticeBox(2, 3)
-    for trial in range(config.trials):
-        child = derive_seed(config.seed, "oracle-fpp", trial)
-        fld = WeightField(spec, child, "edge", 2)
-        pmap = fpp_dijkstra(fld, (0, 0), box)
-        for v in sorted(pmap.times):
-            exact = brute_force_fpp(fld, box, (0, 0), v)
-            if exact != pmap.times[v]:
-                mismatches.append((trial, "fpp", f'"{list(v)}"'))
-        vchild = derive_seed(config.seed, "oracle-lpp", trial)
-        vfld = WeightField(spec, vchild, "vertex", 2)
-        lmap = lpp_dp(vfld, (4, 4))
-        for idx in np.ndindex(lmap.table.shape):
-            if brute_force_lpp(vfld, idx) != lmap.table[idx]:
-                mismatches.append((trial, "lpp", f'"{list(idx)}"'))
+    try:
+        for trial in range(config.trials):
+            child = derive_seed(config.seed, "oracle-fpp", trial)
+            fld = WeightField(spec, child, "edge", 2)
+            pmap = fpp_dijkstra(fld, (0, 0), box)
+            for v in sorted(pmap.times):
+                exact = brute_force_fpp(fld, box, (0, 0), v)
+                if exact != pmap.times[v]:
+                    mismatches.append((trial, "fpp", f'"{list(v)}"'))
+            vchild = derive_seed(config.seed, "oracle-lpp", trial)
+            vfld = WeightField(spec, vchild, "vertex", 2)
+            lmap = lpp_dp(vfld, (4, 4))
+            for idx in np.ndindex(lmap.table.shape):
+                if brute_force_lpp(vfld, idx) != lmap.table[idx]:
+                    mismatches.append((trial, "lpp", f'"{list(idx)}"'))
+    except BudgetExceeded as e:
+        raise HardFailure(str(e)) from e
     summary["estimates"]["seeds_checked"] = config.trials
     summary["estimates"]["mismatches"] = len(mismatches)
     write_csv(_record(summary, out, "oracle_check.csv"), ("trial", "kind", "target"),

@@ -169,6 +169,19 @@ class PassageTimeMap:
 _BUCKET_FRONT = {2: 70, 3: 1000}
 
 
+def _check_fpp_law(spec) -> None:
+    """Reject a law FPP estimation cannot use.
+
+    A surrogate for "not too many zero weights": continuous, or bounded away
+    from 0.
+    """
+    if not (spec.is_continuous() or spec.support_min() > 0):
+        raise ValueError(
+            f"FPP estimation needs a continuous distribution or one with "
+            f"strictly positive support, got {spec.token()}"
+        )
+
+
 def _use_buckets(spec, box: LatticeBox) -> bool:
     """Whether a solve of this law on this box takes the bucket loop."""
     least = spec.support_min()

@@ -54,7 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._output import write_csv
-from .fpp import LatticeBox, fpp_dijkstra
 from .weights import WeightField
 
 __all__ = [
@@ -150,6 +149,8 @@ def fpp_infection_order(field: WeightField, steps: int) -> ClusterTrace:
         raise ValueError("FPP infection order needs an edge field")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    from .fpp import LatticeBox, fpp_dijkstra
+
     # a solve that settles no face vertex runs exactly as on the radius
     # steps + 1 box, which the steps + 1 settled vertices cannot reach, so
     # grow a small box until its face stays unsettled

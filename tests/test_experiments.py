@@ -3,13 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import latticegrow
-import latticegrow.experiments as experiments_mod
-from latticegrow import growth
+from latticegrow import growth, oracle
 from latticegrow.cli import main
 from latticegrow.estimators import MAX_FLAT_EDGE_N, flat_edge_probe
 from latticegrow.experiments import (
@@ -209,10 +209,29 @@ def test_cli_lpp_exact_values(capsys):
     assert main(["lpp-exact", "--model", "geom", "--p", "0.5", "--x", "1,1"]) == 0
     out = float(capsys.readouterr().out.strip())
     assert out == pytest.approx(4.0 + 2.0 * 2.0**0.5)
+    # a --p the shape ignores, a coordinate that is not finite, and a value
+    # that overflows are config errors, without a numpy warning on the way
+    for options, field in [
+        (["--model", "exp", "--p", "0.5", "--x", "1,1"], "p"),
+        (["--model", "geom", "--p", "1.5", "--x", "1,1"], "p"),
+        (["--model", "exp", "--x", "1,nan"], "x"),
+        (["--model", "exp", "--x", "inf,1"], "x"),
+        (["--model", "exp", "--x", "1e308,1e308"], "x"),
+        (["--model", "geom", "--p", "0.5", "--x", "1e308,1e308"], "x"),
+        (["--model", "exp", "--x", "1,-1"], "x"),
+        (["--model", "exp", "--x", "1,1,1"], "x"),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["lpp-exact", *options]) == 2, options
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {field}: "), (options, captured.err)
 
 
 def test_cli_lpp_exact_missing_p_is_config_error(capsys):
     assert main(["lpp-exact", "--model", "geom", "--x", "1,1"]) == 2
+    assert capsys.readouterr().err.startswith("config error: p: ")
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -352,31 +371,60 @@ def test_flat_edge_n_limit_is_inclusive():
         flat_edge_probe(0.55, MAX_FLAT_EDGE_N + 1, 1, 0)
 
 
-def test_cli_kinds_import_no_scipy(tmp_path):
-    # importing scipy.sparse costs about half a second and 30 MB per process;
-    # every kind runs in one fresh interpreter, the flat-edge window solve first
-    runs = [
-        ["flat-edge", "--dist", "twopoint:0.55", "--n-grid", "50", "--trials", "4"],
-        ["radial-g", "--model", "fpp", "--dist", "unif:0.5:1.5", "--n-grid", "2,4",
-         "--trials", "2"],
-        ["radial-g", "--model", "lpp", "--n-grid", "2,4", "--trials", "2"],
-        ["exponents", "--n-grid", "2,4,8,16", "--trials", "200"],
-        ["fpp-shape", "--dist", "unif:0.5:1.5", "--t", "2", "--trials", "2"],
-        ["lpp-shape", "--t", "2", "--trials", "2"],
-        ["eden", "--steps", "10"],
-        ["idla", "--steps", "10"],
-        ["tasep-coupling", "--steps", "4", "--trials", "1"],
-        ["oracle-check", "--dist", "unif:0.5:1.5", "--trials", "1"],
-    ]
-    runs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
-    code = ("import sys; from latticegrow import cli; "
-            f"assert [cli.main(a) for a in {runs!r}] == [0] * {len(runs)}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(latticegrow.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=300)
+
+
+def test_cli_parser_loads_no_numpy():
+    proc = _fresh_python("import sys; import latticegrow.cli as c; c.build_parser(); "
+                         "print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout == "False\n"
+
+
+def test_cli_usage_error_loads_no_numpy():
+    proc = _fresh_python("import sys\nfrom latticegrow.cli import main\n"
+                         "try:\n    main(['idla', '--steps', 'x'])\n"
+                         "except SystemExit as e:\n    print(e.code, 'numpy' in sys.modules)")
+    assert proc.stdout == "2 False\n", proc.stderr
+
+
+# the latticegrow modules each kind loads besides the package itself, cli,
+# experiments, _output and weights
+_ESTIMATION = ("estimators", "fpp", "lpp")
+_KIND_RUNS = [
+    (["flat-edge", "--dist", "twopoint:0.55", "--n-grid", "50", "--trials", "4"], _ESTIMATION),
+    (["radial-g", "--model", "fpp", "--dist", "unif:0.5:1.5", "--n-grid", "2,4",
+      "--trials", "2"], _ESTIMATION),
+    (["radial-g", "--model", "lpp", "--n-grid", "2,4", "--trials", "2"], _ESTIMATION),
+    (["exponents", "--n-grid", "2,4,8,16", "--trials", "200"], _ESTIMATION),
+    (["fpp-shape", "--dist", "unif:0.5:1.5", "--t", "2", "--trials", "2"], _ESTIMATION),
+    (["lpp-shape", "--t", "2", "--trials", "2"], _ESTIMATION),
+    (["eden", "--steps", "10"], ("growth",)),
+    (["idla", "--steps", "10"], ("growth",)),
+    (["tasep-coupling", "--steps", "4", "--trials", "1"], ("tasep", "lpp")),
+    (["oracle-check", "--dist", "unif:0.5:1.5", "--trials", "1"], ("oracle", "fpp", "lpp")),
+    (["lpp-exact", "--model", "exp", "--x", "1,1"], ("lpp",)),
+]
+
+
+def test_cli_kinds_import_no_scipy(tmp_path):
+    # importing scipy.sparse costs about half a second and 30 MB per process,
+    # and each kind imports only its own solvers: every kind runs in a fresh
+    # interpreter, which then lists the latticegrow and scipy modules it loaded
+    code = ("import sys; from latticegrow import cli; assert cli.main(sys.argv[1:]) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('latticegrow', 'scipy')))")
+    for i, (argv, modules) in enumerate(_KIND_RUNS):
+        if argv[0] != "lpp-exact":
+            argv = argv + ["--out", str(tmp_path / str(i))]
+        proc = _fresh_python(code, *argv)
+        assert proc.returncode == 0, proc.stderr
+        expected = sorted(["latticegrow", *(f"latticegrow.{m}" for m in
+                                            ("cli", "experiments", "_output", "weights", *modules))])
+        assert proc.stdout.splitlines()[-1] == repr(expected), argv[0]
 
 
 @pytest.mark.parametrize(
@@ -500,7 +548,7 @@ def test_output_bytes_match_golden(name, tmp_path):
 def test_idla_chunk_loop_matches_earlier_golden(monkeypatch, tmp_path):
     from test_growth import _idla_reference_2d
 
-    monkeypatch.setattr(experiments_mod, "idla_grow", lambda seed, d, particles: ClusterTrace(
+    monkeypatch.setattr(growth, "idla_grow", lambda seed, d, particles: ClusterTrace(
         "idla", seed, d, _idla_reference_2d(seed, particles)))
     run_experiment(_cfg(kind="idla", steps=300, seed=2, out=str(tmp_path)))
     assert _digests(tmp_path) == {
@@ -511,7 +559,7 @@ def test_idla_chunk_loop_matches_earlier_golden(monkeypatch, tmp_path):
 
 def test_idla_block_walker_matches_earlier_golden(monkeypatch, tmp_path):
     # the step-by-step walker, which d = 2 ran before its jumps
-    monkeypatch.setattr(experiments_mod, "idla_grow", lambda seed, d, particles: ClusterTrace(
+    monkeypatch.setattr(growth, "idla_grow", lambda seed, d, particles: ClusterTrace(
         "idla", seed, d, growth._walk_blocks(seed, d, particles)))
     run_experiment(_cfg(kind="idla", steps=300, seed=2, out=str(tmp_path)))
     assert _digests(tmp_path) == {
@@ -521,8 +569,8 @@ def test_idla_block_walker_matches_earlier_golden(monkeypatch, tmp_path):
 
 
 def test_oracle_mismatch_row_matches_golden(monkeypatch, tmp_path):
-    real = experiments_mod.brute_force_lpp
-    monkeypatch.setattr(experiments_mod, "brute_force_lpp",
+    real = oracle.brute_force_lpp
+    monkeypatch.setattr(oracle, "brute_force_lpp",
                         lambda f, idx: -1.0 if idx == (0, 1) else real(f, idx))
     with pytest.raises(HardFailure):
         run_experiment(_cfg(kind="oracle-check", dist="unif:0.5:1.5", trials=1,

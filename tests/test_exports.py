@@ -1,5 +1,9 @@
-import numpy as np
+import importlib
 
+import numpy as np
+import pytest
+
+import latticegrow
 from latticegrow import (
     LatticeBox,
     constant,
@@ -15,6 +19,47 @@ from latticegrow import _output
 from latticegrow.fpp import ball_to_csv
 from latticegrow.growth import roundness_series_to_csv
 from latticegrow.tasep import current_series, current_series_to_csv
+
+
+# every name the package exports; each resolves on first access
+EXPORTED = {
+    "weights": ["DistributionSpec", "WeightField", "constant", "derive_seed", "exponential",
+                "geometric", "make_field", "parse_dist_token", "quantile", "two_point",
+                "uniform"],
+    "fpp": ["Geodesic", "LatticeBox", "PassageTimeMap", "fpp_ball", "fpp_dijkstra",
+            "fpp_geodesic", "greedy_forward_path", "lattice_point", "wandering_deviation"],
+    "lpp": ["ExactShape", "LppTimeMap", "OrientedPath", "exact_g", "exact_shape_for", "lpp_dp",
+            "lpp_geodesic", "lpp_time_between", "martin_asymptote"],
+    "growth": ["ClusterTrace", "eden_grow", "fpp_infection_order", "idla_grow", "roundness"],
+    "tasep": ["CurrentUndetermined", "StepTimeTable", "coupling_equivalence", "current_at",
+              "current_series", "particle_position", "tasep_run"],
+    "oracle": ["BudgetExceeded", "EnumerationBudget", "brute_force_fpp", "brute_force_lpp",
+               "oriented_path_count"],
+    "estimators": ["ExponentFit", "FlatEdgeReport", "Series", "SubadditiveSequence",
+                   "chi_from_variance_fit", "estimate_radial_g", "fekete_envelope",
+                   "fit_exponent", "flat_edge_probe", "kpz_residual", "shape_boundary_estimate",
+                   "shape_gap_series", "variance_series", "wandering_series"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTED))
+def test_package_exports_resolve_lazily(module):
+    names = EXPORTED[module]
+    source = importlib.import_module(f"latticegrow.{module}")
+    listed = dir(latticegrow)
+    for name in names:
+        assert name in listed, name
+        assert getattr(latticegrow, name) is getattr(source, name), name
+        namespace = {}
+        exec(f"from latticegrow import {name}", namespace)
+        assert namespace[name] is getattr(source, name), name
+
+
+def test_package_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_solver'"):
+        latticegrow.no_such_solver
+    with pytest.raises(ImportError):
+        exec("from latticegrow import no_such_solver", {})
 
 
 def test_passage_map_csv(tmp_path):
@@ -101,3 +146,21 @@ def test_write_csv_slices_keep_the_bytes(tmp_path, monkeypatch):
     empty = tmp_path / "empty.csv"
     _output.write_csv(empty, ("a", "b"), ((), ()))
     assert empty.read_text() == "a,b\n"
+    # every column kind against the per-cell format(x, ".17g") / str(x) text
+    columns = [
+        np.array(["a", "b c", "%s", "", "%.17g"] * 3),
+        np.array([0.0, -0.0, np.inf, -np.inf, np.nan] * 3),
+        np.array([2 ** 62, -(2 ** 63), 0, 7, -1] * 3, dtype=np.int64),
+        np.array([1e-310, 1 / 3, -2.5e300, 5e-324, 1.0] * 3, dtype=np.float64),
+        np.array([0.1, 2.5, -3.0, 1e20, 65504.0] * 3, dtype=np.float32),
+        7,
+    ]
+    header = [f"c{i}" for i in range(len(columns))]
+    cells = [[format(x, ".17g") if np.asarray(c).dtype.kind == "f" else str(x)
+              for x in np.broadcast_to(c, (15,)).tolist()] for c in columns]
+    expected = ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
+    for rows in (1, 4, 15, 16):
+        monkeypatch.setattr(_output, "_ROWS_PER_WRITE", rows)
+        mixed = tmp_path / f"mixed{rows}.csv"
+        _output.write_csv(mixed, header, columns)
+        assert mixed.read_text() == expected, rows
