@@ -27,6 +27,8 @@ __all__ = ["ExperimentConfig", "ConfigError", "HardFailure", "run_experiment", "
 # run peaks at about 55 bytes of memory per cell (228 MB at steps = 2048),
 # most of it the step-time and LPP tables; the CSV text is a few MB
 _TASEP_CELLS_MAX = 1 << 22
+# most walk moves idla --dim 1 accepts, about steps^3 / 12: steps <= 1062
+_IDLA_D1_MOVES_MAX = 10 ** 8
 # most worker processes a run starts; multiprocessing.Pool starts every one
 MAX_WORKERS = 64
 
@@ -157,6 +159,10 @@ class ExperimentConfig:
                 raise ConfigError(f"steps: {name} with {self.steps} {unit} in dimension "
                                   f"{self.dim} needs a grid of {cells} cells, "
                                   f"more than {_GRID_CELLS_MAX}")
+        if kind == "idla" and self.dim == 1 and self.steps ** 3 // 12 > _IDLA_D1_MOVES_MAX:
+            raise ConfigError(f"steps: IDLA in dimension 1 with {self.steps} particles takes "
+                              f"about {self.steps ** 3 // 12} walk moves, "
+                              f"more than {_IDLA_D1_MOVES_MAX}")
         if kind == "tasep-coupling" and self.steps ** 2 > _TASEP_CELLS_MAX:
             raise ConfigError(f"steps: tasep-coupling with {self.steps} steps needs a table "
                               f"of {self.steps ** 2} cells, more than {_TASEP_CELLS_MAX}")
@@ -356,8 +362,8 @@ def _run_idla(config, spec, out, summary):
 
     try:
         trace = idla_grow(config.seed, config.dim, config.steps)
-    except ValueError as e:
-        # validate() bounds the first grid; the grid grows with the cluster
+    except (ValueError, RuntimeError) as e:
+        # validate() bounds the first grid, not its growth; a walk cap raises RuntimeError
         raise HardFailure(f"dim {config.dim}, steps {config.steps}: {e}") from e
     trace.to_csv(_record(summary, out, "idla_trace.csv"))
     checkpoints = sorted({max(1, config.steps // 16), config.steps // 4, config.steps})

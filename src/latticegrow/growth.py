@@ -11,21 +11,26 @@ it is obtained here by recording the settling order of the shortest-path
 solve rather than simulating clocks.
 
 Eden and IDLA keep the cluster in a dense grid of one byte per site of the
-box [-radius, radius]^d, addressed by flat index.  The grid grows by half
-its radius when a site reaches its outer layer, so every neighbour of a
-site lies inside it.
+box [-radius, radius]^d, addressed by flat index, and a rim byte per site
+marking its outer layer.  The grid grows by half its radius when a site
+lands on the rim, so every neighbour of a site lies inside it.  Sites stay
+flat indices, moved to each grown grid, and are decoded once at the end.
+
+Random draws come in blocks of 64, 128, ... up to 2^16.  For 2 <= n < 2^32
+numpy's rng.integers(n) reads 32-bit words w of the generator in order until
+(w n) mod 2^32 >= (2^32 - n) mod n, and returns (w n) >> 32 (Lemire's
+multiply-shift, ACM TOMACS 2019), so how a stream is cut into blocks does
+not change the draws.  Eden applies that rule to blocks of raw words,
+rng.integers(0, 2^32, size=m, dtype=uint32): the same draws, no numpy call.
 
 The IDLA walks read one stream of directions, rng.integers(0, 2d) indexing
-unit_steps(d), drawn in blocks of 64, 128, ... up to 2^16 draws.  Each walk
-starts on the draw right after the previous walk's last move, so successive
-walks read disjoint, consecutive stretches of one i.i.d. stream, each
-starting at a stopping time: by the strong Markov property they are
-independent simple random walks, and the traces have the IDLA law.  Each
-element of rng.integers(0, k, size=m) consumes one 32-bit word of the
-generator, so how the stream is cut into blocks does not change the draws.
-Outside d = 2 a walk is the cumulative sum of its directions' flat-index
-offsets, checked a window at a time with one gather, and the traces are
-those of a loop drawing one direction per move.
+unit_steps(d).  Each walk starts on the draw right after the previous
+walk's last move, so successive walks read disjoint, consecutive stretches
+of one i.i.d. stream, each starting at a stopping time: by the strong
+Markov property they are independent simple random walks, and the traces
+have the IDLA law.  Outside d = 2 a walk is the cumulative sum of its
+directions' flat-index offsets, checked a window at a time with one gather,
+and the traces are those of a loop drawing one direction per move.
 
 In d = 2 the walker jumps across occupied squares (Muller's walk on
 spheres on the lattice, as in Friedrich and Levine, arXiv:1006.1003).  If
@@ -100,9 +105,10 @@ def eden_grow(seed: int, d: int, steps: int) -> ClusterTrace:
         raise ValueError("steps must be >= 1")
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    rng = np.random.default_rng(seed)
+    draw = _bounded_draws(np.random.default_rng(seed)).send
+    draw(None)  # runs the generator to its first yield
     radius = _first_radius(d, steps)
-    cells = _grid(d, radius)
+    cells, rim = _grid(d, radius)
     origin = len(cells) // 2
     cells[origin] = 1
     offsets = _step_offsets(d, radius)
@@ -113,27 +119,37 @@ def eden_grow(seed: int, d: int, steps: int) -> ClusterTrace:
     added = []
     for _ in range(steps):
         while True:
-            i = int(rng.integers(len(edges)))
+            i = draw(len(edges))
             outer = edges[i]
-            if cells[outer]:
-                edges[i] = edges[-1]
-                edges.pop()
-                continue
-            break
-        site = _site(outer, d, radius)
-        added.append(site)
-        # every edge's outer endpoint neighbours a site; its own neighbours
-        # stay inside while it is off the grid's outer layer
-        if max(abs(c) for c in site) >= radius:
-            cells, new_radius = _grow_grid(cells, d, radius)
-            *edges, outer = _regrid(edges + [outer], d, radius, new_radius)
-            radius = new_radius
-            offsets = _step_offsets(d, radius)
+            if not cells[outer]:
+                break
+            edges[i] = edges[-1]
+            edges.pop()
+        added.append(outer)
+        # an edge's outer end neighbours a site; its neighbours lie inside if it is off the rim
+        if rim[outer]:
+            cells, rim, new_radius = _grow_grid(cells, d, radius)
+            edges = _regrid(edges, d, radius, new_radius)
+            added, radius = _regrid(added, d, radius, new_radius), new_radius
+            outer, offsets = added[-1], _step_offsets(d, radius)
         cells[outer] = 1
         for m in offsets:
             if not cells[outer + m]:
                 edges.append(outer + m)
-    return ClusterTrace(model="eden", seed=seed, dimension=d, vertices=added)
+    return ClusterTrace(model="eden", seed=seed, dimension=d, vertices=_sites(added, d, radius))
+
+
+def _bounded_draws(rng: np.random.Generator):
+    """Generator: sent n, it yields int(rng.integers(n)), read from blocks of words."""
+    block, n = 64, (yield)
+    while True:
+        for w in rng.integers(0, 1 << 32, size=block, dtype=np.uint32).tolist():
+            if not 1 < n < 1 << 32:
+                raise ValueError(f"word draws need 2 <= n < 2^32, got {n}")
+            m = w * n
+            if m & 0xFFFFFFFF >= ((1 << 32) - n) % n:
+                n = yield m >> 32
+        block = min(2 * block, _BLOCK_MAX)
 
 
 def fpp_infection_order(field: WeightField, steps: int) -> ClusterTrace:
@@ -168,12 +184,11 @@ def fpp_infection_order(field: WeightField, steps: int) -> ClusterTrace:
 
 
 _WALK_CAP_BASE = 100_000
-# the direction stream is drawn in blocks of 64, 128, ... draws up to this size:
-# small first blocks keep one-particle calls cheap, and the cap keeps the
-# block's few arrays (8 bytes a draw each) near a megabyte
+# random draws come in blocks of 64, 128, ... up to this size: small first blocks
+# keep one-step calls cheap, and the cap keeps a block's arrays near a megabyte
 _BLOCK_MAX = 1 << 16
-# largest occupancy grid, in cells of one byte, that idla_grow and eden_grow
-# will allocate
+# largest occupancy grid, in cells of one byte (and one rim byte), that idla_grow
+# and eden_grow will allocate
 _GRID_CELLS_MAX = 1 << 28
 # the d = 2 walker rebuilds its level map after this many particles; at
 # 20,000 sites that many add about half a layer to the cluster
@@ -186,10 +201,13 @@ def idla_grow(seed: int, d: int, particles: int) -> ClusterTrace:
     Each walk runs until its first position outside the current cluster;
     that position is added.  A generous per-particle step cap guards against
     implementation bugs (the exit time is finite almost surely) and raises
-    if exceeded; in d = 2 a jump counts as one move.  The occupancy grid
-    holds (2 radius + 1)^d bytes, radius at least 2; one larger than
-    _GRID_CELLS_MAX raises ValueError, which bounds the dimension (12 for a
-    cluster of sup-norm radius 1).
+    if exceeded; in d = 2 a jump counts as one move.  In d = 1 the cap adds
+    20 p^2 for particle p: a walk leaves the interval of p + 1 sites after at
+    most (p + 2)^2 / 4 moves on average, so (Markov's inequality, 40 times)
+    after more than 20 (p + 2)^2 with probability at most 2^-40 < 1e-12.
+    The occupancy grid has (2 radius + 1)^d cells, radius at least 2; one
+    larger than _GRID_CELLS_MAX raises ValueError, which bounds the dimension
+    (12 for a cluster of sup-norm radius 1).
     """
     if particles < 1:
         raise ValueError("particles must be >= 1")
@@ -203,7 +221,7 @@ def _walk_blocks(seed: int, d: int, particles: int) -> list:
     """IDLA sites in any dimension, each walk a cumulative sum of a block of draws."""
     rng = np.random.default_rng(seed)
     radius = _first_radius(d, particles)
-    cells = _grid(d, radius)
+    cells, rim = _grid(d, radius)
     cells[len(cells) // 2] = 1
     flat = np.frombuffer(cells, dtype=np.uint8)
     offsets = np.array(_step_offsets(d, radius), dtype=np.int64)
@@ -213,8 +231,8 @@ def _walk_blocks(seed: int, d: int, particles: int) -> list:
     block = 64
     added = []
 
-    for _ in range(particles):
-        cap = _WALK_CAP_BASE + 200 * (len(added) + 26)
+    for p in range(particles):
+        cap = _walk_cap(d, p)
         limit = max(cap, 0)
         base = len(cells) // 2 - int(cum[start])  # the origin is the centre cell
         taken = 0  # moves of this walk in earlier blocks
@@ -243,17 +261,20 @@ def _walk_blocks(seed: int, d: int, particles: int) -> list:
         cell = base + int(cum[lo + j + 1])
         cells[cell] = 1
         start = lo + j + 1
-
-        site = _site(cell, d, radius)
-        added.append(site)
-        # a walk's exit neighbours a site, so it stays inside while every site is
-        # off the grid's outer layer
-        if max(abs(c) for c in site) >= radius:
-            cells, radius = _grow_grid(cells, d, radius)
+        added.append(cell)
+        # a walk's exit neighbours a site, so it lies inside while no site is on the rim
+        if rim[cell]:
+            cells, rim, new_radius = _grow_grid(cells, d, radius)
+            added, radius = _regrid(added, d, radius, new_radius), new_radius
             flat = np.frombuffer(cells, dtype=np.uint8)
             offsets = np.array(_step_offsets(d, radius), dtype=np.int64)
             np.cumsum(offsets[draws], out=cum[1:])
-    return added
+    return _sites(added, d, radius)
+
+
+def _walk_cap(d: int, p: int) -> int:
+    """Most moves the walk of particle p may take; see idla_grow for d = 1."""
+    return _WALK_CAP_BASE + 200 * (p + 26) + (20 * p * p if d == 1 else 0)
 
 
 def _cap_exceeded(cap: int) -> RuntimeError:
@@ -267,56 +288,58 @@ def _walk_squares(seed: int, particles: int) -> list:
     A grid cell holds 0 if empty, else 1 + its level: the largest k with
     the square of radius 2^k around it inside the cluster, 0 if none.  On
     level 0 the walker takes the next direction; on level k it jumps to the
-    boundary of that square, drawn from exits[k - 1] with a uniform from
+    boundary of that square, drawn from tables[1 + k] with a uniform from
     its own stream.
     """
     rng = np.random.default_rng(seed)
     jump_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    bisect_right = bisect.bisect_right
     radius = _first_radius(2, particles)
-    cells = _grid(2, radius)
+    cells, rim = _grid(2, radius)
     centre = len(cells) // 2
     cells[centre] = 1
-    offsets = _step_offsets(2, radius)
-    exits = []
-    dirs, di, block = [], 0, 64
-    us, ui, ublock = [], 0, 64
+    offsets = np.array(_step_offsets(2, radius), dtype=np.int64)
+    tables = [None, None]  # entry 1 + k, a level-k cell's byte: its jumps and their cdf
+    draws, steps, di, dn, block = np.empty(0, np.int64), [], 0, 0, 64  # steps: draws as offsets
+    us, ui, un, ublock = [], 0, 0, 64
     added = []
 
     for p in range(particles):
         if p % _LEVEL_REFRESH == 0 and p:
-            exits = _mark_levels(cells, radius)
-        cap = _WALK_CAP_BASE + 200 * (p + 26)
+            tables = [None, None, *_mark_levels(cells, radius)]
+        cap = _walk_cap(2, p)
         pos = centre
-        moves = 0
-        while True:
+        # a walk may take cap moves but not one more
+        for _ in range(cap + 1):
             v = cells[pos]
-            if not v:
-                break
-            if moves >= cap:
-                raise _cap_exceeded(cap)
-            moves += 1
             if v == 1:
-                if di == len(dirs):
-                    dirs, di = rng.integers(0, 4, size=block).tolist(), 0
+                if di == dn:
+                    draws = rng.integers(0, 4, size=block)
+                    steps, di, dn = offsets[draws].tolist(), 0, block
                     block = min(2 * block, _BLOCK_MAX)
-                pos += offsets[dirs[di]]
+                pos += steps[di]
                 di += 1
-            else:
-                if ui == len(us):
-                    us, ui = jump_rng.random(ublock).tolist(), 0
+            elif v:
+                if ui == un:
+                    us, ui, un = jump_rng.random(ublock).tolist(), 0, ublock
                     ublock = min(2 * ublock, _BLOCK_MAX)
-                jumps, cdf = exits[v - 2]
-                pos += jumps[bisect.bisect_right(cdf, us[ui])]
+                jumps, cdf = tables[v]
+                pos += jumps[bisect_right(cdf, us[ui])]
                 ui += 1
+            else:
+                break
+        else:
+            raise _cap_exceeded(cap)
         cells[pos] = 1
-        site = _site(pos, 2, radius)
-        added.append(site)
-        if max(abs(site[0]), abs(site[1])) >= radius:
-            cells, radius = _grow_grid(cells, 2, radius)
+        added.append(pos)
+        if rim[pos]:
+            cells, rim, new_radius = _grow_grid(cells, 2, radius)
+            added, radius = _regrid(added, 2, radius, new_radius), new_radius
             centre = len(cells) // 2
-            offsets = _step_offsets(2, radius)
-            exits = _mark_levels(cells, radius)
-    return added
+            offsets = np.array(_step_offsets(2, radius), dtype=np.int64)
+            steps = offsets[draws].tolist()
+            tables = [None, None, *_mark_levels(cells, radius)]
+    return _sites(added, 2, radius)
 
 
 def _mark_levels(cells: bytearray, radius: int) -> list:
@@ -401,13 +424,10 @@ def _regrid(indices: list, d: int, radius: int, new_radius: int) -> list:
                                 (2 * new_radius + 1,) * d).tolist()
 
 
-def _site(cell: int, d: int, radius: int) -> tuple:
-    """Coordinates of a flat index into the grid of this radius."""
-    site = []
-    for _ in range(d):
-        cell, c = divmod(cell, 2 * radius + 1)
-        site.append(c - radius)
-    return tuple(reversed(site))
+def _sites(indices: list, d: int, radius: int) -> list:
+    """Coordinates of flat indices into the grid of this radius, as tuples of ints."""
+    coords = np.unravel_index(np.array(indices, dtype=np.int64), (2 * radius + 1,) * d)
+    return list(zip(*((c - radius).tolist() for c in coords)))
 
 
 def _step_offsets(d: int, radius: int) -> list:
@@ -425,13 +445,15 @@ def _first_radius(d: int, particles: int) -> int:
     return max(2, int(1.2 * (particles / ball) ** (1 / d)) + 1)
 
 
-def _grid(d: int, radius: int) -> bytearray:
-    """Empty occupancy grid of the box [-radius, radius]^d, one byte a site, C order."""
+def _grid(d: int, radius: int):
+    """Empty grid of the box [-radius, radius]^d, a byte a site in C order, and its rim bytes."""
     cells = (2 * radius + 1) ** d
     if cells > _GRID_CELLS_MAX:
         raise ValueError(f"a growth grid in dimension {d} needs {cells} cells, "
                          f"more than {_GRID_CELLS_MAX}")
-    return bytearray(cells)
+    rim = bytearray(b"\1") * cells
+    _shaped(rim, d, radius)[(slice(1, -1),) * d] = 0
+    return bytearray(cells), rim
 
 
 def _shaped(cells: bytearray, d: int, radius: int) -> np.ndarray:
@@ -440,13 +462,13 @@ def _shaped(cells: bytearray, d: int, radius: int) -> np.ndarray:
 
 
 def _grow_grid(cells: bytearray, d: int, radius: int):
-    """The grid, radius half as large again, with the old one at its centre."""
+    """The grid, radius half as large again, with the old one at its centre; its rim."""
     new_radius = radius + (radius + 1) // 2
-    new = _grid(d, new_radius)
+    new, rim = _grid(d, new_radius)
     off = new_radius - radius
     _shaped(new, d, new_radius)[(slice(off, off + 2 * radius + 1),) * d] = (
         _shaped(cells, d, radius))
-    return new, new_radius
+    return new, rim, new_radius
 
 
 def roundness(trace: ClusterTrace, n: int):

@@ -309,6 +309,26 @@ def test_cli_idla_grid_past_limit_is_hard_failure(tmp_path):
     assert proc.stderr.startswith("hard failure: dim 10, steps 40: ")
 
 
+def test_cli_idla_in_dimension_one_runs_past_the_old_cap(tmp_path):
+    # the cap grew linearly in the cluster size, but d = 1 walks take about
+    # size^2 / 4 moves: 600 particles once ended in a traceback
+    src = str(Path(latticegrow.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticegrow.cli", "idla", "--dim", "1", "--steps", "600",
+         "--seed", "11", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "o" / "idla_trace.csv").read_text().splitlines()) == 601
+
+
+def test_idla_walk_cap_is_hard_failure(monkeypatch, tmp_path):
+    monkeypatch.setattr(growth, "_WALK_CAP_BASE", -5200)  # cap 0 for the first walk
+    for d in (1, 2, 3):
+        with pytest.raises(HardFailure, match=f"dim {d}, steps 5: random walk exceeded"):
+            run_experiment(_cfg(kind="idla", dim=d, steps=5, out=str(tmp_path / str(d))))
+
+
 @pytest.mark.parametrize("kind,dist,t_ok,t_bad", [
     ("fpp-shape", "unif:0.5:1.5", 125.25, 125.26),  # first box radius 511, then 512
     ("lpp-shape", "exp:1.0", 406.0, 406.01),        # first table corner 1023, then 1024
@@ -464,6 +484,7 @@ def test_cli_kinds_import_no_scipy(tmp_path):
         (["radial-g", "--model", "lpp", "--n-grid", "10000000", "--trials", "2"], "n_grid"),
         (["eden", "--dim", "13", "--steps", "1"], "dim"),
         (["eden", "--steps", "1000000000"], "steps"),
+        (["idla", "--dim", "1", "--steps", "1063"], "steps"),
     ],
 )
 def test_cli_bad_input_exits_2_without_traceback(argv, field, tmp_path):

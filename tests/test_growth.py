@@ -102,6 +102,35 @@ def test_eden_matches_tuple_loop(monkeypatch):
             assert len(grown) >= 3, (d, grown)
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 2**16 + 1, 3 * 2**30, 2**32 - 1, 2**31 + 1])
+def test_word_draws_match_numpy_integers(n):
+    # 2^31 + 1 rejects about half the words, so blocks end inside a redraw
+    numpy_rng = np.random.default_rng(2024)
+    draw = growth._bounded_draws(np.random.default_rng(2024)).send
+    draw(None)
+    assert [draw(n) for _ in range(3000)] == [int(numpy_rng.integers(n)) for _ in range(3000)]
+
+
+def test_word_draws_refuse_ranges_numpy_draws_otherwise():
+    for n in (1, 2**32):
+        draw = growth._bounded_draws(np.random.default_rng(0)).send
+        draw(None)
+        with pytest.raises(ValueError, match="2 <= n < 2"):
+            draw(n)
+
+
+def test_decoded_sites_are_tuples_of_python_ints(monkeypatch):
+    grown = _counting_grow_grid(monkeypatch)
+    runs = [(eden_grow, 1, 60), (eden_grow, 2, 400), (eden_grow, 3, 400),
+            (idla_grow, 1, 60), (idla_grow, 2, 400), (idla_grow, 3, 400)]
+    for grow, d, steps in runs:
+        grown.clear()
+        vertices = grow(5, d, steps).vertices
+        assert len(grown) >= 2, (grow, d)
+        assert all(type(v) is tuple and len(v) == d for v in vertices)
+        assert {type(c) for v in vertices for c in v} == {int}
+
+
 def _domino_boundary_edges(s1):
     """Enumerate the boundary edge multiset of a 2-site cluster exactly."""
     edges = []
