@@ -8,30 +8,30 @@ cumulative sums.  Every interior entry satisfies
     T[x] = w[x] + max over the d backward neighbors of T
 
 exactly: each cell is computed by that literal recursion (one max over the
-neighbors in axis order, one add), so the floats are bit-identical to a
-scalar raster evaluation.  That makes the table directly comparable, bit for
-bit, against the exclusion-process step times built from the same weight
-field.
+neighbors, one add; a max of non-NaN floats does not depend on their
+order), so the floats are bit-identical to a scalar raster evaluation and
+to the exclusion-process step times built from the same weight field.
 
-Both sweeps advance a whole hyperplane (coordinate sum = k) per numpy step
-and carry a trailing trial axis, so one step advances B independent tables
-at once.  In d = 2 each anti-diagonal is stored as one contiguous row of a
-skewed array, padded with -inf, and a step is two slice operations; in
-other dimensions a step gathers the d backward neighbors through flat
-indices.  A trial's table never depends on its batch-mates.  Batches are
-sized by an element budget (_BATCH_CELLS values in the working array, at
-least one trial), which bounds a batch's memory at any n.
+One sweep (_sweep) serves every dimension.  The rectangle's longest axis is
+the depth and the other (lead) axes index a layer: hyperplane k (coordinate
+sum k) is t[k, i + 1] = T(i, k - sum(i)), padded with -inf before index 0
+on every lead axis.  A cell's backward neighbors are the previous layer at
+i - e_j and at i, so a step is one maximum per extra neighbor and one add
+of the weights, read through one as_strided view ws[k, i] = w[i, k - sum(i)]
+with no gather.  A step covers the cells whose first lead coordinate lies
+on the rectangle; off it, cells below depth 0 stay -inf and only cells
+past the corner read those past the corner.  A trailing trial axis lets a
+step advance B tables; a batch holds about _BATCH_CELLS skewed cells.
 
-The d = 2 sweep has three outputs, each bit for bit:
-- lpp_dp keeps every anti-diagonal and un-skews them into the full table;
-- the estimators keep two anti-diagonals and read T(0, corner) off the
-  last one, and for wandering the sweep also stores one decision byte per
-  cell, T(i-1, j) >= T(i, j-1): lpp_geodesic's rule that a tie steps back
-  along the first axis.  A tall rectangle is swept transposed, with the
-  first axis as its columns, so there the byte is the strict comparison.
-  Walking the bytes back from the corner gives lpp_geodesic's path;
-- the same layout with min over edge weights gives first-passage times
-  for two-point weights in {1, 2} (_min_plus_2d), in uint16 with the
+The skewed layout has three outputs, each bit for bit:
+- lpp_dp keeps every layer and un-skews them into the full table;
+- the estimators keep two layers and read T(0, corner) off the last one;
+  for wandering the sweep also stores one decision byte per cell, the
+  original axis of its step back, the first axis winning ties (in d = 2 one
+  strict comparison), so walking the bytes back from the corner gives
+  lpp_geodesic's path;
+- in d = 2, the same layout with min over edge weights gives first-passage
+  times for two-point weights in {1, 2} (_min_plus_2d), in uint16 with the
   sentinel _SAT = 2^15 - 1 for unreached cells.  Min and add commute with
   saturation at _SAT, so every cell holds min(_SAT, T) exactly.  Layer 0
   is the up-right sweep; it gives the oriented time U from (0, 0) to
@@ -47,6 +47,7 @@ The d = 2 sweep has three outputs, each bit for bit:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,10 +79,10 @@ class LppTimeMap:
     origin: tuple
 
     def time_to(self, x) -> float:
-        x = tuple(int(c) for c in x)
-        if any(c < 0 for c in x) or any(a > b for a, b in zip(x, self.corner)):
-            raise KeyError(f"{x} lies outside the computed rectangle {self.corner}")
-        return float(self.table[x])
+        v = _lattice_point_in(x, self.corner)
+        if v is None:
+            raise KeyError(f"{tuple(x)} is not a vertex of the computed rectangle {self.corner}")
+        return float(self.table[v])
 
     def to_csv(self, path) -> None:
         d = len(self.corner)
@@ -89,18 +90,24 @@ class LppTimeMap:
         write_csv(path, [f"x{i + 1}" for i in range(d)] + ["T"], [*idx, self.table.ravel()])
 
 
-# element budget of one batch: float64 values in its skewed (or padded) table,
-# 8 MB, or 1 MB of decision bytes where a sweep keeps two anti-diagonals only;
-# the batch's weights take about half the table's size
+def _lattice_point_in(x, corner):
+    """x as a tuple of ints if it is a lattice point of [0, corner], else None."""
+    x = tuple(x)
+    # the bounds come first, so NaN and infinities never reach int()
+    ok = len(x) == len(corner) and all(0 <= a <= c and a == int(a) for a, c in zip(x, corner))
+    return tuple(map(int, x)) if ok else None
+
+
+# element budget of one batch: float64 values in its skewed table, 8 MB, or
+# 1 MB of decision bytes where a sweep keeps two layers only; the batch's
+# weights take at most about half the table's size
 _BATCH_CELLS = 1 << 20
 
 
 def _trials_per_batch(corner) -> int:
     """How many trials on one rectangle fit the element budget, at least one."""
-    if len(corner) == 2:
-        cells = (sum(corner) + 1) * (min(corner) + 2)  # skewed table
-    else:
-        cells = math.prod(c + 2 for c in corner)  # padded table
+    lead = sorted(corner)[:-1]  # every axis but a longest one
+    cells = (sum(corner) + 1) * math.prod(c + 2 for c in lead)  # skewed table
     return max(1, _BATCH_CELLS // cells)
 
 
@@ -117,67 +124,69 @@ def _min_plus_trials_per_batch(size: int) -> int:
     return max(1, 8 * _BATCH_CELLS // per_trial)
 
 
-def _skew(w: np.ndarray) -> np.ndarray:
-    """Read-only view ws[k, i] = w[i, k - i] of a C-contiguous (m+1, n+1, B) grid, m <= n.
+def _sweep_axes(shape) -> list:
+    """The sweep's axis order: the other axes, then the last of the longest (the depth)."""
+    p = max(range(len(shape)), key=lambda a: (shape[a], a))
+    return [a for a in range(len(shape)) if a != p] + [p]
 
-    ws[k, i] lies (k + i n) B values into w, never past its end; where
-    k - i falls outside [0, n] it reads another cell, which the sweeps'
-    slices never touch.
+
+def _sweep(w: np.ndarray, keep_all: bool, tie_order=None):
+    """Skewed hyperplane sweep (module docstring) of every trial at once; returns (t, dec).
+
+    w is a C-contiguous float64 grid in sweep order: lead axes, depth axis,
+    trial axis.  t[k % rows, i + 1] = T(i, k - sum(i)), with every layer
+    kept when keep_all, else two.  tie_order, None or the sweep axis of each
+    original axis in turn, fills dec[k, i] with the original axis of the
+    cell's step back, the first axis winning ties.
     """
-    m, n, b = w.shape[0] - 1, w.shape[1] - 1, w.shape[2]
-    e = w.itemsize
-    return as_strided(w, (m + n + 1, m + 1, b), (b * e, n * b * e, e), writeable=False)
-
-
-def _sweep_2d(w: np.ndarray, rows: int, first_axis=None):
-    """Skewed anti-diagonal sweep of the corner-growth recursion, m <= n.
-
-    w is a C-contiguous float64 (m+1, n+1, B) grid.  Anti-diagonal k is
-    one contiguous row of t, t[k % rows, i+1] = T(i, k-i), padded with
-    -inf, so each step is two slice operations over every trial at once.
-    rows = m + n + 1 keeps every anti-diagonal; rows = 2 keeps the last
-    two, and needs no reset: a step reads row k-1 at columns 0 and k+1
-    only while those were never written, and its written span only moves
-    right.  first_axis, a comparison ufunc or None, fills dec[k, i] =
-    first_axis(T(i-1, j), T(i, j-1)), the backtrack's step down the row
-    axis, one bool per cell.  Returns (t, dec or None).
-    """
-    m, n, b = w.shape[0] - 1, w.shape[1] - 1, w.shape[2]
-    ws = _skew(w)
-    t = np.full((rows, m + 2, b), -math.inf)
-    t[0, 1] = 0.0
-    dec = None if first_axis is None else np.empty((m + n + 1, m + 1, b), dtype=bool)
-    for k in range(1, m + n + 1):
-        lo, hi = max(0, k - n), min(m, k)
-        prev, cur = t[(k - 1) % rows], t[k % rows, lo + 1 : hi + 2]
-        up, left = prev[lo : hi + 1], prev[lo + 1 : hi + 2]
-        if dec is not None:
-            first_axis(up, left, out=dec[k, lo : hi + 1])
-        # T(i, j) = w + max(T(i-1, j), T(i, j-1)): one max, one add per cell
-        np.maximum(up, left, out=cur)
-        cur += ws[k, lo : hi + 1]
+    *lead, depth, b = w.shape
+    d, layers = len(lead) + 1, depth + sum(lead) - len(lead)
+    rows = layers if keep_all else 2
+    t = np.full((rows, *(n + 1 for n in lead), b), -math.inf)
+    t[(0,) + (1,) * (d - 1)] = 0.0
+    # ws[k, i] = w[i, k - sum(i)], or some other weight off the rectangle
+    *s_lead, s, e = w.strides
+    ws = as_strided(w, (layers, *lead, b), (s, *(sj - s for sj in s_lead), e), writeable=False)
+    dec = None if tie_order is None else np.zeros((layers, *lead, b), dtype=np.uint8)
+    # the first comparison writes its 0 or 1 into the bytes through a bool view, uncast
+    flags = None if dec is None else dec.view(bool)
+    # the previous layer at i - e_j for each lead axis j, then at i (the
+    # depth), in the order they are compared
+    inner = (slice(1, None),) * (d - 1)
+    shifts = [inner[:a] + (slice(0, -1),) * (a < d - 1) + inner[a + 1 :]
+              for a in (range(d) if tie_order is None else tie_order)]
+    here, nbs = t[(slice(None), *inner)], [t[(slice(None), *sh)] for sh in shifts]
+    # step k covers the cells of layer k whose first lead coordinate is on
+    # the rectangle: max(0, k - sum(c) + c_1) <= i_1 <= min(c_1, k)
+    boxes = [slice(None)] * layers
+    if d > 1:
+        k = np.arange(layers)
+        boxes = list(map(slice, np.maximum(k - layers + lead[0], 0).tolist(),
+                         np.minimum(k + 1, lead[0]).tolist()))
+    for k in range(1, layers):
+        box, back = boxes[k], (k - 1) % rows
+        cur, best = here[k % rows, box], nbs[0][back, box]
+        for r in range(1, d):
+            x = nbs[r][back, box]
+            if dec is not None and r == 1:
+                np.greater(x, best, out=flags[k, box])
+            elif dec is not None:
+                np.copyto(dec[k, box], r, where=x > best)
+            np.maximum(best, x, out=cur)
+            best = cur
+        np.add(best, ws[k, box], out=cur)
     return t, dec
 
 
-def _dp_2d(w: np.ndarray) -> np.ndarray:
-    """Full tables of an (m+1, n+1) weight grid, optionally with a trailing trial axis.
-
-    The tables come back in the shape of w.  The sweep's row axis is the
-    shorter side of the rectangle; its table holds about _BATCH_CELLS
-    values when B comes from _trials_per_batch.
-    """
-    if w.ndim == 2:
-        return _dp_2d(w[..., None])[..., 0]
-    m, n, b = w.shape[0] - 1, w.shape[1] - 1, w.shape[2]
-    if m > n:
-        # max is symmetric on tables (no NaN, no -0.0), so transposing is bit-exact
-        return np.ascontiguousarray(_dp_2d(w.swapaxes(0, 1)).swapaxes(0, 1))
-    t, _ = _sweep_2d(np.ascontiguousarray(w, dtype=np.float64), m + n + 1)
-    # un-skew: T(i, j) = t[i + j, i + 1] lies (i (m+3) + j (m+2)) b values past
-    # t[0, 1]; T(m, n) is the last value of t
-    e = t.itemsize
-    r = (m + 2) * b * e
-    return as_strided(t[0, 1:], (m + 1, n + 1, b), (r + b * e, r, e)).copy()
+def _tables(w: np.ndarray) -> np.ndarray:
+    """Full tables of a weight grid with a trailing trial axis, in the shape of w."""
+    perm = _sweep_axes(w.shape[:-1]) + [w.ndim - 1]
+    t, _ = _sweep(np.ascontiguousarray(w.transpose(perm), dtype=np.float64), True)
+    # un-skew: T(i, j) with depth index j lies at t[sum(i) + j, i + 1]
+    r, *s_lead, e = t.strides
+    shape = tuple(w.shape[a] for a in perm)
+    u = as_strided(t[(0,) + (1,) * (w.ndim - 2)], shape, (*(r + sj for sj in s_lead), r, e))
+    return np.ascontiguousarray(u.transpose(np.argsort(perm)))
 
 
 # the min-plus sweep's uint16 sentinel for "not reached", and the weight of
@@ -245,82 +254,38 @@ def _min_plus_2d(w: np.ndarray, source: int = 0, rounds: int = 0) -> np.ndarray:
     return t
 
 
-def _dp_general(w: np.ndarray) -> np.ndarray:
-    """Hyperplane sweep (coordinate sum = k) for any d; w has a trailing trial axis.
-
-    The table carries a leading -inf layer on every axis, so each of the d
-    backward neighbors is one flat-index gather, taken in axis order like
-    the scalar recursion.
-    """
-    shape, b = w.shape[:-1], w.shape[-1]
-    pshape = tuple(s + 1 for s in shape)
-    idx = np.indices(shape).reshape(len(shape), -1)
-    flat = np.ravel_multi_index(tuple(idx + 1), pshape)
-    strides = [math.prod(pshape[j + 1 :]) for j in range(len(shape))]
-    level = idx.sum(axis=0)
-    order = np.argsort(level, kind="stable")
-    ends = np.cumsum(np.bincount(level))
-    wf = w.reshape(-1, b)
-    t = np.full((math.prod(pshape), b), -math.inf)
-    t[flat[0]] = 0.0
-    for k in range(1, len(ends)):
-        cells = order[ends[k - 1] : ends[k]]
-        dst = flat[cells]
-        best = t[dst - strides[0]]
-        for s in strides[1:]:
-            # maximum keeps its first argument on ties, like a strict > scan
-            np.maximum(best, t[dst - s], out=best)
-        best += wf[cells]
-        t[dst] = best
-    return np.ascontiguousarray(t.reshape(pshape + (b,))[(slice(1, None),) * len(shape)])
-
-
-def _batch_tables(fields, corner, origin) -> np.ndarray:
-    """Tables of several vertex fields on [origin, origin + corner], stacked on a last axis."""
-    shape = tuple(c + 1 for c in corner)
-    w = np.stack([f.vertex_window(origin, shape) for f in fields], axis=-1)
-    return _dp_2d(w) if len(corner) == 2 else _dp_general(w)
-
-
 def _batch_corners(fields, corner, geodesics: bool):
     """T(0, corner) of several vertex fields, shape (B,), and optionally their geodesics.
 
-    Each geodesic is lpp_geodesic's, as the (sum(corner) + 1, d) float array
-    of its vertices, origin first.  In d = 2 the sweep keeps two
-    anti-diagonals and, for geodesics, the decision bytes (module docstring).
+    Each geodesic is lpp_geodesic's, as a (sum(corner) + 1, d) float array, origin first.
     """
-    d = len(corner)
-    if d != 2:
-        tables = _batch_tables(fields, corner, (0,) * d)
-        paths = None
-        if geodesics:
-            geos = [lpp_geodesic(LppTimeMap(corner, tables[..., b], f, (0,) * d), f, corner)
-                    for b, f in enumerate(fields)]
-            paths = [np.asarray((g.start,) + g.vertices, dtype=np.float64) for g in geos]
-        return tables[corner], paths
-    flip = corner[0] > corner[1]
-    m, n = sorted(corner)
-    w = np.empty((m + 1, n + 1, len(fields)))
-    for b, f in enumerate(fields):
-        x = f.vertex_window((0, 0), (corner[0] + 1, corner[1] + 1))
-        w[..., b] = x.T if flip else x
-    rule = (np.greater if flip else np.greater_equal) if geodesics else None
-    t, dec = _sweep_2d(w, 2, rule)
-    times = t[(m + n) % 2, m + 1]
+    d, b = len(corner), len(fields)
+    perm = _sweep_axes(corner)
+    w = np.empty((*(corner[a] + 1 for a in perm), b))
+    for j, f in enumerate(fields):
+        w[..., j] = f.vertex_window((0,) * d, tuple(c + 1 for c in corner)).transpose(perm)
+    t, dec = _sweep(w, False, [perm.index(a) for a in range(d)] if geodesics else None)
+    layers = sum(corner) + 1
+    times = t[((layers - 1) % 2,) + (-1,) * (d - 1)]
     if not geodesics:
         return times, None
-    paths = []
-    diag = np.arange(m + n + 1, dtype=np.float64)
-    for b in range(len(fields)):
-        buf = dec[..., b].tobytes()
-        rows = [0] * (m + n + 1)  # the path's row on each anti-diagonal
-        i = m
-        for k in range(m + n, 0, -1):
-            rows[k] = i
-            i -= buf[k * (m + 1) + i]
-        r = np.array(rows, dtype=np.float64)
-        paths.append(np.stack((diag - r, r) if flip else (r, diag - r), axis=1))
-    return times, paths
+    # a step back along original axis a moves the flat index within a layer
+    # by that lead axis's stride, or not at all along the depth
+    lead, size, step = w.shape[:-2], math.prod(w.shape[:-2]), [0] * d
+    for j, a in enumerate(perm[:-1]):
+        step[a] = math.prod(lead[j + 1 :])
+    flat = array("q", bytes(8 * b * layers))  # each path's flat lead index by layer
+    rows = memoryview(flat)
+    for j in range(b):
+        buf, row, i = dec[..., j].tobytes(), rows[j * layers : (j + 1) * layers], size - 1
+        for k in range(layers - 1, 0, -1):
+            row[k] = i
+            i -= step[buf[k * size + i]]
+    flat = np.frombuffer(flat, dtype=np.int64).reshape(b, layers)
+    coords = np.unravel_index(flat, lead) if d > 1 else ()
+    pts = np.empty((b, layers, d))
+    pts[..., perm] = np.stack([*coords, np.arange(layers) - sum(coords)], axis=-1)
+    return times, list(pts)
 
 
 def lpp_dp(field: WeightField, corner, origin=None) -> LppTimeMap:
@@ -341,7 +306,8 @@ def lpp_dp(field: WeightField, corner, origin=None) -> LppTimeMap:
         origin = (0,) * field.dimension
     origin = tuple(int(c) for c in origin)
 
-    table = _batch_tables([field], corner, origin)[..., 0]
+    w = field.vertex_window(origin, tuple(c + 1 for c in corner))
+    table = _tables(w[..., None])[..., 0]
     return LppTimeMap(corner=corner, table=table, field=field, origin=origin)
 
 
@@ -368,13 +334,13 @@ def lpp_geodesic(lmap: LppTimeMap, field: WeightField, target) -> OrientedPath:
     """Argmax backtracking through the table; ties prefer the first-axis predecessor."""
     if field is not lmap.field and field != lmap.field:
         raise ValueError("geodesic field does not match the map's field")
-    target = tuple(int(c) for c in target)
-    if any(c < 0 for c in target) or any(a > b for a, b in zip(target, lmap.corner)):
-        raise ValueError(f"target {target} outside rectangle {lmap.corner}")
+    cur = _lattice_point_in(target, lmap.corner)
+    if cur is None:
+        raise ValueError(f"target {tuple(target)} is not a vertex of rectangle {lmap.corner}")
+    target = cur
     d = len(lmap.corner)
     t = lmap.table
     path = []
-    cur = target
     while any(c != 0 for c in cur):
         path.append(cur)
         best_axis = None

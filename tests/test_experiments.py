@@ -527,6 +527,20 @@ GOLDEN = {
         "wandering_series.csv":
             "cbd123e90831b7f2eaa8ad6805016af54c1a4581f9137a23ccf401ddd4c1649e",
     }),
+    # d = 3 on permuted, tie-heavy shapes: the longest axis is first, then
+    # in the middle
+    "exponents-3d": (dict(kind="exponents", dist="twopoint:0.5", dim=3, direction="2,1,1",
+                          n_grid="2,4,8,16", trials=200), {
+        "fits.json": "bbb1eb719b9b7acf0b622ab9b02277f127d82e92ab61fd52a8f35572e0b81766",
+        "variance_series.csv":
+            "75aeffd680639be8d060a6dd22ec5b27b635a2377a94362a6d6c7dfc0c58658b",
+        "wandering_series.csv":
+            "18b88a868f48ad5e2ad2712e78ea8694945c386990c51740ab6f9f5fd23f3434",
+    }),
+    "radial-g-lpp-3d": (dict(kind="radial-g", model="lpp", dist="geom:0.5", dim=3,
+                             direction="1,3,2", n_grid="2,4,8", trials=4), {
+        "radial_g.csv": "3ab9a332a9c4342892037e9f62e74681a87bb267c9d1997f03e1f91d6c3e497f",
+    }),
     "flat-edge": (dict(kind="flat-edge", dist="twopoint:0.8", n_grid="50", trials=2), {
         "flat_edge.csv": "e910a6d0328f51ed9f1f12cca0c9abb2975dfe344eb5df1aa1f846e08ef7f134",
     }),

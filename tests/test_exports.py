@@ -1,4 +1,6 @@
 import importlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +62,20 @@ def test_package_unknown_name_is_attribute_error():
         latticegrow.no_such_solver
     with pytest.raises(ImportError):
         exec("from latticegrow import no_such_solver", {})
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    # the benchmark's tracer patches package functions by name; renaming or
+    # deleting one must fail here too, and leaving the tracer restores them
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    lpp = importlib.import_module("latticegrow.lpp")
+    before = lpp.lpp_dp
+    with tracer.Tracer().installed():
+        assert lpp.lpp_dp is not before
+    assert lpp.lpp_dp is before
 
 
 def test_passage_map_csv(tmp_path):

@@ -20,7 +20,7 @@ from latticegrow import (
     two_point,
     uniform,
 )
-from latticegrow.lpp import _batch_corners, _dp_2d
+from latticegrow.lpp import _batch_corners, _tables
 
 LAWS = [exponential(1.0), geometric(0.3), uniform(0.5, 1.5), two_point(0.5), constant(1.0)]
 
@@ -87,7 +87,7 @@ def test_transposed_weights_give_transposed_table():
     f = make_field(exponential(1.0), 8, "vertex", 2)
     grid = np.stack(np.meshgrid(np.arange(7), np.arange(5), indexing="ij"), axis=-1)
     w = f.vertex_weights(grid)
-    assert np.array_equal(_dp_2d(w.T), _dp_2d(w).T)
+    assert np.array_equal(_tables(w.T[..., None])[..., 0], _tables(w[..., None])[..., 0].T)
 
 
 # -- test-only references: the index-array sweep and the per-cell loop ---------------
@@ -121,19 +121,25 @@ def _ref_dp_general(w):
 
 
 @pytest.mark.parametrize("spec", LAWS, ids=lambda s: s.token())
-@pytest.mark.parametrize("shape", [(9, 9), (12, 5), (4, 10), (1, 8), (8, 1), (1, 1)],
-                         ids=["square", "tall", "wide", "row", "column", "0x0"])
+@pytest.mark.parametrize("shape", [(9, 9), (12, 5), (4, 10), (1, 8), (8, 1), (1, 1),
+                                   (8,), (1,), (4, 4, 4), (6, 2, 3), (2, 7, 3), (3, 2, 1),
+                                   (1, 1, 1), (2, 3, 4, 2), (3, 1, 2, 3)],
+                         ids=["square", "tall", "wide", "row", "column", "0x0",
+                              "1d", "1d-0", "cube", "3d-first", "3d-middle", "3d-flat",
+                              "3d-0", "4d", "4d-tie"])
 @pytest.mark.parametrize("batch", [1, 2, 7])
 def test_batched_sweep_matches_reference_bytes(spec, shape, batch):
     # every trial's table equals the reference sweep on its own weights, so
     # no table depends on its batch-mates
-    w = np.stack([make_field(spec, 40 + b, "vertex", 2).vertex_window((2, -3), shape)
+    d = len(shape)
+    w = np.stack([make_field(spec, 40 + b, "vertex", d).vertex_window((2, -3, 1, 0)[:d], shape)
                   for b in range(batch)], axis=-1)
-    tables = _dp_2d(w)
+    ref = _ref_dp_2d if d == 2 else _ref_dp_general
+    tables = _tables(w)
     assert tables.shape == w.shape
     for b in range(batch):
-        assert tables[..., b].tobytes() == _ref_dp_2d(w[..., b]).tobytes()
-    assert _dp_2d(w[..., 0]).tobytes() == _ref_dp_2d(w[..., 0]).tobytes()
+        assert tables[..., b].tobytes() == ref(w[..., b]).tobytes()
+    assert _tables(w[..., :1])[..., 0].tobytes() == ref(w[..., 0]).tobytes()
 
 
 @pytest.mark.parametrize("spec", [uniform(0.5, 1.5), exponential(1.0), geometric(0.5)],
@@ -147,8 +153,10 @@ def test_hyperplane_sweep_matches_cell_loop(spec, corner):
 
 
 @pytest.mark.parametrize("spec", [two_point(0.5), geometric(0.7)], ids=lambda s: s.token())
-@pytest.mark.parametrize("corner", [(4, 9), (9, 4), (6, 6), (0, 5), (5, 0), (0, 0), (2, 3, 1)],
-                         ids=["wide", "tall", "square", "row", "column", "0x0", "3d"])
+@pytest.mark.parametrize("corner", [(4, 9), (9, 4), (6, 6), (0, 5), (5, 0), (0, 0), (2, 3, 1),
+                                    (3, 3, 3), (4, 1, 3), (1, 5, 2), (2, 2, 2, 2), (5,)],
+                         ids=["wide", "tall", "square", "row", "column", "0x0", "3d",
+                              "cube", "3d-first", "3d-middle", "4d", "1d"])
 def test_corner_sweep_matches_table_and_geodesic(spec, corner):
     # discrete laws tie often; a tall corner takes the transposed sweep, whose
     # decision bytes must still break ties toward the original first axis
@@ -191,6 +199,20 @@ def test_rejects_bad_corners_and_fields():
 
 
 # -- geodesics ------------------------------------------------------------------
+
+def test_time_to_and_geodesic_reject_wrong_vertices():
+    # a non-integer coordinate or the wrong number of them is not a vertex,
+    # as for PassageTimeMap.time_to
+    f = make_field(exponential(1.0), 6, "vertex", 2)
+    lmap = lpp_dp(f, (3, 4))
+    for bad in [(1.5, 2), (1, 1, 1), (1,), (), (4, 0), (0, -1), (math.nan, 1), (1, math.inf)]:
+        with pytest.raises(KeyError):
+            lmap.time_to(bad)
+        with pytest.raises(ValueError):
+            lpp_geodesic(lmap, f, bad)
+    assert lmap.time_to(np.array([1, 2])) == lmap.time_to((1.0, 2)) == lmap.table[1, 2]
+    assert lpp_geodesic(lmap, f, np.array([1, 2])) == lpp_geodesic(lmap, f, (1, 2))
+
 
 def test_geodesic_axis_target():
     f = make_field(exponential(1.0), 6, "vertex", 2)
