@@ -34,7 +34,7 @@ from .lpp import (
     exact_shape_for,
     lpp_dp,
 )
-from .weights import DistributionSpec, WeightField, derive_seed
+from .weights import DistributionSpec, WeightField, derive_seed, two_point
 
 __all__ = [
     "Series",
@@ -195,33 +195,30 @@ def _fpp_target_solve(field: WeightField, target, *, want_geodesic: bool):
         if not pmap.boundary_hit:
             break
     t = pmap.time_to(target)
-    dev = None
+    dev = math.nan
     if want_geodesic:
-        geo = fpp_geodesic(pmap, target)
-        pts = np.asarray(geo.vertices, dtype=np.float64)
-        dev = max_distance_to_segment(
-            pts, np.zeros(field.dimension), np.asarray(target, float)
-        )
+        pts = np.asarray(fpp_geodesic(pmap, target).vertices, dtype=np.float64)
+        dev = max_distance_to_segment(pts, np.zeros(field.dimension), np.asarray(target, float))
     return t, dev, pmap.boundary_hit
 
 
-def _fpp_trial(args):
-    spec, target, child_seed, want_geodesic = args
-    fld = WeightField(spec, child_seed, "edge", len(target))
-    return _fpp_target_solve(fld, target, want_geodesic=want_geodesic)
-
-
-def _lpp_batch(args):
-    """One batched sweep; (time, wandering or None, False) for each trial."""
-    spec, target, seeds, want_geodesic = args
+def _point_batch(args):
+    """Times, wanderings (NaN unless asked for) and boundary flags of one
+    task: a single FPP solve, or one LPP sweep over a batch of trials."""
+    model, spec, target, seeds, want_geodesic = args
     d = len(target)
+    if model == "fpp":
+        (seed,) = seeds
+        t, dev, hit = _fpp_target_solve(WeightField(spec, seed, "edge", d), target,
+                                        want_geodesic=want_geodesic)
+        return [t], [dev], [hit]
     fields = [WeightField(spec, s, "vertex", d) for s in seeds]
     times, paths = _batch_corners(fields, target, want_geodesic)
-    devs = [None] * len(fields)
+    devs = [math.nan] * len(fields)
     if want_geodesic:
         devs = [max_distance_to_segment(p, np.zeros(d), np.asarray(target, float))
                 for p in paths]
-    return [(float(t), dev, False) for t, dev in zip(times, devs)]
+    return times, devs, [False] * len(fields)
 
 
 def _grid_targets(model: str, direction, n_grid):
@@ -248,33 +245,21 @@ def _sample_times(model, spec, direction, n_grid, trials, seed, tag, workers,
     Returns (ns, targets, times[n_index, trial], devs or None, trunc counts).
     """
     _check_model(model, spec)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     direction, ns, targets = _grid_targets(model, direction, n_grid)
     full_tag = f"{tag}:{model}:{spec.token()}:{direction}"
-    seeds = [[derive_seed(seed, full_tag, n, i) for i in range(trials)] for n in ns]
-    if model == "fpp":
-        tasks = [(spec, tgt, s, want_geodesic) for tgt, row in zip(targets, seeds) for s in row]
-        results = _map_trials(_fpp_trial, tasks, workers)
-    else:
-        # trials of one n share a sweep; each keeps its own field, so the
-        # samples do not depend on the batch size
-        tasks = []
-        for tgt, row in zip(targets, seeds):
-            per = _trials_per_batch(tgt)
-            tasks += [(spec, tgt, row[a : a + per], want_geodesic) for a in range(0, trials, per)]
-        results = [r for batch in _map_trials(_lpp_batch, tasks, workers) for r in batch]
-
-    times = np.empty((len(ns), trials))
-    devs = np.empty((len(ns), trials)) if want_geodesic else None
-    trunc: dict = {}
-    for j in range(len(ns)):
-        for i in range(trials):
-            t, dev, hit = results[j * trials + i]
-            times[j, i] = t
-            if want_geodesic:
-                devs[j, i] = dev
-            if hit:
-                trunc[ns[j]] = trunc.get(ns[j], 0) + 1
-    return np.array(ns), targets, times, devs, trunc
+    # an FPP task is one solve; trials of one n share an LPP sweep, each with
+    # its own field, so the samples do not depend on the batch size
+    tasks = []
+    for n, tgt in zip(ns, targets):
+        row = [derive_seed(seed, full_tag, n, i) for i in range(trials)]
+        per = 1 if model == "fpp" else _trials_per_batch(tgt)
+        tasks += [(model, spec, tgt, row[a : a + per], want_geodesic) for a in range(0, trials, per)]
+    times, devs, hits = (np.concatenate(col).reshape(len(ns), trials)
+                         for col in zip(*_map_trials(_point_batch, tasks, workers)))
+    trunc = {n: int(c) for n, c in zip(ns, hits.sum(axis=1)) if c}
+    return np.array(ns), targets, times, devs if want_geodesic else None, trunc
 
 
 def _mean_se(x: np.ndarray):
@@ -380,14 +365,19 @@ def _lpp_ball_trial(args):
     return {tuple(int(c) for c in v) for v in ball}, hit
 
 
-def _radial_reach(ball: set, theta, step: float = 0.25, patience: int = 8):
+# the radial scan's step, and how many misses in a row end it
+_REACH_STEP = 0.25
+_REACH_PATIENCE = 8
+
+
+def _radial_reach(ball: set, theta):
     """Largest rho with [rho * theta] in the ball, scanned outward."""
     cx, cy = math.cos(theta), math.sin(theta)
     rho = 0.0
     last_hit = 0.0
     misses = 0
-    while misses <= patience:
-        rho += step
+    while misses <= _REACH_PATIENCE:
+        rho += _REACH_STEP
         v = (math.floor(rho * cx), math.floor(rho * cy))
         if v in ball:
             last_hit = rho
@@ -532,7 +522,7 @@ def _twopoint_diag_time(fields, n: int) -> np.ndarray:
 
 def _flat_edge_batch(args):
     p, n, seeds = args
-    spec = DistributionSpec("twopoint", (p,))
+    spec = two_point(p)
     return _twopoint_diag_time([WeightField(spec, s, "edge", 2) for s in seeds], n)
 
 
@@ -573,6 +563,10 @@ def flat_edge_probe(p: float, n: int, trials: int, seed: int, workers: int = 1) 
 # -- fluctuation series -------------------------------------------------------
 
 
+# bootstrap resamples behind each variance's standard error and 95% band
+_BOOTSTRAP_RESAMPLES = 1000
+
+
 def variance_series(
     model: str,
     spec: DistributionSpec,
@@ -581,7 +575,6 @@ def variance_series(
     trials: int,
     seed: int,
     workers: int = 1,
-    bootstrap: int = 1000,
 ) -> Series:
     """Sample variance of T(0, [n x]) per n, with bootstrap confidence bands."""
     if trials < MIN_VARIANCE_TRIALS:
@@ -595,7 +588,7 @@ def variance_series(
     ci_high = np.empty(len(ns))
     for j, n in enumerate(ns):
         rng = np.random.default_rng(derive_seed(seed, "variance-bootstrap", int(n)))
-        idx = rng.integers(0, trials, size=(bootstrap, trials))
+        idx = rng.integers(0, trials, size=(_BOOTSTRAP_RESAMPLES, trials))
         bvars = times[j][idx].var(axis=1, ddof=1)
         boot_se[j] = bvars.std(ddof=1)
         ci_low[j], ci_high[j] = np.percentile(bvars, [2.5, 97.5])

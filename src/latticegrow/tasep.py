@@ -43,7 +43,7 @@ import numpy as np
 
 from ._output import write_csv
 from .lpp import LppTimeMap
-from .weights import WeightField
+from .weights import WeightField, exponential
 
 __all__ = [
     "StepTimeTable",
@@ -98,7 +98,7 @@ def _clock_matrix(particles: int, steps: int, *, seed=None, field=None, clocks=N
     if field is not None:
         if field.attachment != "vertex":
             raise ValueError("coupled mode needs a vertex weight field")
-        if field.spec.kind != "exponential" or field.spec.params[0] != 1.0:
+        if field.spec != exponential(1.0):
             raise ValueError("coupled mode requires rate-1 exponential vertex weights")
         if field.dimension != 2:
             raise ValueError("coupled mode is two-dimensional")

@@ -14,12 +14,17 @@ broadcast against each other and the fold mixes each one at the shape of the
 words before it, so a window of edges built from per-axis ranges mixes only
 its last coordinate at the full window size.  Solvers that compare sums
 bit-exactly read their weights from the same window array.
+
+Each law is one row of _LAWS: token, parameter check, moments, least
+support value, continuity and quantile.  A DistributionSpec built directly
+is checked like the builders and the tokens.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -82,58 +87,92 @@ def _hash_words(seed: int, words) -> np.ndarray:
 # distributions
 
 
+class _Law(NamedTuple):
+    """One weight law.  Its functions and message take the parameters as floats;
+    quantile(u, *params) overwrites the float64 array u with the inverse CDF."""
+
+    token: str
+    nparams: int
+    check: Callable[..., bool]
+    message: str
+    mean: Callable[..., float]
+    variance: Callable[..., float]
+    support_min: Callable[..., float]
+    continuous: bool
+    quantile: Callable[..., np.ndarray]
+
+
+def _log1p_neg(u: np.ndarray) -> np.ndarray:
+    return np.log1p(np.negative(u, out=u), out=u)
+
+
+# kind -> law.  The geometric law lives on {1, 2, ...} with P(k) = p (1-p)^(k-1);
+# the two-point law is 1 with probability p and 2 otherwise.
+_LAWS = {
+    "exponential": _Law(
+        "exp", 1, lambda r: 0 < r < math.inf,
+        "exponential rate must be positive and finite, got {}",
+        lambda r: 1.0 / r, lambda r: 1.0 / r ** 2, lambda r: 0.0, True,
+        lambda u, r: np.divide(_log1p_neg(u), -r, out=u)),  # x / -r is -x / r, bit for bit
+    "geometric": _Law(
+        "geom", 1, lambda p: 0.0 < p < 1.0,
+        "geometric success probability must lie in (0, 1), got {}",
+        lambda p: 1.0 / p, lambda p: (1.0 - p) / p ** 2, lambda p: 1.0, False,
+        lambda u, p: np.maximum(
+            np.ceil(np.divide(_log1p_neg(u), math.log1p(-p), out=u), out=u), 1.0, out=u)),
+    "uniform": _Law(
+        "unif", 2, lambda a, b: 0.0 <= a < b < math.inf,
+        "uniform needs 0 <= a < b < inf, got a={}, b={}",
+        lambda a, b: 0.5 * (a + b), lambda a, b: (b - a) ** 2 / 12.0, lambda a, b: a, True,
+        lambda u, a, b: np.add(np.multiply(u, b - a, out=u), a, out=u)),
+    "twopoint": _Law(
+        "twopoint", 1, lambda p: 0.0 < p < 1.0,
+        "two-point atom probability must lie in (0, 1), got {}",
+        lambda p: 2.0 - p, lambda p: p * (1.0 - p), lambda p: 1.0, False,
+        lambda u, p: np.subtract(2.0, u < p, out=u)),
+    "constant": _Law(
+        "const", 1, lambda c: 0 <= c < math.inf,
+        "constant weight must be nonnegative and finite, got {}",
+        lambda c: c, lambda c: 0.0, lambda c: c, False,
+        lambda u, c: u.fill(c) or u),  # fill returns None
+}
+_KIND_OF_TOKEN = {law.token: kind for kind, law in _LAWS.items()}
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """One of the supported nonnegative weight distributions.
 
-    kind is 'exponential', 'geometric', 'uniform', 'twopoint' or 'constant';
-    params holds the kind-specific parameters.  All kinds have closed-form
-    mean and variance.  The geometric distribution is supported on {1, 2, ...}
-    with P(k) = p (1-p)^(k-1); the two-point distribution takes value 1 with
-    probability p and value 2 otherwise.
+    kind is a key of _LAWS ('exponential', 'geometric', 'uniform', 'twopoint'
+    or 'constant'); params holds its parameters, checked and stored as floats.
     """
 
     kind: str
     params: tuple
 
+    def __post_init__(self):
+        law = _LAWS.get(self.kind)
+        if law is None:
+            raise ValueError(f"unknown distribution kind {self.kind!r}; "
+                             f"expected one of {', '.join(_LAWS)}")
+        params = tuple(float(v) for v in self.params)
+        if len(params) != law.nparams:
+            raise ValueError(f"{self.kind} takes {law.nparams} parameter(s), got {params}")
+        if not law.check(*params):
+            raise ValueError(law.message.format(*params))
+        object.__setattr__(self, "params", params)
+
     def mean(self) -> float:
-        k, p = self.kind, self.params
-        if k == "exponential":
-            return 1.0 / p[0]
-        if k == "geometric":
-            return 1.0 / p[0]
-        if k == "uniform":
-            return 0.5 * (p[0] + p[1])
-        if k == "twopoint":
-            return 2.0 - p[0]
-        return p[0]
+        return _LAWS[self.kind].mean(*self.params)
 
     def variance(self) -> float:
-        k, p = self.kind, self.params
-        if k == "exponential":
-            return 1.0 / p[0] ** 2
-        if k == "geometric":
-            return (1.0 - p[0]) / p[0] ** 2
-        if k == "uniform":
-            return (p[1] - p[0]) ** 2 / 12.0
-        if k == "twopoint":
-            return p[0] * (1.0 - p[0])
-        return 0.0
+        return _LAWS[self.kind].variance(*self.params)
 
     def support_min(self) -> float:
-        k, p = self.kind, self.params
-        if k in ("exponential",):
-            return 0.0
-        if k == "geometric":
-            return 1.0
-        if k == "uniform":
-            return p[0]
-        if k == "twopoint":
-            return 1.0
-        return p[0]
+        return _LAWS[self.kind].support_min(*self.params)
 
     def is_continuous(self) -> bool:
-        return self.kind in ("exponential", "uniform")
+        return _LAWS[self.kind].continuous
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF at each u in [0, 1); the range is not checked here."""
@@ -141,80 +180,38 @@ class DistributionSpec:
 
     def _quantile_inplace(self, u: np.ndarray) -> np.ndarray:
         """quantile_array computed in, and returned as, the float64 array u."""
-        k, p = self.kind, self.params
-        if k in ("exponential", "geometric"):
-            np.negative(u, out=u)
-            np.log1p(u, out=u)
-            if k == "exponential":
-                u /= -p[0]  # x / -p is -x / p, bit for bit
-                return u
-            u /= math.log1p(-p[0])
-            np.ceil(u, out=u)
-            return np.maximum(u, 1.0, out=u)
-        if k == "uniform":
-            u *= p[1] - p[0]
-            u += p[0]
-            return u
-        if k == "twopoint":
-            return np.subtract(2.0, u < p[0], out=u)
-        u.fill(p[0])
-        return u
+        return _LAWS[self.kind].quantile(u, *self.params)
 
     def token(self) -> str:
-        name = next(t for t, (kind, _, _) in _TOKENS.items() if kind == self.kind)
-        return name + "".join(":" + format(v, ".17g") for v in self.params)
+        return _LAWS[self.kind].token + "".join(":" + format(v, ".17g") for v in self.params)
 
 
 def exponential(rate: float) -> DistributionSpec:
-    if not 0 < rate < math.inf:
-        raise ValueError(f"exponential rate must be positive and finite, got {rate}")
-    return DistributionSpec("exponential", (float(rate),))
+    return DistributionSpec("exponential", (rate,))
 
 
 def geometric(p: float) -> DistributionSpec:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"geometric success probability must lie in (0, 1), got {p}")
-    return DistributionSpec("geometric", (float(p),))
+    return DistributionSpec("geometric", (p,))
 
 
 def uniform(a: float, b: float) -> DistributionSpec:
-    if not 0.0 <= a < b < math.inf:
-        raise ValueError(f"uniform needs 0 <= a < b < inf, got a={a}, b={b}")
-    return DistributionSpec("uniform", (float(a), float(b)))
+    return DistributionSpec("uniform", (a, b))
 
 
 def two_point(p: float) -> DistributionSpec:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"two-point atom probability must lie in (0, 1), got {p}")
-    return DistributionSpec("twopoint", (float(p),))
+    return DistributionSpec("twopoint", (p,))
 
 
 def constant(c: float) -> DistributionSpec:
-    if not 0 <= c < math.inf:
-        raise ValueError(f"constant weight must be nonnegative and finite, got {c}")
-    return DistributionSpec("constant", (float(c),))
-
-
-# token name -> (kind, builder, parameter count)
-_TOKENS = {
-    "exp": ("exponential", exponential, 1),
-    "geom": ("geometric", geometric, 1),
-    "unif": ("uniform", uniform, 2),
-    "twopoint": ("twopoint", two_point, 1),
-    "const": ("constant", constant, 1),
-}
+    return DistributionSpec("constant", (c,))
 
 
 def parse_dist_token(token: str) -> DistributionSpec:
     """Parse a textual distribution token such as ``exp:1.0`` or ``unif:0.5:1.5``."""
-    parts = token.strip().split(":")
-    name = parts[0]
-    if name not in _TOKENS:
+    name, *params = token.strip().split(":")
+    if name not in _KIND_OF_TOKEN:
         raise ValueError(f"unknown distribution token {token!r}")
-    _, builder, nargs = _TOKENS[name]
-    if len(parts) - 1 != nargs:
-        raise ValueError(f"distribution token {token!r} needs {nargs} parameter(s)")
-    return builder(*(float(x) for x in parts[1:]))
+    return DistributionSpec(_KIND_OF_TOKEN[name], tuple(float(x) for x in params))
 
 
 def quantile(spec: DistributionSpec, u) -> np.ndarray:

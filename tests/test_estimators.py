@@ -384,6 +384,12 @@ def test_variance_requires_enough_trials():
         variance_series("lpp", exponential(1.0), (1, 1), [8], trials=50, seed=0)
 
 
+@pytest.mark.parametrize("model", ["fpp", "lpp"])
+def test_point_samples_need_a_trial(model):
+    with pytest.raises(ValueError, match="trials"):
+        wandering_series(model, exponential(1.0), (1, 1), [4], trials=0, seed=0)
+
+
 def test_wandering_one_step_is_zero():
     # a one-step geodesic lies on its own segment
     ws = wandering_series("lpp", exponential(1.0), (1, 0), [1, 8], trials=30, seed=2)

@@ -1,10 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticegrow import (
+    DistributionSpec,
     constant,
     derive_seed,
     exponential,
@@ -86,6 +88,41 @@ ALL_SPECS = [
 def test_invalid_parameters_rejected(bad):
     with pytest.raises(ValueError):
         bad()
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("exp", (1.0,)),  # a token where the kind belongs
+        ("cauchy", (1.0,)),
+        ("exponential", (-1.0,)),
+        ("exponential", (1.0, 2.0)),
+        ("uniform", (0.5,)),
+        ("uniform", (1.5, 0.5)),
+        ("geometric", (1.0,)),
+        ("twopoint", (0.0,)),
+        ("constant", (math.nan,)),
+    ],
+)
+def test_direct_construction_checked_like_builders(kind, params):
+    with pytest.raises(ValueError):
+        DistributionSpec(kind, params)
+
+
+def test_builders_and_tokens_equal_direct_construction():
+    cases = [
+        (exponential(2), "exp:2", DistributionSpec("exponential", (2,))),
+        (geometric(0.5), "geom:0.5", DistributionSpec("geometric", (0.5,))),
+        (uniform(0, 2), "unif:0:2", DistributionSpec("uniform", (0, 2))),
+        (two_point(0.25), "twopoint:0.25", DistributionSpec("twopoint", (0.25,))),
+        (constant(3), "const:3", DistributionSpec("constant", (3,))),
+    ]
+    for built, token, direct in cases:
+        assert built == direct == parse_dist_token(token)
+        assert hash(built) == hash(direct)
+        assert pickle.loads(pickle.dumps(direct)) == direct
+        assert all(type(v) is float for v in direct.params)
+    assert DistributionSpec("uniform", (0, 2)) == uniform(0.0, 2.0)
 
 
 def test_token_round_trip():
