@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .experiments import KINDS, ConfigError, ExperimentConfig, HardFailure, run_experiment
@@ -56,11 +57,10 @@ def _config_from_args(args) -> ExperimentConfig:
     text = Path(args.config).read_text() if args.config else ""
     cfg = ExperimentConfig.from_text(text)
     cfg.kind = args.command
-    for key in ("dist", "dim", "model", "direction", "n_grid", "t", "trials",
-                "steps", "seed", "workers", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
+    for f in fields(ExperimentConfig):
+        val = getattr(args, f.name, None)
+        if f.name != "kind" and val is not None:
+            setattr(cfg, f.name, val)
     return cfg
 
 

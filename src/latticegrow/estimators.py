@@ -57,8 +57,10 @@ __all__ = [
     "kpz_residual",
 ]
 
-# input thresholds, shared with the experiment config's validation; log-log
-# fits need MIN_FIT_POINTS grid points spanning a factor of MIN_FIT_SPAN
+# input thresholds, shared with the experiment config's validation (its kind
+# table repeats the least trials and n, and a test keeps them equal); log-log
+# fits need MIN_FIT_POINTS grid points spanning a factor of MIN_FIT_SPAN, and a
+# mean's standard error needs MIN_RADIAL_TRIALS samples
 MIN_RADIAL_TRIALS = 2
 MIN_VARIANCE_TRIALS = 200
 MIN_FLAT_EDGE_N = 50
@@ -66,11 +68,6 @@ MIN_FLAT_EDGE_N = 50
 MAX_FLAT_EDGE_N = (_SAT - 1) // 4
 MIN_FIT_POINTS = 4
 MIN_FIT_SPAN = 8
-# largest first box or table of a shape trial, in vertices; its two retries
-# double the side, so a trial allocates at most 16 times as many
-SHAPE_CELLS_MAX = 1 << 20
-# largest first FPP box, or one trial's LPP table, at a grid point, in vertices
-TRIAL_CELLS_MAX = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +329,12 @@ def _ball_side(model: str, spec: DistributionSpec, t: float) -> int:
     return int(math.ceil(2.5 * t / spec.mean())) + 8
 
 
-def _ball_cells(model: str, spec: DistributionSpec, t: float) -> int:
+def _ball_cells(model: str, spec: DistributionSpec, t: float):
     """Vertices in a shape trial's first box (FPP) or table (LPP), in d = 2."""
-    side = _ball_side(model, spec, t)
+    try:
+        side = _ball_side(model, spec, t)
+    except OverflowError:  # t / mean overflows a float
+        return math.inf
     return (2 * side + 1) ** 2 if model == "fpp" else (side + 1) ** 2
 
 
@@ -614,6 +614,8 @@ def wandering_series(
     workers: int = 1,
 ) -> Series:
     """Mean geodesic wandering D(0, [n x]) per n."""
+    if trials < MIN_RADIAL_TRIALS:
+        raise ValueError(f"need at least {MIN_RADIAL_TRIALS} trials per grid point")
     ns, _targets, _times, devs, trunc = _sample_times(
         model, spec, direction, n_grid, trials, seed, "wandering", workers,
         want_geodesic=True,

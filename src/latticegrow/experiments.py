@@ -6,9 +6,14 @@ residuals, warnings), and a reproducibility stanza echoing the config and
 the package version.  Identical configs produce byte-identical CSVs; the
 only timestamp lives in the JSON summary.
 
-This module imports only the standard library.  Each kind's checks in
-``validate`` and its runner import that kind's solver modules when they run,
-so a process loads numpy and the solvers it needs and no others.
+Each kind is one row of ``_TABLE``, and ``validate`` is one pass over it.  A
+kind's footprint counts the cells of its largest allocation, each at a fixed
+number of bytes, against one MEMORY_BUDGET; flat-edge's n and d = 1 IDLA's
+walk moves have bounds of their own (README, "Command line").
+
+This module imports only the standard library.  Law checks, footprints and
+runners import their kind's modules when they run, so a process loads numpy
+and the solvers it needs and no others.
 """
 
 from __future__ import annotations
@@ -18,15 +23,19 @@ import math
 import time
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 
 __all__ = ["ExperimentConfig", "ConfigError", "HardFailure", "run_experiment", "KINDS"]
 
-# largest steps x steps table that tasep-coupling accepts (steps <= 2048); a
-# run peaks at about 55 bytes of memory per cell (228 MB at steps = 2048),
-# most of it the step-time and LPP tables; the CSV text is a few MB
-_TASEP_CELLS_MAX = 1 << 22
+# bytes a run may allocate at once, 256 MiB; growth checks its grids against it
+MEMORY_BUDGET = 1 << 28
+# bytes a footprint cell stands for: a shape trial's first box or table (16 a
+# vertex, and two retries double the side), one FPP solve's first box or one
+# LPP sweep's tables, and a TASEP table (a run peaks at about 55 bytes a cell,
+# most of it the step-time and LPP tables); a growth grid cell is one byte
+_SHAPE_BYTES, _TRIAL_BYTES, _TASEP_BYTES = 256, 16, 64
 # most walk moves idla --dim 1 accepts, about steps^3 / 12: steps <= 1062
 _IDLA_D1_MOVES_MAX = 10 ** 8
 # most worker processes a run starts; multiprocessing.Pool starts every one
@@ -91,387 +100,314 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: cannot parse {val!r}") from None
         return cfg
 
-    def validate(self) -> None:
-        """Raise a ConfigError naming the field for every input the run would reject."""
-        kind = self.kind
-        if kind not in KINDS:
-            raise ConfigError(f"kind: must be one of {', '.join(KINDS)}; got {kind!r}")
-        reads = ("kind", "seed", "out", *_READS[kind])
+    def validate(self):
+        """Return the config's weight law; raise a ConfigError naming the field of any
+        input the run would reject."""
+        row = _TABLE.get(self.kind)
+        if row is None:
+            raise ConfigError(f"kind: must be one of {', '.join(KINDS)}; got {self.kind!r}")
+        reads = {"kind": None, "seed": 0, "out": None, **row.reads}
         for f in dc_fields(self):
             value = getattr(self, f.name)
             if f.name not in reads and value != f.default:
-                raise ConfigError(f"{f.name}: not used by kind {kind}; leave it at its "
+                raise ConfigError(f"{f.name}: not used by kind {self.kind}; leave it at its "
                                   f"default {f.default!r}, got {value!r}")
-        if kind == "radial-g" and self.model not in ("fpp", "lpp"):
-            raise ConfigError(f"model: radial-g needs 'fpp' or 'lpp', got {self.model!r}")
-        from .weights import exponential, parse_dist_token
+        if "model" in reads and self.model not in ("fpp", "lpp"):
+            raise ConfigError(f"model: {self.kind} needs 'fpp' or 'lpp', got {self.model!r}")
+        from .weights import parse_dist_token
 
         try:
             spec = parse_dist_token(self.dist)
-            if kind in ("fpp-shape", "oracle-check") or (kind, self.model) == ("radial-g", "fpp"):
-                from .fpp import _check_fpp_law
-
-                _check_fpp_law(spec)
+            if row.law:
+                row.law(spec, self)
         except ValueError as e:
             raise ConfigError(f"dist: {e}") from None
-        if kind == "flat-edge" and spec.kind != "twopoint":
-            raise ConfigError(f"dist: flat-edge needs a twopoint distribution, got {self.dist}")
-        if kind == "tasep-coupling" and spec != exponential(1.0):
-            raise ConfigError("dist: tasep-coupling requires exp:1.0 vertex weights")
-        if kind == "lpp-shape" and spec.mean() <= 0:
-            raise ConfigError(f"dist: lpp-shape needs a positive mean weight, got {self.dist}")
-        if kind == "exponents" and spec.variance() == 0:
-            raise ConfigError(f"dist: exponents needs random weights, got {self.dist}")
-        if kind in ("radial-g", "exponents"):
-            direction = self.direction_tuple()
-            if self.dim != len(direction):
-                raise ConfigError(f"dim: {kind} works in the dimension of direction "
-                                  f"({len(direction)}), got {self.dim}")
-            from .estimators import MIN_RADIAL_TRIALS, MIN_VARIANCE_TRIALS
-
-            least_trials = MIN_RADIAL_TRIALS if kind == "radial-g" else MIN_VARIANCE_TRIALS
-        else:
-            least_trials = 1
-        least = {
-            "dim": 1,
-            "workers": 1,
-            "seed": 0,
-            "trials": least_trials,
-            # a 1 x 1 TASEP table cannot determine the current at any time
-            "steps": 2 if kind == "tasep-coupling" else 1,
-        }
-        for name, low in least.items():
-            if name in reads and getattr(self, name) < low:
-                raise ConfigError(f"{name}: must be >= {low} for kind {kind}, "
-                                  f"got {getattr(self, name)}")
+        if "direction" in reads and self.dim != len(self.direction_tuple()):
+            raise ConfigError(f"dim: {self.kind} works in the dimension of direction "
+                              f"({len(self.direction_tuple())}), got {self.dim}")
+        grid = self.n_grid_list()  # empty unless read
+        if "n_grid" in reads and not grid:
+            raise ConfigError(f"n_grid: required for kind {self.kind}")
+        if len(set(grid)) < len(grid):
+            raise ConfigError(f"n_grid: entries must be distinct, got {grid}")
+        for name, least in reads.items():
+            value = min(grid) if name == "n_grid" else getattr(self, name)
+            if least is not None and value < least:
+                raise ConfigError(f"{name}: must be >= {least} for kind {self.kind}, "
+                                  f"got {value}")
         if "workers" in reads and self.workers > MAX_WORKERS:
             raise ConfigError(f"workers: must be <= {MAX_WORKERS}, got {self.workers}")
-        if kind in ("eden", "idla"):
-            from .growth import _GRID_CELLS_MAX, _first_radius
-
-            # the first occupancy grid has radius 2 or more: 5^dim cells or more
-            name, unit = ("IDLA", "particles") if kind == "idla" else ("Eden", "steps")
-            if self.dim > math.log(_GRID_CELLS_MAX, 5):
-                raise ConfigError(f"dim: {name} needs a grid of at least 5^{self.dim} cells, "
-                                  f"more than {_GRID_CELLS_MAX}")
-            cells = (2 * _first_radius(self.dim, self.steps) + 1) ** self.dim
-            if cells > _GRID_CELLS_MAX:
-                raise ConfigError(f"steps: {name} with {self.steps} {unit} in dimension "
-                                  f"{self.dim} needs a grid of {cells} cells, "
-                                  f"more than {_GRID_CELLS_MAX}")
-        if kind == "idla" and self.dim == 1 and self.steps ** 3 // 12 > _IDLA_D1_MOVES_MAX:
-            raise ConfigError(f"steps: IDLA in dimension 1 with {self.steps} particles takes "
-                              f"about {self.steps ** 3 // 12} walk moves, "
-                              f"more than {_IDLA_D1_MOVES_MAX}")
-        if kind == "tasep-coupling" and self.steps ** 2 > _TASEP_CELLS_MAX:
-            raise ConfigError(f"steps: tasep-coupling with {self.steps} steps needs a table "
-                              f"of {self.steps ** 2} cells, more than {_TASEP_CELLS_MAX}")
         if "t" in reads and not 0 < self.t < math.inf:
-            raise ConfigError(f"t: must be positive and finite for kind {kind}, got {self.t}")
-        if kind in ("fpp-shape", "lpp-shape"):
-            from .estimators import SHAPE_CELLS_MAX, _ball_cells
-
-            try:
-                cells = _ball_cells(kind[:3], spec, self.t)
-            except OverflowError:  # t / mean overflows a float
-                cells = math.inf
-            if cells > SHAPE_CELLS_MAX:
-                raise ConfigError(f"t: {kind} at t = {self.t} needs more than "
-                                  f"{SHAPE_CELLS_MAX} vertices in its first box")
-        if "n_grid" not in reads:
-            return
-        from .estimators import (
-            MAX_FLAT_EDGE_N,
-            MIN_FIT_POINTS,
-            MIN_FIT_SPAN,
-            MIN_FLAT_EDGE_N,
-            TRIAL_CELLS_MAX,
-            _grid_targets,
-            _trial_cells,
-        )
-
-        grid = self.n_grid_list()
-        if not grid:
-            raise ConfigError(f"n_grid: required for kind {kind}")
-        if kind == "flat-edge":
-            if not MIN_FLAT_EDGE_N <= min(grid) <= max(grid) <= MAX_FLAT_EDGE_N:
-                raise ConfigError(f"n_grid: flat-edge needs n in [{MIN_FLAT_EDGE_N}, "
-                                  f"{MAX_FLAT_EDGE_N}], got {grid}")
-            return
-        if kind == "exponents" and (len(grid) < MIN_FIT_POINTS
-                                    or max(grid) < MIN_FIT_SPAN * min(grid)):
-            raise ConfigError(f"n_grid: exponent fits need {MIN_FIT_POINTS}+ points spanning "
-                              f"a factor of {MIN_FIT_SPAN}, got {grid}")
-        model = "lpp" if kind == "exponents" else self.model
-        try:
-            _, _, targets = _grid_targets(model, direction, grid)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-        cells = _trial_cells(model, targets[-1])
-        if cells > TRIAL_CELLS_MAX:
-            raise ConfigError(f"n_grid: {kind} at n = {max(grid)} needs {cells} vertices in "
-                              f"one trial's box or table, more than {TRIAL_CELLS_MAX}")
-        # an oriented path to a point on an axis is straight, so it never wanders
-        if kind == "exponents" and any(sum(c > 0 for c in tgt) < 2 for tgt in targets):
-            raise ConfigError(f"direction: exponents needs targets off the axes, got {targets}")
+            raise ConfigError(f"t: must be positive and finite for kind {self.kind}, "
+                              f"got {self.t}")
+        for name, count, limit, unit in row.footprint(self, spec):
+            if count > limit:
+                raise ConfigError(f"{name}: {self.kind} needs {count} {unit}, more than {limit}")
+        return spec
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run one experiment, write its artifacts, return the summary dict."""
-    from .weights import parse_dist_token
-
-    config.validate()
+    spec = config.validate()
+    row = _TABLE[config.kind]
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    spec = parse_dist_token(config.dist)
-    summary: dict = {
-        "kind": config.kind,
-        "estimates": {},
-        "fits": {},
-        "warnings": [],
-        "files": [],
-    }
-
-    runner = _RUNNERS[config.kind]
-    runner(config, spec, out, summary)
-
+    summary: dict = {"kind": config.kind, "estimates": {}, "fits": {}, "warnings": [],
+                     "files": list(row.files)}
+    row.run(config, spec, [out / name for name in row.files], summary)
     summary["reproducibility"] = {
         "config": {f.name: getattr(config, f.name) for f in dc_fields(config)},
         "package_version": __version__,
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
+        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 
-def _record(summary: dict, out: Path, name: str) -> Path:
-    summary["files"].append(name)
-    return out / name
+# law checks: each raises a ValueError saying what the kind needs
+def _fpp_law(spec, config) -> None:
+    from .fpp import _check_fpp_law
+
+    if config.model != "lpp":  # radial-g reads a model; the other FPP kinds do not
+        _check_fpp_law(spec)
 
 
-def _run_radial_g(config, spec, out, summary):
+def _needs(test, what: str) -> Callable:
+    def law(spec, config) -> None:
+        if not test(spec):
+            raise ValueError(f"{config.kind} needs {what}, got {config.dist}")
+
+    return law
+
+
+# footprints: each yields (field, count, limit, unit) for every upper bound
+def _shape_footprint(config, spec):
+    from .estimators import _ball_cells
+
+    yield ("t", _ball_cells(config.kind[:3], spec, config.t), MEMORY_BUDGET // _SHAPE_BYTES,
+           "vertices in its first box")
+
+
+def _sample_footprint(config, spec, model=""):
+    """One FPP solve's first box or one LPP sweep's tables at the largest n; returns targets."""
+    from .estimators import _grid_targets, _trial_cells
+    from .lpp import _trials_per_batch
+
+    model = model or config.model
+    try:
+        _, _, targets = _grid_targets(model, config.direction_tuple(), config.n_grid_list())
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    batch = _trials_per_batch(targets[-1]) if model == "lpp" else 1
+    yield ("n_grid", batch * _trial_cells(model, targets[-1]), MEMORY_BUDGET // _TRIAL_BYTES,
+           "vertices in one solve's box or one sweep's tables")
+    return targets
+
+
+def _exponents_footprint(config, spec):
+    from .estimators import MIN_FIT_POINTS, MIN_FIT_SPAN
+
+    grid = config.n_grid_list()
+    if len(grid) < MIN_FIT_POINTS or max(grid) < MIN_FIT_SPAN * min(grid):
+        raise ConfigError(f"n_grid: exponent fits need {MIN_FIT_POINTS}+ points spanning "
+                          f"a factor of {MIN_FIT_SPAN}, got {grid}")
+    targets = yield from _sample_footprint(config, spec, "lpp")
+    # an oriented path to a point on an axis is straight, so it never wanders
+    if any(sum(c > 0 for c in tgt) < 2 for tgt in targets):
+        raise ConfigError(f"direction: exponents needs targets off the axes, got {targets}")
+
+
+def _flat_edge_footprint(config, spec):
+    from .estimators import MAX_FLAT_EDGE_N  # its uint16 window times are exact up to here
+
+    yield "n_grid", max(config.n_grid_list()), MAX_FLAT_EDGE_N, "as its largest n"
+
+
+def _grid_footprint(config, spec):
+    from .growth import _first_radius
+
+    # the first grid has radius 2 or more; 5^64 cells is far past any budget
+    d = config.dim
+    yield "dim", 5 ** min(d, 64), MEMORY_BUDGET, f"cells or more in dimension {d}"
+    yield "steps", (2 * _first_radius(d, config.steps) + 1) ** d, MEMORY_BUDGET, "grid cells"
+
+
+def _idla_footprint(config, spec):
+    yield from _grid_footprint(config, spec)
+    if config.dim == 1:
+        yield ("steps", config.steps ** 3 // 12, _IDLA_D1_MOVES_MAX,
+               "walk moves in dimension 1, about steps^3 / 12")
+
+
+def _tasep_footprint(config, spec):
+    yield "steps", config.steps ** 2, MEMORY_BUDGET // _TASEP_BYTES, "cells in its table"
+
+
+# runners: each writes the row's files, in order, to paths
+def _run_radial_g(config, spec, paths, summary):
     import numpy as np
 
     from .estimators import estimate_radial_g
     from .lpp import exact_g, exact_shape_for
 
-    seq = estimate_radial_g(
-        config.model, spec, config.direction_tuple(), config.n_grid_list(),
-        config.trials, config.seed, workers=config.workers,
-    )
-    seq.to_csv(_record(summary, out, "radial_g.csv"))
-    summary["estimates"]["radial_g_last"] = float(seq.values[-1])
-    summary["estimates"]["radial_g_last_stderr"] = float(seq.stderrs[-1])
+    seq = estimate_radial_g(config.model, spec, config.direction_tuple(), config.n_grid_list(),
+                            config.trials, config.seed, workers=config.workers)
+    seq.to_csv(paths[0])
+    est = summary["estimates"]
+    est.update(radial_g_last=float(seq.values[-1]), radial_g_last_stderr=float(seq.stderrs[-1]))
     if config.model == "lpp":
         try:
             shape = exact_shape_for(spec)
             tgt = seq.ns[-1] * np.asarray(config.direction_tuple())
-            summary["estimates"]["exact_g_reference"] = float(
-                exact_g(shape, tgt) / seq.ns[-1]
-            )
+            est["exact_g_reference"] = float(exact_g(shape, tgt) / seq.ns[-1])
         except ValueError:
             pass
     for n, count in seq.truncation_warnings.items():
         summary["warnings"].append(f"truncation flagged in {count} trials at n={n}")
 
 
-def _run_shape(config, spec, out, summary):
+def _run_shape(config, spec, paths, summary):
     import numpy as np
 
     from .estimators import shape_boundary_estimate
 
-    model = "fpp" if config.kind == "fpp-shape" else "lpp"
-    if model == "fpp":
-        angles = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    else:
-        angles = np.linspace(0.0, math.pi / 2.0, 33)
-    est = shape_boundary_estimate(
-        model, spec, config.t, angles, config.trials, config.seed,
-        workers=config.workers,
-    )
-    est.to_csv(_record(summary, out, f"{model}_shape.csv"))
+    model = config.kind[:3]
+    angles = (np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False) if model == "fpp"
+              else np.linspace(0.0, math.pi / 2.0, 33))
+    est = shape_boundary_estimate(model, spec, config.t, angles, config.trials, config.seed,
+                                  workers=config.workers)
+    est.to_csv(paths[0])
     summary["estimates"]["convexity_violation_fraction"] = est.convexity_violation_fraction
     if est.truncated_trials:
-        summary["warnings"].append(
-            f"truncation flagged in {est.truncated_trials} trials"
-        )
+        summary["warnings"].append(f"truncation flagged in {est.truncated_trials} trials")
 
 
-def _run_exponents(config, spec, out, summary):
-    from .estimators import (
-        chi_from_variance_fit,
-        fit_exponent,
-        kpz_residual,
-        variance_series,
-        wandering_series,
-    )
+def _run_exponents(config, spec, paths, summary):
+    from .estimators import (chi_from_variance_fit, fit_exponent, kpz_residual,
+                             variance_series, wandering_series)
 
-    direction = config.direction_tuple()
-    grid = config.n_grid_list()
-    vs = variance_series("lpp", spec, direction, grid, config.trials,
-                         config.seed, workers=config.workers)
-    vs.to_csv(_record(summary, out, "variance_series.csv"))
-    ws = wandering_series("lpp", spec, direction, grid, config.trials,
-                          config.seed, workers=config.workers)
-    ws.to_csv(_record(summary, out, "wandering_series.csv"))
+    vs, ws = (series("lpp", spec, config.direction_tuple(), config.n_grid_list(),
+                     config.trials, config.seed, workers=config.workers)
+              for series in (variance_series, wandering_series))
+    vs.to_csv(paths[0])
+    ws.to_csv(paths[1])
     var_fit = fit_exponent(vs.ns, vs.values, vs.stderrs, statistic="variance")
     chi_fit = chi_from_variance_fit(var_fit)
     xi_fit = fit_exponent(ws.ns, ws.values, ws.stderrs, statistic="wandering")
     residual, res_se = kpz_residual(chi_fit, xi_fit)
-    summary["fits"] = {
-        "variance": var_fit.as_dict(),
-        "chi": chi_fit.as_dict(),
-        "xi": xi_fit.as_dict(),
-        "kpz_residual": residual,
-        "kpz_residual_stderr": res_se,
-    }
-    _record(summary, out, "fits.json").write_text(
-        json.dumps(summary["fits"], indent=2, sort_keys=True) + "\n")
+    summary["fits"] = {"variance": var_fit.as_dict(), "chi": chi_fit.as_dict(),
+                       "xi": xi_fit.as_dict(), "kpz_residual": residual,
+                       "kpz_residual_stderr": res_se}
+    paths[2].write_text(json.dumps(summary["fits"], indent=2, sort_keys=True) + "\n")
 
 
-def _run_flat_edge(config, spec, out, summary):
+def _run_flat_edge(config, spec, paths, summary):
     from .estimators import Series, flat_edge_probe
 
-    reps = [
-        flat_edge_probe(spec.params[0], n, config.trials, config.seed, workers=config.workers)
-        for n in config.n_grid_list()
-    ]
+    reps = [flat_edge_probe(spec.params[0], n, config.trials, config.seed,
+                            workers=config.workers) for n in config.n_grid_list()]
     Series("flat-edge", [r.n for r in reps], [r.mean_ratio for r in reps],
-           [r.stderr for r in reps], config.trials).to_csv(
-        _record(summary, out, "flat_edge.csv"))
-    summary["estimates"]["mean_ratio_last"] = reps[-1].mean_ratio
-    summary["estimates"]["stderr_last"] = reps[-1].stderr
+           [r.stderr for r in reps], config.trials).to_csv(paths[0])
+    summary["estimates"].update(mean_ratio_last=reps[-1].mean_ratio,
+                                stderr_last=reps[-1].stderr)
 
 
-def _run_eden(config, spec, out, summary):
-    from .growth import eden_grow, roundness
-
+def _grown(grow, config):
     try:
-        trace = eden_grow(config.seed, config.dim, config.steps)
-    except ValueError as e:
-        # validate() bounds the first grid; the grid grows with the cluster
-        raise HardFailure(f"dim {config.dim}, steps {config.steps}: {e}") from e
-    trace.to_csv(_record(summary, out, "eden_trace.csv"))
-    rin, rout = roundness(trace, config.steps)
-    summary["estimates"]["inradius"] = rin
-    summary["estimates"]["outradius"] = rout
-
-
-def _run_idla(config, spec, out, summary):
-    from .growth import idla_grow, roundness, roundness_series_to_csv
-
-    try:
-        trace = idla_grow(config.seed, config.dim, config.steps)
+        return grow(config.seed, config.dim, config.steps)
     except (ValueError, RuntimeError) as e:
         # validate() bounds the first grid, not its growth; a walk cap raises RuntimeError
         raise HardFailure(f"dim {config.dim}, steps {config.steps}: {e}") from e
-    trace.to_csv(_record(summary, out, "idla_trace.csv"))
+
+
+def _run_eden(config, spec, paths, summary):
+    from .growth import eden_grow, roundness
+
+    trace = _grown(eden_grow, config)
+    trace.to_csv(paths[0])
+    rin, rout = roundness(trace, config.steps)
+    summary["estimates"].update(inradius=rin, outradius=rout)
+
+
+def _run_idla(config, spec, paths, summary):
+    from .growth import idla_grow, roundness, roundness_series_to_csv
+
+    trace = _grown(idla_grow, config)
+    trace.to_csv(paths[0])
     checkpoints = sorted({max(1, config.steps // 16), config.steps // 4, config.steps})
     rows = [(n, *roundness(trace, n)) for n in checkpoints if n >= 1]
-    roundness_series_to_csv(rows, _record(summary, out, "idla_roundness.csv"))
-    rin, rout = rows[-1][1], rows[-1][2]
-    summary["estimates"]["inradius"] = rin
-    summary["estimates"]["outradius"] = rout
+    roundness_series_to_csv(rows, paths[1])
+    rin, rout = rows[-1][1:]
     # null, not Infinity, keeps summary.json strict JSON
-    summary["estimates"]["roundness_ratio"] = rout / rin if rin > 0 else None
+    summary["estimates"].update(inradius=rin, outradius=rout,
+                                roundness_ratio=rout / rin if rin > 0 else None)
 
 
-def _run_tasep(config, spec, out, summary):
-    import numpy as np
-
-    from .lpp import lpp_dp
-    from .tasep import coupling_equivalence, current_at, tasep_run
-    from .weights import WeightField, derive_seed
+def _run_tasep(config, spec, paths, summary):
+    from .tasep import _coupling_check, current_at
 
     k = config.steps
-    mismatches = 0
-    probe_failures = 0
-    for trial in range(config.trials):
-        fld = WeightField(spec, derive_seed(config.seed, "tasep", trial), "vertex", 2)
-        table = tasep_run(k, k, field=fld)
-        lmap = lpp_dp(fld, (k - 1, k - 1))
-        if not np.array_equal(table.s, lmap.table.T):
-            mismatches += 1
-        if k >= 3:
-            rng = np.random.default_rng(derive_seed(config.seed, "tasep-probes", trial))
-            tmax = float(table.s[k - 1, k - 1])
-            for _ in range(100):
-                n = int(rng.integers(1, k - 1))
-                t = float(rng.uniform(0.0, tmax))
-                if not coupling_equivalence(table, lmap, n, t):
-                    probe_failures += 1
-    table.to_csv(_record(summary, out, "tasep_table.csv"))
-    summary["estimates"]["table_mismatches"] = mismatches
-    summary["estimates"]["probe_failures"] = probe_failures
-    summary["estimates"]["current_at_half_horizon"] = current_at(
-        table, float(table.s[k - 1, k - 1]) / 2.0
-    )
+    table, mismatches, probe_failures = _coupling_check(k, config.trials, config.seed)
+    table.to_csv(paths[0])
+    summary["estimates"].update(
+        table_mismatches=mismatches, probe_failures=probe_failures,
+        current_at_half_horizon=current_at(table, float(table.s[k - 1, k - 1]) / 2.0))
     if mismatches or probe_failures:
-        raise HardFailure(
-            f"coupling verification failed: {mismatches} table mismatches, "
-            f"{probe_failures} probe failures"
-        )
+        raise HardFailure(f"coupling verification failed: {mismatches} table mismatches, "
+                          f"{probe_failures} probe failures")
 
 
-def _run_oracle_check(config, spec, out, summary):
-    import numpy as np
-
+def _run_oracle_check(config, spec, paths, summary):
     from ._output import write_csv
-    from .fpp import LatticeBox, fpp_dijkstra
-    from .lpp import lpp_dp
-    from .oracle import BudgetExceeded, brute_force_fpp, brute_force_lpp
-    from .weights import WeightField, derive_seed
+    from .oracle import BudgetExceeded, _solver_mismatches
 
-    mismatches = []
-    box = LatticeBox(2, 3)
     try:
-        for trial in range(config.trials):
-            child = derive_seed(config.seed, "oracle-fpp", trial)
-            fld = WeightField(spec, child, "edge", 2)
-            pmap = fpp_dijkstra(fld, (0, 0), box)
-            for v in sorted(pmap.times):
-                exact = brute_force_fpp(fld, box, (0, 0), v)
-                if exact != pmap.times[v]:
-                    mismatches.append((trial, "fpp", f'"{list(v)}"'))
-            vchild = derive_seed(config.seed, "oracle-lpp", trial)
-            vfld = WeightField(spec, vchild, "vertex", 2)
-            lmap = lpp_dp(vfld, (4, 4))
-            for idx in np.ndindex(lmap.table.shape):
-                if brute_force_lpp(vfld, idx) != lmap.table[idx]:
-                    mismatches.append((trial, "lpp", f'"{list(idx)}"'))
+        found = _solver_mismatches(spec, config.trials, config.seed)
     except BudgetExceeded as e:
         raise HardFailure(str(e)) from e
-    summary["estimates"]["seeds_checked"] = config.trials
-    summary["estimates"]["mismatches"] = len(mismatches)
-    write_csv(_record(summary, out, "oracle_check.csv"), ("trial", "kind", "target"),
-              list(zip(*mismatches)) or ((), (), ()))
-    if mismatches:
-        raise HardFailure(f"oracle disagreement on {len(mismatches)} targets")
+    summary["estimates"].update(seeds_checked=config.trials, mismatches=len(found))
+    rows = [(trial, model, f'"{list(v)}"') for trial, model, v in found]
+    write_csv(paths[0], ("trial", "kind", "target"), list(zip(*rows)) or ((), (), ()))
+    if found:
+        raise HardFailure(f"oracle disagreement on {len(found)} targets")
 
 
-_RUNNERS = {
-    "fpp-shape": _run_shape,
-    "lpp-shape": _run_shape,
-    "radial-g": _run_radial_g,
-    "exponents": _run_exponents,
-    "flat-edge": _run_flat_edge,
-    "eden": _run_eden,
-    "idla": _run_idla,
-    "tasep-coupling": _run_tasep,
-    "oracle-check": _run_oracle_check,
+class _Kind(NamedTuple):
+    reads: dict           # field -> least value or None (n_grid: least n), besides kind, seed, out
+    law: Callable | None  # (spec, config)
+    footprint: Callable   # (config, spec) -> (field, count, limit, unit) per upper bound
+    run: Callable         # (config, spec, paths of files, summary)
+    files: tuple
+
+
+_SHAPE = {"dist": None, "t": None, "trials": 1, "workers": 1}
+# validate() rejects a field a kind does not read unless it is at its default;
+# the least trials of radial-g and exponents and flat-edge's least n repeat the
+# estimators' MIN_* floors
+_TABLE = {
+    "fpp-shape": _Kind(_SHAPE, _fpp_law, _shape_footprint, _run_shape, ("fpp_shape.csv",)),
+    "lpp-shape": _Kind(_SHAPE, _needs(lambda spec: spec.mean() > 0, "a positive mean weight"),
+                       _shape_footprint, _run_shape, ("lpp_shape.csv",)),
+    "radial-g": _Kind({"dist": None, "dim": 1, "model": None, "direction": None, "n_grid": 1,
+                       "trials": 2, "workers": 1},
+                      _fpp_law, _sample_footprint, _run_radial_g, ("radial_g.csv",)),
+    "exponents": _Kind({"dist": None, "dim": 1, "direction": None, "n_grid": 1,
+                        "trials": 200, "workers": 1},
+                       _needs(lambda spec: spec.variance() != 0, "random weights"),
+                       _exponents_footprint, _run_exponents,
+                       ("variance_series.csv", "wandering_series.csv", "fits.json")),
+    "flat-edge": _Kind({"dist": None, "n_grid": 50, "trials": 1, "workers": 1},
+                       _needs(lambda spec: spec.kind == "twopoint", "a twopoint distribution"),
+                       _flat_edge_footprint, _run_flat_edge, ("flat_edge.csv",)),
+    "eden": _Kind({"dim": 1, "steps": 1}, None, _grid_footprint, _run_eden, ("eden_trace.csv",)),
+    "idla": _Kind({"dim": 1, "steps": 1}, None, _idla_footprint, _run_idla,
+                  ("idla_trace.csv", "idla_roundness.csv")),
+    # a 1 x 1 table cannot determine the current at any time
+    "tasep-coupling": _Kind({"dist": None, "steps": 2, "trials": 1},
+                            _needs(lambda s: (s.kind, s.params) == ("exponential", (1.0,)),
+                                   "exp:1.0 weights"),
+                            _tasep_footprint, _run_tasep, ("tasep_table.csv",)),
+    # a fixed 5 x 5 table and radius-3 box
+    "oracle-check": _Kind({"dist": None, "trials": 1}, _fpp_law, lambda config, spec: (),
+                          _run_oracle_check, ("oracle_check.csv",)),
 }
-KINDS = tuple(_RUNNERS)
-
-# the config fields each kind reads besides kind, seed and out; validate()
-# rejects any other field set away from its default
-_READS = {
-    "fpp-shape": ("dist", "t", "trials", "workers"),
-    "lpp-shape": ("dist", "t", "trials", "workers"),
-    "radial-g": ("dist", "dim", "model", "direction", "n_grid", "trials", "workers"),
-    "exponents": ("dist", "dim", "direction", "n_grid", "trials", "workers"),
-    "flat-edge": ("dist", "n_grid", "trials", "workers"),
-    "eden": ("dim", "steps"),
-    "idla": ("dim", "steps"),
-    "tasep-coupling": ("dist", "steps", "trials"),
-    "oracle-check": ("dist", "trials"),
-}
+KINDS = tuple(_TABLE)

@@ -59,6 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._output import write_csv
+from .experiments import MEMORY_BUDGET
 from .weights import WeightField
 
 __all__ = [
@@ -187,9 +188,6 @@ _WALK_CAP_BASE = 100_000
 # random draws come in blocks of 64, 128, ... up to this size: small first blocks
 # keep one-step calls cheap, and the cap keeps a block's arrays near a megabyte
 _BLOCK_MAX = 1 << 16
-# largest occupancy grid, in cells of one byte (and one rim byte), that idla_grow
-# and eden_grow will allocate
-_GRID_CELLS_MAX = 1 << 28
 # the d = 2 walker rebuilds its level map after this many particles; at
 # 20,000 sites that many add about half a layer to the cluster
 _LEVEL_REFRESH = 256
@@ -205,9 +203,9 @@ def idla_grow(seed: int, d: int, particles: int) -> ClusterTrace:
     20 p^2 for particle p: a walk leaves the interval of p + 1 sites after at
     most (p + 2)^2 / 4 moves on average, so (Markov's inequality, 40 times)
     after more than 20 (p + 2)^2 with probability at most 2^-40 < 1e-12.
-    The occupancy grid has (2 radius + 1)^d cells, radius at least 2; one
-    larger than _GRID_CELLS_MAX raises ValueError, which bounds the dimension
-    (12 for a cluster of sup-norm radius 1).
+    The occupancy grid has (2 radius + 1)^d cells, radius at least 2; a grid
+    past MEMORY_BUDGET, at a byte a cell, raises ValueError, which bounds the
+    dimension (12 for a cluster of sup-norm radius 1).
     """
     if particles < 1:
         raise ValueError("particles must be >= 1")
@@ -448,9 +446,9 @@ def _first_radius(d: int, particles: int) -> int:
 def _grid(d: int, radius: int):
     """Empty grid of the box [-radius, radius]^d, a byte a site in C order, and its rim bytes."""
     cells = (2 * radius + 1) ** d
-    if cells > _GRID_CELLS_MAX:
+    if cells > MEMORY_BUDGET:  # a byte a cell, as the run's footprint counts it
         raise ValueError(f"a growth grid in dimension {d} needs {cells} cells, "
-                         f"more than {_GRID_CELLS_MAX}")
+                         f"more than {MEMORY_BUDGET}")
     rim = bytearray(b"\1") * cells
     _shaped(rim, d, radius)[(slice(1, -1),) * d] = 0
     return bytearray(cells), rim

@@ -266,7 +266,8 @@ def _batch_corners(fields, corner, geodesics: bool):
         w[..., j] = f.vertex_window((0,) * d, tuple(c + 1 for c in corner)).transpose(perm)
     t, dec = _sweep(w, False, [perm.index(a) for a in range(d)] if geodesics else None)
     layers = sum(corner) + 1
-    times = t[((layers - 1) % 2,) + (-1,) * (d - 1)]
+    # a copy: a view would keep the whole two-layer table alive with the times
+    times = t[((layers - 1) % 2,) + (-1,) * (d - 1)].copy()
     if not geodesics:
         return times, None
     # a step back along original axis a moves the flat index within a layer

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fpp import LatticeBox, unit_steps
-from .weights import WeightField
+from .fpp import LatticeBox, fpp_dijkstra, unit_steps
+from .lpp import lpp_dp
+from .weights import WeightField, derive_seed
 
 __all__ = [
     "EnumerationBudget",
@@ -224,3 +225,19 @@ def brute_force_lpp(
     # recursion, so the maximum below is bit-exact against it
     totals = np.cumsum(path_weights, axis=1)[:, -1]
     return float(totals.max())
+
+
+def _solver_mismatches(spec, trials: int, seed: int) -> list:
+    """(trial, "fpp" or "lpp", vertex) wherever fpp_dijkstra on the radius-3
+    box, or lpp_dp on [0, 4]^2, differs from the oracle, for each trial's fields."""
+    box, found = LatticeBox(2, 3), []
+    for trial in range(trials):
+        fld = WeightField(spec, derive_seed(seed, "oracle-fpp", trial), "edge", 2)
+        pmap = fpp_dijkstra(fld, (0, 0), box)
+        found += [(trial, "fpp", v) for v in sorted(pmap.times)
+                  if brute_force_fpp(fld, box, (0, 0), v) != pmap.times[v]]
+        vfld = WeightField(spec, derive_seed(seed, "oracle-lpp", trial), "vertex", 2)
+        lmap = lpp_dp(vfld, (4, 4))
+        found += [(trial, "lpp", idx) for idx in np.ndindex(lmap.table.shape)
+                  if brute_force_lpp(vfld, idx) != lmap.table[idx]]
+    return found

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._output import write_csv
-from .lpp import LppTimeMap
-from .weights import WeightField, exponential
+from .lpp import LppTimeMap, lpp_dp
+from .weights import WeightField, derive_seed, exponential
 
 __all__ = [
     "StepTimeTable",
@@ -203,3 +203,26 @@ def coupling_equivalence(table: StepTimeTable, lmap: LppTimeMap, n: int, t: floa
     lhs = lmap.time_to((n, n)) <= t
     rhs = current_at(table, t) >= n
     return lhs == rhs
+
+
+def _coupling_check(k: int, trials: int, seed: int):
+    """Coupled k x k runs on exp:1.0 vertex fields, each checked against lpp_dp.
+
+    Returns the last step table, how many step tables differ from their LPP
+    table, and how many of each trial's 100 random (n, t) probes (none when
+    k = 2) break coupling_equivalence.
+    """
+    mismatches = probe_failures = 0
+    for trial in range(trials):
+        fld = WeightField(exponential(1.0), derive_seed(seed, "tasep", trial), "vertex", 2)
+        table = tasep_run(k, k, field=fld)
+        lmap = lpp_dp(fld, (k - 1, k - 1))
+        mismatches += not np.array_equal(table.s, lmap.table.T)
+        if k >= 3:
+            rng = np.random.default_rng(derive_seed(seed, "tasep-probes", trial))
+            tmax = float(table.s[k - 1, k - 1])
+            for _ in range(100):
+                n = int(rng.integers(1, k - 1))
+                t = float(rng.uniform(0.0, tmax))
+                probe_failures += not coupling_equivalence(table, lmap, n, t)
+    return table, mismatches, probe_failures

@@ -390,6 +390,12 @@ def test_point_samples_need_a_trial(model):
         wandering_series(model, exponential(1.0), (1, 1), [4], trials=0, seed=0)
 
 
+def test_wandering_needs_two_trials():
+    # one sample has no standard error: its std(ddof=1) warns and is NaN
+    with pytest.raises(ValueError, match="trials"):
+        wandering_series("lpp", exponential(1.0), (1, 1), [4], trials=1, seed=0)
+
+
 def test_wandering_one_step_is_zero():
     # a one-step geodesic lies on its own segment
     ws = wandering_series("lpp", exponential(1.0), (1, 0), [1, 8], trials=30, seed=2)

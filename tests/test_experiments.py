@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latticegrow
 from latticegrow import growth, oracle
@@ -95,6 +97,7 @@ def test_config_parse_errors_name_the_problem():
         (dict(kind="tasep-coupling", steps=2049, trials=1), "steps"),
         (dict(kind="fpp-shape", dist="unif:0.5:1.5", t=1e308, trials=2), "t"),
         (dict(kind="lpp-shape", dist="exp:1e300", t=1.0, trials=2), "t"),
+        (dict(kind="flat-edge", dist="twopoint:0.8", n_grid="60,50,60", trials=2), "n_grid"),
     ],
 )
 def test_validation_rejects_naming_field(kw, field):
@@ -391,6 +394,132 @@ def test_flat_edge_n_limit_is_inclusive():
         flat_edge_probe(0.55, MAX_FLAT_EDGE_N + 1, 1, 0)
 
 
+# -- every bound of every kind, each from its closed form in README ---------------
+
+_BUDGET = 1 << 28  # bytes
+
+
+def _grid_cells(d, steps):
+    """The first growth grid: (2 r + 1)^d cells, r = max(2, floor(1.2 (steps / V_d)^(1/d)) + 1)."""
+    ball = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+    return (2 * max(2, int(1.2 * (steps / ball) ** (1 / d)) + 1) + 1) ** d
+
+
+def _shape_cells(model, mean, t):
+    """A shape trial's first FPP box or LPP table."""
+    if model == "fpp":
+        return (2 * (math.ceil(4.0 * t / mean) + 10) + 1) ** 2
+    return (math.ceil(2.5 * t / mean) + 9) ** 2
+
+
+def _point_cells(model, n, direction):
+    """One trial's first FPP box or LPP table at x = floor(n direction)."""
+    x = [math.floor(n * c) for c in direction]
+    if model == "fpp":
+        return (2 * (math.ceil(1.3 * sum(x)) + 10) + 1) ** len(x)
+    return math.prod(c + 1 for c in x)
+
+
+def _largest(ok, lo, hi):
+    """The largest n in [lo, hi) with ok(n), where ok holds at lo, fails at hi, and is monotone."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
+
+
+def _bounds():
+    """(config for a value, values near the bound, field a value fails on or None)."""
+    from latticegrow.estimators import MIN_FLAT_EDGE_N, MIN_RADIAL_TRIALS, MIN_VARIANCE_TRIALS
+    from latticegrow.weights import parse_dist_token
+
+    base = {
+        "fpp-shape": dict(kind="fpp-shape", dist="unif:0.5:1.5", t=4.0, trials=2),
+        "lpp-shape": dict(kind="lpp-shape", t=4.0, trials=2),
+        "radial-g": dict(kind="radial-g", model="fpp", n_grid="4,8", trials=2),
+        "exponents": dict(kind="exponents", n_grid="2,4,8,16", trials=200),
+        "flat-edge": dict(kind="flat-edge", dist="twopoint:0.8", n_grid="50", trials=1),
+        "eden": dict(kind="eden", steps=10),
+        "idla": dict(kind="idla", steps=10),
+        "tasep-coupling": dict(kind="tasep-coupling", steps=4, trials=1),
+        "oracle-check": dict(kind="oracle-check", dist="unif:0.5:1.5", trials=1),
+    }
+    least = [(kind, "seed", 0) for kind in base] + [
+        ("fpp-shape", "trials", 1), ("lpp-shape", "trials", 1),
+        ("radial-g", "trials", MIN_RADIAL_TRIALS), ("exponents", "trials", MIN_VARIANCE_TRIALS),
+        ("flat-edge", "trials", 1), ("tasep-coupling", "trials", 1),
+        ("oracle-check", "trials", 1), ("eden", "steps", 1), ("idla", "steps", 1),
+        ("tasep-coupling", "steps", 2), ("eden", "dim", 1), ("idla", "dim", 1),
+        ("radial-g", "n_grid", 1), ("flat-edge", "n_grid", MIN_FLAT_EDGE_N),
+    ]
+    cases = []
+    for kind, field, low in least:
+        cases.append((lambda v, kw=base[kind], f=field: {**kw, f: str(v) if f == "n_grid" else v},
+                      st.integers(low - 3, low + 3),
+                      lambda v, f=field, low=low: f if v < low else None))
+    for kind in ("fpp-shape", "lpp-shape", "radial-g", "exponents", "flat-edge"):
+        cases.append((lambda v, kw=base[kind]: {**kw, "workers": v},
+                      st.integers(-1, 2) | st.integers(62, 66),
+                      lambda v: None if 1 <= v <= 64 else "workers"))
+    cases.append((lambda v: {**base["flat-edge"], "n_grid": f"50,{v}"},
+                  st.integers(MAX_FLAT_EDGE_N - 3, MAX_FLAT_EDGE_N + 3),
+                  lambda v: "n_grid" if v > MAX_FLAT_EDGE_N else None))
+    cases.append((lambda v: {**base["tasep-coupling"], "steps": v}, st.integers(2040, 2056),
+                  lambda v: "steps" if v * v > _BUDGET // 64 else None))
+    cases.append((lambda v: {**base["idla"], "dim": 1, "steps": v}, st.integers(1055, 1070),
+                  lambda v: "steps" if v ** 3 // 12 > 10 ** 8 else None))
+    for kind in ("eden", "idla"):
+        cases.append((lambda v, kw=base[kind]: {**kw, "dim": v, "steps": 1},
+                      st.integers(10, 15), lambda v: "dim" if 5 ** v > _BUDGET else None))
+        for d in (2, 3):
+            top = _largest(lambda s: _grid_cells(d, s) <= _BUDGET, 1, 10 ** 10)
+            cases.append((lambda v, kw=base[kind], d=d: {**kw, "dim": d, "steps": v},
+                          st.integers(top - 3, top + 3),
+                          lambda v, d=d: "steps" if _grid_cells(d, v) > _BUDGET else None))
+    for kind, dists in (("fpp-shape", ("unif:0.5:1.5", "exp:2.0", "twopoint:0.6")),
+                        ("lpp-shape", ("exp:1.0", "geom:0.5", "unif:0.5:1.5"))):
+        for dist in dists:
+            model, mean = kind[:3], parse_dist_token(dist).mean()
+            top = (125.25 if model == "fpp" else 406.0) * mean
+            cases.append((lambda v, kw=base[kind], dist=dist: {**kw, "dist": dist, "t": v},
+                          st.just(top) | st.floats(0.99 * top, 1.01 * top),
+                          lambda v, model=model, mean=mean:
+                              "t" if _shape_cells(model, mean, v) > _BUDGET // 256 else None))
+    for kind, model, direction in (("radial-g", "fpp", (1, 1)), ("radial-g", "fpp", (1, 1, 1)),
+                                   ("radial-g", "lpp", (2, 1)), ("exponents", "lpp", (1, 1)),
+                                   ("exponents", "lpp", (1, 2, 1))):
+        def grid_kw(n, kind=kind, model=model, direction=direction):
+            # exponents reads no model: it is LPP, with a grid a fit can use
+            kw = dict(base[kind], model=model) if kind == "radial-g" else base[kind]
+            grid = [n] if kind == "radial-g" else [n // 8, n // 4, n // 2, n]
+            return {**kw, "dim": len(direction), "direction": ",".join(map(str, direction)),
+                    "n_grid": ",".join(map(str, grid))}
+
+        top = _largest(lambda n: _point_cells(model, n, direction) <= _BUDGET // 16, 8, 10 ** 6)
+        cases.append((grid_kw, st.integers(top - 3, top + 3),
+                      lambda v, model=model, direction=direction:
+                          "n_grid" if _point_cells(model, v, direction) > _BUDGET // 16 else None))
+    return cases
+
+
+_BOUNDS = _bounds()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_validate_accepts_exactly_the_configs_within_every_bound(data):
+    # configs of every kind at every least value, footprint threshold, worker
+    # cap and the d = 1 IDLA move bound; validate() runs no solve and no pool
+    make, values, fails = data.draw(st.sampled_from(_BOUNDS))
+    value = data.draw(values)
+    cfg, field = _cfg(**make(value)), fails(value)
+    if field is None:
+        cfg.validate()
+        return
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        cfg.validate()
+
+
 def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(latticegrow.__file__).parents[1])
@@ -485,6 +614,8 @@ def test_cli_kinds_import_no_scipy(tmp_path):
         (["eden", "--dim", "13", "--steps", "1"], "dim"),
         (["eden", "--steps", "1000000000"], "steps"),
         (["idla", "--dim", "1", "--steps", "1063"], "steps"),
+        (["flat-edge", "--dist", "twopoint:0.8", "--n-grid", "60,50,60", "--trials", "2"],
+         "n_grid"),
     ],
 )
 def test_cli_bad_input_exits_2_without_traceback(argv, field, tmp_path):

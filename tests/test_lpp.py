@@ -170,6 +170,15 @@ def test_corner_sweep_matches_table_and_geodesic(spec, corner):
     assert _batch_corners(fields, corner, False)[0].tobytes() == times.tobytes()
 
 
+@pytest.mark.parametrize("corner", [(6, 6), (3, 4, 5)])
+def test_batch_times_own_their_data(corner):
+    # a view into the sweep's two layers would keep every batch's table alive
+    # until the samples are concatenated
+    fields = [make_field(uniform(0.5, 1.5), 70 + b, "vertex", len(corner)) for b in range(2)]
+    for geodesics in (False, True):
+        assert _batch_corners(fields, corner, geodesics)[0].flags.owndata
+
+
 def test_general_dimension_recursion():
     f = make_field(uniform(0.5, 1.5), 3, "vertex", 3)
     lmap = lpp_dp(f, (3, 2, 2))
