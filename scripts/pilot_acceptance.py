@@ -12,12 +12,11 @@ from latticegrow import (
     exponential,
     fit_exponent,
     flat_edge_probe,
+    fluctuation_series,
     geometric,
     idla_grow,
     kpz_residual,
     roundness,
-    variance_series,
-    wandering_series,
 )
 from latticegrow.estimators import chi_from_variance_fit
 from latticegrow.weights import derive_seed
@@ -70,20 +69,16 @@ def pilot_rost_and_geometric():
 
 def pilot_exponents():
     grid = [64, 128, 256, 512, 1024]
-    vs = timed(
-        "variance series x500",
-        lambda: variance_series("lpp", exponential(1.0), (1, 1), grid, 500,
-                                MASTER, workers=WORKERS),
+    fl = timed(
+        "variance and wandering series x500",
+        lambda: fluctuation_series("lpp", exponential(1.0), (1, 1), grid, 500,
+                                   MASTER, workers=WORKERS),
     )
-    ws = timed(
-        "wandering series x500",
-        lambda: wandering_series("lpp", exponential(1.0), (1, 1), grid, 500,
-                                 MASTER, workers=WORKERS),
-    )
+    vs, ws = fl.variance, fl.wandering
     var_fit = fit_exponent(vs.ns, vs.values, vs.stderrs, statistic="variance")
     chi = chi_from_variance_fit(var_fit)
     xi = fit_exponent(ws.ns, ws.values, ws.stderrs, statistic="wandering")
-    res, res_se = kpz_residual(chi, xi)
+    res, res_se = kpz_residual(chi, xi, fl.chi_xi_cov())
     print(f"  chi = {chi.slope:.4f} +- {chi.slope_stderr:.4f}")
     print(f"  xi  = {xi.slope:.4f} +- {xi.slope_stderr:.4f}")
     print(f"  kpz residual = {res:.4f} +- {res_se:.4f}")

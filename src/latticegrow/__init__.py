@@ -67,6 +67,7 @@ _EXPORTS = {
     "estimators": (
         "ExponentFit",
         "FlatEdgeReport",
+        "Fluctuations",
         "Series",
         "SubadditiveSequence",
         "chi_from_variance_fit",
@@ -74,6 +75,7 @@ _EXPORTS = {
         "fekete_envelope",
         "fit_exponent",
         "flat_edge_probe",
+        "fluctuation_series",
         "kpz_residual",
         "shape_boundary_estimate",
         "shape_gap_series",

@@ -3,6 +3,8 @@
 Every trial draws its own weight field from a child seed derived as
 mix(master seed, statistic tag, n, trial index), so estimates are
 reproducible and independent of aggregation order and worker scheduling.
+fluctuation_series reads the variance and the wandering off one sample set,
+so each trial is one sweep and the residual's error carries their covariance.
 Passage-time samples come from the exact finite-volume solvers; first-passage
 solves carry a truncation flag that propagates into per-point warnings.
 """
@@ -42,6 +44,7 @@ __all__ = [
     "RadialShapeEstimate",
     "ExponentFit",
     "FeketeReport",
+    "Fluctuations",
     "FlatEdgeReport",
     "VarianceSeries",
     "MeanSeries",
@@ -51,6 +54,7 @@ __all__ = [
     "flat_edge_probe",
     "variance_series",
     "wandering_series",
+    "fluctuation_series",
     "shape_gap_series",
     "fit_exponent",
     "chi_from_variance_fit",
@@ -284,15 +288,7 @@ def estimate_radial_g(
     ns, _targets, times, _devs, trunc = _sample_times(
         model, spec, direction, n_grid, trials, seed, "radial-g", workers
     )
-    scaled = times / ns[:, None]
-    return Series(
-        statistic="radial-g",
-        ns=ns,
-        values=scaled.mean(axis=1),
-        stderrs=scaled.std(axis=1, ddof=1) / math.sqrt(trials),
-        trials=trials,
-        truncation_warnings=trunc,
-    )
+    return _mean_series("radial-g", ns, times / ns[:, None], trunc)
 
 
 def fekete_envelope(seq: Series) -> FeketeReport:
@@ -567,6 +563,83 @@ def flat_edge_probe(p: float, n: int, trials: int, seed: int, workers: int = 1) 
 _BOOTSTRAP_RESAMPLES = 1000
 
 
+def _mean_series(statistic: str, ns, samples: np.ndarray, trunc: dict) -> Series:
+    """Per-n mean of samples[n_index, trial] with its standard error."""
+    trials = samples.shape[1]
+    return Series(
+        statistic=statistic,
+        ns=ns,
+        values=samples.mean(axis=1),
+        stderrs=samples.std(axis=1, ddof=1) / math.sqrt(trials),
+        trials=trials,
+        truncation_warnings=trunc,
+    )
+
+
+def _log_cov(a: np.ndarray, b: np.ndarray) -> float:
+    """Sample covariance of log a and log b; NaN unless every value is positive,
+    as no log-log fit takes such a series."""
+    if a.min() <= 0 or b.min() <= 0:
+        return math.nan
+    return float(np.cov(np.log(a), np.log(b))[0, 1])
+
+
+def _variance_series(ns, times: np.ndarray, seed: int, trunc: dict, devs=None):
+    """Sample variance of times[n_index, trial] per n, with bootstrap standard
+    errors and 95% bands, and with devs also each n's bootstrap covariance of
+    the log variance and the log mean of devs over the same resampled trials.
+
+    Returns (variance Series, covariances or None).  Each n resamples its
+    trials from its own child seed, so the grid points stay independent.
+    """
+    trials = times.shape[1]
+    boot_se, ci_low, ci_high, log_cov = (np.empty(len(ns)) for _ in range(4))
+    for j, n in enumerate(ns):
+        rng = np.random.default_rng(derive_seed(seed, "variance-bootstrap", int(n)))
+        idx = rng.integers(0, trials, size=(_BOOTSTRAP_RESAMPLES, trials))
+        bvars = times[j][idx].var(axis=1, ddof=1)
+        boot_se[j] = bvars.std(ddof=1)
+        ci_low[j], ci_high[j] = np.percentile(bvars, [2.5, 97.5])
+        if devs is not None:
+            log_cov[j] = _log_cov(bvars, devs[j][idx].mean(axis=1))
+    series = Series(
+        statistic="variance",
+        ns=ns,
+        values=times.var(axis=1, ddof=1),
+        stderrs=boot_se,
+        trials=trials,
+        truncation_warnings=trunc,
+        ci_low=ci_low,
+        ci_high=ci_high,
+    )
+    return series, (log_cov if devs is not None else None)
+
+
+@dataclass
+class Fluctuations:
+    """Variance and wandering series drawn from one sample set.
+
+    log_cov[j] is the bootstrap covariance of log variance and log mean
+    wandering at ns[j], over the variance bootstrap's resampled trials.
+    """
+
+    variance: Series
+    wandering: Series
+    log_cov: np.ndarray
+
+    def chi_xi_cov(self) -> float:
+        """Cov(chi, xi) of the two series' exponent fits.
+
+        For fixed fit weights each slope is linear in the log-values,
+        slope = sum_n c_n log(value_n), and the grid points are sampled
+        independently, so Cov(chi, xi) = 1/2 sum_n a_n b_n Cov(log v_n, log m_n).
+        """
+        a = _slope_coefficients(self.variance.ns, self.variance.values, self.variance.stderrs)
+        b = _slope_coefficients(self.wandering.ns, self.wandering.values,
+                                self.wandering.stderrs)
+        return float(0.5 * np.sum(a * b * self.log_cov))
+
+
 def variance_series(
     model: str,
     spec: DistributionSpec,
@@ -576,32 +649,17 @@ def variance_series(
     seed: int,
     workers: int = 1,
 ) -> Series:
-    """Sample variance of T(0, [n x]) per n, with bootstrap confidence bands."""
+    """Sample variance of T(0, [n x]) per n, with bootstrap confidence bands.
+
+    The samples are its own ("variance" tag); fluctuation_series gives the
+    same statistic on the wandering samples.
+    """
     if trials < MIN_VARIANCE_TRIALS:
         raise ValueError(f"variance estimation needs {MIN_VARIANCE_TRIALS}+ trials per point")
     ns, _targets, times, _devs, trunc = _sample_times(
         model, spec, direction, n_grid, trials, seed, "variance", workers
     )
-    variances = times.var(axis=1, ddof=1)
-    boot_se = np.empty(len(ns))
-    ci_low = np.empty(len(ns))
-    ci_high = np.empty(len(ns))
-    for j, n in enumerate(ns):
-        rng = np.random.default_rng(derive_seed(seed, "variance-bootstrap", int(n)))
-        idx = rng.integers(0, trials, size=(_BOOTSTRAP_RESAMPLES, trials))
-        bvars = times[j][idx].var(axis=1, ddof=1)
-        boot_se[j] = bvars.std(ddof=1)
-        ci_low[j], ci_high[j] = np.percentile(bvars, [2.5, 97.5])
-    return Series(
-        statistic="variance",
-        ns=ns,
-        values=variances,
-        stderrs=boot_se,
-        trials=trials,
-        truncation_warnings=trunc,
-        ci_low=ci_low,
-        ci_high=ci_high,
-    )
+    return _variance_series(ns, times, seed, trunc)[0]
 
 
 def wandering_series(
@@ -620,14 +678,39 @@ def wandering_series(
         model, spec, direction, n_grid, trials, seed, "wandering", workers,
         want_geodesic=True,
     )
-    return Series(
-        statistic="wandering",
-        ns=ns,
-        values=devs.mean(axis=1),
-        stderrs=devs.std(axis=1, ddof=1) / math.sqrt(trials),
-        trials=trials,
-        truncation_warnings=trunc,
+    return _mean_series("wandering", ns, devs, trunc)
+
+
+def fluctuation_series(
+    model: str,
+    spec: DistributionSpec,
+    direction,
+    n_grid,
+    trials: int,
+    seed: int,
+    workers: int = 1,
+) -> Fluctuations:
+    """Variance of T(0, [n x]) and mean geodesic wandering per n, one solve a trial.
+
+    Each trial's geodesic solve also gives its passage time, so both series
+    come from the same environments, as in the scaling relation chi = 2 xi - 1.
+    The samples are wandering_series' own, so the wandering series equals
+    that function's; the variance series has variance_series' law and
+    bootstrap, on other draws.
+    """
+    if trials < MIN_VARIANCE_TRIALS:
+        raise ValueError(f"variance estimation needs {MIN_VARIANCE_TRIALS}+ trials per point")
+    ns, _targets, times, devs, trunc = _sample_times(
+        model, spec, direction, n_grid, trials, seed, "wandering", workers,
+        want_geodesic=True,
     )
+    return _fluctuations(ns, times, devs, seed, trunc)
+
+
+def _fluctuations(ns, times, devs, seed, trunc) -> Fluctuations:
+    """Both series and their log covariances from times and devs [n_index, trial]."""
+    variance, log_cov = _variance_series(ns, times, seed, trunc, devs)
+    return Fluctuations(variance, _mean_series("wandering", ns, devs, trunc), log_cov)
 
 
 def shape_gap_series(
@@ -666,13 +749,8 @@ def shape_gap_series(
 # -- exponent fits ------------------------------------------------------------
 
 
-def fit_exponent(ns, values, errors=None, statistic: str = "generic") -> ExponentFit:
-    """Weighted least-squares slope of log(value) against log(n).
-
-    Weights are inverse variances of log(value) via the delta method; with
-    no (or zero) errors the fit is ordinary least squares and the slope
-    error comes from the residuals, so exact power laws report zero error.
-    """
+def _log_fit_weights(ns, values, errors):
+    """(x, y, w, weighted): log n, log value and the fit weights of fit_exponent."""
     ns = np.asarray(ns, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if ns.size < MIN_FIT_POINTS:
@@ -694,6 +772,25 @@ def fit_exponent(ns, values, errors=None, statistic: str = "generic") -> Exponen
         w = 1.0 / sig**2
     else:
         w = np.ones_like(x)
+    return x, y, w, weighted
+
+
+def _slope_coefficients(ns, values, errors=None) -> np.ndarray:
+    """c_n with fit_exponent's slope = sum_n c_n log(value_n) at its fit weights."""
+    x, _y, w, _weighted = _log_fit_weights(ns, values, errors)
+    xc = x - (w * x).sum() / w.sum()
+    return w * xc / (w * xc**2).sum()
+
+
+def fit_exponent(ns, values, errors=None, statistic: str = "generic") -> ExponentFit:
+    """Weighted least-squares slope of log(value) against log(n).
+
+    Weights are inverse variances of log(value) via the delta method; with
+    no (or zero) errors the fit is ordinary least squares and the slope
+    error comes from the residuals, so exact power laws report zero error.
+    """
+    x, y, w, weighted = _log_fit_weights(ns, values, errors)
+    ns = np.asarray(ns, dtype=np.float64)
     wsum = w.sum()
     xbar = (w * x).sum() / wsum
     ybar = (w * y).sum() / wsum
@@ -728,15 +825,19 @@ def chi_from_variance_fit(fit: ExponentFit) -> ExponentFit:
     )
 
 
-def kpz_residual(chi_fit: ExponentFit, xi_fit: ExponentFit):
+def kpz_residual(chi_fit: ExponentFit, xi_fit: ExponentFit, cov: float = 0.0):
     """chi - (2 xi - 1) with first-order error propagation.
 
     The scaling relation predicts zero; the pair (1/3, 2/3) satisfies it
-    exactly, as does the bound pair (1/2, 3/4).
+    exactly, as does the bound pair (1/2, 3/4).  cov is Cov(chi, xi), zero
+    for fits of independent samples (Fluctuations.chi_xi_cov otherwise):
+    Var = Var(chi) + 4 Var(xi) - 4 Cov(chi, xi).
     """
     chi = chi_from_variance_fit(chi_fit) if chi_fit.statistic == "variance" else chi_fit
     if chi.statistic not in ("chi", "generic"):
         raise ValueError(f"unexpected statistic {chi.statistic!r} for chi")
     residual = chi.slope - (2.0 * xi_fit.slope - 1.0)
-    stderr = math.sqrt(chi.slope_stderr**2 + 4.0 * xi_fit.slope_stderr**2)
-    return float(residual), float(stderr)
+    var = chi.slope_stderr**2 + 4.0 * xi_fit.slope_stderr**2 - 4.0 * cov
+    # the variances come from the fit weights and cov from a bootstrap, so a
+    # near-perfect coupling could leave var slightly below zero
+    return float(residual), math.sqrt(max(var, 0.0))

@@ -197,6 +197,8 @@ def _sample_footprint(config, spec, model=""):
         _, _, targets = _grid_targets(model, config.direction_tuple(), config.n_grid_list())
     except ValueError as e:
         raise ConfigError(str(e)) from None
+    except OverflowError as e:  # n times direction past a float's range
+        raise ConfigError(f"n_grid: too large to place its points ({e})") from None
     batch = _trials_per_batch(targets[-1]) if model == "lpp" else 1
     yield ("n_grid", batch * _trial_cells(model, targets[-1]), MEMORY_BUDGET // _TRIAL_BYTES,
            "vertices in one solve's box or one sweep's tables")
@@ -228,7 +230,11 @@ def _grid_footprint(config, spec):
     # the first grid has radius 2 or more; 5^64 cells is far past any budget
     d = config.dim
     yield "dim", 5 ** min(d, 64), MEMORY_BUDGET, f"cells or more in dimension {d}"
-    yield "steps", (2 * _first_radius(d, config.steps) + 1) ** d, MEMORY_BUDGET, "grid cells"
+    try:
+        radius = _first_radius(d, config.steps)
+    except OverflowError as e:  # steps past a float's range
+        raise ConfigError(f"steps: too large to size its grid ({e})") from None
+    yield "steps", (2 * radius + 1) ** d, MEMORY_BUDGET, "grid cells"
 
 
 def _idla_footprint(config, spec):
@@ -282,18 +288,18 @@ def _run_shape(config, spec, paths, summary):
 
 
 def _run_exponents(config, spec, paths, summary):
-    from .estimators import (chi_from_variance_fit, fit_exponent, kpz_residual,
-                             variance_series, wandering_series)
+    from .estimators import (chi_from_variance_fit, fit_exponent, fluctuation_series,
+                             kpz_residual)
 
-    vs, ws = (series("lpp", spec, config.direction_tuple(), config.n_grid_list(),
-                     config.trials, config.seed, workers=config.workers)
-              for series in (variance_series, wandering_series))
+    fl = fluctuation_series("lpp", spec, config.direction_tuple(), config.n_grid_list(),
+                            config.trials, config.seed, workers=config.workers)
+    vs, ws = fl.variance, fl.wandering
     vs.to_csv(paths[0])
     ws.to_csv(paths[1])
     var_fit = fit_exponent(vs.ns, vs.values, vs.stderrs, statistic="variance")
     chi_fit = chi_from_variance_fit(var_fit)
     xi_fit = fit_exponent(ws.ns, ws.values, ws.stderrs, statistic="wandering")
-    residual, res_se = kpz_residual(chi_fit, xi_fit)
+    residual, res_se = kpz_residual(chi_fit, xi_fit, fl.chi_xi_cov())
     summary["fits"] = {"variance": var_fit.as_dict(), "chi": chi_fit.as_dict(),
                        "xi": xi_fit.as_dict(), "kpz_residual": residual,
                        "kpz_residual_stderr": res_se}

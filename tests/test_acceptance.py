@@ -24,6 +24,7 @@ from latticegrow import (
     fekete_envelope,
     fit_exponent,
     flat_edge_probe,
+    fluctuation_series,
     fpp_dijkstra,
     fpp_infection_order,
     geometric,
@@ -36,8 +37,6 @@ from latticegrow import (
     roundness,
     tasep_run,
     uniform,
-    variance_series,
-    wandering_series,
 )
 from latticegrow.estimators import SubadditiveSequence, chi_from_variance_fit
 from latticegrow.experiments import ExperimentConfig, run_experiment
@@ -170,17 +169,16 @@ def test_criterion_08_idla_roundness():
 
 def test_criterion_09_exponent_fits():
     grid = [64, 128, 256, 512, 1024]
-    vs = variance_series(
+    # variance and wandering from the same environments, one sweep a trial
+    fl = fluctuation_series(
         "lpp", exponential(1.0), (1, 1), grid, 500, MASTER, workers=WORKERS
     )
-    ws = wandering_series(
-        "lpp", exponential(1.0), (1, 1), grid, 500, MASTER, workers=WORKERS
-    )
+    vs, ws = fl.variance, fl.wandering
     chi = chi_from_variance_fit(
         fit_exponent(vs.ns, vs.values, vs.stderrs, statistic="variance")
     )
     xi = fit_exponent(ws.ns, ws.values, ws.stderrs, statistic="wandering")
-    residual, _ = kpz_residual(chi, xi)
+    residual, _ = kpz_residual(chi, xi, fl.chi_xi_cov())
     assert 1.0 / 3.0 - 0.15 <= chi.slope <= 1.0 / 3.0 + 0.15
     assert 2.0 / 3.0 - 0.15 <= xi.slope <= 2.0 / 3.0 + 0.15
     assert abs(residual) <= 0.2

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from latticegrow import (
     fekete_envelope,
     fit_exponent,
     flat_edge_probe,
+    fluctuation_series,
     geometric,
     kpz_residual,
     shape_boundary_estimate,
@@ -446,6 +449,127 @@ def test_lpp_decision_byte_samples_match_table_backtrack(spec, direction):
 def test_wandering_constant_fpp_axis_zero():
     ws = wandering_series("fpp", constant(1.0), (1, 0), [2, 4, 8], trials=5, seed=2)
     assert np.array_equal(ws.values, np.zeros(3))
+
+
+# -- variance and wandering from shared samples -----------------------------------------
+
+_SHARED = ("lpp", uniform(0.5, 1.5), (2, 1), [4, 8, 16], 200, 19)
+
+
+def _same_series(a, b):
+    # Series holds arrays, so compare field by field
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y), f.name
+
+
+def test_fluctuation_wandering_is_wandering_series():
+    _same_series(fluctuation_series(*_SHARED).wandering, wandering_series(*_SHARED))
+
+
+def test_fluctuation_variance_is_the_shared_helper_on_the_same_times():
+    model, spec, direction, grid, trials, seed = _SHARED
+    ns, _targets, times, devs, trunc = _sample_times(model, spec, direction, grid, trials,
+                                                     seed, "wandering", 1, want_geodesic=True)
+    fl = fluctuation_series(*_SHARED)
+    vs, log_cov = estimators._variance_series(ns, times, seed, trunc, devs)
+    _same_series(fl.variance, vs)
+    assert np.array_equal(fl.log_cov, log_cov)
+    # variance_series is the same helper on samples of its own
+    ns, _targets, times, _devs, trunc = _sample_times(model, spec, direction, grid, trials,
+                                                      seed, "variance", 1)
+    _same_series(variance_series(*_SHARED), estimators._variance_series(ns, times, seed, trunc)[0])
+
+
+def test_fluctuation_series_independent_of_batching_and_workers(monkeypatch):
+    runs = []
+    for workers, budget in [(1, lpp._BATCH_CELLS), (2, lpp._BATCH_CELLS), (1, 300), (1, 1)]:
+        monkeypatch.setattr(lpp, "_BATCH_CELLS", budget)
+        runs.append(fluctuation_series(*_SHARED, workers=workers))
+    for fl in runs[1:]:
+        _same_series(fl.variance, runs[0].variance)
+        _same_series(fl.wandering, runs[0].wandering)
+        assert np.array_equal(fl.log_cov, runs[0].log_cov)
+
+
+def test_fluctuation_series_needs_variance_trials():
+    with pytest.raises(ValueError, match="trials"):
+        fluctuation_series("lpp", exponential(1.0), (1, 1), [8], trials=50, seed=0)
+
+
+def test_fluctuation_axis_has_no_log_covariance():
+    # axis geodesics never wander, so no log is taken and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fl = fluctuation_series("lpp", exponential(1.0), (1, 0), [4, 8], trials=200, seed=3)
+    assert np.array_equal(fl.wandering.values, np.zeros(2))
+    assert np.isnan(fl.log_cov).all()
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_lpp_corner_times_same_law_under_both_tags(n):
+    # variance now reads the times of the wandering sweep; both tags draw
+    # T(0, (n, n)) from the same law (seed fixed before the first run)
+    from scipy.stats import ks_2samp
+
+    args = ("lpp", exponential(1.0), (1, 1), [n], 400, 20261019)
+    variance = _sample_times(*args, "variance", 1)[2][0]
+    wandering = _sample_times(*args, "wandering", 1, want_geodesic=True)[2][0]
+    assert ks_2samp(variance, wandering).pvalue >= 0.001
+
+
+def _kpz_stderrs(times, devs, seed):
+    """(stderr with the shared-sample covariance, stderr without it, the fits)."""
+    ns = np.array([8, 16, 32, 64, 128])
+    fl = estimators._fluctuations(ns, times, devs, seed, {})
+    vs, ws = fl.variance, fl.wandering
+    chi = chi_from_variance_fit(fit_exponent(ns, vs.values, vs.stderrs, statistic="variance"))
+    xi = fit_exponent(ns, ws.values, ws.stderrs, statistic="wandering")
+    return kpz_residual(chi, xi, fl.chi_xi_cov())[1], kpz_residual(chi, xi)[1], fl
+
+
+def _refit_stderr(ns, times, devs, seed, fl):
+    """Bootstrap stderr of chi - 2 xi, refitting both slopes on every resample of
+    the variance bootstrap's trials, at the fit weights of the full sample."""
+    vs, ws = fl.variance, fl.wandering
+    k, trials = times.shape
+    v = np.empty((estimators._BOOTSTRAP_RESAMPLES, k))
+    m = np.empty_like(v)
+    for j, n in enumerate(ns):
+        rng = np.random.default_rng(derive_seed(seed, "variance-bootstrap", int(n)))
+        idx = rng.integers(0, trials, size=(estimators._BOOTSTRAP_RESAMPLES, trials))
+        v[:, j] = times[j][idx].var(axis=1, ddof=1)
+        m[:, j] = devs[j][idx].mean(axis=1)
+    residuals = [fit_exponent(ns, vb, vs.stderrs * vb / vs.values).slope / 2
+                 - 2 * fit_exponent(ns, mb, ws.stderrs * mb / ws.values).slope
+                 for vb, mb in zip(v, m)]
+    return float(np.std(residuals, ddof=1))
+
+
+def _synthetic_times(rng, ns, trials):
+    # Var T ~ n^(2/3), as chi = 1/3
+    return ns[:, None] ** (1 / 3) * rng.standard_normal((ns.size, trials))
+
+
+def test_kpz_stderr_of_independent_samples_is_the_old_formula():
+    ns = np.array([8, 16, 32, 64, 128])
+    rng = np.random.default_rng(41)
+    times = _synthetic_times(rng, ns, 400)
+    devs = ns[:, None] ** (2 / 3) * rng.exponential(size=times.shape)
+    shared, old, _fl = _kpz_stderrs(times, devs, 5)
+    # the bootstrap covariance of independent samples is noise
+    assert shared == pytest.approx(old, rel=0.02)
+
+
+def test_kpz_stderr_of_coupled_samples_matches_per_resample_refit():
+    ns = np.array([8, 16, 32, 64, 128])
+    times = _synthetic_times(np.random.default_rng(42), ns, 400)
+    devs = times**2  # mean of devs tracks the variance: xi ~ 2 chi, strongly coupled
+    shared, old, fl = _kpz_stderrs(times, devs, 6)
+    ref = _refit_stderr(ns, times, devs, 6, fl)
+    # the fits' delta-method variances differ from a bootstrap's by a few per cent
+    assert shared == pytest.approx(ref, rel=0.05)
+    assert old > 1.2 * ref  # leaving out the covariance overstates the error
 
 
 # -- shape gap -------------------------------------------------------------------------

@@ -7,11 +7,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import latticegrow
-from latticegrow import growth, oracle
+from latticegrow import estimators, growth, oracle
 from latticegrow.cli import main
 from latticegrow.estimators import MAX_FLAT_EDGE_N, flat_edge_probe
 from latticegrow.experiments import (
@@ -576,6 +577,10 @@ def test_cli_kinds_import_no_scipy(tmp_path):
         assert proc.stdout.splitlines()[-1] == repr(expected), argv[0]
 
 
+# a 401-digit integer: a float holds at most 309 digits
+_HUGE = "9" * 401
+
+
 @pytest.mark.parametrize(
     "argv,field",
     [
@@ -616,6 +621,11 @@ def test_cli_kinds_import_no_scipy(tmp_path):
         (["idla", "--dim", "1", "--steps", "1063"], "steps"),
         (["flat-edge", "--dist", "twopoint:0.8", "--n-grid", "60,50,60", "--trials", "2"],
          "n_grid"),
+        # integers past a float's range
+        (["idla", "--steps", _HUGE], "steps"),
+        (["eden", "--steps", _HUGE], "steps"),
+        (["radial-g", "--model", "fpp", "--n-grid", _HUGE, "--trials", "2"], "n_grid"),
+        (["exponents", "--n-grid", f"8,16,32,{_HUGE}", "--trials", "200"], "n_grid"),
     ],
 )
 def test_cli_bad_input_exits_2_without_traceback(argv, field, tmp_path):
@@ -650,11 +660,13 @@ GOLDEN = {
                           n_grid="2,4,8", trials=4), {
         "radial_g.csv": "e2da92d6f1832a0cf5177b350d2f7e4edf5cead8f7191bd076b46425b4f7dbba",
     }),
+    # re-recorded when variance came to share the wandering samples; the
+    # earlier digests are pinned to two sample sets below
     "exponents": (dict(kind="exponents", dist="unif:0.5:1.5", n_grid="2,4,8,16",
                        trials=200), {
-        "fits.json": "610de7120f6d944a0a5764291cabeee9ef8217ce8bbef096eb8ad3f8a10efe82",
+        "fits.json": "2dc16251133ece11ae2caa2015901fa18d6e0b636f036210be1a03be2a8707f3",
         "variance_series.csv":
-            "6638342fca8f53b21de5ce3e1992066c8504a09cd29821c51dd993ebe4d6153a",
+            "beb9c6a508d284f65bc92d10c78d21f6dc074570c982ecc95291ac97757e41c3",
         "wandering_series.csv":
             "cbd123e90831b7f2eaa8ad6805016af54c1a4581f9137a23ccf401ddd4c1649e",
     }),
@@ -662,9 +674,9 @@ GOLDEN = {
     # in the middle
     "exponents-3d": (dict(kind="exponents", dist="twopoint:0.5", dim=3, direction="2,1,1",
                           n_grid="2,4,8,16", trials=200), {
-        "fits.json": "bbb1eb719b9b7acf0b622ab9b02277f127d82e92ab61fd52a8f35572e0b81766",
+        "fits.json": "8e9d1c0ef1c28521b8406f6888002db28dd75987d4d4045e858cf9c80e4a27e2",
         "variance_series.csv":
-            "75aeffd680639be8d060a6dd22ec5b27b635a2377a94362a6d6c7dfc0c58658b",
+            "824fd472b9e8613d5bd0384c45f804119fbd626005f2b09274240b0e3cf53d12",
         "wandering_series.csv":
             "18b88a868f48ad5e2ad2712e78ea8694945c386990c51740ab6f9f5fd23f3434",
     }),
@@ -721,6 +733,29 @@ def test_idla_chunk_loop_matches_earlier_golden(monkeypatch, tmp_path):
         "idla_roundness.csv": "6f19a9a093f6e6518cc9b79197192b980352b13c6f5efb857818feafd31a3388",
         "idla_trace.csv": "b1792d36c1186a256b266609520b9f121455c6f51eb98af67944f5954be60d28",
     }
+
+
+def test_exponents_two_sample_sets_match_earlier_golden(monkeypatch, tmp_path):
+    # variance and wandering from sample sets of their own, as exponents drew
+    # them before one sweep gave both; independent fits have no covariance
+    def two_sample_sets(*args, **kw):
+        vs = estimators.variance_series(*args, **kw)
+        return estimators.Fluctuations(vs, estimators.wandering_series(*args, **kw),
+                                       np.zeros(len(vs.ns)))
+
+    monkeypatch.setattr(estimators, "fluctuation_series", two_sample_sets)
+    earlier = {
+        "exponents": ("610de7120f6d944a0a5764291cabeee9ef8217ce8bbef096eb8ad3f8a10efe82",
+                      "6638342fca8f53b21de5ce3e1992066c8504a09cd29821c51dd993ebe4d6153a"),
+        "exponents-3d": ("bbb1eb719b9b7acf0b622ab9b02277f127d82e92ab61fd52a8f35572e0b81766",
+                         "75aeffd680639be8d060a6dd22ec5b27b635a2377a94362a6d6c7dfc0c58658b"),
+    }
+    for name, (fits, variance) in earlier.items():
+        kw, expected = GOLDEN[name]
+        run_experiment(_cfg(**kw, out=str(tmp_path / name)))
+        assert _digests(tmp_path / name) == {
+            "fits.json": fits, "variance_series.csv": variance,
+            "wandering_series.csv": expected["wandering_series.csv"]}
 
 
 def test_idla_block_walker_matches_earlier_golden(monkeypatch, tmp_path):

@@ -37,10 +37,11 @@ EXPORTED = {
               "current_series", "particle_position", "tasep_run"],
     "oracle": ["BudgetExceeded", "EnumerationBudget", "brute_force_fpp", "brute_force_lpp",
                "oriented_path_count"],
-    "estimators": ["ExponentFit", "FlatEdgeReport", "Series", "SubadditiveSequence",
-                   "chi_from_variance_fit", "estimate_radial_g", "fekete_envelope",
-                   "fit_exponent", "flat_edge_probe", "kpz_residual", "shape_boundary_estimate",
-                   "shape_gap_series", "variance_series", "wandering_series"],
+    "estimators": ["ExponentFit", "FlatEdgeReport", "Fluctuations", "Series",
+                   "SubadditiveSequence", "chi_from_variance_fit", "estimate_radial_g",
+                   "fekete_envelope", "fit_exponent", "flat_edge_probe", "fluctuation_series",
+                   "kpz_residual", "shape_boundary_estimate", "shape_gap_series",
+                   "variance_series", "wandering_series"],
 }
 
 
