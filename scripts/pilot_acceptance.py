@@ -10,15 +10,12 @@ import time
 from latticegrow import (
     estimate_radial_g,
     exponential,
-    fit_exponent,
     flat_edge_probe,
     fluctuation_series,
     geometric,
     idla_grow,
-    kpz_residual,
     roundness,
 )
-from latticegrow.estimators import chi_from_variance_fit
 from latticegrow.weights import derive_seed
 
 MASTER = 20250810  # the acceptance suite's master seed
@@ -74,15 +71,12 @@ def pilot_exponents():
         lambda: fluctuation_series("lpp", exponential(1.0), (1, 1), grid, 500,
                                    MASTER, workers=WORKERS),
     )
-    vs, ws = fl.variance, fl.wandering
-    var_fit = fit_exponent(vs.ns, vs.values, vs.stderrs, statistic="variance")
-    chi = chi_from_variance_fit(var_fit)
-    xi = fit_exponent(ws.ns, ws.values, ws.stderrs, statistic="wandering")
-    res, res_se = kpz_residual(chi, xi, fl.chi_xi_cov())
-    print(f"  chi = {chi.slope:.4f} +- {chi.slope_stderr:.4f}")
-    print(f"  xi  = {xi.slope:.4f} +- {xi.slope_stderr:.4f}")
-    print(f"  kpz residual = {res:.4f} +- {res_se:.4f}")
-    for n, v, d in zip(grid, vs.values, ws.values):
+    fits = fl.fits()
+    chi, xi = fits["chi"], fits["xi"]
+    print(f"  chi = {chi['slope']:.4f} +- {chi['slope_stderr']:.4f}")
+    print(f"  xi  = {xi['slope']:.4f} +- {xi['slope_stderr']:.4f}")
+    print(f"  kpz residual = {fits['kpz_residual']:.4f} +- {fits['kpz_residual_stderr']:.4f}")
+    for n, v, d in zip(grid, fl.variance.values, fl.wandering.values):
         print(f"  n={n}: var {v:.3f} meanD {d:.3f}")
 
 

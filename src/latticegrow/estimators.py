@@ -17,11 +17,17 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 
 from ._output import write_csv
+from .experiments import (
+    MIN_FIT_POINTS,
+    MIN_FIT_SPAN,
+    MIN_FLAT_EDGE_N,
+    MIN_RADIAL_TRIALS,
+    MIN_VARIANCE_TRIALS,
+)
 from .fpp import (
-    LatticeBox,
     _check_fpp_law,
+    _grown_solve,
     fpp_ball,
-    fpp_dijkstra,
     fpp_geodesic,
     lattice_point,
     max_distance_to_segment,
@@ -61,17 +67,11 @@ __all__ = [
     "kpz_residual",
 ]
 
-# input thresholds, shared with the experiment config's validation (its kind
-# table repeats the least trials and n, and a test keeps them equal); log-log
-# fits need MIN_FIT_POINTS grid points spanning a factor of MIN_FIT_SPAN, and a
-# mean's standard error needs MIN_RADIAL_TRIALS samples
-MIN_RADIAL_TRIALS = 2
-MIN_VARIANCE_TRIALS = 200
-MIN_FLAT_EDGE_N = 50
 # the window solve's uint16 times stay exact while T <= 4n < _SAT
 MAX_FLAT_EDGE_N = (_SAT - 1) // 4
-MIN_FIT_POINTS = 4
-MIN_FIT_SPAN = 8
+# a trial's box (FPP) or table (LPP) doubles its side on a boundary hit, at
+# most this many times
+_BOX_RETRIES = 2
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +176,13 @@ def _fpp_first_radius(target) -> int:
     return int(math.ceil(1.3 * sum(abs(c) for c in target))) + 10
 
 
-def _trial_cells(model: str, target) -> int:
-    """Vertices in a grid point's first FPP box, or in one trial's LPP table."""
+def _task_size(model: str, target) -> tuple:
+    """(trials, vertices) of one sampling task at target: a single FPP solve on
+    its first box, or one LPP sweep's tables over a batch of trials."""
     if model == "fpp":
-        return (2 * _fpp_first_radius(target) + 1) ** len(target)
-    return math.prod(c + 1 for c in target)
+        return 1, (2 * _fpp_first_radius(target) + 1) ** len(target)
+    per = _trials_per_batch(target)
+    return per, per * math.prod(c + 1 for c in target)
 
 
 def _fpp_target_solve(field: WeightField, target, *, want_geodesic: bool):
@@ -190,11 +192,7 @@ def _fpp_target_solve(field: WeightField, target, *, want_geodesic: bool):
     at or below T(target), enlarging the box cannot change any value.
     """
     base = _fpp_first_radius(target)
-    for attempt in range(3):
-        box = LatticeBox(field.dimension, base << attempt)
-        pmap = fpp_dijkstra(field, (0,) * field.dimension, box, target=target)
-        if not pmap.boundary_hit:
-            break
+    pmap = _grown_solve(field, base, base << _BOX_RETRIES, target=target)
     t = pmap.time_to(target)
     dev = math.nan
     if want_geodesic:
@@ -240,14 +238,15 @@ def _grid_targets(model: str, direction, n_grid):
 
 
 def _sample_times(model, spec, direction, n_grid, trials, seed, tag, workers,
-                  want_geodesic=False):
-    """Passage-time (and optionally wandering) samples on an n-grid.
+                  want_geodesic=False, least=1):
+    """Passage-time (and optionally wandering) samples on an n-grid, at least
+    `least` trials a point.
 
     Returns (ns, targets, times[n_index, trial], devs or None, trunc counts).
     """
+    if trials < least:
+        raise ValueError(f"trials: need at least {least} per grid point, got {trials}")
     _check_model(model, spec)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     direction, ns, targets = _grid_targets(model, direction, n_grid)
     full_tag = f"{tag}:{model}:{spec.token()}:{direction}"
     # an FPP task is one solve; trials of one n share an LPP sweep, each with
@@ -255,7 +254,7 @@ def _sample_times(model, spec, direction, n_grid, trials, seed, tag, workers,
     tasks = []
     for n, tgt in zip(ns, targets):
         row = [derive_seed(seed, full_tag, n, i) for i in range(trials)]
-        per = 1 if model == "fpp" else _trials_per_batch(tgt)
+        per = _task_size(model, tgt)[0]
         tasks += [(model, spec, tgt, row[a : a + per], want_geodesic) for a in range(0, trials, per)]
     times, devs, hits = (np.concatenate(col).reshape(len(ns), trials)
                          for col in zip(*_map_trials(_point_batch, tasks, workers)))
@@ -283,10 +282,8 @@ def estimate_radial_g(
     workers: int = 1,
 ) -> Series:
     """Monte Carlo sequence of T(0, [n x]) / n along one direction."""
-    if trials < MIN_RADIAL_TRIALS:
-        raise ValueError(f"need at least {MIN_RADIAL_TRIALS} trials per grid point")
     ns, _targets, times, _devs, trunc = _sample_times(
-        model, spec, direction, n_grid, trials, seed, "radial-g", workers
+        model, spec, direction, n_grid, trials, seed, "radial-g", workers, least=MIN_RADIAL_TRIALS
     )
     return _mean_series("radial-g", ns, times / ns[:, None], trunc)
 
@@ -326,9 +323,9 @@ def _ball_side(model: str, spec: DistributionSpec, t: float) -> int:
 
 
 def _ball_cells(model: str, spec: DistributionSpec, t: float):
-    """Vertices in a shape trial's first box (FPP) or table (LPP), in d = 2."""
+    """Vertices in a shape trial's largest box (FPP) or table (LPP), in d = 2."""
     try:
-        side = _ball_side(model, spec, t)
+        side = _ball_side(model, spec, t) << _BOX_RETRIES
     except OverflowError:  # t / mean overflows a float
         return math.inf
     return (2 * side + 1) ** 2 if model == "fpp" else (side + 1) ** 2
@@ -336,13 +333,9 @@ def _ball_cells(model: str, spec: DistributionSpec, t: float):
 
 def _fpp_ball_trial(args):
     spec, t, child_seed, d = args
-    fld = WeightField(spec, child_seed, "edge", d)
     base = _ball_side("fpp", spec, t)
-    for attempt in range(3):
-        box = LatticeBox(d, base << attempt)
-        pmap = fpp_dijkstra(fld, (0,) * d, box, time_budget=t)
-        if not pmap.boundary_hit:
-            break
+    pmap = _grown_solve(WeightField(spec, child_seed, "edge", d), base, base << _BOX_RETRIES,
+                        time_budget=t)
     return fpp_ball(pmap, t), pmap.boundary_hit
 
 
@@ -350,15 +343,12 @@ def _lpp_ball_trial(args):
     spec, t, child_seed, d = args
     fld = WeightField(spec, child_seed, "vertex", d)
     side = _ball_side("lpp", spec, t)
-    for attempt in range(3):
-        s = side << attempt
-        lmap = lpp_dp(fld, (s,) * d)
-        tab = lmap.table
+    for attempt in range(_BOX_RETRIES + 1):
+        tab = lpp_dp(fld, (side << attempt,) * d).table
         hit = bool((tab[-1, :] <= t).any() or (tab[:, -1] <= t).any())
         if not hit:
             break
-    ball = set(zip(*np.nonzero(tab <= t)))
-    return {tuple(int(c) for c in v) for v in ball}, hit
+    return set(zip(*(c.tolist() for c in np.nonzero(tab <= t)))), hit
 
 
 # the radial scan's step, and how many misses in a row end it
@@ -627,17 +617,24 @@ class Fluctuations:
     wandering: Series
     log_cov: np.ndarray
 
-    def chi_xi_cov(self) -> float:
-        """Cov(chi, xi) of the two series' exponent fits.
+    def fits(self) -> dict:
+        """The variance, chi and xi fits (as dicts) and the scaling-relation
+        residual with its stderr, which carries Cov(chi, xi): fits.json.
 
         For fixed fit weights each slope is linear in the log-values,
         slope = sum_n c_n log(value_n), and the grid points are sampled
         independently, so Cov(chi, xi) = 1/2 sum_n a_n b_n Cov(log v_n, log m_n).
         """
-        a = _slope_coefficients(self.variance.ns, self.variance.values, self.variance.stderrs)
-        b = _slope_coefficients(self.wandering.ns, self.wandering.values,
-                                self.wandering.stderrs)
-        return float(0.5 * np.sum(a * b * self.log_cov))
+        vs, ws = self.variance, self.wandering
+        var_fit = fit_exponent(vs.ns, vs.values, vs.stderrs, statistic="variance")
+        chi_fit = chi_from_variance_fit(var_fit)
+        xi_fit = fit_exponent(ws.ns, ws.values, ws.stderrs, statistic="wandering")
+        a = _slope_coefficients(vs.ns, vs.values, vs.stderrs)
+        b = _slope_coefficients(ws.ns, ws.values, ws.stderrs)
+        cov = float(0.5 * np.sum(a * b * self.log_cov))
+        residual, res_se = kpz_residual(chi_fit, xi_fit, cov)
+        return {"variance": var_fit.as_dict(), "chi": chi_fit.as_dict(), "xi": xi_fit.as_dict(),
+                "kpz_residual": residual, "kpz_residual_stderr": res_se}
 
 
 def variance_series(
@@ -654,10 +651,9 @@ def variance_series(
     The samples are its own ("variance" tag); fluctuation_series gives the
     same statistic on the wandering samples.
     """
-    if trials < MIN_VARIANCE_TRIALS:
-        raise ValueError(f"variance estimation needs {MIN_VARIANCE_TRIALS}+ trials per point")
     ns, _targets, times, _devs, trunc = _sample_times(
-        model, spec, direction, n_grid, trials, seed, "variance", workers
+        model, spec, direction, n_grid, trials, seed, "variance", workers,
+        least=MIN_VARIANCE_TRIALS,
     )
     return _variance_series(ns, times, seed, trunc)[0]
 
@@ -672,11 +668,9 @@ def wandering_series(
     workers: int = 1,
 ) -> Series:
     """Mean geodesic wandering D(0, [n x]) per n."""
-    if trials < MIN_RADIAL_TRIALS:
-        raise ValueError(f"need at least {MIN_RADIAL_TRIALS} trials per grid point")
     ns, _targets, _times, devs, trunc = _sample_times(
         model, spec, direction, n_grid, trials, seed, "wandering", workers,
-        want_geodesic=True,
+        want_geodesic=True, least=MIN_RADIAL_TRIALS,
     )
     return _mean_series("wandering", ns, devs, trunc)
 
@@ -698,11 +692,9 @@ def fluctuation_series(
     that function's; the variance series has variance_series' law and
     bootstrap, on other draws.
     """
-    if trials < MIN_VARIANCE_TRIALS:
-        raise ValueError(f"variance estimation needs {MIN_VARIANCE_TRIALS}+ trials per point")
     ns, _targets, times, devs, trunc = _sample_times(
         model, spec, direction, n_grid, trials, seed, "wandering", workers,
-        want_geodesic=True,
+        want_geodesic=True, least=MIN_VARIANCE_TRIALS,
     )
     return _fluctuations(ns, times, devs, seed, trunc)
 
@@ -830,7 +822,7 @@ def kpz_residual(chi_fit: ExponentFit, xi_fit: ExponentFit, cov: float = 0.0):
 
     The scaling relation predicts zero; the pair (1/3, 2/3) satisfies it
     exactly, as does the bound pair (1/2, 3/4).  cov is Cov(chi, xi), zero
-    for fits of independent samples (Fluctuations.chi_xi_cov otherwise):
+    for fits of independent samples (Fluctuations.fits otherwise):
     Var = Var(chi) + 4 Var(xi) - 4 Cov(chi, xi).
     """
     chi = chi_from_variance_fit(chi_fit) if chi_fit.statistic == "variance" else chi_fit

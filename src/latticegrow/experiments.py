@@ -8,8 +8,8 @@ only timestamp lives in the JSON summary.
 
 Each kind is one row of ``_TABLE``, and ``validate`` is one pass over it.  A
 kind's footprint counts the cells of its largest allocation, each at a fixed
-number of bytes, against one MEMORY_BUDGET; flat-edge's n and d = 1 IDLA's
-walk moves have bounds of their own (README, "Command line").
+number of bytes, against one MEMORY_BUDGET; d = 1 IDLA's walk moves have a
+bound of their own (README, "Command line").
 
 This module imports only the standard library.  Law checks, footprints and
 runners import their kind's modules when they run, so a process loads numpy
@@ -31,11 +31,19 @@ __all__ = ["ExperimentConfig", "ConfigError", "HardFailure", "run_experiment", "
 
 # bytes a run may allocate at once, 256 MiB; growth checks its grids against it
 MEMORY_BUDGET = 1 << 28
-# bytes a footprint cell stands for: a shape trial's first box or table (16 a
-# vertex, and two retries double the side), one FPP solve's first box or one
-# LPP sweep's tables, and a TASEP table (a run peaks at about 55 bytes a cell,
-# most of it the step-time and LPP tables); a growth grid cell is one byte
-_SHAPE_BYTES, _TRIAL_BYTES, _TASEP_BYTES = 256, 16, 64
+# bytes a footprint cell stands for: a vertex of a shape trial's largest box
+# or table, of one FPP solve's first box or of one LPP sweep's tables, and a
+# TASEP table cell (a run peaks at about 55 bytes a cell, most of it the
+# step-time and LPP tables); a growth grid cell is one byte
+_TRIAL_BYTES, _TASEP_BYTES = 16, 64
+# least trials and n, which the estimators check too: a mean's standard error
+# needs MIN_RADIAL_TRIALS samples, and log-log fits need MIN_FIT_POINTS grid
+# points spanning a factor of MIN_FIT_SPAN
+MIN_RADIAL_TRIALS = 2
+MIN_VARIANCE_TRIALS = 200
+MIN_FLAT_EDGE_N = 50
+MIN_FIT_POINTS = 4
+MIN_FIT_SPAN = 8
 # most walk moves idla --dim 1 accepts, about steps^3 / 12: steps <= 1062
 _IDLA_D1_MOVES_MAX = 10 ** 8
 # most worker processes a run starts; multiprocessing.Pool starts every one
@@ -183,31 +191,28 @@ def _needs(test, what: str) -> Callable:
 def _shape_footprint(config, spec):
     from .estimators import _ball_cells
 
-    yield ("t", _ball_cells(config.kind[:3], spec, config.t), MEMORY_BUDGET // _SHAPE_BYTES,
-           "vertices in its first box")
+    yield ("t", _ball_cells(config.kind[:3], spec, config.t), MEMORY_BUDGET // _TRIAL_BYTES,
+           "vertices in its largest box")
 
 
 def _sample_footprint(config, spec, model=""):
     """One FPP solve's first box or one LPP sweep's tables at the largest n; returns targets."""
-    from .estimators import _grid_targets, _trial_cells
-    from .lpp import _trials_per_batch
+    from .estimators import _grid_targets, _task_size
 
     model = model or config.model
     try:
         _, _, targets = _grid_targets(model, config.direction_tuple(), config.n_grid_list())
+        cells = _task_size(model, targets[-1])[1]
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    except OverflowError as e:  # n times direction past a float's range
+    except OverflowError as e:  # n times direction, or the box around it, past a float's range
         raise ConfigError(f"n_grid: too large to place its points ({e})") from None
-    batch = _trials_per_batch(targets[-1]) if model == "lpp" else 1
-    yield ("n_grid", batch * _trial_cells(model, targets[-1]), MEMORY_BUDGET // _TRIAL_BYTES,
+    yield ("n_grid", cells, MEMORY_BUDGET // _TRIAL_BYTES,
            "vertices in one solve's box or one sweep's tables")
     return targets
 
 
 def _exponents_footprint(config, spec):
-    from .estimators import MIN_FIT_POINTS, MIN_FIT_SPAN
-
     grid = config.n_grid_list()
     if len(grid) < MIN_FIT_POINTS or max(grid) < MIN_FIT_SPAN * min(grid):
         raise ConfigError(f"n_grid: exponent fits need {MIN_FIT_POINTS}+ points spanning "
@@ -219,9 +224,11 @@ def _exponents_footprint(config, spec):
 
 
 def _flat_edge_footprint(config, spec):
-    from .estimators import MAX_FLAT_EDGE_N  # its uint16 window times are exact up to here
+    # the budget keeps n below estimators.MAX_FLAT_EDGE_N, where the times stay exact
+    from .lpp import _min_plus_bytes
 
-    yield "n_grid", max(config.n_grid_list()), MAX_FLAT_EDGE_N, "as its largest n"
+    yield ("n_grid", _min_plus_bytes(max(config.n_grid_list()) + 1), MEMORY_BUDGET,
+           "bytes in one trial's window sweep on [0, n]^2")
 
 
 def _grid_footprint(config, spec):
@@ -288,21 +295,13 @@ def _run_shape(config, spec, paths, summary):
 
 
 def _run_exponents(config, spec, paths, summary):
-    from .estimators import (chi_from_variance_fit, fit_exponent, fluctuation_series,
-                             kpz_residual)
+    from .estimators import fluctuation_series
 
     fl = fluctuation_series("lpp", spec, config.direction_tuple(), config.n_grid_list(),
                             config.trials, config.seed, workers=config.workers)
-    vs, ws = fl.variance, fl.wandering
-    vs.to_csv(paths[0])
-    ws.to_csv(paths[1])
-    var_fit = fit_exponent(vs.ns, vs.values, vs.stderrs, statistic="variance")
-    chi_fit = chi_from_variance_fit(var_fit)
-    xi_fit = fit_exponent(ws.ns, ws.values, ws.stderrs, statistic="wandering")
-    residual, res_se = kpz_residual(chi_fit, xi_fit, fl.chi_xi_cov())
-    summary["fits"] = {"variance": var_fit.as_dict(), "chi": chi_fit.as_dict(),
-                       "xi": xi_fit.as_dict(), "kpz_residual": residual,
-                       "kpz_residual_stderr": res_se}
+    fl.variance.to_csv(paths[0])
+    fl.wandering.to_csv(paths[1])
+    summary["fits"] = fl.fits()
     paths[2].write_text(json.dumps(summary["fits"], indent=2, sort_keys=True) + "\n")
 
 
@@ -386,22 +385,20 @@ class _Kind(NamedTuple):
 
 
 _SHAPE = {"dist": None, "t": None, "trials": 1, "workers": 1}
-# validate() rejects a field a kind does not read unless it is at its default;
-# the least trials of radial-g and exponents and flat-edge's least n repeat the
-# estimators' MIN_* floors
+# validate() rejects a field a kind does not read unless it is at its default
 _TABLE = {
     "fpp-shape": _Kind(_SHAPE, _fpp_law, _shape_footprint, _run_shape, ("fpp_shape.csv",)),
     "lpp-shape": _Kind(_SHAPE, _needs(lambda spec: spec.mean() > 0, "a positive mean weight"),
                        _shape_footprint, _run_shape, ("lpp_shape.csv",)),
     "radial-g": _Kind({"dist": None, "dim": 1, "model": None, "direction": None, "n_grid": 1,
-                       "trials": 2, "workers": 1},
+                       "trials": MIN_RADIAL_TRIALS, "workers": 1},
                       _fpp_law, _sample_footprint, _run_radial_g, ("radial_g.csv",)),
     "exponents": _Kind({"dist": None, "dim": 1, "direction": None, "n_grid": 1,
-                        "trials": 200, "workers": 1},
+                        "trials": MIN_VARIANCE_TRIALS, "workers": 1},
                        _needs(lambda spec: spec.variance() != 0, "random weights"),
                        _exponents_footprint, _run_exponents,
                        ("variance_series.csv", "wandering_series.csv", "fits.json")),
-    "flat-edge": _Kind({"dist": None, "n_grid": 50, "trials": 1, "workers": 1},
+    "flat-edge": _Kind({"dist": None, "n_grid": MIN_FLAT_EDGE_N, "trials": 1, "workers": 1},
                        _needs(lambda spec: spec.kind == "twopoint", "a twopoint distribution"),
                        _flat_edge_footprint, _run_flat_edge, ("flat_edge.csv",)),
     "eden": _Kind({"dim": 1, "steps": 1}, None, _grid_footprint, _run_eden, ("eden_trace.csv",)),

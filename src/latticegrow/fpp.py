@@ -5,8 +5,9 @@ box of Z^d: for every settled vertex the reported value is the minimum total
 edge weight over all paths staying inside the box.  Boxes do not auto-grow;
 instead a boundary-hit flag reports whether truncation could have biased any
 value at or below the solve's horizon, which callers use either to certify
-exactness (flag off means enlarging the box cannot change anything) or to
-propagate a warning.
+exactness (flag off means enlarging the box cannot change anything; the
+estimators and the infection order double the box until it is, in
+``_grown_solve``) or to propagate a warning.
 
 Two settle loops give bit-identical maps.  The heap loop pops one vertex at
 a time.  The bucket loop (Dial's bucket queue in the bulk-synchronous form
@@ -266,6 +267,17 @@ def fpp_dijkstra(
         horizon=horizon,
         boundary_hit=boundary_hit,
     )
+
+
+def _grown_solve(field: WeightField, radius: int, cap: int, **stops) -> PassageTimeMap:
+    """fpp_dijkstra from the origin on radius r, 2r, 4r, ... up to cap until no
+    face vertex settles, which makes the map exact; the last map keeps its flag."""
+    while True:
+        box = LatticeBox(field.dimension, min(radius, cap))
+        pmap = fpp_dijkstra(field, (0,) * field.dimension, box, **stops)
+        if not pmap.boundary_hit or box.radius == cap:
+            return pmap
+        radius *= 2
 
 
 def _heap_settle(weights, strides, src, tgt, budget, cap):

@@ -166,18 +166,13 @@ def fpp_infection_order(field: WeightField, steps: int) -> ClusterTrace:
         raise ValueError("FPP infection order needs an edge field")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    from .fpp import LatticeBox, fpp_dijkstra
+    from .fpp import _grown_solve
 
     # a solve that settles no face vertex runs exactly as on the radius
     # steps + 1 box, which the steps + 1 settled vertices cannot reach, so
     # grow a small box until its face stays unsettled
-    radius = math.ceil(steps ** (1 / field.dimension)) + 1
-    while True:
-        box = LatticeBox(dimension=field.dimension, radius=min(radius, steps + 1))
-        pmap = fpp_dijkstra(field, (0,) * field.dimension, box, max_settled=steps + 1)
-        if not pmap.boundary_hit or box.radius == steps + 1:
-            break
-        radius *= 2
+    pmap = _grown_solve(field, math.ceil(steps ** (1 / field.dimension)) + 1, steps + 1,
+                        max_settled=steps + 1)
     return ClusterTrace(
         model="fpp-order", seed=field.seed, dimension=field.dimension,
         vertices=list(pmap.order[1:]),

@@ -111,17 +111,20 @@ def _trials_per_batch(corner) -> int:
     return max(1, _BATCH_CELLS // cells)
 
 
+def _min_plus_bytes(size: int) -> int:
+    """Bytes of one _min_plus_2d trial on a size x size grid: uint16 times and weights."""
+    return 2 * (2 * size + 1) * (size + 2) + 4 * 2 * size * (size + 1)
+
+
 def _min_plus_trials_per_batch(size: int) -> int:
     """How many trials of _min_plus_2d on a size x size grid fit the budget, at least one.
 
-    The budget is counted in bytes (8 per value): per trial the sweep holds
-    a uint16 time and two uint16 weights per cell.  The flat-edge probe
-    sizes its batches on [0, n]^2, so a window solve's batch is larger by
-    the margin: 2m more on a side (1.2 times the bytes at n = 300,
-    p = 0.55, and at most 9 times when U = 4n).
+    The budget is counted in bytes (8 per value).  The flat-edge probe sizes
+    its batches on [0, n]^2, so a window solve's batch is larger by the
+    margin: 2m more on a side (1.2 times the bytes at n = 300, p = 0.55, and
+    at most 9 times when U = 4n).
     """
-    per_trial = 2 * (2 * size + 1) * (size + 2) + 4 * 2 * size * (size + 1)
-    return max(1, 8 * _BATCH_CELLS // per_trial)
+    return max(1, 8 * _BATCH_CELLS // _min_plus_bytes(size))
 
 
 def _sweep_axes(shape) -> list:

@@ -163,12 +163,11 @@ _RECTANGLE = 16
 def _vertex_rectangle(field: WeightField, rows: int, cols: int) -> np.ndarray:
     """Weights of the vertices [0, rows) x [0, cols), hashed once for every target inside.
 
-    Built from the coordinate arrays of the vector route, so the bits are
-    the ones ``field.vertex_weights`` gives each vertex.  Fields are frozen
-    and weights pure, so the cached rectangle cannot go stale.
+    Hashed by ``field.vertex_window``, as the LPP solver hashes its tables, so
+    the bits are the ones the solver reads.  Fields are frozen and weights
+    pure, so the cached rectangle cannot go stale.
     """
-    grid = np.stack(np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij"), axis=-1)
-    weights = field.vertex_weights(grid)
+    weights = field.vertex_window((0, 0), (rows, cols))
     weights.setflags(write=False)  # every later call gets this same array
     return weights
 
@@ -188,8 +187,8 @@ def brute_force_lpp(
 ) -> float:
     """Exact LPP passage time by full enumeration of oriented paths (d = 2).
 
-    Weights are read through the vector route so that values are bit-exact
-    against the dynamic-programming table built from the same field.  Each
+    Weights are read through ``vertex_window``, the route the
+    dynamic-programming table reads, so values are bit-exact against it.  Each
     path sum accumulates left to right (cumulative sums), matching the order
     the recursion uses.  The initial vertex is excluded from every sum.
     """

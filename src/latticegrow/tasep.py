@@ -103,10 +103,7 @@ def _clock_matrix(particles: int, steps: int, *, seed=None, field=None, clocks=N
         if field.dimension != 2:
             raise ValueError("coupled mode is two-dimensional")
         # step (k, n) consumes the weight at site (n-1, k-1)
-        k0 = np.arange(particles, dtype=np.int64)[:, None]
-        n0 = np.arange(steps, dtype=np.int64)[None, :]
-        coords = np.stack(np.broadcast_arrays(n0, k0), axis=-1)
-        return field.vertex_weights(coords), "lpp"
+        return field.vertex_window((0, 0), (steps, particles)).T, "lpp"
     rng = np.random.default_rng(seed)
     return rng.standard_exponential((particles, steps)), "independent"
 

@@ -22,7 +22,6 @@ from latticegrow import (
     exact_g,
     exponential,
     fekete_envelope,
-    fit_exponent,
     flat_edge_probe,
     fluctuation_series,
     fpp_dijkstra,
@@ -30,7 +29,6 @@ from latticegrow import (
     geometric,
     greedy_forward_path,
     idla_grow,
-    kpz_residual,
     lpp_dp,
     make_field,
     martin_asymptote,
@@ -38,7 +36,7 @@ from latticegrow import (
     tasep_run,
     uniform,
 )
-from latticegrow.estimators import SubadditiveSequence, chi_from_variance_fit
+from latticegrow.estimators import SubadditiveSequence
 from latticegrow.experiments import ExperimentConfig, run_experiment
 from latticegrow.lpp import _tables, lpp_time_between
 from latticegrow.weights import derive_seed
@@ -173,16 +171,12 @@ def test_criterion_09_exponent_fits():
     fl = fluctuation_series(
         "lpp", exponential(1.0), (1, 1), grid, 500, MASTER, workers=WORKERS
     )
-    vs, ws = fl.variance, fl.wandering
-    chi = chi_from_variance_fit(
-        fit_exponent(vs.ns, vs.values, vs.stderrs, statistic="variance")
-    )
-    xi = fit_exponent(ws.ns, ws.values, ws.stderrs, statistic="wandering")
-    residual, _ = kpz_residual(chi, xi, fl.chi_xi_cov())
-    assert 1.0 / 3.0 - 0.15 <= chi.slope <= 1.0 / 3.0 + 0.15
-    assert 2.0 / 3.0 - 0.15 <= xi.slope <= 2.0 / 3.0 + 0.15
+    fits = fl.fits()
+    chi, xi, residual = fits["chi"]["slope"], fits["xi"]["slope"], fits["kpz_residual"]
+    assert 1.0 / 3.0 - 0.15 <= chi <= 1.0 / 3.0 + 0.15
+    assert 2.0 / 3.0 - 0.15 <= xi <= 2.0 / 3.0 + 0.15
     assert abs(residual) <= 0.2
-    _passline(9, f"chi = {chi.slope:.4f}, xi = {xi.slope:.4f}, "
+    _passline(9, f"chi = {chi:.4f}, xi = {xi:.4f}, "
                  f"scaling-relation residual {residual:+.4f}")
 
 

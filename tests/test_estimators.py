@@ -522,10 +522,9 @@ def _kpz_stderrs(times, devs, seed):
     """(stderr with the shared-sample covariance, stderr without it, the fits)."""
     ns = np.array([8, 16, 32, 64, 128])
     fl = estimators._fluctuations(ns, times, devs, seed, {})
-    vs, ws = fl.variance, fl.wandering
-    chi = chi_from_variance_fit(fit_exponent(ns, vs.values, vs.stderrs, statistic="variance"))
-    xi = fit_exponent(ns, ws.values, ws.stderrs, statistic="wandering")
-    return kpz_residual(chi, xi, fl.chi_xi_cov())[1], kpz_residual(chi, xi)[1], fl
+    fits = fl.fits()
+    old = math.hypot(fits["chi"]["slope_stderr"], 2 * fits["xi"]["slope_stderr"])
+    return fits["kpz_residual_stderr"], old, fl
 
 
 def _refit_stderr(ns, times, devs, seed, fl):

@@ -20,9 +20,11 @@ from latticegrow.experiments import (
     ConfigError,
     ExperimentConfig,
     HardFailure,
+    _sample_footprint,
     run_experiment,
 )
 from latticegrow.growth import ClusterTrace
+from latticegrow.weights import parse_dist_token
 
 
 def _cfg(**kw):
@@ -98,6 +100,9 @@ def test_config_parse_errors_name_the_problem():
         (dict(kind="tasep-coupling", steps=2049, trials=1), "steps"),
         (dict(kind="fpp-shape", dist="unif:0.5:1.5", t=1e308, trials=2), "t"),
         (dict(kind="lpp-shape", dist="exp:1e300", t=1.0, trials=2), "t"),
+        # the point fits a float, its first FPP box's radius does not
+        (dict(kind="radial-g", model="fpp", dist="unif:0.5:1.5", n_grid=str(10 ** 308),
+              trials=2), "n_grid"),
         (dict(kind="flat-edge", dist="twopoint:0.8", n_grid="60,50,60", trials=2), "n_grid"),
     ],
 )
@@ -387,12 +392,54 @@ def test_cli_rejects_workers_over_cap_before_any_pool(monkeypatch, tmp_path, cap
 
 
 def test_flat_edge_n_limit_is_inclusive():
-    _cfg(kind="flat-edge", dist="twopoint:0.55", n_grid=str(MAX_FLAT_EDGE_N), trials=1).validate()
-    with pytest.raises(ConfigError, match="^n_grid: "):
-        _cfg(kind="flat-edge", dist="twopoint:0.55", n_grid=f"50,{MAX_FLAT_EDGE_N + 1}",
-             trials=1).validate()
+    # the CLI bound is memory, below the library's exactness bound
+    assert _largest(lambda n: _flat_edge_bytes(n) <= _BUDGET, 50, MAX_FLAT_EDGE_N) == 4727
+    _cfg(kind="flat-edge", dist="twopoint:0.55", n_grid="4727", trials=1).validate()
+    with pytest.raises(ConfigError, match="^n_grid: .* more than 268435456$"):
+        _cfg(kind="flat-edge", dist="twopoint:0.55", n_grid="50,4728", trials=1).validate()
     with pytest.raises(ValueError, match="n must lie in"):
         flat_edge_probe(0.55, MAX_FLAT_EDGE_N + 1, 1, 0)
+
+
+def test_shape_footprint_counts_the_largest_retry_box():
+    # the box two retries reach, at 16 bytes a vertex, admits the same first
+    # sides as the first box at 256 bytes: every side up to 2 * 10^5
+    from types import SimpleNamespace
+
+    from latticegrow.experiments import _shape_footprint
+
+    for kind, first_cells in (("fpp-shape", lambda s: (2 * s + 1) ** 2),
+                              ("lpp-shape", lambda s: (s + 1) ** 2)):
+        sides = range(1, 200_001)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "_ball_side", lambda model, spec, t: t)
+            new = [s for s in sides for _f, count, limit, _u in
+                   _shape_footprint(SimpleNamespace(kind=kind, t=s), None) if count <= limit]
+        assert new == [s for s in sides if first_cells(s) * 256 <= _BUDGET]
+        assert new[-1] == (511 if kind == "fpp-shape" else 1023)
+
+
+@pytest.mark.parametrize("model,direction,n", [
+    ("fpp", (1, 1), 8), ("fpp", (1, 1, 1), 4), ("lpp", (1, 1), 256), ("lpp", (1, 1, 1), 32),
+])
+def test_footprint_counts_the_trials_of_one_sample_task(monkeypatch, model, direction, n):
+    # the CLI sizes the task _sample_times sends: one FPP solve's first box, or
+    # one LPP sweep's tables over a batch of trials
+    sizes = []
+
+    def spy(fn, tasks, workers):
+        sizes.extend(len(task[3]) for task in tasks)
+        return [([1.0] * len(task[3]), [math.nan] * len(task[3]), [False] * len(task[3]))
+                for task in tasks]
+
+    monkeypatch.setattr(estimators, "_map_trials", spy)
+    spec = parse_dist_token("unif:0.5:1.5")
+    estimators._sample_times(model, spec, direction, [n], 20, 1, "radial-g", 1)
+    cfg = _cfg(kind="radial-g", model=model, dist="unif:0.5:1.5", dim=len(direction),
+               direction=",".join(map(str, direction)), n_grid=str(n), trials=20)
+    [(_field, count, _limit, _unit)] = _sample_footprint(cfg, spec)
+    assert count == max(sizes) * _point_cells(model, n, direction)
+    assert max(sizes) == (1 if model == "fpp" else {2: 7, 3: 9}[len(direction)])
 
 
 # -- every bound of every kind, each from its closed form in README ---------------
@@ -421,6 +468,12 @@ def _point_cells(model, n, direction):
     return math.prod(c + 1 for c in x)
 
 
+def _flat_edge_bytes(n):
+    """One trial's window sweep on [0, n]^2: 2 (2s + 1)(s + 2) + 8 s (s + 1) bytes, s = n + 1."""
+    s = n + 1
+    return 2 * (2 * s + 1) * (s + 2) + 8 * s * (s + 1)
+
+
 def _largest(ok, lo, hi):
     """The largest n in [lo, hi) with ok(n), where ok holds at lo, fails at hi, and is monotone."""
     while hi - lo > 1:
@@ -431,8 +484,7 @@ def _largest(ok, lo, hi):
 
 def _bounds():
     """(config for a value, values near the bound, field a value fails on or None)."""
-    from latticegrow.estimators import MIN_FLAT_EDGE_N, MIN_RADIAL_TRIALS, MIN_VARIANCE_TRIALS
-    from latticegrow.weights import parse_dist_token
+    from latticegrow.experiments import MIN_FLAT_EDGE_N, MIN_RADIAL_TRIALS, MIN_VARIANCE_TRIALS
 
     base = {
         "fpp-shape": dict(kind="fpp-shape", dist="unif:0.5:1.5", t=4.0, trials=2),
@@ -462,9 +514,10 @@ def _bounds():
         cases.append((lambda v, kw=base[kind]: {**kw, "workers": v},
                       st.integers(-1, 2) | st.integers(62, 66),
                       lambda v: None if 1 <= v <= 64 else "workers"))
+    top = _largest(lambda n: _flat_edge_bytes(n) <= _BUDGET, 50, MAX_FLAT_EDGE_N)
     cases.append((lambda v: {**base["flat-edge"], "n_grid": f"50,{v}"},
-                  st.integers(MAX_FLAT_EDGE_N - 3, MAX_FLAT_EDGE_N + 3),
-                  lambda v: "n_grid" if v > MAX_FLAT_EDGE_N else None))
+                  st.integers(top - 3, top + 3),
+                  lambda v: "n_grid" if _flat_edge_bytes(v) > _BUDGET else None))
     cases.append((lambda v: {**base["tasep-coupling"], "steps": v}, st.integers(2040, 2056),
                   lambda v: "steps" if v * v > _BUDGET // 64 else None))
     cases.append((lambda v: {**base["idla"], "dim": 1, "steps": v}, st.integers(1055, 1070),

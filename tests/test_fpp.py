@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,13 +15,14 @@ from latticegrow import (
     fpp_ball,
     fpp_dijkstra,
     fpp_geodesic,
+    fpp_infection_order,
     greedy_forward_path,
     lattice_point,
     make_field,
     uniform,
     wandering_deviation,
 )
-from latticegrow import fpp
+from latticegrow import estimators, fpp
 from latticegrow.experiments import ExperimentConfig, run_experiment
 from latticegrow.weights import WeightField, parse_dist_token
 
@@ -443,3 +446,51 @@ def test_one_window_per_solve_and_geodesic(monkeypatch):
     geo = fpp_geodesic(pmap, (3, 2))
     assert len(calls) == 1
     assert geo.total_time == pmap.time_to((3, 2))
+
+
+# -- box growth on boundary hits -----------------------------------------------------------
+
+
+def _forced_hits(monkeypatch):
+    """Record the radius of every FPP solve, each reported as a boundary hit."""
+    radii = []
+    solve = fpp.fpp_dijkstra
+
+    def hit(field, source, box, **stops):
+        radii.append(box.radius)
+        return dataclasses.replace(solve(field, source, box, **stops), boundary_hit=True)
+
+    monkeypatch.setattr(fpp, "fpp_dijkstra", hit)
+    return radii
+
+
+def test_trials_double_their_box_twice_on_boundary_hits(monkeypatch):
+    radii = _forced_hits(monkeypatch)
+    spec = uniform(0.5, 1.5)
+    *_, hit = estimators._fpp_target_solve(WeightField(spec, 3, "edge", 2), (3, 2),
+                                           want_geodesic=False)
+    r = estimators._fpp_first_radius((3, 2))
+    assert hit and radii == [r, 2 * r, 4 * r]
+    radii.clear()
+    _ball, hit = estimators._fpp_ball_trial((spec, 2.0, 3, 2))
+    r = estimators._ball_side("fpp", spec, 2.0)
+    assert hit and radii == [r, 2 * r, 4 * r]
+
+    # an LPP table reached at its far edges doubles its side the same way
+    corners = []
+
+    def flooded(field, corner):
+        corners.append(corner)
+        return SimpleNamespace(table=np.zeros(tuple(c + 1 for c in corner)))
+
+    monkeypatch.setattr(estimators, "lpp_dp", flooded)
+    _ball, hit = estimators._lpp_ball_trial((spec, 2.0, 3, 2))
+    s = estimators._ball_side("lpp", spec, 2.0)
+    assert hit and corners == [(s, s), (2 * s, 2 * s), (4 * s, 4 * s)]
+
+
+def test_infection_order_doubles_its_box_up_to_steps_plus_one(monkeypatch):
+    radii = _forced_hits(monkeypatch)
+    fpp_infection_order(make_field(exponential(1.0), 5, "edge", 2), 40)
+    # the first radius is ceil(sqrt(40)) + 1
+    assert radii == [8, 16, 32, 41]

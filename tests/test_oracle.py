@@ -280,15 +280,15 @@ def test_lpp_cached_rectangle_matches_reference(law):
 
 def test_lpp_hashes_one_rectangle_per_field(monkeypatch):
     calls = []
-    vertex_weights = WeightField.vertex_weights
+    vertex_window = WeightField.vertex_window
 
-    def spy(self, coords):
-        calls.append(coords.shape)
-        return vertex_weights(self, coords)
+    def spy(self, lo, shape):
+        calls.append((lo, shape))
+        return vertex_window(self, lo, shape)
 
-    monkeypatch.setattr(WeightField, "vertex_weights", spy)
+    monkeypatch.setattr(WeightField, "vertex_window", spy)
     for seed in (31, 32):
         fld = make_field(uniform(0.5, 1.5), seed, "vertex", 2)
         for tgt in itertools.product(range(5), repeat=2):
             brute_force_lpp(fld, tgt)
-    assert calls == [(16, 16, 2)] * 2
+    assert calls == [((0, 0), (16, 16))] * 2
