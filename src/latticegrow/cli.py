@@ -2,8 +2,8 @@
 
 One subcommand per experiment kind, plus `lpp-exact` for evaluating the
 closed-form shape functions.  Exit codes: 0 success, 2 configuration error,
-3 hard failure (budget exceeded, unresolved truncation, verification
-mismatch, or memory exhausted).
+3 hard failure (budget exceeded, verification mismatch, samples a fit cannot
+use, or memory exhausted), which ``run_experiment`` raises as HardFailure.
 
 This module and ``experiments`` import only the standard library, so parsing,
 ``--help`` and usage errors load no numpy; a run imports the solver modules
@@ -118,9 +118,6 @@ def main(argv=None) -> int:
         return 2
     except HardFailure as e:
         print(f"hard failure: {e}", file=sys.stderr)
-        return 3
-    except MemoryError as e:  # numpy's ArrayMemoryError included
-        print(f"hard failure: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3
     for name in summary["files"]:
         print(f"wrote {cfg.out}/{name}")

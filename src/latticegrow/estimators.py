@@ -164,6 +164,12 @@ def _map_trials(fn, tasks, workers: int):
     return [fn(t) for t in tasks]
 
 
+def _batches(items: list, per: int) -> list:
+    """items cut into the fewest batches of at most per, their sizes within one."""
+    nb = -(-len(items) // per)
+    return [items[a * len(items) // nb : (a + 1) * len(items) // nb] for a in range(nb)]
+
+
 def _check_model(model: str, spec: DistributionSpec) -> None:
     if model not in ("fpp", "lpp"):
         raise ValueError(f"model must be 'fpp' or 'lpp', got {model!r}")
@@ -249,13 +255,13 @@ def _sample_times(model, spec, direction, n_grid, trials, seed, tag, workers,
     _check_model(model, spec)
     direction, ns, targets = _grid_targets(model, direction, n_grid)
     full_tag = f"{tag}:{model}:{spec.token()}:{direction}"
-    # an FPP task is one solve; trials of one n share an LPP sweep, each with
-    # its own field, so the samples do not depend on the batch size
+    # an FPP task is one solve; trials of one n share LPP sweeps in near-equal
+    # batches, each trial with its own field, so the samples do not depend on them
     tasks = []
     for n, tgt in zip(ns, targets):
         row = [derive_seed(seed, full_tag, n, i) for i in range(trials)]
-        per = _task_size(model, tgt)[0]
-        tasks += [(model, spec, tgt, row[a : a + per], want_geodesic) for a in range(0, trials, per)]
+        tasks += [(model, spec, tgt, batch, want_geodesic)
+                  for batch in _batches(row, _task_size(model, tgt)[0])]
     times, devs, hits = (np.concatenate(col).reshape(len(ns), trials)
                          for col in zip(*_map_trials(_point_batch, tasks, workers)))
     trunc = {n: int(c) for n, c in zip(ns, hits.sum(axis=1)) if c}
@@ -530,9 +536,8 @@ def flat_edge_probe(p: float, n: int, trials: int, seed: int, workers: int = 1) 
         raise ValueError(f"trials must be >= 1, got {trials}")
     tag = f"flat-edge:{p}"
     seeds = [derive_seed(seed, tag, n, i) for i in range(trials)]
-    nb = -(-trials // _min_plus_trials_per_batch(n + 1))
-    tasks = [(float(p), int(n), seeds[a * trials // nb : (a + 1) * trials // nb])
-             for a in range(nb)]
+    tasks = [(float(p), int(n), batch)
+             for batch in _batches(seeds, _min_plus_trials_per_batch(n + 1))]
     times = np.concatenate(_map_trials(_flat_edge_batch, tasks, workers))
     ratios = times / (2.0 * n)
     mean, se = _mean_se(ratios)

@@ -55,7 +55,7 @@ class ConfigError(ValueError):
 
 
 class HardFailure(RuntimeError):
-    """Budget exceeded, truncation unresolved, or verification mismatch."""
+    """A run refused after validate() accepted its config; run_experiment raises it."""
 
 
 @dataclass
@@ -162,7 +162,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     summary: dict = {"kind": config.kind, "estimates": {}, "fits": {}, "warnings": [],
                      "files": list(row.files)}
-    row.run(config, spec, [out / name for name in row.files], summary)
+    try:
+        row.run(config, spec, [out / name for name in row.files], summary)
+    except HardFailure:
+        raise
+    # validate() accepted the config, so the run itself refused: a grid outgrew the
+    # budget, a walk its cap, a fit its samples, the oracle its path budget
+    except (ValueError, RuntimeError) as e:
+        raise HardFailure(str(e)) from e
+    except MemoryError as e:  # numpy's ArrayMemoryError included
+        raise HardFailure(str(e) or "out of memory") from e
     summary["reproducibility"] = {
         "config": {f.name: getattr(config, f.name) for f in dc_fields(config)},
         "package_version": __version__,
@@ -316,18 +325,10 @@ def _run_flat_edge(config, spec, paths, summary):
                                 stderr_last=reps[-1].stderr)
 
 
-def _grown(grow, config):
-    try:
-        return grow(config.seed, config.dim, config.steps)
-    except (ValueError, RuntimeError) as e:
-        # validate() bounds the first grid, not its growth; a walk cap raises RuntimeError
-        raise HardFailure(f"dim {config.dim}, steps {config.steps}: {e}") from e
-
-
 def _run_eden(config, spec, paths, summary):
     from .growth import eden_grow, roundness
 
-    trace = _grown(eden_grow, config)
+    trace = eden_grow(config.seed, config.dim, config.steps)
     trace.to_csv(paths[0])
     rin, rout = roundness(trace, config.steps)
     summary["estimates"].update(inradius=rin, outradius=rout)
@@ -336,7 +337,7 @@ def _run_eden(config, spec, paths, summary):
 def _run_idla(config, spec, paths, summary):
     from .growth import idla_grow, roundness, roundness_series_to_csv
 
-    trace = _grown(idla_grow, config)
+    trace = idla_grow(config.seed, config.dim, config.steps)
     trace.to_csv(paths[0])
     checkpoints = sorted({max(1, config.steps // 16), config.steps // 4, config.steps})
     rows = [(n, *roundness(trace, n)) for n in checkpoints if n >= 1]
@@ -363,12 +364,9 @@ def _run_tasep(config, spec, paths, summary):
 
 def _run_oracle_check(config, spec, paths, summary):
     from ._output import write_csv
-    from .oracle import BudgetExceeded, _solver_mismatches
+    from .oracle import _solver_mismatches
 
-    try:
-        found = _solver_mismatches(spec, config.trials, config.seed)
-    except BudgetExceeded as e:
-        raise HardFailure(str(e)) from e
+    found = _solver_mismatches(spec, config.trials, config.seed)
     summary["estimates"].update(seeds_checked=config.trials, mismatches=len(found))
     rows = [(trial, model, f'"{list(v)}"') for trial, model, v in found]
     write_csv(paths[0], ("trial", "kind", "target"), list(zip(*rows)) or ((), (), ()))

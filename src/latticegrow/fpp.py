@@ -401,11 +401,6 @@ def fpp_ball(pmap: PassageTimeMap, t: float) -> set:
     return set(map(tuple, pmap._coords(pmap.flat[pmap.settled_times <= t]).tolist()))
 
 
-def ball_to_csv(ball, d: int, path) -> None:
-    coords = np.array(sorted(ball), dtype=np.int64).reshape(-1, d)
-    write_csv(path, [f"x{i + 1}" for i in range(d)], coords.T)
-
-
 @dataclass(frozen=True)
 class Geodesic:
     """A minimizing path with its passage time; ties broken canonically."""

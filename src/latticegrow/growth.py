@@ -129,9 +129,7 @@ def eden_grow(seed: int, d: int, steps: int) -> ClusterTrace:
         added.append(outer)
         # an edge's outer end neighbours a site; its neighbours lie inside if it is off the rim
         if rim[outer]:
-            cells, rim, new_radius = _grow_grid(cells, d, radius)
-            edges = _regrid(edges, d, radius, new_radius)
-            added, radius = _regrid(added, d, radius, new_radius), new_radius
+            cells, rim, radius, edges, added = _grow_grid(cells, d, radius, edges, added)
             outer, offsets = added[-1], _step_offsets(d, radius)
         cells[outer] = 1
         for m in offsets:
@@ -257,8 +255,7 @@ def _walk_blocks(seed: int, d: int, particles: int) -> list:
         added.append(cell)
         # a walk's exit neighbours a site, so it lies inside while no site is on the rim
         if rim[cell]:
-            cells, rim, new_radius = _grow_grid(cells, d, radius)
-            added, radius = _regrid(added, d, radius, new_radius), new_radius
+            cells, rim, radius, added = _grow_grid(cells, d, radius, added)
             flat = np.frombuffer(cells, dtype=np.uint8)
             offsets = np.array(_step_offsets(d, radius), dtype=np.int64)
             np.cumsum(offsets[draws], out=cum[1:])
@@ -326,8 +323,7 @@ def _walk_squares(seed: int, particles: int) -> list:
         cells[pos] = 1
         added.append(pos)
         if rim[pos]:
-            cells, rim, new_radius = _grow_grid(cells, 2, radius)
-            added, radius = _regrid(added, 2, radius, new_radius), new_radius
+            cells, rim, radius, added = _grow_grid(cells, 2, radius, added)
             centre = len(cells) // 2
             offsets = np.array(_step_offsets(2, radius), dtype=np.int64)
             steps = offsets[draws].tolist()
@@ -345,12 +341,15 @@ def _mark_levels(cells: bytearray, radius: int) -> list:
     occ = grid != 0
     levels = _level_map(occ)
     grid[...] = occ + levels
-    side = 2 * radius + 1
-    exits = []
-    for k in range(1, int(levels.max()) + 1):
-        rows, cols, cdf = _square_exit_law(1 << k)
-        exits.append(((rows * side + cols).tolist(), cdf))
-    return exits
+    return [_square_jumps(k, 2 * radius + 1) for k in range(1, int(levels.max()) + 1)]
+
+
+@functools.lru_cache(maxsize=32)  # a refresh reads one grid side, at most 12 levels
+def _square_jumps(k: int, side: int):
+    """Flat-index jumps from a level-k cell of a grid of this side to the boundary
+    of its radius-2^k square, with their cumulative law."""
+    rows, cols, cdf = _square_exit_law(1 << k)
+    return tuple((rows * side + cols).tolist()), cdf
 
 
 def _level_map(occ: np.ndarray) -> np.ndarray:
@@ -409,14 +408,6 @@ def _square_exit_law(s: int):
     return rows, cols, tuple(cdf.tolist())
 
 
-def _regrid(indices: list, d: int, radius: int, new_radius: int) -> list:
-    """Flat indices into the grid of one radius, moved to the grown grid."""
-    coords = np.unravel_index(np.array(indices, dtype=np.int64), (2 * radius + 1,) * d)
-    off = new_radius - radius
-    return np.ravel_multi_index(tuple(c + off for c in coords),
-                                (2 * new_radius + 1,) * d).tolist()
-
-
 def _sites(indices: list, d: int, radius: int) -> list:
     """Coordinates of flat indices into the grid of this radius, as tuples of ints."""
     coords = np.unravel_index(np.array(indices, dtype=np.int64), (2 * radius + 1,) * d)
@@ -454,14 +445,20 @@ def _shaped(cells: bytearray, d: int, radius: int) -> np.ndarray:
     return np.frombuffer(cells, dtype=np.uint8).reshape((2 * radius + 1,) * d)
 
 
-def _grow_grid(cells: bytearray, d: int, radius: int):
-    """The grid, radius half as large again, with the old one at its centre; its rim."""
+def _grow_grid(cells: bytearray, d: int, radius: int, *lists):
+    """The grid, radius half as large again, with the old one at its centre; its rim,
+    the new radius, and each list of flat indices moved to the grown grid."""
     new_radius = radius + (radius + 1) // 2
     new, rim = _grid(d, new_radius)
     off = new_radius - radius
     _shaped(new, d, new_radius)[(slice(off, off + 2 * radius + 1),) * d] = (
         _shaped(cells, d, radius))
-    return new, rim, new_radius
+    moved = []
+    for flat in lists:
+        coords = np.unravel_index(np.array(flat, dtype=np.int64), (2 * radius + 1,) * d)
+        moved.append(np.ravel_multi_index(tuple(c + off for c in coords),
+                                          (2 * new_radius + 1,) * d).tolist())
+    return (new, rim, new_radius, *moved)
 
 
 def roundness(trace: ClusterTrace, n: int):

@@ -171,10 +171,6 @@ def current_series(table: StepTimeTable, t_grid) -> list:
     return [(float(t), current_at(table, t)) for t in t_grid]
 
 
-def current_series_to_csv(rows, path) -> None:
-    write_csv(path, ("t", "c_t"), list(zip(*rows)) or ((), ()))
-
-
 def particle_position(table: StepTimeTable, k: int, t: float) -> int:
     """Position of particle k at time t, recovered from its step times."""
     if not 1 <= k <= table.particles:

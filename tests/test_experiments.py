@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latticegrow
-from latticegrow import estimators, growth, oracle
+from latticegrow import estimators, experiments, growth, oracle
 from latticegrow.cli import main
 from latticegrow.estimators import MAX_FLAT_EDGE_N, flat_edge_probe
 from latticegrow.experiments import (
@@ -293,12 +293,11 @@ def test_tasep_table_limit_is_inclusive():
     (MemoryError(), "out of memory"),
 ])
 def test_cli_memory_error_is_hard_failure(monkeypatch, capsys, tmp_path, exc, message):
-    import latticegrow.cli as cli_mod
-
-    def boom(cfg):
+    def boom(config, spec, paths, summary):
         raise exc
 
-    monkeypatch.setattr(cli_mod, "run_experiment", boom)
+    row = experiments._TABLE["tasep-coupling"]
+    monkeypatch.setitem(experiments._TABLE, "tasep-coupling", row._replace(run=boom))
     rc = main(["tasep-coupling", "--steps", "64", "--trials", "1",
                "--out", str(tmp_path / "o")])
     assert rc == 3
@@ -315,7 +314,32 @@ def test_cli_idla_grid_past_limit_is_hard_failure(tmp_path):
     )
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("hard failure: dim 10, steps 40: ")
+    assert proc.stderr.startswith("hard failure: a growth grid in dimension 10 needs ")
+
+
+@pytest.mark.parametrize("dist", ["geom:0.999", "twopoint:0.9999"])
+def test_cli_exponents_on_constant_small_n_is_hard_failure(capsys, tmp_path, dist):
+    # validate() accepts the law, but all 200 times at n = 1 are equal, so the
+    # variance fit refuses its samples
+    rc = main(["exponents", "--dist", dist, "--direction", "1,1", "--n-grid", "1,2,4,8",
+               "--trials", "200", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err == "hard failure: exponent fits need strictly positive values\n"
+
+
+def test_runner_errors_become_hard_failures_and_io_errors_do_not(monkeypatch, tmp_path):
+    row = experiments._TABLE["tasep-coupling"]
+    for exc, wrapped in ((ValueError("bad samples"), True), (RuntimeError("cap"), True),
+                         (HardFailure("mismatch"), False), (OSError("disk full"), False)):
+        def boom(config, spec, paths, summary, exc=exc):
+            raise exc
+
+        monkeypatch.setitem(experiments._TABLE, "tasep-coupling", row._replace(run=boom))
+        with pytest.raises(HardFailure if wrapped else type(exc), match=f"^{exc}$") as info:
+            run_experiment(_cfg(kind="tasep-coupling", steps=8, trials=1,
+                                out=str(tmp_path / "o")))
+        assert (info.value.__cause__ if wrapped else info.value) is exc
 
 
 def test_cli_idla_in_dimension_one_runs_past_the_old_cap(tmp_path):
@@ -334,7 +358,7 @@ def test_cli_idla_in_dimension_one_runs_past_the_old_cap(tmp_path):
 def test_idla_walk_cap_is_hard_failure(monkeypatch, tmp_path):
     monkeypatch.setattr(growth, "_WALK_CAP_BASE", -5200)  # cap 0 for the first walk
     for d in (1, 2, 3):
-        with pytest.raises(HardFailure, match=f"dim {d}, steps 5: random walk exceeded"):
+        with pytest.raises(HardFailure, match="^random walk exceeded"):
             run_experiment(_cfg(kind="idla", dim=d, steps=5, out=str(tmp_path / str(d))))
 
 
@@ -423,8 +447,8 @@ def test_shape_footprint_counts_the_largest_retry_box():
     ("fpp", (1, 1), 8), ("fpp", (1, 1, 1), 4), ("lpp", (1, 1), 256), ("lpp", (1, 1, 1), 32),
 ])
 def test_footprint_counts_the_trials_of_one_sample_task(monkeypatch, model, direction, n):
-    # the CLI sizes the task _sample_times sends: one FPP solve's first box, or
-    # one LPP sweep's tables over a batch of trials
+    # the CLI sizes the largest task _sample_times may send: one FPP solve's
+    # first box, or one LPP sweep's tables over a full batch of trials
     sizes = []
 
     def spy(fn, tasks, workers):
@@ -438,8 +462,10 @@ def test_footprint_counts_the_trials_of_one_sample_task(monkeypatch, model, dire
     cfg = _cfg(kind="radial-g", model=model, dist="unif:0.5:1.5", dim=len(direction),
                direction=",".join(map(str, direction)), n_grid=str(n), trials=20)
     [(_field, count, _limit, _unit)] = _sample_footprint(cfg, spec)
-    assert count == max(sizes) * _point_cells(model, n, direction)
-    assert max(sizes) == (1 if model == "fpp" else {2: 7, 3: 9}[len(direction)])
+    per = 1 if model == "fpp" else {2: 7, 3: 9}[len(direction)]
+    assert count == per * _point_cells(model, n, direction)
+    # 20 trials go in the fewest batches of at most per, their sizes within one
+    assert sorted(sizes) == ([1] * 20 if model == "fpp" else [6, 7, 7])
 
 
 # -- every bound of every kind, each from its closed form in README ---------------

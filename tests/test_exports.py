@@ -11,16 +11,12 @@ from latticegrow import (
     constant,
     eden_grow,
     exponential,
-    fpp_ball,
     fpp_dijkstra,
     lpp_dp,
     make_field,
-    tasep_run,
 )
 from latticegrow import _output
-from latticegrow.fpp import ball_to_csv
 from latticegrow.growth import roundness_series_to_csv
-from latticegrow.tasep import current_series, current_series_to_csv
 
 
 # every name the package exports; each resolves on first access
@@ -93,18 +89,6 @@ def test_passage_map_csv(tmp_path):
         assert pmap.times[(int(x1), int(x2))] == float(t)
 
 
-def test_ball_snapshot_csv(tmp_path):
-    f = make_field(constant(1.0), 0, "edge", 2)
-    pmap = fpp_dijkstra(f, (0, 0), LatticeBox(2, 3), time_budget=1.0)
-    ball = fpp_ball(pmap, 1.0)
-    path = tmp_path / "ball.csv"
-    ball_to_csv(ball, 2, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,x2"
-    assert len(lines) == 1 + len(ball)
-    assert lines[1:] == sorted(lines[1:], key=lambda s: tuple(map(int, s.split(","))))
-
-
 def test_lpp_table_csv(tmp_path):
     f = make_field(exponential(1.0), 4, "vertex", 2)
     lmap = lpp_dp(f, (3, 2))
@@ -136,18 +120,6 @@ def test_roundness_series_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n,inradius,outradius"
     assert lines[1] == "10,1.5,2"
-
-
-def test_current_series_csv(tmp_path):
-    table = tasep_run(6, 6, clock_seed=1)
-    tmax = float(table.s[5, 5]) * 0.99
-    rows = current_series(table, np.linspace(0.0, tmax, 8))
-    path = tmp_path / "current.csv"
-    current_series_to_csv(rows, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,c_t"
-    assert len(lines) == 9
-    assert lines[1].endswith(",0")
 
 
 def test_write_csv_slices_keep_the_bytes(tmp_path, monkeypatch):

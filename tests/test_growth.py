@@ -34,9 +34,9 @@ def _counting_grow_grid(monkeypatch):
     grown = []
     grow_grid = growth._grow_grid
 
-    def counting_grow_grid(cells, d, radius):
+    def counting_grow_grid(cells, d, radius, *lists):
         grown.append(radius)
-        return grow_grid(cells, d, radius)
+        return grow_grid(cells, d, radius, *lists)
 
     monkeypatch.setattr(growth, "_first_radius", lambda d, particles: 2)
     monkeypatch.setattr(growth, "_grow_grid", counting_grow_grid)
@@ -541,6 +541,24 @@ def test_idla_level_map_is_a_lower_bound(monkeypatch):
         assert len(set(trace.vertices)) == 3000
         assert len(grown) >= 3 and len(built) > 3000 // 40
         assert max(built) >= 3, built
+
+
+def test_cached_jump_tables_equal_a_fresh_build():
+    # the jumps depend only on the level and the grid side, so two grids of one
+    # side share them; a full disc has levels up to 3 at radius 20, 4 at 40
+    for radius, top in ((20, 3), (40, 4)):
+        side = 2 * radius + 1
+        for _ in range(2):  # the second build reads the cache
+            cells = bytearray(side * side)
+            x = np.arange(-radius, radius + 1)
+            occ = x[:, None] ** 2 + x[None, :] ** 2 <= (radius - 1) ** 2
+            growth._shaped(cells, 2, radius)[...] = occ
+            exits = growth._mark_levels(cells, radius)
+            fresh = []
+            for k in range(1, top + 1):
+                rows, cols, cdf = growth._square_exit_law.__wrapped__(1 << k)
+                fresh.append((tuple((rows * side + cols).tolist()), cdf))
+            assert exits == fresh
 
 
 def test_lattice_symmetry_of_first_step_all_models():
