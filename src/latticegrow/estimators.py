@@ -27,7 +27,6 @@ from .experiments import (
 from .fpp import (
     _check_fpp_law,
     _grown_solve,
-    fpp_ball,
     fpp_geodesic,
     lattice_point,
     max_distance_to_segment,
@@ -337,46 +336,49 @@ def _ball_cells(model: str, spec: DistributionSpec, t: float):
     return (2 * side + 1) ** 2 if model == "fpp" else (side + 1) ** 2
 
 
-def _fpp_ball_trial(args):
-    spec, t, child_seed, d = args
-    base = _ball_side("fpp", spec, t)
-    pmap = _grown_solve(WeightField(spec, child_seed, "edge", d), base, base << _BOX_RETRIES,
-                        time_budget=t)
-    return fpp_ball(pmap, t), pmap.boundary_hit
-
-
-def _lpp_ball_trial(args):
-    spec, t, child_seed, d = args
-    fld = WeightField(spec, child_seed, "vertex", d)
-    side = _ball_side("lpp", spec, t)
-    for attempt in range(_BOX_RETRIES + 1):
-        tab = lpp_dp(fld, (side << attempt,) * d).table
-        hit = bool((tab[-1, :] <= t).any() or (tab[:, -1] <= t).any())
-        if not hit:
-            break
-    return set(zip(*(c.tolist() for c in np.nonzero(tab <= t)))), hit
-
-
 # the radial scan's step, and how many misses in a row end it
 _REACH_STEP = 0.25
 _REACH_PATIENCE = 8
 
 
-def _radial_reach(ball: set, theta):
-    """Largest rho with [rho * theta] in the ball, scanned outward."""
-    cx, cy = math.cos(theta), math.sin(theta)
-    rho = 0.0
-    last_hit = 0.0
-    misses = 0
-    while misses <= _REACH_PATIENCE:
-        rho += _REACH_STEP
-        v = (math.floor(rho * cx), math.floor(rho * cy))
-        if v in ball:
-            last_hit = rho
-            misses = 0
-        else:
-            misses += 1
-    return last_hit
+def _radial_reaches(pts: np.ndarray, angles) -> np.ndarray:
+    """Per angle theta, the largest rho = k _REACH_STEP with [rho theta] in the ball
+    of points pts (one row each), scanned outward from the origin (a hit at rho = 0)
+    until _REACH_PATIENCE + 1 misses in a row."""
+    lo = pts.min(axis=0, initial=0)
+    mask = np.zeros(pts.max(axis=0, initial=0) - lo + 3, dtype=bool)  # an empty rim
+    mask[tuple((pts - lo + 1).T)] = True
+    # [rho theta] lies within sqrt(2) of rho, so past the farthest point's norm
+    # + 2 every ray misses, and _REACH_PATIENCE + 1 more steps end it
+    far = math.sqrt(int((pts ** 2).sum(axis=1).max(initial=0)))
+    k = np.arange(int((far + 2) / _REACH_STEP) + _REACH_PATIENCE + 2)
+    units = np.array([(math.cos(a), math.sin(a)) for a in angles]).reshape(-1, 2)
+    at = np.floor((k * _REACH_STEP)[:, None, None] * units) - (lo - 1)
+    at = np.clip(at, 0, np.array(mask.shape) - 1).astype(np.int64)  # off the mask: its rim
+    hit = mask[at[..., 0], at[..., 1]]
+    # the last hit so far at each step, rho = 0 counting as one
+    last = np.maximum.accumulate(np.where(hit, k[:, None], 0), axis=0)
+    stop = np.argmax(k[:, None] - last > _REACH_PATIENCE, axis=0)
+    return last[stop, np.arange(len(units))] * _REACH_STEP
+
+
+def _shape_trial(args):
+    """Reaches of one trial's ball B(t) in d = 2, one per angle, and its boundary flag."""
+    model, spec, t, seed, angles = args
+    side = _ball_side(model, spec, t)
+    if model == "fpp":
+        pmap = _grown_solve(WeightField(spec, seed, "edge", 2), side, side << _BOX_RETRIES,
+                            time_budget=t)
+        pts, hit = pmap._coords(pmap.flat[pmap.settled_times <= t]), pmap.boundary_hit
+    else:
+        fld = WeightField(spec, seed, "vertex", 2)
+        for attempt in range(_BOX_RETRIES + 1):
+            tab = lpp_dp(fld, (side << attempt,) * 2).table
+            hit = bool((tab[-1, :] <= t).any() or (tab[:, -1] <= t).any())
+            if not hit:
+                break
+        pts = np.argwhere(tab <= t)
+    return _radial_reaches(pts, angles), hit
 
 
 def shape_boundary_estimate(
@@ -394,17 +396,10 @@ def shape_boundary_estimate(
     if model == "lpp" and (np.any(angles < 0) or np.any(angles > math.pi / 2)):
         raise ValueError("LPP shape angles must lie in [0, pi/2]")
     tag = f"shape:{model}:{spec.token()}:{t}"
-    tasks = [(spec, float(t), derive_seed(seed, tag, 0, i), 2) for i in range(trials)]
-    trial_fn = _fpp_ball_trial if model == "fpp" else _lpp_ball_trial
-    results = _map_trials(trial_fn, tasks, workers)
-
-    reaches = np.empty((trials, angles.size))
-    truncated = 0
-    for i, (ball, hit) in enumerate(results):
-        truncated += bool(hit)
-        for j, th in enumerate(angles):
-            reaches[i, j] = _radial_reach(ball, th) / t
-
+    tasks = [(model, spec, float(t), derive_seed(seed, tag, 0, i), angles)
+             for i in range(trials)]
+    rows, hits = zip(*_map_trials(_shape_trial, tasks, workers))
+    reaches = np.stack(rows) / t
     radii = reaches.mean(axis=0)
     stderrs = reaches.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros(angles.size)
     # radial resolution is limited by the lattice cell and the scan step
@@ -419,7 +414,7 @@ def shape_boundary_estimate(
         stderrs=stderrs,
         trials=trials,
         convexity_violation_fraction=frac,
-        truncated_trials=truncated,
+        truncated_trials=sum(hits),
     )
 
 

@@ -29,7 +29,7 @@ from . import __version__
 
 __all__ = ["ExperimentConfig", "ConfigError", "HardFailure", "run_experiment", "KINDS"]
 
-# bytes a run may allocate at once, 256 MiB; growth checks its grids against it
+# bytes a run may allocate at once, 256 MiB; growth grids and grown FPP boxes are checked against it
 MEMORY_BUDGET = 1 << 28
 # bytes a footprint cell stands for: a vertex of a shape trial's largest box
 # or table, of one FPP solve's first box or of one LPP sweep's tables, and a
@@ -308,9 +308,9 @@ def _run_exponents(config, spec, paths, summary):
 
     fl = fluctuation_series("lpp", spec, config.direction_tuple(), config.n_grid_list(),
                             config.trials, config.seed, workers=config.workers)
+    summary["fits"] = fl.fits()  # a fit that refuses its samples leaves no series behind
     fl.variance.to_csv(paths[0])
     fl.wandering.to_csv(paths[1])
-    summary["fits"] = fl.fits()
     paths[2].write_text(json.dumps(summary["fits"], indent=2, sort_keys=True) + "\n")
 
 

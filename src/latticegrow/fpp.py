@@ -30,6 +30,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ._output import write_csv
+from .experiments import _TRIAL_BYTES, MEMORY_BUDGET
 from .weights import WeightField
 
 __all__ = [
@@ -271,9 +272,13 @@ def fpp_dijkstra(
 
 def _grown_solve(field: WeightField, radius: int, cap: int, **stops) -> PassageTimeMap:
     """fpp_dijkstra from the origin on radius r, 2r, 4r, ... up to cap until no
-    face vertex settles, which makes the map exact; the last map keeps its flag."""
+    face vertex settles, which makes the map exact; the last map keeps its flag.
+    A box past MEMORY_BUDGET, at _TRIAL_BYTES a vertex, raises ValueError."""
     while True:
         box = LatticeBox(field.dimension, min(radius, cap))
+        if box.vertex_count() > MEMORY_BUDGET // _TRIAL_BYTES:
+            raise ValueError(f"an FPP box in dimension {box.dimension} needs {box.vertex_count()} "
+                             f"vertices, more than {MEMORY_BUDGET // _TRIAL_BYTES}")
         pmap = fpp_dijkstra(field, (0,) * field.dimension, box, **stops)
         if not pmap.boundary_hit or box.radius == cap:
             return pmap

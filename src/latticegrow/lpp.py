@@ -334,10 +334,8 @@ class OrientedPath:
     total_time: float
 
 
-def lpp_geodesic(lmap: LppTimeMap, field: WeightField, target) -> OrientedPath:
+def lpp_geodesic(lmap: LppTimeMap, target) -> OrientedPath:
     """Argmax backtracking through the table; ties prefer the first-axis predecessor."""
-    if field is not lmap.field and field != lmap.field:
-        raise ValueError("geodesic field does not match the map's field")
     cur = _lattice_point_in(target, lmap.corner)
     if cur is None:
         raise ValueError(f"target {tuple(target)} is not a vertex of rectangle {lmap.corner}")

@@ -183,6 +183,87 @@ def test_shape_boundary_rejects_bad_angles():
         shape_boundary_estimate("lpp", exponential(1.0), 5.0, [0.1, 2.0], 2, 0)
 
 
+def _set_scan_reach(ball: set, theta):
+    """The ray scan through a set of points that the shape trials ran before the
+    mask scan, kept as its reference."""
+    step, patience = estimators._REACH_STEP, estimators._REACH_PATIENCE
+    cx, cy = math.cos(theta), math.sin(theta)
+    rho = 0.0
+    last_hit = 0.0
+    misses = 0
+    while misses <= patience:
+        rho += step
+        v = (math.floor(rho * cx), math.floor(rho * cy))
+        if v in ball:
+            last_hit = rho
+            misses = 0
+        else:
+            misses += 1
+    return last_hit
+
+
+_SCAN_ANGLES = np.concatenate([[0.0, math.pi / 2, math.pi, 3 * math.pi / 2],
+                               np.linspace(0.0, math.pi / 2, 33),
+                               np.linspace(0.0, 2 * math.pi, 64, endpoint=False)])
+
+
+def _mask_scan_reaches(ball: set, angles=_SCAN_ANGLES):
+    pts = np.array(sorted(ball), dtype=np.int64).reshape(-1, 2)
+    reaches = estimators._radial_reaches(pts, angles)
+    assert reaches.tolist() == [_set_scan_reach(ball, th) for th in angles]
+    return reaches
+
+
+def _ray_with_gap(theta, gap):
+    """The ray's points [k step theta], k = 1..79, and the origin, bar the points of
+    `gap` steps in a row after step a; returns (ball, a)."""
+    step = estimators._REACH_STEP
+    c, s = math.cos(theta), math.sin(theta)
+    ray = [(math.floor(k * step * c), math.floor(k * step * s)) for k in range(1, 80)]
+    # a point's steps are consecutive, so a gap between two point changes
+    # removes whole points
+    changes = {k for k in range(1, len(ray)) if ray[k] != ray[k - 1]}
+    a = min(k for k in changes if k >= 8 and k + gap in changes)
+    return {(0, 0), *ray} - set(ray[a:a + gap]), a
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0, 2.0])
+def test_mask_scan_crosses_a_gap_of_patience_misses_and_stops_after_one_more(theta):
+    patience, step = estimators._REACH_PATIENCE, estimators._REACH_STEP
+    ball, a = _ray_with_gap(theta, patience)
+    assert _mask_scan_reaches(ball, [theta])[0] > (a + patience) * step
+    ball, a = _ray_with_gap(theta, patience + 1)
+    assert _mask_scan_reaches(ball, [theta])[0] == a * step
+
+
+def test_mask_scan_equals_the_set_scan_on_crafted_balls():
+    r = range(-9, 10)
+    disc = {(x, y) for x in r for y in r if x * x + y * y <= 81}
+    balls = {
+        "holes": {(x, y) for x, y in disc if (7 * x + 3 * y) % 5},
+        "square": {(x, y) for x in range(-6, 7) for y in range(-6, 7)},
+        "quadrant": {(x, y) for x in range(11) for y in range(11)},
+        "diamond": {(x, y) for x in r for y in r if abs(x) + abs(y) <= 9},
+        "off-origin": {(x, y) for x in range(2, 8) for y in range(-2, 4)},
+    }
+    for name, ball in balls.items():
+        reaches = _mask_scan_reaches(ball)
+        assert reaches.max() > 0, name
+    assert _mask_scan_reaches({(0, 0)})[0] == 0.75  # [rho] = (0, 0) for rho < 1 at angle 0
+    assert not _mask_scan_reaches(set()).any()
+    assert estimators._radial_reaches(np.zeros((0, 2), dtype=np.int64), []).shape == (0,)
+
+
+def test_convexity_diagnostic_flags_a_star_and_passes_a_disc():
+    angles = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
+    sigmas = np.full(16, 1e-3)
+    star = np.where(np.arange(16) % 2, 0.4, 1.0)
+    frac = estimators._convexity_violation_fraction(angles, star, sigmas, circular=True)
+    assert frac == 0.5  # every inner point turns the wrong way
+    disc = np.ones(16)
+    assert estimators._convexity_violation_fraction(angles, disc, sigmas, circular=True) == 0.0
+
+
 # -- flat edge ----------------------------------------------------------------------
 
 def test_flat_edge_ratio_never_below_one():
@@ -423,7 +504,7 @@ def test_lpp_samples_independent_of_batching_and_workers(monkeypatch):
         for i in range(9):
             fld = WeightField(exponential(1.0), derive_seed(31, full_tag, n, i), "vertex", 2)
             lmap = lpp_dp(fld, tgt)
-            path = lpp_geodesic(lmap, fld, tgt)
+            path = lpp_geodesic(lmap, tgt)
             pts = np.asarray((path.start,) + path.vertices, dtype=np.float64)
             assert times[j, i] == lmap.time_to(tgt)
             assert devs[j, i] == max_distance_to_segment(pts, np.zeros(2), np.asarray(tgt, float))
@@ -440,7 +521,7 @@ def test_lpp_decision_byte_samples_match_table_backtrack(spec, direction):
         for i in range(6):
             fld = WeightField(spec, derive_seed(5, full_tag, n, i), "vertex", 2)
             lmap = lpp_dp(fld, tgt)
-            path = lpp_geodesic(lmap, fld, tgt)
+            path = lpp_geodesic(lmap, tgt)
             pts = np.asarray((path.start,) + path.vertices, dtype=np.float64)
             assert times[j, i] == lmap.time_to(tgt)
             assert devs[j, i] == max_distance_to_segment(pts, np.zeros(2), np.asarray(tgt, float))

@@ -326,6 +326,37 @@ def test_cli_exponents_on_constant_small_n_is_hard_failure(capsys, tmp_path, dis
     err = capsys.readouterr().err
     assert rc == 3, err
     assert err == "hard failure: exponent fits need strictly positive values\n"
+    # the fits refuse before any file is written, so no series is left behind
+    # that a reader could take for a finished run's
+    assert list((tmp_path / "o").glob("*.csv")) == []
+
+
+def test_cli_tasep_coupling_mismatch_is_hard_failure(monkeypatch, capsys, tmp_path):
+    from latticegrow import tasep
+
+    real = tasep._coupling_check
+    monkeypatch.setattr(tasep, "_coupling_check",
+                        lambda k, trials, seed: (real(k, trials, seed)[0], 2, 1))
+    rc = main(["tasep-coupling", "--dist", "exp:1.0", "--steps", "6", "--trials", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err == ("hard failure: coupling verification failed: "
+                                       "2 table mismatches, 1 probe failures\n")
+    # the table is written before the run refuses, as its diagnostic
+    assert (tmp_path / "o" / "tasep_table.csv").exists()
+
+
+def test_truncated_trials_are_warned_in_the_summary(monkeypatch, tmp_path):
+    from test_fpp import _forced_hits
+
+    _forced_hits(monkeypatch)
+    summary = run_experiment(_cfg(kind="radial-g", model="fpp", dist="unif:0.5:1.5",
+                                  n_grid="2,4", trials=3, out=str(tmp_path / "g")))
+    assert summary["warnings"] == ["truncation flagged in 3 trials at n=2",
+                                   "truncation flagged in 3 trials at n=4"]
+    summary = run_experiment(_cfg(kind="fpp-shape", dist="unif:0.5:1.5", t=4.0, trials=3,
+                                  out=str(tmp_path / "s")))
+    assert summary["warnings"] == ["truncation flagged in 3 trials"]
 
 
 def test_runner_errors_become_hard_failures_and_io_errors_do_not(monkeypatch, tmp_path):
@@ -705,6 +736,10 @@ _HUGE = "9" * 401
         (["eden", "--steps", _HUGE], "steps"),
         (["radial-g", "--model", "fpp", "--n-grid", _HUGE, "--trials", "2"], "n_grid"),
         (["exponents", "--n-grid", f"8,16,32,{_HUGE}", "--trials", "200"], "n_grid"),
+        # entries that do not parse
+        (["radial-g", "--model", "fpp", "--n-grid", "4,x", "--trials", "2"], "n_grid"),
+        (["radial-g", "--model", "fpp", "--direction", "1,a", "--n-grid", "4", "--trials", "2"],
+         "direction"),
     ],
 )
 def test_cli_bad_input_exits_2_without_traceback(argv, field, tmp_path):
@@ -786,6 +821,19 @@ GOLDEN = {
     }),
     "oracle-check": (dict(kind="oracle-check", dist="unif:0.5:1.5", trials=2), {
         "oracle_check.csv": "3828d1ae583d629df9f2a42f32d951987bfa0b6226c38e46a270206b8111102b",
+    }),
+    # the shape configs of scripts/shape_gallery.py, recorded while each trial
+    # still shipped its ball as a set and the rays were scanned point by point
+    "fpp-shape-gallery-unif": (dict(kind="fpp-shape", dist="unif:0.5:1.5", t=16.0,
+                                    trials=40), {
+        "fpp_shape.csv": "775eed97a151b3d8b57c2af99cd8764b3d99d65662cb3b7356b953610356d419",
+    }),
+    "fpp-shape-gallery-twopoint": (dict(kind="fpp-shape", dist="twopoint:0.8", t=24.0,
+                                        trials=40), {
+        "fpp_shape.csv": "63b21450a27f77bf47ef744f53e8e73d6e030a4c35ff657f0947fdf38727336a",
+    }),
+    "lpp-shape-gallery-exp": (dict(kind="lpp-shape", dist="exp:1.0", t=32.0, trials=40), {
+        "lpp_shape.csv": "c0a14c6e91e38e6d47247571fe95962572cd789573c73a0df78ef1cdb679d42c",
     }),
 }
 

@@ -472,7 +472,7 @@ def test_trials_double_their_box_twice_on_boundary_hits(monkeypatch):
     r = estimators._fpp_first_radius((3, 2))
     assert hit and radii == [r, 2 * r, 4 * r]
     radii.clear()
-    _ball, hit = estimators._fpp_ball_trial((spec, 2.0, 3, 2))
+    _reaches, hit = estimators._shape_trial(("fpp", spec, 2.0, 3, np.zeros(1)))
     r = estimators._ball_side("fpp", spec, 2.0)
     assert hit and radii == [r, 2 * r, 4 * r]
 
@@ -484,9 +484,44 @@ def test_trials_double_their_box_twice_on_boundary_hits(monkeypatch):
         return SimpleNamespace(table=np.zeros(tuple(c + 1 for c in corner)))
 
     monkeypatch.setattr(estimators, "lpp_dp", flooded)
-    _ball, hit = estimators._lpp_ball_trial((spec, 2.0, 3, 2))
+    _reaches, hit = estimators._shape_trial(("lpp", spec, 2.0, 3, np.zeros(1)))
     s = estimators._ball_side("lpp", spec, 2.0)
     assert hit and corners == [(s, s), (2 * s, 2 * s), (4 * s, 4 * s)]
+
+
+def _budget_for_radius(r: int) -> int:
+    """The least budget under which a d = 2 box of radius r passes."""
+    return (2 * r + 1) ** 2 * fpp._TRIAL_BYTES
+
+
+def test_grown_box_past_the_budget_is_refused(monkeypatch):
+    radii = _forced_hits(monkeypatch)
+    r = estimators._fpp_first_radius((3, 2))
+    field = WeightField(uniform(0.5, 1.5), 3, "edge", 2)
+    monkeypatch.setattr(fpp, "MEMORY_BUDGET", _budget_for_radius(2 * r))
+    with pytest.raises(ValueError, match=f"^an FPP box in dimension 2 needs {(8 * r + 1) ** 2} "
+                                         f"vertices, more than {(4 * r + 1) ** 2}$"):
+        estimators._fpp_target_solve(field, (3, 2), want_geodesic=False)
+    assert radii == [r, 2 * r]
+    radii.clear()
+    monkeypatch.setattr(fpp, "MEMORY_BUDGET", _budget_for_radius(4 * r))
+    *_, hit = estimators._fpp_target_solve(field, (3, 2), want_geodesic=False)
+    assert hit and radii == [r, 2 * r, 4 * r]
+
+
+def test_cli_grown_box_past_the_budget_is_hard_failure(monkeypatch, capsys, tmp_path):
+    from latticegrow.cli import main
+
+    radii = _forced_hits(monkeypatch)
+    r = estimators._fpp_first_radius((2, 2))
+    monkeypatch.setattr(fpp, "MEMORY_BUDGET", _budget_for_radius(r))
+    rc = main(["radial-g", "--model", "fpp", "--dist", "unif:0.5:1.5", "--n-grid", "2",
+               "--trials", "2", "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err == (f"hard failure: an FPP box in dimension 2 needs "
+                                       f"{(4 * r + 1) ** 2} vertices, more than "
+                                       f"{(2 * r + 1) ** 2}\n")
+    assert radii == [r]
 
 
 def test_infection_order_doubles_its_box_up_to_steps_plus_one(monkeypatch):

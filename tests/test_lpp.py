@@ -164,7 +164,7 @@ def test_corner_sweep_matches_table_and_geodesic(spec, corner):
     times, paths = _batch_corners(fields, corner, True)
     for f, t, pts in zip(fields, times, paths):
         lmap = lpp_dp(f, corner)
-        geo = lpp_geodesic(lmap, f, corner)
+        geo = lpp_geodesic(lmap, corner)
         assert t == lmap.time_to(corner)
         assert pts.tobytes() == np.asarray((geo.start,) + geo.vertices, dtype=np.float64).tobytes()
     assert _batch_corners(fields, corner, False)[0].tobytes() == times.tobytes()
@@ -218,22 +218,22 @@ def test_time_to_and_geodesic_reject_wrong_vertices():
         with pytest.raises(KeyError):
             lmap.time_to(bad)
         with pytest.raises(ValueError):
-            lpp_geodesic(lmap, f, bad)
+            lpp_geodesic(lmap, bad)
     assert lmap.time_to(np.array([1, 2])) == lmap.time_to((1.0, 2)) == lmap.table[1, 2]
-    assert lpp_geodesic(lmap, f, np.array([1, 2])) == lpp_geodesic(lmap, f, (1, 2))
+    assert lpp_geodesic(lmap, np.array([1, 2])) == lpp_geodesic(lmap, (1, 2))
 
 
 def test_geodesic_axis_target():
     f = make_field(exponential(1.0), 6, "vertex", 2)
     lmap = lpp_dp(f, (5, 3))
-    path = lpp_geodesic(lmap, f, (4, 0))
+    path = lpp_geodesic(lmap, (4, 0))
     assert path.vertices == ((1, 0), (2, 0), (3, 0), (4, 0))
 
 
 def test_geodesic_origin_is_empty():
     f = make_field(exponential(1.0), 6, "vertex", 2)
     lmap = lpp_dp(f, (3, 3))
-    path = lpp_geodesic(lmap, f, (0, 0))
+    path = lpp_geodesic(lmap, (0, 0))
     assert path.vertices == ()
     assert path.total_time == 0.0
 
@@ -241,7 +241,7 @@ def test_geodesic_origin_is_empty():
 def test_geodesic_weight_sum_matches_table_and_oracle():
     f = make_field(uniform(0.5, 1.5), 11, "vertex", 2)
     lmap = lpp_dp(f, (6, 6))
-    path = lpp_geodesic(lmap, f, (6, 6))
+    path = lpp_geodesic(lmap, (6, 6))
     grid = np.stack(np.meshgrid(np.arange(7), np.arange(7), indexing="ij"), axis=-1)
     w = f.vertex_weights(grid)
     acc = 0.0
@@ -253,7 +253,7 @@ def test_geodesic_weight_sum_matches_table_and_oracle():
 def test_geodesic_is_oriented():
     f = make_field(geometric(0.5), 21, "vertex", 2)
     lmap = lpp_dp(f, (8, 8))
-    path = lpp_geodesic(lmap, f, (8, 8))
+    path = lpp_geodesic(lmap, (8, 8))
     prev = (0, 0)
     for v in path.vertices:
         assert sum(v) == sum(prev) + 1
@@ -264,7 +264,7 @@ def test_geodesic_is_oriented():
 def test_geodesic_tie_break_prefers_first_axis():
     f = make_field(constant(1.0), 0, "vertex", 2)
     lmap = lpp_dp(f, (2, 2))
-    path = lpp_geodesic(lmap, f, (2, 2))
+    path = lpp_geodesic(lmap, (2, 2))
     # backtracking from (2,2): constant weights tie everywhere, so each
     # backtrack step drops the first axis, pinning this exact path
     assert path.vertices == ((0, 1), (0, 2), (1, 2), (2, 2))
@@ -274,7 +274,7 @@ def test_geodesic_rejects_out_of_rectangle():
     f = make_field(exponential(1.0), 0, "vertex", 2)
     lmap = lpp_dp(f, (3, 3))
     with pytest.raises(ValueError):
-        lpp_geodesic(lmap, f, (4, 0))
+        lpp_geodesic(lmap, (4, 0))
 
 
 # -- exact shapes ------------------------------------------------------------------
