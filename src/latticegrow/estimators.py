@@ -25,8 +25,10 @@ from .experiments import (
     MIN_VARIANCE_TRIALS,
 )
 from .fpp import (
+    LatticeBox,
     _check_fpp_law,
     _grown_solve,
+    _trials_per_solve,
     fpp_geodesic,
     lattice_point,
     max_distance_to_segment,
@@ -182,40 +184,41 @@ def _fpp_first_radius(target) -> int:
 
 
 def _task_size(model: str, target) -> tuple:
-    """(trials, vertices) of one sampling task at target: a single FPP solve on
-    its first box, or one LPP sweep's tables over a batch of trials."""
+    """(trials, vertices) of one sampling task at target: one FPP solve's first
+    boxes or one LPP sweep's tables, over a batch of trials."""
     if model == "fpp":
-        return 1, (2 * _fpp_first_radius(target) + 1) ** len(target)
+        box = LatticeBox(len(target), _fpp_first_radius(target))
+        per = _trials_per_solve(box)
+        return per, per * box.vertex_count()
     per = _trials_per_batch(target)
     return per, per * math.prod(c + 1 for c in target)
 
 
-def _fpp_target_solve(field: WeightField, target, *, want_geodesic: bool):
-    """Exact point passage time on an adaptively enlarged box.
+def _fpp_target_solve(fields, target, *, want_geodesic: bool):
+    """Exact point passage times of a batch of fields on adaptively enlarged boxes.
 
     Exactness is certified by the boundary flag: when no face vertex settles
     at or below T(target), enlarging the box cannot change any value.
+    Returns the times, wanderings (NaN unless asked for) and flags.
     """
     base = _fpp_first_radius(target)
-    pmap = _grown_solve(field, base, base << _BOX_RETRIES, target=target)
-    t = pmap.time_to(target)
-    dev = math.nan
+    maps = _grown_solve(fields, base, base << _BOX_RETRIES, target=target)
+    devs = [math.nan] * len(maps)
     if want_geodesic:
-        pts = np.asarray(fpp_geodesic(pmap, target).vertices, dtype=np.float64)
-        dev = max_distance_to_segment(pts, np.zeros(field.dimension), np.asarray(target, float))
-    return t, dev, pmap.boundary_hit
+        end = np.asarray(target, float)
+        devs = [max_distance_to_segment(np.asarray(fpp_geodesic(pmap, target).vertices, float),
+                                        np.zeros(end.size), end) for pmap in maps]
+    return [pmap.time_to(target) for pmap in maps], devs, [pmap.boundary_hit for pmap in maps]
 
 
 def _point_batch(args):
     """Times, wanderings (NaN unless asked for) and boundary flags of one
-    task: a single FPP solve, or one LPP sweep over a batch of trials."""
+    task: one FPP solve or one LPP sweep over a batch of trials."""
     model, spec, target, seeds, want_geodesic = args
     d = len(target)
     if model == "fpp":
-        (seed,) = seeds
-        t, dev, hit = _fpp_target_solve(WeightField(spec, seed, "edge", d), target,
-                                        want_geodesic=want_geodesic)
-        return [t], [dev], [hit]
+        return _fpp_target_solve([WeightField(spec, s, "edge", d) for s in seeds], target,
+                                 want_geodesic=want_geodesic)
     fields = [WeightField(spec, s, "vertex", d) for s in seeds]
     times, paths = _batch_corners(fields, target, want_geodesic)
     devs = [math.nan] * len(fields)
@@ -254,8 +257,8 @@ def _sample_times(model, spec, direction, n_grid, trials, seed, tag, workers,
     _check_model(model, spec)
     direction, ns, targets = _grid_targets(model, direction, n_grid)
     full_tag = f"{tag}:{model}:{spec.token()}:{direction}"
-    # an FPP task is one solve; trials of one n share LPP sweeps in near-equal
-    # batches, each trial with its own field, so the samples do not depend on them
+    # trials of one n share FPP solves or LPP sweeps in near-equal batches, each
+    # trial with its own field, so the samples do not depend on them
     tasks = []
     for n, tgt in zip(ns, targets):
         row = [derive_seed(seed, full_tag, n, i) for i in range(trials)]
@@ -367,8 +370,8 @@ def _shape_trial(args):
     model, spec, t, seed, angles = args
     side = _ball_side(model, spec, t)
     if model == "fpp":
-        pmap = _grown_solve(WeightField(spec, seed, "edge", 2), side, side << _BOX_RETRIES,
-                            time_budget=t)
+        (pmap,) = _grown_solve([WeightField(spec, seed, "edge", 2)], side,
+                               side << _BOX_RETRIES, time_budget=t)
         pts, hit = pmap._coords(pmap.flat[pmap.settled_times <= t]), pmap.boundary_hit
     else:
         fld = WeightField(spec, seed, "vertex", 2)
@@ -391,6 +394,8 @@ def shape_boundary_estimate(
     workers: int = 1,
 ) -> RadialShapeEstimate:
     """Per-direction radial reach of the rescaled infected region B(t)/t."""
+    if trials < 1:
+        raise ValueError(f"trials: need at least 1, got {trials}")
     _check_model(model, spec)
     angles = np.asarray(angles, dtype=np.float64)
     if model == "lpp" and (np.any(angles < 0) or np.any(angles > math.pi / 2)):

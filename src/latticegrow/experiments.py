@@ -32,7 +32,7 @@ __all__ = ["ExperimentConfig", "ConfigError", "HardFailure", "run_experiment", "
 # bytes a run may allocate at once, 256 MiB; growth grids and grown FPP boxes are checked against it
 MEMORY_BUDGET = 1 << 28
 # bytes a footprint cell stands for: a vertex of a shape trial's largest box
-# or table, of one FPP solve's first box or of one LPP sweep's tables, and a
+# or table, of one FPP solve's first boxes or of one LPP sweep's tables, and a
 # TASEP table cell (a run peaks at about 55 bytes a cell, most of it the
 # step-time and LPP tables); a growth grid cell is one byte
 _TRIAL_BYTES, _TASEP_BYTES = 16, 64
@@ -205,7 +205,7 @@ def _shape_footprint(config, spec):
 
 
 def _sample_footprint(config, spec, model=""):
-    """One FPP solve's first box or one LPP sweep's tables at the largest n; returns targets."""
+    """One FPP solve's first boxes or one LPP sweep's tables at the largest n; returns targets."""
     from .estimators import _grid_targets, _task_size
 
     model = model or config.model
@@ -217,7 +217,7 @@ def _sample_footprint(config, spec, model=""):
     except OverflowError as e:  # n times direction, or the box around it, past a float's range
         raise ConfigError(f"n_grid: too large to place its points ({e})") from None
     yield ("n_grid", cells, MEMORY_BUDGET // _TRIAL_BYTES,
-           "vertices in one solve's box or one sweep's tables")
+           "vertices in one solve's boxes or one sweep's tables")
     return targets
 
 

@@ -18,6 +18,15 @@ vertex can produce a key below fl(t_min + omega), and those vertices are the
 heap's next pops.  The bucket loop is chosen from the law and the box
 (``_use_buckets``), where it was measured to win; exponential and
 zero-weight laws, d = 1 and small boxes keep the heap.
+
+Trials run in lock step.  ``_solve_batch`` solves B fields from one source
+on one box: their padded windows lie end to end on one flat axis, and each
+bucket step settles the vertices below one threshold in every trial, each
+trial cut by its own stops, so the step's numpy overhead is paid once for B
+trials.  The heap loop solves a batch's trials one after another.
+``fpp_dijkstra`` is the one-field batch, and ``_grown_solve`` sizes batches
+by ``_trials_per_solve`` and re-solves only the trials whose boundary flag
+is set on the next box.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ import numpy as np
 
 from ._output import write_csv
 from .experiments import _TRIAL_BYTES, MEMORY_BUDGET
+from .lpp import _BATCH_CELLS
 from .weights import WeightField
 
 __all__ = [
@@ -95,16 +105,17 @@ class LatticeBox:
         """Row-major index of vertex v on the padded box; it orders like the tuples."""
         return int(np.ravel_multi_index(self.padded_index(v), self.padded_shape()))
 
-    def padded_weights(self, field: WeightField) -> np.ndarray:
+    def padded_weights(self, field: WeightField, out: np.ndarray | None = None) -> np.ndarray:
         """Weights of the box's edges, on the box grown by one layer of padding.
 
         Entry [j, *padded_index(x)] is the weight of the edge {x, x + e_j};
         edges with an endpoint outside the box weigh inf, so a solver reading
         this array never leaves the box.  The one window array that Dijkstra,
-        geodesic backtracking and the brute-force oracle all read.
+        geodesic backtracking and the brute-force oracle all read; a batched
+        solve passes its trial's slot of the batch array as out.
         """
         n = 2 * self.radius + 1
-        w = field.edge_window(tuple(c - 1 for c in self.corner()), self.padded_shape())
+        w = field.edge_window(tuple(c - 1 for c in self.corner()), self.padded_shape(), out)
         for k in range(self.dimension):
             face = np.moveaxis(w, k + 1, 1)
             face[:, [0, n + 1]] = math.inf
@@ -221,11 +232,27 @@ def fpp_dijkstra(
     the box: a least weight bounded away from 0 and, in d = 2 or 3, a box wide
     enough that a bucket holds many vertices.  Exponential and zero-weight
     laws, d = 1 and small boxes keep the heap.
+
+    This is ``_solve_batch`` on the one field, so a trial solved alone and
+    the same trial solved in a batch get the same bits.
     """
-    if field.attachment != "edge":
-        raise ValueError("FPP needs an edge weight field")
-    if field.dimension != box.dimension:
-        raise ValueError("field and box dimensions differ")
+    return _solve_batch([field], source, box, time_budget=time_budget, target=target,
+                        max_settled=max_settled)[0]
+
+
+def _solve_batch(fields, source, box: LatticeBox, *, time_budget=None, target=None,
+                 max_settled=None) -> list:
+    """fpp_dijkstra of every field from one source on one box, with the same stops.
+
+    Each field's window is hashed into its slot of one (d, B, *padded shape)
+    array, which is each map's window.  The bucket loop settles the B trials
+    in lock step; the heap loop solves them one after another.
+    """
+    for field in fields:
+        if field.attachment != "edge":
+            raise ValueError("FPP needs an edge weight field")
+        if field.dimension != box.dimension:
+            raise ValueError("field and box dimensions differ")
     source = tuple(int(c) for c in source)
     if not box.contains(source):
         raise ValueError(f"source {source} lies outside the box")
@@ -238,51 +265,68 @@ def fpp_dijkstra(
 
     d = box.dimension
     shape = box.padded_shape()
-    weights = box.padded_weights(field)
+    weights = np.empty((d, len(fields), *shape))
+    for i, field in enumerate(fields):
+        box.padded_weights(field, weights[:, i])
     strides = [shape[0] ** (d - 1 - j) for j in range(d)]
+    src = box.flat_index(source)
     tgt = box.flat_index(target) if target is not None else -1
     cap = max_settled if max_settled is not None else math.inf
     budget = float(time_budget) if time_budget is not None else math.inf
-    settle = _bucket_settle if _use_buckets(field.spec, box) else _heap_settle
-    order, times = settle(
-        weights.reshape(d, -1), strides, box.flat_index(source), tgt, budget, cap
-    )
-
-    if order[-1] == tgt or len(order) >= cap:
-        # unsettled vertices tied exactly at the last time may remain unsettled
-        horizon = math.nextafter(float(times[-1]), -math.inf)
+    flat = weights.reshape(d, len(fields), -1)
+    if _use_buckets(fields[0].spec, box):
+        runs = _bucket_settle(flat, strides, src, tgt, budget, cap)
     else:
-        # everything with T <= budget settled before the first over-budget pop
-        horizon = budget
-    # settled times never decrease, so every settled face vertex lies at or
-    # below the cut the flag certifies (the budget, or the last settled time)
-    padded = np.unravel_index(order, shape)
-    boundary_hit = any(bool(((c == 1) | (c == shape[0] - 2)).any()) for c in padded)
+        runs = [_heap_settle(w, strides, src, tgt, budget, cap) for w in flat.swapaxes(0, 1)]
 
-    return PassageTimeMap(
-        source=source,
-        box=box,
-        flat=order,
-        settled_times=times,
-        window=weights,
-        horizon=horizon,
-        boundary_hit=boundary_hit,
-    )
+    maps = []
+    for window, (order, times) in zip(weights.swapaxes(0, 1), runs):
+        if order[-1] == tgt or len(order) >= cap:
+            # unsettled vertices tied exactly at the last time may remain unsettled
+            horizon = math.nextafter(float(times[-1]), -math.inf)
+        else:
+            # everything with T <= budget settled before the first over-budget pop
+            horizon = budget
+        # settled times never decrease, so every settled face vertex lies at or
+        # below the cut the flag certifies (the budget, or the last settled time)
+        padded = np.unravel_index(order, shape)
+        boundary_hit = any(bool(((c == 1) | (c == shape[0] - 2)).any()) for c in padded)
+        maps.append(PassageTimeMap(source=source, box=box, flat=order, settled_times=times,
+                                   window=window, horizon=horizon, boundary_hit=boundary_hit))
+    return maps
 
 
-def _grown_solve(field: WeightField, radius: int, cap: int, **stops) -> PassageTimeMap:
-    """fpp_dijkstra from the origin on radius r, 2r, 4r, ... up to cap until no
-    face vertex settles, which makes the map exact; the last map keeps its flag.
-    A box past MEMORY_BUDGET, at _TRIAL_BYTES a vertex, raises ValueError."""
-    while True:
-        box = LatticeBox(field.dimension, min(radius, cap))
+def _trials_per_solve(box: LatticeBox) -> int:
+    """How many trials one solve on this box holds, at least one: LPP's _BATCH_CELLS
+    over d + 1 float64 cells a vertex (its d edge weights and its tentative time)."""
+    return max(1, _BATCH_CELLS // ((box.dimension + 1) * box.vertex_count()))
+
+
+def _grown_solve(fields, radius: int, cap: int, **stops) -> list:
+    """The maps of _solve_batch from the origin on radius r, 2r, 4r, ... up to cap.
+
+    Each box re-solves only the trials whose last map has a face vertex
+    settled, _trials_per_solve of them a solve, so every map is exact or is
+    the cap box's and keeps its flag.  A box past MEMORY_BUDGET, at
+    _TRIAL_BYTES a vertex, raises ValueError.
+    """
+    d = fields[0].dimension
+    maps = [None] * len(fields)
+    todo = list(range(len(fields)))
+    while todo:
+        box = LatticeBox(d, min(radius, cap))
         if box.vertex_count() > MEMORY_BUDGET // _TRIAL_BYTES:
             raise ValueError(f"an FPP box in dimension {box.dimension} needs {box.vertex_count()} "
                              f"vertices, more than {MEMORY_BUDGET // _TRIAL_BYTES}")
-        pmap = fpp_dijkstra(field, (0,) * field.dimension, box, **stops)
-        if not pmap.boundary_hit or box.radius == cap:
-            return pmap
+        per = _trials_per_solve(box)
+        for a in range(0, len(todo), per):
+            part = todo[a:a + per]
+            for i, pmap in zip(part, _solve_batch([fields[i] for i in part], (0,) * d, box,
+                                                  **stops)):
+                maps[i] = pmap
+        todo = [i for i in todo if maps[i].boundary_hit and box.radius < cap]
         radius *= 2
+    return maps
 
 
 def _heap_settle(weights, strides, src, tgt, budget, cap):
@@ -327,29 +371,54 @@ def _heap_settle(weights, strides, src, tgt, budget, cap):
 
 
 def _bucket_settle(weights, strides, src, tgt, budget, cap):
-    """Settle a whole bucket per numpy step, in the heap's order; same contract.
+    """Settle a whole bucket of every trial per numpy step, each in the heap's order.
 
-    Let omega be the least weight in the window and t_min the least tentative
-    time among unsettled vertices.  A relaxation from an unsettled u gives
-    fl(t(u) + w) >= fl(t_min + omega) = thr, since float addition rounds
-    monotonically, so every unsettled vertex with t < thr is final and the
-    heap would pop exactly those next, in (t, flat index) order, with no push
-    in between sorting before them.  One step settles them all, cut by the
-    stop rules, and relaxes each of the 2d directions with vectorised
-    compares (within one direction the destinations are distinct).  When thr
-    == t_min (omega is 0 or below t_min's ulp) a step settles only the
-    (t, index)-least vertex, which is one heap pop.  The frontier is an index
-    array with a membership mask.
+    weights[j, i] holds trial i's weights as _heap_settle's weights[j]; src,
+    tgt and the stops are every trial's.  Returns one (settled flat indices,
+    times) pair per trial, in settling order, as _heap_settle would.
+
+    The trials' windows lie end to end on one flat axis, trial i's vertex v
+    at i size + v.  A settled vertex lies inside its box, so its neighbours
+    lie in its own padded window and no relaxation leaves its trial.  Let
+    omega be the least weight of all the windows and t_min the least
+    tentative time of all the unsettled vertices.  In any trial, a
+    relaxation from an unsettled u gives fl(t(u) + w) >= fl(t_min + omega) =
+    thr, since float addition rounds monotonically, so every unsettled
+    vertex with t < thr is final and its trial's heap would pop exactly those
+    next, in (t, flat index) order, with no push in between sorting before
+    them.  A trial's own thr would be at least as high, but the shared one
+    needs no per-trial pass over the frontier, and the trials' fronts advance
+    together.  One step takes them in every trial, sorts the bucket by (t,
+    index), cuts a trial only where its own stop falls in the bucket
+    (``_cut``), and relaxes all 2d directions at once.  When thr == t_min
+    (omega is 0 or below t_min's ulp) a step takes only the (t, index)-least
+    vertex, which is one pop of its trial's heap.  The frontier is an index
+    array with a membership array; a trial that stops leaves it.
     """
+    d, trials, size = weights.shape
     omega = float(weights.min())
-    best = np.full(weights.shape[1], math.inf)
-    best[src] = 0.0
-    front = np.array([src], dtype=np.int64)
-    in_front = np.zeros(weights.shape[1], dtype=bool)
-    in_front[src] = True
+    flat_w = weights.reshape(-1)
+    # per direction +e_1, -e_1, +e_2, ...: the neighbour's flat offset, and the
+    # offset in flat_w of the edge's weight (its lower endpoint's, on axis j)
+    steps = np.array([[sign * s] for s in strides for sign in (1, -1)])
+    edges = np.array([[j * trials * size + off] for j, s in enumerate(strides) for off in (0, -s)])
+    base = np.arange(trials) * size
+    best = np.full(trials * size, math.inf)
+    front = base + src
+    best[front] = 0.0
+    # -1 off the frontier; on it, a vertex's index among the vertices that
+    # joined it in the same step, which keeps one copy of a vertex reached twice
+    slot = np.full(trials * size, -1, dtype=np.int32)
+    slot[front] = 0
+    is_tgt = np.zeros(trials * size, dtype=bool)
+    if tgt >= 0:
+        is_tgt[base + tgt] = True
+    # per-trial counts matter only when the cap can bind: a trial settles
+    # fewer vertices than its padded window holds
+    capped = cap < size
+    settled = np.zeros(trials, dtype=np.int64)
     order: list = []
     times: list = []
-    settled = 0
 
     while front.size:
         tf = best[front]
@@ -361,38 +430,76 @@ def _bucket_settle(weights, strides, src, tgt, budget, cap):
             take = front == front[tf == t_min].min()
         bucket, bt = front[take], tf[take]
         front = front[~take]
-        in_front[bucket] = False
+        slot[bucket] = -1
         if bucket.size > 1:
-            by = np.lexsort((bucket, bt))
+            # (t, flat index) order: a quick sort of the times, then of the
+            # indices too if two times tie
+            by = np.argsort(bt)
             bucket, bt = bucket[by], bt[by]
-        # the heap's stops: a pop over budget settles nothing; a pop that
-        # settles the target or the cap-th vertex is the last
-        k = int(np.searchsorted(bt, budget, side="right"))
-        stop = k < bucket.size
-        hit = np.flatnonzero(bucket[:k] == tgt)
-        if hit.size:
-            k, stop = int(hit[0]) + 1, True
-        if k and settled + k >= cap:
-            k, stop = max(cap - settled, 1), True
-        bucket, bt = bucket[:k], bt[:k]
+            if (bt[1:] == bt[:-1]).any():
+                by = np.lexsort((bucket, bt))
+                bucket, bt = bucket[by], bt[by]
+        stops = bt[-1] > budget or is_tgt[bucket].any()
+        if capped:
+            count = np.bincount(bucket // size, minlength=trials)
+            stops = stops or (settled + count >= cap).any()
+        if stops:
+            # some trial's heap stops in this bucket; a trial that stops relaxes nothing more
+            bucket, bt, count, stop = _cut(bucket, bt, is_tgt, budget, cap - settled, size)
+            front = front[~stop[front // size]]
         order.append(bucket)
         times.append(bt)
-        settled += k
-        if stop:
-            break
-        new = [front]
-        for s, w in zip(strides, weights):
-            back = bucket - s
-            for dest, nt in ((bucket + s, bt + w[bucket]), (back, bt + w[back])):
-                better = nt < best[dest]
-                dest = dest[better]
-                best[dest] = nt[better]
-                dest = dest[~in_front[dest]]
-                in_front[dest] = True
-                new.append(dest)
-        front = np.concatenate(new)
+        if capped:
+            settled += count
+        if stops:
+            go = ~stop[bucket // size]
+            bucket, bt = bucket[go], bt[go]
+        # every direction at once: no settled vertex improves, and np.minimum.at
+        # keeps the least time a vertex gets from its neighbours
+        dest = bucket + steps
+        nt = bt + flat_w[bucket + edges]
+        better = nt < best[dest]
+        dest = dest[better]
+        np.minimum.at(best, dest, nt[better])
+        dest = dest[slot[dest] < 0]
+        at = np.arange(dest.size)
+        slot[dest] = at
+        front = np.concatenate((front, dest[slot[dest] == at]))
 
-    return np.concatenate(order), np.concatenate(times)
+    # every trial's vertices lie in settling order, so a stable sort by trial
+    # keeps each trial's order
+    order, times = np.concatenate(order), np.concatenate(times)
+    tri = (order // size).astype(np.min_scalar_type(trials))
+    by = np.argsort(tri, kind="stable")
+    cuts = np.cumsum(np.bincount(tri, minlength=trials))[:-1]
+    return [(o - i * size, t) for i, (o, t)
+            in enumerate(zip(np.split(order[by], cuts), np.split(times[by], cuts)))]
+
+
+def _cut(bucket, bt, is_tgt, budget, room, size):
+    """Cut a bucket, in (t, flat index) order, where each trial's heap would stop.
+
+    room is how many more vertices each trial may settle, and size the length
+    of one trial's window on the flat axis.  A pop over budget settles
+    nothing, and a pop that settles the target or the room-th vertex is the
+    last.  Returns the kept bucket, grouped by trial, its times, each trial's
+    kept count, and which trials stop.
+    """
+    bi = bucket // size
+    by = np.argsort(bi, kind="stable")
+    bucket, bt, bi = bucket[by], bt[by], bi[by]
+    count = np.bincount(bi, minlength=room.size)
+    pos = np.arange(bucket.size) - (np.cumsum(count) - count)[bi]
+    k = np.bincount(bi[bt <= budget], minlength=room.size)
+    stop = k < count
+    hit = is_tgt[bucket] & (pos < k[bi])
+    k[bi[hit]] = pos[hit] + 1
+    stop[bi[hit]] = True
+    full = (k > 0) & (k >= room)
+    k[full] = np.maximum(room[full], 1)
+    stop |= full
+    keep = pos < k[bi]
+    return bucket[keep], bt[keep], k, stop
 
 
 def fpp_ball(pmap: PassageTimeMap, t: float) -> set:

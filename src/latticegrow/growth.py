@@ -169,8 +169,8 @@ def fpp_infection_order(field: WeightField, steps: int) -> ClusterTrace:
     # a solve that settles no face vertex runs exactly as on the radius
     # steps + 1 box, which the steps + 1 settled vertices cannot reach, so
     # grow a small box until its face stays unsettled
-    pmap = _grown_solve(field, math.ceil(steps ** (1 / field.dimension)) + 1, steps + 1,
-                        max_settled=steps + 1)
+    (pmap,) = _grown_solve([field], math.ceil(steps ** (1 / field.dimension)) + 1, steps + 1,
+                           max_settled=steps + 1)
     return ClusterTrace(
         model="fpp-order", seed=field.seed, dimension=field.dimension,
         vertices=list(pmap.order[1:]),

@@ -301,16 +301,18 @@ class WeightField:
             raise ValueError("vertex lookup on an edge field")
         return self._window([_VERTEX_TAG], lo, shape, np.empty(tuple(shape)))
 
-    def edge_window(self, lo, shape) -> np.ndarray:
+    def edge_window(self, lo, shape, out: np.ndarray | None = None) -> np.ndarray:
         """Weights of every edge whose lower endpoint lies in lo + [0, shape).
 
         Entry [j, i_1, ..., i_d] is the weight of the edge from lo + i to
-        lo + i + e_j.  The coordinate words are per-axis ranges, so no
+        lo + i + e_j, written into out when it is given (one trial's slot of
+        a batch array).  The coordinate words are per-axis ranges, so no
         coordinate array is built.
         """
         if self.attachment != "edge":
             raise ValueError("edge lookup on a vertex field")
-        out = np.empty((self.dimension, *shape))
+        if out is None:
+            out = np.empty((self.dimension, *shape))
         for j in range(self.dimension):
             self._window([_EDGE_TAG, j], lo, shape, out[j])
         return out

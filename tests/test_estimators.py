@@ -27,7 +27,7 @@ from latticegrow import (
     variance_series,
     wandering_series,
 )
-from latticegrow import lpp
+from latticegrow import fpp, lpp
 from latticegrow import estimators
 from latticegrow.estimators import (
     ExponentFit,
@@ -36,9 +36,9 @@ from latticegrow.estimators import (
     _sample_times,
     _twopoint_diag_time,
 )
-from latticegrow.fpp import max_distance_to_segment
+from latticegrow.fpp import LatticeBox, fpp_dijkstra, fpp_geodesic, max_distance_to_segment
 from latticegrow.lpp import _SAT, _min_plus_2d, lpp_dp, lpp_geodesic
-from latticegrow.weights import WeightField, derive_seed
+from latticegrow.weights import WeightField, derive_seed, parse_dist_token
 
 
 def _seq(ns, means, stderrs=None, trials=100):
@@ -181,6 +181,12 @@ def test_shape_boundary_lpp_exponential_matches_exact_curve():
 def test_shape_boundary_rejects_bad_angles():
     with pytest.raises(ValueError):
         shape_boundary_estimate("lpp", exponential(1.0), 5.0, [0.1, 2.0], 2, 0)
+
+
+@pytest.mark.parametrize("model", ["fpp", "lpp"])
+def test_shape_boundary_needs_a_trial(model):
+    with pytest.raises(ValueError, match="^trials: need at least 1, got 0$"):
+        shape_boundary_estimate(model, exponential(1.0), 5.0, [0.1], 0, 0)
 
 
 def _set_scan_reach(ball: set, theta):
@@ -508,6 +514,44 @@ def test_lpp_samples_independent_of_batching_and_workers(monkeypatch):
             pts = np.asarray((path.start,) + path.vertices, dtype=np.float64)
             assert times[j, i] == lmap.time_to(tgt)
             assert devs[j, i] == max_distance_to_segment(pts, np.zeros(2), np.asarray(tgt, float))
+
+
+@pytest.mark.parametrize("token,loop", [("unif:0.5:1.5", "bucket"), ("exp:1.0", "heap")])
+def test_fpp_samples_independent_of_batching_and_workers(monkeypatch, token, loop):
+    # trials solved in lock step get the times, wandering and flags of their
+    # own fpp_dijkstra on the box they grow to, whatever the batch budget or
+    # the worker count; the boxes here are narrow enough that only a forced
+    # bucket loop runs unif:0.5:1.5 in buckets, and exp:1.0 keeps the heap
+    spec = parse_dist_token(token)
+    monkeypatch.setattr(fpp, "_use_buckets", lambda spec, box: loop == "bucket")
+    args = ("fpp", spec, (1, 0.5), [6, 12, 20], 9, 31, "batch-test")
+    runs, per = [], []
+    for workers, budget in [(1, 1 << 20), (2, 1 << 20), (1, 40000), (2, 1)]:
+        monkeypatch.setattr(fpp, "_BATCH_CELLS", budget)
+        per.append([estimators._task_size("fpp", tgt)[0] for tgt in [(6, 3), (12, 6), (20, 10)]])
+        runs.append(_sample_times(*args, workers, want_geodesic=True))
+    # one batch a point, mixed batches, and one trial a solve
+    assert per == [[172, 73, 35], [172, 73, 35], [6, 2, 1], [1, 1, 1]]
+    ns, targets, times, devs, trunc = runs[0]
+    for run in runs[1:]:
+        assert np.array_equal(run[2], times) and np.array_equal(run[3], devs) and run[4] == trunc
+    full_tag = f"batch-test:fpp:{spec.token()}:{(1.0, 0.5)}"
+    hits = {}
+    for j, (n, tgt) in enumerate(zip(ns, targets)):
+        base = estimators._fpp_first_radius(tgt)
+        for i in range(9):
+            fld = WeightField(spec, derive_seed(31, full_tag, n, i), "edge", 2)
+            r = base
+            while True:
+                pmap = fpp_dijkstra(fld, (0, 0), LatticeBox(2, r), target=tgt)
+                if not pmap.boundary_hit or r == base << 2:
+                    break
+                r *= 2
+            pts = np.asarray(fpp_geodesic(pmap, tgt).vertices, dtype=np.float64)
+            assert times[j, i] == pmap.time_to(tgt)
+            assert devs[j, i] == max_distance_to_segment(pts, np.zeros(2), np.asarray(tgt, float))
+            hits[int(n)] = hits.get(int(n), 0) + pmap.boundary_hit
+    assert trunc == {n: c for n, c in hits.items() if c}
 
 
 @pytest.mark.parametrize("spec", [two_point(0.5), geometric(0.7)], ids=lambda s: s.token())

@@ -417,6 +417,17 @@ def test_trial_box_limit_is_inclusive(kind, model, n_ok, n_bad):
         _cfg(n_grid=f"{n_bad // 8},{n_bad // 4},{n_bad // 2},{n_bad}", **kw).validate()
 
 
+def test_fpp_task_at_the_cli_limit_is_one_trial():
+    # a batch holds 2^20 cells at d + 1 a vertex, so the largest first box the
+    # CLI accepts (n = 783 on (1, 1)) is solved alone and sized as before
+    assert estimators._task_size("fpp", (783, 783)) == (1, 4093 ** 2)
+    assert estimators._task_size("fpp", (784, 784)) == (1, 4099 ** 2)
+    kw = dict(kind="radial-g", model="fpp", dist="unif:0.5:1.5", direction="1,1", trials=2)
+    _cfg(n_grid="783", **kw).validate()
+    with pytest.raises(ConfigError, match="^n_grid: .* more than 16777216$"):
+        _cfg(n_grid="784", **kw).validate()
+
+
 def test_trial_box_limit_admits_three_dimensional_fpp():
     # 147^3 vertices, about 3.2 M
     _cfg(kind="radial-g", model="fpp", dist="unif:0.5:1.5", direction="1,1,1", dim=3,
@@ -479,7 +490,7 @@ def test_shape_footprint_counts_the_largest_retry_box():
 ])
 def test_footprint_counts_the_trials_of_one_sample_task(monkeypatch, model, direction, n):
     # the CLI sizes the largest task _sample_times may send: one FPP solve's
-    # first box, or one LPP sweep's tables over a full batch of trials
+    # first boxes, or one LPP sweep's tables, over a full batch of trials
     sizes = []
 
     def spy(fn, tasks, workers):
@@ -493,10 +504,11 @@ def test_footprint_counts_the_trials_of_one_sample_task(monkeypatch, model, dire
     cfg = _cfg(kind="radial-g", model=model, dist="unif:0.5:1.5", dim=len(direction),
                direction=",".join(map(str, direction)), n_grid=str(n), trials=20)
     [(_field, count, _limit, _unit)] = _sample_footprint(cfg, spec)
-    per = 1 if model == "fpp" else {2: 7, 3: 9}[len(direction)]
+    # an FPP batch holds 2^20 cells at d + 1 a vertex: 88 boxes of 63^2, or one of 53^3
+    per = {("fpp", 2): 88, ("fpp", 3): 1, ("lpp", 2): 7, ("lpp", 3): 9}[model, len(direction)]
     assert count == per * _point_cells(model, n, direction)
     # 20 trials go in the fewest batches of at most per, their sizes within one
-    assert sorted(sizes) == ([1] * 20 if model == "fpp" else [6, 7, 7])
+    assert sorted(sizes) == {88: [20], 1: [1] * 20}.get(per, [6, 7, 7])
 
 
 # -- every bound of every kind, each from its closed form in README ---------------

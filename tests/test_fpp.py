@@ -366,8 +366,8 @@ def test_bucket_loop_one_pop_per_step_matches_heap(least, monkeypatch):
     # zero-weight edges also settle tied vertices out of index order
     real = LatticeBox.padded_weights
 
-    def with_light_edges(self, field):
-        w = real(self, field)
+    def with_light_edges(self, field, out=None):
+        w = real(self, field, out)
         interior = np.isfinite(w)
         w[interior & (np.arange(w.size).reshape(w.shape) % 5 == 0)] = least
         return w
@@ -448,26 +448,111 @@ def test_one_window_per_solve_and_geodesic(monkeypatch):
     assert geo.total_time == pmap.time_to((3, 2))
 
 
+# -- trials in lock step ------------------------------------------------------------
+
+
+def _batch_on(loop, monkeypatch, fields, *args, **kw):
+    """_solve_batch with the loop selection forced to one settle loop."""
+    with monkeypatch.context() as m:
+        m.setattr(fpp, "_use_buckets", lambda spec, box: loop == "bucket")
+        return fpp._solve_batch(fields, *args, **kw)
+
+
+@pytest.mark.parametrize("token", ["unif:0.5:1.5", "unif:0.25:1.75", "geom:0.4", "exp:1.0",
+                                   "unif:1e-20:1"])
+@pytest.mark.parametrize("d,radius,source,target", [
+    (1, 12, (-3,), (7,)),
+    (2, 7, (1, -2), (-3, 4)),
+    (3, 3, (0, 1, -1), (2, -2, 1)),
+])
+def test_batch_equals_per_trial_heap_solves(token, d, radius, source, target, monkeypatch):
+    # five trials in one solve, on either loop, under every stop the trials share
+    box = LatticeBox(d, radius)
+    fields = [make_field(parse_dist_token(token), seed, "edge", d) for seed in range(5)]
+    first = _solve_on("heap", monkeypatch, fields[0], source, box)
+    # a budget equal to a settled time, and one between two of them
+    mid = first.times[first.order[len(first.order) // 3]]
+    stops = [{}, {"target": target}, {"time_budget": mid},
+             {"time_budget": math.nextafter(mid, math.inf)}, {"max_settled": 23},
+             {"max_settled": 1}, {"max_settled": 0},
+             {"target": target, "time_budget": 2 * mid, "max_settled": len(first.order) // 2}]
+    for kw in stops:
+        alone = [_solve_on("heap", monkeypatch, f, source, box, **kw) for f in fields]
+        for loop in ("bucket", "heap"):
+            batch = _batch_on(loop, monkeypatch, fields, source, box, **kw)
+            assert len(batch) == len(alone)
+            for a, b in zip(batch, alone):
+                _same_map(a, b)
+
+
+@pytest.mark.parametrize("least", [0.0, 1e-300])
+def test_batch_one_pop_per_step_matches_heap(least, monkeypatch):
+    # light edges in the odd trials' windows make every step of the batch one pop
+    real = LatticeBox.padded_weights
+
+    def light_in_odd_seeds(self, field, out=None):
+        w = real(self, field, out)
+        if field.seed % 2:
+            interior = np.isfinite(w)
+            w[interior & (np.arange(w.size).reshape(w.shape) % 5 == 0)] = least
+        return w
+
+    monkeypatch.setattr(LatticeBox, "padded_weights", light_in_odd_seeds)
+    box = LatticeBox(2, 5)
+    for token in ("const:1", "twopoint:0.5"):
+        fields = [make_field(parse_dist_token(token), seed, "edge", 2) for seed in range(4)]
+        for kw in ({}, {"target": (2, -3)}, {"time_budget": 2.0}, {"max_settled": 30}):
+            alone = [_solve_on("heap", monkeypatch, f, (0, 1), box, **kw) for f in fields]
+            for a, b in zip(_batch_on("bucket", monkeypatch, fields, (0, 1), box, **kw), alone):
+                _same_map(a, b)
+
+
+def test_grown_batch_retries_only_its_hit_trials(monkeypatch):
+    # T(0, (1, 1)) <= 3 < 4, the least time to a face at radius 8, so no face
+    # vertex settles unless forced; trials 1, 3 and 4 are forced on radius 8
+    fields = [make_field(uniform(0.5, 1.5), seed, "edge", 2) for seed in range(5)]
+    expect = [fpp_dijkstra(f, ORIGIN, LatticeBox(2, 16 if f.seed in (1, 3, 4) else 8),
+                           target=(1, 1)) for f in fields]
+    calls = []
+    solve = fpp._solve_batch
+
+    def hit_some(fields, source, box, **stops):
+        calls.append((box.radius, [f.seed for f in fields]))
+        return [dataclasses.replace(pmap, boundary_hit=True)
+                if box.radius == 8 and f.seed in (1, 3, 4) else pmap
+                for f, pmap in zip(fields, solve(fields, source, box, **stops))]
+
+    monkeypatch.setattr(fpp, "_solve_batch", hit_some)
+    # a budget of two radius-16 boxes (33^2 vertices at 3 cells), seven radius-8 ones
+    monkeypatch.setattr(fpp, "_BATCH_CELLS", 2 * 3 * 33 ** 2)
+    maps = fpp._grown_solve(fields, 8, 32, target=(1, 1))
+    assert calls == [(8, [0, 1, 2, 3, 4]), (16, [1, 3]), (16, [4])]
+    for a, b in zip(maps, expect):
+        assert a.box == b.box
+        _same_map(a, b)
+
+
 # -- box growth on boundary hits -----------------------------------------------------------
 
 
 def _forced_hits(monkeypatch):
-    """Record the radius of every FPP solve, each reported as a boundary hit."""
+    """Record the radius of every FPP solve, each map reported as a boundary hit."""
     radii = []
-    solve = fpp.fpp_dijkstra
+    solve = fpp._solve_batch
 
-    def hit(field, source, box, **stops):
+    def hit(fields, source, box, **stops):
         radii.append(box.radius)
-        return dataclasses.replace(solve(field, source, box, **stops), boundary_hit=True)
+        return [dataclasses.replace(pmap, boundary_hit=True)
+                for pmap in solve(fields, source, box, **stops)]
 
-    monkeypatch.setattr(fpp, "fpp_dijkstra", hit)
+    monkeypatch.setattr(fpp, "_solve_batch", hit)
     return radii
 
 
 def test_trials_double_their_box_twice_on_boundary_hits(monkeypatch):
     radii = _forced_hits(monkeypatch)
     spec = uniform(0.5, 1.5)
-    *_, hit = estimators._fpp_target_solve(WeightField(spec, 3, "edge", 2), (3, 2),
+    *_, hit = estimators._fpp_target_solve([WeightField(spec, 3, "edge", 2)], (3, 2),
                                            want_geodesic=False)
     r = estimators._fpp_first_radius((3, 2))
     assert hit and radii == [r, 2 * r, 4 * r]
@@ -501,11 +586,11 @@ def test_grown_box_past_the_budget_is_refused(monkeypatch):
     monkeypatch.setattr(fpp, "MEMORY_BUDGET", _budget_for_radius(2 * r))
     with pytest.raises(ValueError, match=f"^an FPP box in dimension 2 needs {(8 * r + 1) ** 2} "
                                          f"vertices, more than {(4 * r + 1) ** 2}$"):
-        estimators._fpp_target_solve(field, (3, 2), want_geodesic=False)
+        estimators._fpp_target_solve([field], (3, 2), want_geodesic=False)
     assert radii == [r, 2 * r]
     radii.clear()
     monkeypatch.setattr(fpp, "MEMORY_BUDGET", _budget_for_radius(4 * r))
-    *_, hit = estimators._fpp_target_solve(field, (3, 2), want_geodesic=False)
+    *_, hit = estimators._fpp_target_solve([field], (3, 2), want_geodesic=False)
     assert hit and radii == [r, 2 * r, 4 * r]
 
 

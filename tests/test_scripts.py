@@ -1,7 +1,7 @@
 """The scripts under scripts/ import and configure against the current package.
 
-Both scripts guard their work behind ``__main__``, so importing one runs
-nothing; a rename in the package that breaks either fails here.
+Every script guards its work behind ``__main__``, so importing one runs
+nothing; a rename in the package that breaks one fails here.
 """
 
 import importlib.util
@@ -21,7 +21,7 @@ def _load(name):
     return module
 
 
-@pytest.mark.parametrize("name", ["pilot_acceptance", "shape_gallery"])
+@pytest.mark.parametrize("name", ["pilot_acceptance", "shape_gallery", "mutants"])
 def test_script_imports(name):
     _load(name)  # fails on any name the script imports that the package lacks
 
@@ -35,3 +35,11 @@ def test_shape_gallery_configs_validate():
             setattr(cfg, k, v)
         cfg.workers = 2  # as main() sets it
         cfg.validate()
+
+
+def test_every_mutant_row_matches_its_source():
+    # the mutation check runs outside Tier-1; a row whose text an edit has
+    # moved or removed fails here first
+    mutants = _load("mutants")
+    assert mutants.MUTANTS
+    assert mutants.stale_rows() == []
