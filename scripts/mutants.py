@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 
 
 FPP = "src/latticegrow/fpp.py"
+LPP = "src/latticegrow/lpp.py"
 
 MUTANTS = [
     Mutant("bucket takes t <= thr", FPP,
@@ -61,6 +62,24 @@ MUTANTS = [
     Mutant("tied times left in quick-sort order", FPP,
            "            if (bt[1:] == bt[:-1]).any():\n", "            if False:\n",
            ("tests/test_fpp.py",)),
+    Mutant("decision ties go to the later axis", LPP,
+           "                np.greater(x, best, out=flags[(k, *box)])\n",
+           "                np.greater_equal(x, best, out=flags[(k, *box)])\n",
+           ("tests/test_lpp.py",)),
+    Mutant("a block read one diagonal late", LPP,
+           "        ws = weights(k0, k1)\n", "        ws = weights(k0 - 1, k1 - 1)\n",
+           ("tests/test_lpp.py",)),
+    Mutant("a block's first diagonal not rehashed", LPP,
+           "        for lo in range(k0, k1, step):\n",
+           "        for lo in range(k0 + 1, k1, step):\n",
+           ("tests/test_lpp.py",)),
+    Mutant("backtrack steps along the wrong lead stride", LPP,
+           "        back[a] += b * math.prod(lead[j + 1 :])\n",
+           "        back[a] += b * math.prod(lead[:j])\n",
+           ("tests/test_lpp.py",)),
+    Mutant("the seeds of a batch reversed", LPP,
+           "_hash_words([f.seed for f in fields],", "_hash_words([f.seed for f in fields][::-1],",
+           ("tests/test_lpp.py",)),
 ]
 
 

@@ -17,19 +17,30 @@ the depth and the other (lead) axes index a layer: hyperplane k (coordinate
 sum k) is t[k, i + 1] = T(i, k - sum(i)), padded with -inf before index 0
 on every lead axis.  A cell's backward neighbors are the previous layer at
 i - e_j and at i, so a step is one maximum per extra neighbor and one add
-of the weights, read through one as_strided view ws[k, i] = w[i, k - sum(i)]
-with no gather.  A step covers the cells whose first lead coordinate lies
-on the rectangle; off it, cells below depth 0 stay -inf and only cells
-past the corner read those past the corner.  A trailing trial axis lets a
-step advance B tables; a batch holds about _BATCH_CELLS skewed cells.
+of the weights ws[k, i] = w(i, k - sum(i)), with no gather.  Step k covers
+the box of lead coordinates that layer k has on the rectangle,
+max(0, k - sum(c) + c_j) <= i_j <= min(c_j, k) on each lead axis j.  A
+cell outside the box keeps its value of two layers back (or -inf), which
+is -inf below depth 0; a cell on the rectangle reads only cells on it or
+below depth 0, so any finite weight serves off the rectangle.  A trailing
+trial axis lets a step advance B tables.
+
+The sweep reads its weights a block of _BLOCK_LAYERS layers at a time from
+one provider.  lpp_dp hands it slices of an as_strided skewed view of its
+weight window.  The estimators' corner sweeps (_batch_corners) never build
+a window: _SkewedWeights hashes the weights of all B trials straight into
+the skewed block, over the union of its layers' step boxes, in chunks
+small enough to stay in cache.  A weight is a pure function of
+(seed, vertex), so the bits are the window's.  A corner sweep's batch is
+sized by the bytes it holds (_trials_per_batch).
 
 The skewed layout has three outputs, each bit for bit:
 - lpp_dp keeps every layer and un-skews them into the full table;
 - the estimators keep two layers and read T(0, corner) off the last one;
   for wandering the sweep also stores one decision byte per cell, the
   original axis of its step back, the first axis winning ties (in d = 2 one
-  strict comparison), so walking the bytes back from the corner gives
-  lpp_geodesic's path;
+  strict comparison), so walking the bytes back from the corner, all B
+  paths in one numpy step a layer, gives lpp_geodesic's path;
 - in d = 2, the same layout with min over edge weights gives first-passage
   times for two-point weights in {1, 2} (_min_plus_2d), in uint16 with the
   sentinel _SAT = 2^15 - 1 for unreached cells.  Min and add commute with
@@ -47,14 +58,13 @@ The skewed layout has three outputs, each bit for bit:
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ._output import write_csv
-from .weights import WeightField
+from .weights import _NP_GOLD, _VERTEX_TAG, WeightField, _hash_words, _mix
 
 __all__ = [
     "LppTimeMap",
@@ -98,17 +108,35 @@ def _lattice_point_in(x, corner):
     return tuple(map(int, x)) if ok else None
 
 
-# element budget of one batch: float64 values in its skewed table, 8 MB, or
-# 1 MB of decision bytes where a sweep keeps two layers only; the batch's
-# weights take at most about half the table's size
+# element budget of one batch: 8 * _BATCH_CELLS bytes, as a corner sweep's
+# batch (_trials_per_batch) or a min-plus batch counts them
 _BATCH_CELLS = 1 << 20
+# layers of weights hashed at once into the skewed layout
+_BLOCK_LAYERS = 16
+# hash words mixed per numpy call: 256 KB, so each pass stays in cache
+_HASH_CHUNK = 1 << 15
+
+
+def _sweep_bytes(corner) -> int:
+    """Bytes one trial holds in a corner sweep: a decision byte per skewed cell,
+    two float layers, a block of _BLOCK_LAYERS weight layers, the hashed
+    prefix layer, hash and shift words counted at the block's size (they
+    are mixed in chunks of at most that), and the path: a move byte and d
+    float coordinates a layer.
+
+    Decision bytes are counted even where no geodesic is wanted, so one
+    rectangle gets one batch size, and a batch of B > 1 trials holds at
+    most 2^23 table cells (the CLI's limit is 2^24 at B = 1).
+    """
+    lead = sorted(corner)[:-1]  # every axis but a longest one
+    cells, layers = math.prod(c + 1 for c in lead), sum(corner) + 1
+    return (layers * (cells + 1 + 8 * len(corner)) + (8 + 24 * _BLOCK_LAYERS) * cells
+            + 16 * math.prod(c + 2 for c in lead))
 
 
 def _trials_per_batch(corner) -> int:
-    """How many trials on one rectangle fit the element budget, at least one."""
-    lead = sorted(corner)[:-1]  # every axis but a longest one
-    cells = (sum(corner) + 1) * math.prod(c + 2 for c in lead)  # skewed table
-    return max(1, _BATCH_CELLS // cells)
+    """How many trials of a corner sweep on one rectangle fit the budget, at least one."""
+    return max(1, 8 * _BATCH_CELLS // _sweep_bytes(corner))
 
 
 def _min_plus_bytes(size: int) -> int:
@@ -133,23 +161,23 @@ def _sweep_axes(shape) -> list:
     return [a for a in range(len(shape)) if a != p] + [p]
 
 
-def _sweep(w: np.ndarray, keep_all: bool, tie_order=None):
-    """Skewed hyperplane sweep (module docstring) of every trial at once; returns (t, dec).
+def _sweep(weights, shape, b: int, keep_all: bool, tie_order=None):
+    """Skewed hyperplane sweep (module docstring) of b trials at once; returns (t, dec).
 
-    w is a C-contiguous float64 grid in sweep order: lead axes, depth axis,
-    trial axis.  t[k % rows, i + 1] = T(i, k - sum(i)), with every layer
-    kept when keep_all, else two.  tie_order, None or the sweep axis of each
-    original axis in turn, fills dec[k, i] with the original axis of the
-    cell's step back, the first axis winning ties.
+    shape is the rectangle's size in sweep order: lead axes, then the depth.
+    weights(k0, k1) gives layers k0 to k1 - 1 of the skewed weights, an
+    array [k - k0, i, trial] holding the weight at (i, k - sum(i)); only the
+    step boxes are read, and any finite value serves off the rectangle.
+    t[k % rows, i + 1] = T(i, k - sum(i)), with every layer kept when
+    keep_all, else two.  tie_order, None or the sweep axis of each original
+    axis in turn, fills dec[k, i] with the original axis of the cell's step
+    back, the first axis winning ties.
     """
-    *lead, depth, b = w.shape
-    d, layers = len(lead) + 1, depth + sum(lead) - len(lead)
+    *lead, _ = shape
+    d, layers = len(shape), sum(shape) - len(shape) + 1
     rows = layers if keep_all else 2
     t = np.full((rows, *(n + 1 for n in lead), b), -math.inf)
     t[(0,) + (1,) * (d - 1)] = 0.0
-    # ws[k, i] = w[i, k - sum(i)], or some other weight off the rectangle
-    *s_lead, s, e = w.strides
-    ws = as_strided(w, (layers, *lead, b), (s, *(sj - s for sj in s_lead), e), writeable=False)
     dec = None if tie_order is None else np.zeros((layers, *lead, b), dtype=np.uint8)
     # the first comparison writes its 0 or 1 into the bytes through a bool view, uncast
     flags = None if dec is None else dec.view(bool)
@@ -159,37 +187,94 @@ def _sweep(w: np.ndarray, keep_all: bool, tie_order=None):
     shifts = [inner[:a] + (slice(0, -1),) * (a < d - 1) + inner[a + 1 :]
               for a in (range(d) if tie_order is None else tie_order)]
     here, nbs = t[(slice(None), *inner)], [t[(slice(None), *sh)] for sh in shifts]
-    # step k covers the cells of layer k whose first lead coordinate is on
-    # the rectangle: max(0, k - sum(c) + c_1) <= i_1 <= min(c_1, k)
-    boxes = [slice(None)] * layers
-    if d > 1:
-        k = np.arange(layers)
-        boxes = list(map(slice, np.maximum(k - layers + lead[0], 0).tolist(),
-                         np.minimum(k + 1, lead[0]).tolist()))
-    for k in range(1, layers):
-        box, back = boxes[k], (k - 1) % rows
-        cur, best = here[k % rows, box], nbs[0][back, box]
-        for r in range(1, d):
-            x = nbs[r][back, box]
-            if dec is not None and r == 1:
-                np.greater(x, best, out=flags[k, box])
-            elif dec is not None:
-                np.copyto(dec[k, box], r, where=x > best)
-            np.maximum(best, x, out=cur)
-            best = cur
-        np.add(best, ws[k, box], out=cur)
+    # step k's box: max(0, k - sum(c) + c_j) <= i_j <= min(c_j, k) on each lead axis
+    k = np.arange(layers)
+    boxes = list(zip(*(map(slice, np.maximum(k - layers + n, 0).tolist(),
+                           np.minimum(k + 1, n).tolist()) for n in lead))) or [()] * layers
+    for k0 in range(1, layers, _BLOCK_LAYERS):
+        k1 = min(k0 + _BLOCK_LAYERS, layers)
+        ws = weights(k0, k1)
+        for k in range(k0, k1):
+            box = boxes[k]
+            back = ((k - 1) % rows, *box)
+            cur, best = here[(k % rows, *box)], nbs[0][back]
+            for r in range(1, d):
+                x = nbs[r][back]
+                if dec is not None and r == 1:
+                    np.greater(x, best, out=flags[(k, *box)])
+                elif dec is not None:
+                    np.copyto(dec[(k, *box)], r, where=x > best)
+                np.maximum(best, x, out=cur)
+                best = cur
+            np.add(best, ws[(k - k0, *box)], out=cur)
     return t, dec
 
 
 def _tables(w: np.ndarray) -> np.ndarray:
     """Full tables of a weight grid with a trailing trial axis, in the shape of w."""
     perm = _sweep_axes(w.shape[:-1]) + [w.ndim - 1]
-    t, _ = _sweep(np.ascontiguousarray(w.transpose(perm), dtype=np.float64), True)
+    w = np.ascontiguousarray(w.transpose(perm), dtype=np.float64)
+    *shape, b = w.shape
+    layers = sum(shape) - len(shape) + 1
+    # ws[k, i] = w[i, k - sum(i)], or some other weight off the rectangle
+    *s_lead, s, e = w.strides
+    ws = as_strided(w, (layers, *shape[:-1], b), (s, *(sj - s for sj in s_lead), e),
+                    writeable=False)
+    t, _ = _sweep(lambda k0, k1: ws[k0:k1], shape, b, True)
     # un-skew: T(i, j) with depth index j lies at t[sum(i) + j, i + 1]
     r, *s_lead, e = t.strides
-    shape = tuple(w.shape[a] for a in perm)
-    u = as_strided(t[(0,) + (1,) * (w.ndim - 2)], shape, (*(r + sj for sj in s_lead), r, e))
+    u = as_strided(t[(0,) + (1,) * (len(shape) - 1)], w.shape, (*(r + sj for sj in s_lead), r, e))
     return np.ascontiguousarray(u.transpose(np.argsort(perm)))
+
+
+class _SkewedWeights:
+    """Vertex weights of B fields of one law in the skewed layout, a block of layers at once.
+
+    block(k0, k1)[k - k0, i, trial] is the weight of the vertex with lead
+    coordinates i and depth k - sum(i), as _sweep reads it.  Weights are pure
+    functions of (seed, vertex), so the bits are vertex_window's.  The words
+    fold in the original axis order: the seeds (a trial axis), the tag and
+    the lead words before the depth are hashed once per batch on the whole
+    layer, and each block mixes the depth word and any lead word after it.
+    A block hashes the union of its layers' step boxes, the only cells the
+    sweep reads.
+    """
+
+    def __init__(self, fields, perm, shape):
+        *lead, _ = shape
+        d, b, p = len(shape), len(fields), perm[-1]
+        self.draw = fields[0]._draw
+        self.reach = [sum(shape) - d + 1 - n for n in lead]  # sum(c) - c_j
+        # lead word j on its own axis, trailing axis for the trials
+        words = [np.arange(n, dtype=np.int64).reshape((1,) * j + (n,) + (1,) * (d - 1 - j))
+                 for j, n in enumerate(lead)]
+        self.prefix = np.broadcast_to(
+            _hash_words([f.seed for f in fields], [_VERTEX_TAG, *words[:p]]), (*lead, b))
+        self.after = [np.broadcast_to(w.view(np.uint64) + _NP_GOLD, (*lead, 1)) for w in words[p:]]
+        # the depth word is k - sum(i), folded as (gold - sum(i)) + k mod 2^64
+        self.neg_sum = np.negative(sum(words, np.zeros((1,) * d, np.int64))).view(np.uint64)
+        self.neg_sum += _NP_GOLD
+        self.blocks = np.empty((_BLOCK_LAYERS, *lead, b))
+        layer = math.prod(lead) * b
+        self.h = np.empty(min(_BLOCK_LAYERS * layer, max(_HASH_CHUNK, layer)), np.uint64)
+
+    def block(self, k0: int, k1: int) -> np.ndarray:
+        # the union of the steps' boxes, [k - (sum(c) - c_j), k] on lead axis j, clipped
+        box = tuple(slice(max(0, k0 - r), min(n, k1)) for r, n in
+                    zip(self.reach, self.blocks.shape[1:-1]))
+        out = self.blocks[: k1 - k0]
+        prefix, neg_sum = self.prefix[box], self.neg_sum[box]
+        step = max(1, _HASH_CHUNK // prefix.size)
+        for lo in range(k0, k1, step):
+            hi = min(lo + step, k1)
+            ks = np.arange(lo, hi, dtype=np.uint64).reshape((-1,) + (1,) * prefix.ndim)
+            shape = (hi - lo, *prefix.shape)
+            h = self.h[: math.prod(shape)].reshape(shape)
+            _mix(np.bitwise_xor(prefix, ks + neg_sum, out=h))
+            for w in self.after:
+                _mix(np.bitwise_xor(h, w[box], out=h))
+            self.draw(h, out[(slice(lo - k0, hi - k0), *box)])
+        return out
 
 
 # the min-plus sweep's uint16 sentinel for "not reached", and the weight of
@@ -260,35 +345,37 @@ def _min_plus_2d(w: np.ndarray, source: int = 0, rounds: int = 0) -> np.ndarray:
 def _batch_corners(fields, corner, geodesics: bool):
     """T(0, corner) of several vertex fields, shape (B,), and optionally their geodesics.
 
-    Each geodesic is lpp_geodesic's, as a (sum(corner) + 1, d) float array, origin first.
+    The weights are hashed straight into the skewed layout (_SkewedWeights),
+    and the paths walk back through the decision bytes together, one numpy
+    step a layer.  Each geodesic is lpp_geodesic's, as a (sum(corner) + 1, d)
+    float array, origin first.
     """
     d, b = len(corner), len(fields)
     perm = _sweep_axes(corner)
-    w = np.empty((*(corner[a] + 1 for a in perm), b))
-    for j, f in enumerate(fields):
-        w[..., j] = f.vertex_window((0,) * d, tuple(c + 1 for c in corner)).transpose(perm)
-    t, dec = _sweep(w, False, [perm.index(a) for a in range(d)] if geodesics else None)
+    shape = tuple(corner[a] + 1 for a in perm)
+    t, dec = _sweep(_SkewedWeights(fields, perm, shape).block, shape, b, False,
+                    [perm.index(a) for a in range(d)] if geodesics else None)
     layers = sum(corner) + 1
     # a copy: a view would keep the whole two-layer table alive with the times
     times = t[((layers - 1) % 2,) + (-1,) * (d - 1)].copy()
     if not geodesics:
         return times, None
-    # a step back along original axis a moves the flat index within a layer
-    # by that lead axis's stride, or not at all along the depth
-    lead, size, step = w.shape[:-2], math.prod(w.shape[:-2]), [0] * d
+    # a step back along original axis a moves a path's byte in dec back a
+    # layer (size * b bytes), and along a lead axis back by b times its stride
+    lead, size = shape[:-1], math.prod(shape[:-1])
+    back = np.full(d, size * b, dtype=np.int64)
     for j, a in enumerate(perm[:-1]):
-        step[a] = math.prod(lead[j + 1 :])
-    flat = array("q", bytes(8 * b * layers))  # each path's flat lead index by layer
-    rows = memoryview(flat)
-    for j in range(b):
-        buf, row, i = dec[..., j].tobytes(), rows[j * layers : (j + 1) * layers], size - 1
-        for k in range(layers - 1, 0, -1):
-            row[k] = i
-            i -= step[buf[k * size + i]]
-    flat = np.frombuffer(flat, dtype=np.int64).reshape(b, layers)
-    coords = np.unravel_index(flat, lead) if d > 1 else ()
+        back[a] += b * math.prod(lead[j + 1 :])
+    dec = dec.reshape(-1)
+    moves = np.full((b, layers), d, dtype=np.uint8)  # each path's axis into layer k
+    i = dec.size - b + np.arange(b)  # each path's byte, from the corner
+    for k in range(layers - 1, 0, -1):
+        i -= back[dec.take(i, out=moves[:, k])]
+    # a path's coordinate a at layer k counts its steps along a up to k
     pts = np.empty((b, layers, d))
-    pts[..., perm] = np.stack([*coords, np.arange(layers) - sum(coords)], axis=-1)
+    for a in range(d):
+        np.equal(moves, a, out=pts[..., a])
+        np.add.accumulate(pts[..., a], axis=1, out=pts[..., a])
     return times, list(pts)
 
 

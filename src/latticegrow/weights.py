@@ -71,13 +71,18 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _hash_words(seed: int, words) -> np.ndarray:
+def _hash_words(seed, words) -> np.ndarray:
     """Fold the seed and integer words (ints or int arrays, broadcast together).
 
     Each word is mixed at the broadcast shape of the words so far, so scalar
     prefixes stay scalars and only the last word mixes at the full shape.
+    seed may be a sequence of ints, one per trial: its axis broadcasts
+    against the words' last axis.
     """
-    h = _mix(np.array((int(seed) & _MASK) ^ _GOLD, dtype=np.uint64))
+    h = np.array(int(seed) & _MASK if np.isscalar(seed) else [int(s) & _MASK for s in seed],
+                 dtype=np.uint64)
+    h ^= _NP_GOLD
+    h = _mix(h)
     for w in words:
         h = _mix(np.asarray(h ^ (np.asarray(w, dtype=np.int64).view(np.uint64) + _NP_GOLD)))
     return h

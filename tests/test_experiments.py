@@ -504,11 +504,13 @@ def test_footprint_counts_the_trials_of_one_sample_task(monkeypatch, model, dire
     cfg = _cfg(kind="radial-g", model=model, dist="unif:0.5:1.5", dim=len(direction),
                direction=",".join(map(str, direction)), n_grid=str(n), trials=20)
     [(_field, count, _limit, _unit)] = _sample_footprint(cfg, spec)
-    # an FPP batch holds 2^20 cells at d + 1 a vertex: 88 boxes of 63^2, or one of 53^3
-    per = {("fpp", 2): 88, ("fpp", 3): 1, ("lpp", 2): 7, ("lpp", 3): 9}[model, len(direction)]
+    # an FPP batch holds 2^20 cells at d + 1 a vertex: 88 boxes of 63^2, or
+    # one of 53^3; an LPP batch holds 8 MB of sweep bytes: 34 trials on a
+    # 256^2 corner, 15 on 32^3
+    per = {("fpp", 2): 88, ("fpp", 3): 1, ("lpp", 2): 34, ("lpp", 3): 15}[model, len(direction)]
     assert count == per * _point_cells(model, n, direction)
     # 20 trials go in the fewest batches of at most per, their sizes within one
-    assert sorted(sizes) == {88: [20], 1: [1] * 20}.get(per, [6, 7, 7])
+    assert sorted(sizes) == {88: [20], 34: [20], 1: [1] * 20, 15: [10, 10]}[per]
 
 
 # -- every bound of every kind, each from its closed form in README ---------------

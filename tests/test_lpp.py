@@ -1,6 +1,8 @@
 import math
+from array import array
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +22,8 @@ from latticegrow import (
     two_point,
     uniform,
 )
-from latticegrow.lpp import _batch_corners, _tables
+from latticegrow import lpp
+from latticegrow.lpp import _batch_corners, _sweep_axes, _sweep_bytes, _tables, _trials_per_batch
 
 LAWS = [exponential(1.0), geometric(0.3), uniform(0.5, 1.5), two_point(0.5), constant(1.0)]
 
@@ -118,6 +121,183 @@ def _ref_dp_general(w):
                     best = prev
         t[idx] = w[idx] + best
     return t
+
+
+# -- test-only reference: the sweep over a rectangular weight window ----------------
+# Each trial's window is hashed whole, read through a strided skewed view,
+# and its path walked back in Python, one trial at a time.
+
+def _ref_window_sweep(w, keep_all, tie_order=None):
+    *lead, depth, b = w.shape
+    d, layers = len(lead) + 1, depth + sum(lead) - len(lead)
+    rows = layers if keep_all else 2
+    t = np.full((rows, *(n + 1 for n in lead), b), -math.inf)
+    t[(0,) + (1,) * (d - 1)] = 0.0
+    *s_lead, s, e = w.strides
+    ws = as_strided(w, (layers, *lead, b), (s, *(sj - s for sj in s_lead), e), writeable=False)
+    dec = None if tie_order is None else np.zeros((layers, *lead, b), dtype=np.uint8)
+    flags = None if dec is None else dec.view(bool)
+    inner = (slice(1, None),) * (d - 1)
+    shifts = [inner[:a] + (slice(0, -1),) * (a < d - 1) + inner[a + 1 :]
+              for a in (range(d) if tie_order is None else tie_order)]
+    here, nbs = t[(slice(None), *inner)], [t[(slice(None), *sh)] for sh in shifts]
+    boxes = [slice(None)] * layers
+    if d > 1:
+        k = np.arange(layers)
+        boxes = list(map(slice, np.maximum(k - layers + lead[0], 0).tolist(),
+                         np.minimum(k + 1, lead[0]).tolist()))
+    for k in range(1, layers):
+        box, back = boxes[k], (k - 1) % rows
+        cur, best = here[k % rows, box], nbs[0][back, box]
+        for r in range(1, d):
+            x = nbs[r][back, box]
+            if dec is not None and r == 1:
+                np.greater(x, best, out=flags[k, box])
+            elif dec is not None:
+                np.copyto(dec[k, box], r, where=x > best)
+            np.maximum(best, x, out=cur)
+            best = cur
+        np.add(best, ws[k, box], out=cur)
+    return t, dec
+
+
+def _ref_window_tables(w):
+    perm = _sweep_axes(w.shape[:-1]) + [w.ndim - 1]
+    t, _ = _ref_window_sweep(np.ascontiguousarray(w.transpose(perm), dtype=np.float64), True)
+    r, *s_lead, e = t.strides
+    shape = tuple(w.shape[a] for a in perm)
+    u = as_strided(t[(0,) + (1,) * (w.ndim - 2)], shape, (*(r + sj for sj in s_lead), r, e))
+    return np.ascontiguousarray(u.transpose(np.argsort(perm)))
+
+
+def _ref_window_corners(fields, corner, geodesics):
+    d, b = len(corner), len(fields)
+    perm = _sweep_axes(corner)
+    w = np.empty((*(corner[a] + 1 for a in perm), b))
+    for j, f in enumerate(fields):
+        w[..., j] = f.vertex_window((0,) * d, tuple(c + 1 for c in corner)).transpose(perm)
+    t, dec = _ref_window_sweep(w, False, [perm.index(a) for a in range(d)] if geodesics else None)
+    layers = sum(corner) + 1
+    times = t[((layers - 1) % 2,) + (-1,) * (d - 1)].copy()
+    if not geodesics:
+        return times, None
+    lead, size, step = w.shape[:-2], math.prod(w.shape[:-2]), [0] * d
+    for j, a in enumerate(perm[:-1]):
+        step[a] = math.prod(lead[j + 1 :])
+    flat = array("q", bytes(8 * b * layers))
+    rows = memoryview(flat)
+    for j in range(b):
+        buf, row, i = dec[..., j].tobytes(), rows[j * layers : (j + 1) * layers], size - 1
+        for k in range(layers - 1, 0, -1):
+            row[k] = i
+            i -= step[buf[k * size + i]]
+    flat = np.frombuffer(flat, dtype=np.int64).reshape(b, layers)
+    coords = np.unravel_index(flat, lead) if d > 1 else ()
+    pts = np.empty((b, layers, d))
+    pts[..., perm] = np.stack([*coords, np.arange(layers) - sum(coords)], axis=-1)
+    return times, list(pts)
+
+
+# square, tall (first axis longest), flat (last axis longest) and degenerate
+# rectangles in d = 1-4; no step count sum(corner) but 0 is a multiple of 16,
+# so every default last block ends inside its rectangle
+REF_CORNERS = {"1d": (9,), "1d-0": (0,), "square": (9, 9), "tall": (21, 6), "flat": (6, 21),
+               "row": (0, 12), "column": (12, 0), "0x0": (0, 0), "cube": (5, 5, 5),
+               "3d-tall": (11, 4, 3), "3d-middle": (3, 11, 4), "3d-flat": (4, 3, 11),
+               "3d-0": (4, 0, 6), "4d": (3, 2, 4, 3), "4d-0": (2, 0, 3, 2)}
+# (layers a block, hash words a chunk): the defaults, then blocks and chunks
+# whose boundaries fall inside the rectangle
+BLOCKINGS = [None, (5, 40), (1, 1)]
+
+
+def _blocking(monkeypatch, blocking):
+    if blocking is not None:
+        monkeypatch.setattr(lpp, "_BLOCK_LAYERS", blocking[0])
+        monkeypatch.setattr(lpp, "_HASH_CHUNK", blocking[1])
+
+
+def _same_corners(fields, corner):
+    for geodesics in (True, False):
+        times, paths = _batch_corners(fields, corner, geodesics)
+        ref_times, ref_paths = _ref_window_corners(fields, corner, geodesics)
+        assert times.tobytes() == ref_times.tobytes()
+        if geodesics:
+            assert len(paths) == len(ref_paths)
+            for p, q in zip(paths, ref_paths):
+                assert p.shape == q.shape and p.tobytes() == q.tobytes()
+        else:
+            assert paths is None
+
+
+@pytest.mark.parametrize("spec", LAWS, ids=lambda s: s.token())
+@pytest.mark.parametrize("corner", REF_CORNERS.values(), ids=REF_CORNERS.keys())
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("blocking", BLOCKINGS, ids=["default", "5-40", "1-1"])
+def test_corner_sweep_matches_window_reference(monkeypatch, spec, corner, batch, blocking):
+    # times and decision-byte paths hashed in sweep order equal the window
+    # sweep's and the per-trial Python backtrack's, ties (geom, twopoint,
+    # const) included
+    _blocking(monkeypatch, blocking)
+    _same_corners([make_field(spec, 80 + j, "vertex", len(corner)) for j in range(batch)], corner)
+
+
+@pytest.mark.parametrize("spec", LAWS, ids=lambda s: s.token())
+@pytest.mark.parametrize("corner", [(2000,), (40, 100), (100, 40), (10, 20, 30), (6, 8, 10, 12)],
+                         ids=["1d", "flat", "tall", "3d", "4d"])
+def test_corner_sweep_matches_window_reference_at_budget_batch(spec, corner):
+    b = _trials_per_batch(corner)
+    assert 1 < b < 500
+    _same_corners([make_field(spec, 90 + j, "vertex", len(corner)) for j in range(b)], corner)
+
+
+@pytest.mark.parametrize("spec", LAWS, ids=lambda s: s.token())
+@pytest.mark.parametrize("corner", REF_CORNERS.values(), ids=REF_CORNERS.keys())
+@pytest.mark.parametrize("blocking", BLOCKINGS, ids=["default", "5-40", "1-1"])
+def test_tables_match_window_reference(monkeypatch, spec, corner, blocking):
+    # lpp_dp, shifted or not, and _tables on any array (a batch of arbitrary
+    # floats, negative ones included) read the skewed view a block at a time
+    _blocking(monkeypatch, blocking)
+    d = len(corner)
+    f = make_field(spec, 7, "vertex", d)
+    size = tuple(c + 1 for c in corner)
+    for origin in [(0,) * d, (3, -2, 5, 1)[:d]]:
+        ref = _ref_window_tables(f.vertex_window(origin, size)[..., None])[..., 0]
+        assert lpp_dp(f, corner, origin=origin).table.tobytes() == ref.tobytes()
+    w = np.random.default_rng(sum(corner)).normal(size=(*size, 7))
+    assert _tables(w).tobytes() == _ref_window_tables(w).tobytes()
+
+
+def test_sweep_bytes_fit_the_budget_up_to_the_cli_limit():
+    # a batch holds at most 8 * _BATCH_CELLS bytes by the sweep's own count,
+    # or is one trial; at the CLI's largest table, 2^24 cells, it is one
+    budget = 8 * lpp._BATCH_CELLS
+    corners = [(n, n) for n in (1, 32, 256, 1024, 2047, 4095)] + [(2 * n, n) for n in (64, 2047)]
+    corners += [(n,) * 3 for n in (8, 32, 64, 255)] + [(n,) * 4 for n in (4, 16, 63)]
+    corners += [(n,) for n in (1, 100, 1 << 24)] + [(0, 4095), (4095, 0, 0)]
+    for corner in corners:
+        b = _trials_per_batch(corner)
+        assert b * _sweep_bytes(corner) <= budget or b == 1
+        if b > 1:  # so a batch never moves the CLI's 2^24-cell limit
+            assert b * math.prod(c + 1 for c in corner) <= budget
+    assert _trials_per_batch((4095, 4095)) == _trials_per_batch((255, 255, 255)) == 1
+
+
+@pytest.mark.parametrize("corner", [(256, 256), (300, 128), (32, 32, 32), (6, 4, 3, 5), (2000,),
+                                    (0, 50)])
+def test_corner_sweep_allocates_within_its_count(corner):
+    # numpy reports its buffers to tracemalloc: a budget batch's sweep and
+    # backtrack, outputs included, peak within _sweep_bytes' count
+    import tracemalloc
+
+    b = _trials_per_batch(corner)
+    fields = [make_field(exponential(1.0), j, "vertex", len(corner)) for j in range(b)]
+    tracemalloc.start()
+    try:
+        _batch_corners(fields, corner, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= b * _sweep_bytes(corner) <= 8 * lpp._BATCH_CELLS
 
 
 @pytest.mark.parametrize("spec", LAWS, ids=lambda s: s.token())
