@@ -42,16 +42,28 @@ LPP = "src/latticegrow/lpp.py"
 
 MUTANTS = [
     Mutant("bucket takes t <= thr", FPP,
-           "            take = tf < thr\n", "            take = tf <= thr\n",
+           "        if thr > t_min:\n            take = tf < thr\n",
+           "        if thr > t_min:\n            take = tf <= thr\n",
            ("tests/test_fpp.py",)),
-    Mutant("bucket omega doubled", FPP,
-           "    omega = float(weights.min())\n", "    omega = 2 * float(weights.min())\n",
+    Mutant("the inner rounds cut to one", FPP,
+           "            if not (nt < thr).any():\n", "            if True:\n",
+           ("tests/test_fpp.py",)),
+    Mutant("a bucket vertex whose time drops again is not relaxed again", FPP,
+           "            slot[bucket] = -1\n            parts.append(bucket)\n",
+           "            slot[bucket] = size\n            parts.append(bucket)\n",
+           ("tests/test_fpp.py",)),
+    Mutant("a vertex relaxed in two rounds settled twice", FPP,
+           "            bucket = bucket[slot[bucket] == at]\n", "            bucket = bucket[at >= 0]\n",
+           ("tests/test_fpp.py",)),
+    Mutant("the tie check disabled", FPP,
+           "            if 2 * omega <= math.ulp(thr):\n", "            if False:\n",
+           ("tests/test_fpp.py",)),
+    Mutant("the tie check reads the first trial's least weight", FPP,
+           "            if 2 * omega <= math.ulp(thr):\n",
+           "            if 2 * float(weights[:, 0].min()) <= math.ulp(thr):\n",
            ("tests/test_fpp.py",)),
     Mutant("target cut one vertex early", FPP,
            "    k[bi[hit]] = pos[hit] + 1\n", "    k[bi[hit]] = pos[hit]\n",
-           ("tests/test_fpp.py",)),
-    Mutant("first trial's omega shared by every trial", FPP,
-           "    omega = float(weights.min())\n", "    omega = float(weights[:, 0].min())\n",
            ("tests/test_fpp.py",)),
     Mutant("a trial's stop ends every trial", FPP,
            "            front = front[~stop[front // size]]\n", "            front = front[:0]\n",

@@ -9,21 +9,19 @@ exactness (flag off means enlarging the box cannot change anything; the
 estimators and the infection order double the box until it is, in
 ``_grown_solve``) or to propagate a warning.
 
-Two settle loops give bit-identical maps.  The heap loop pops one vertex at
-a time.  The bucket loop (Dial's bucket queue in the bulk-synchronous form
-of Meyer and Sanders' Delta-stepping) settles every unsettled vertex below
-t_min + omega in one numpy step, omega being the window's least weight:
-float addition rounds monotonically, so no relaxation from an unsettled
-vertex can produce a key below fl(t_min + omega), and those vertices are the
-heap's next pops.  The bucket loop is chosen from the law and the box
-(``_use_buckets``), where it was measured to win; exponential and
-zero-weight laws, d = 1 and small boxes keep the heap.
+One settle loop, Meyer and Sanders' Delta-stepping in its bulk-synchronous
+form, settles the box bucket by bucket with numpy steps and reproduces a
+binary heap's times, settling order, horizon and flag bit for bit
+(``_bucket_settle``).  A bucket is every unsettled vertex below t_min +
+Delta, Delta = max(omega, mean / 2) for the window's least weight omega and
+the law's mean; its vertices are relaxed until no time drops below that
+threshold, which leaves them final whatever Delta is, and it settles in
+the heap's order, (time, flat index) unless zero-sum ties chain inside it.
 
 Trials run in lock step.  ``_solve_batch`` solves B fields from one source
 on one box: their padded windows lie end to end on one flat axis, and each
-bucket step settles the vertices below one threshold in every trial, each
-trial cut by its own stops, so the step's numpy overhead is paid once for B
-trials.  The heap loop solves a batch's trials one after another.
+bucket holds the vertices below one threshold in every trial, each trial
+cut by its own stops, so a step's numpy overhead is paid once for B trials.
 ``fpp_dijkstra`` is the one-field batch, and ``_grown_solve`` sizes batches
 by ``_trials_per_solve`` and re-solves only the trials whose boundary flag
 is set on the next box.
@@ -172,16 +170,6 @@ class PassageTimeMap:
                   [*self._coords(self.flat).T, self.settled_times])
 
 
-# a bucket step costs about twenty heap pops, so the bucket loop pays once a
-# bucket holds enough vertices; a bucket is a slice of a front about
-# (2 radius + 1)^(d - 1) vertices wide, and the crossovers of forced solves
-# of six laws (BENCH_fpp_buckets.json, "selection") sit near one value of
-# sqrt(support_min / mean) (2 radius + 1)^(d - 1) per dimension (51-97 in
-# d = 2, 827-1025 in d = 3), whose median is listed here; d = 1 lost at
-# every box size and d >= 4 was not measured, so both keep the heap
-_BUCKET_FRONT = {2: 70, 3: 1000}
-
-
 def _check_fpp_law(spec) -> None:
     """Reject a law FPP estimation cannot use.
 
@@ -193,15 +181,6 @@ def _check_fpp_law(spec) -> None:
             f"FPP estimation needs a continuous distribution or one with "
             f"strictly positive support, got {spec.token()}"
         )
-
-
-def _use_buckets(spec, box: LatticeBox) -> bool:
-    """Whether a solve of this law on this box takes the bucket loop."""
-    least = spec.support_min()
-    front = _BUCKET_FRONT.get(box.dimension, math.inf)
-    return least > 0 and (
-        math.sqrt(least / spec.mean()) * (2 * box.radius + 1) ** (box.dimension - 1) >= front
-    )
 
 
 def fpp_dijkstra(
@@ -217,7 +196,8 @@ def fpp_dijkstra(
 
     Stop criteria (any combination): settle everything with T <= time_budget,
     stop once target settles, or stop after max_settled vertices.  With no
-    criterion the whole box is settled.
+    criterion the whole box is settled.  A time_budget that is not >= 0
+    (NaN included) and a max_settled below 1 raise ValueError.
 
     The weights of every edge in the box are hashed up front into one window
     (``LatticeBox.padded_weights``), so cost and memory grow with the box
@@ -225,13 +205,9 @@ def fpp_dijkstra(
     numbered row-major on the padded box, which orders them like their
     coordinate tuples, so ties break lexicographically.
 
-    Two settle loops give the same times, order, horizon and flag: a binary
-    heap that settles one vertex per pop, and a bucket loop that settles
-    every vertex below t_min + omega in one numpy step (see ``_bucket_settle``).
-    The bucket loop runs when ``_use_buckets`` holds for the field's law and
-    the box: a least weight bounded away from 0 and, in d = 2 or 3, a box wide
-    enough that a bucket holds many vertices.  Exponential and zero-weight
-    laws, d = 1 and small boxes keep the heap.
+    One bucket loop settles the box (``_bucket_settle``) and gives the
+    times, order, horizon and flag a binary heap popping one vertex at a
+    time in (time, flat index) order would give.
 
     This is ``_solve_batch`` on the one field, so a trial solved alone and
     the same trial solved in a batch get the same bits.
@@ -245,8 +221,8 @@ def _solve_batch(fields, source, box: LatticeBox, *, time_budget=None, target=No
     """fpp_dijkstra of every field from one source on one box, with the same stops.
 
     Each field's window is hashed into its slot of one (d, B, *padded shape)
-    array, which is each map's window.  The bucket loop settles the B trials
-    in lock step; the heap loop solves them one after another.
+    array, which is each map's window, and the bucket loop settles the B
+    trials in lock step, its bucket width set by the first field's law.
     """
     for field in fields:
         if field.attachment != "edge":
@@ -260,8 +236,10 @@ def _solve_batch(fields, source, box: LatticeBox, *, time_budget=None, target=No
         target = tuple(int(c) for c in target)
         if not box.contains(target):
             raise ValueError(f"target {target} lies outside the box")
-    if time_budget is not None and time_budget < 0:
-        raise ValueError(f"time budget must be nonnegative, got {time_budget}")
+    if time_budget is not None and not time_budget >= 0:
+        raise ValueError(f"time_budget must be nonnegative, got {time_budget}")
+    if max_settled is not None and max_settled < 1:
+        raise ValueError(f"max_settled must be at least 1, got {max_settled}")
 
     d = box.dimension
     shape = box.padded_shape()
@@ -274,10 +252,7 @@ def _solve_batch(fields, source, box: LatticeBox, *, time_budget=None, target=No
     cap = max_settled if max_settled is not None else math.inf
     budget = float(time_budget) if time_budget is not None else math.inf
     flat = weights.reshape(d, len(fields), -1)
-    if _use_buckets(fields[0].spec, box):
-        runs = _bucket_settle(flat, strides, src, tgt, budget, cap)
-    else:
-        runs = [_heap_settle(w, strides, src, tgt, budget, cap) for w in flat.swapaxes(0, 1)]
+    runs = _bucket_settle(flat, strides, src, tgt, budget, cap, fields[0].spec.mean() / 2)
 
     maps = []
     for window, (order, times) in zip(weights.swapaxes(0, 1), runs):
@@ -329,74 +304,42 @@ def _grown_solve(fields, radius: int, cap: int, **stops) -> list:
     return maps
 
 
-def _heap_settle(weights, strides, src, tgt, budget, cap):
-    """Settle one vertex per heap pop, in (time, flat index) order.
+def _bucket_settle(weights, strides, src, tgt, budget, cap, delta):
+    """Settle every trial a bucket per step, each in a binary heap's order.
 
-    weights[j] holds the weight of the edge from each flat index along +e_j.
-    Returns the settled flat indices and times, in settling order.
-    """
-    # per axis: the flat offset of +e_j and the weights of edges leaving forward
-    relax = [(s, memoryview(w)) for s, w in zip(strides, weights)]
-    best = [math.inf] * weights.shape[1]
-    best[src] = 0.0
-    heap = [(0.0, src)]
-    order: list = []
-    times: list = []
-
-    while heap:
-        t, u = heapq.heappop(heap)
-        if t > best[u]:
-            continue  # stale entry; settled vertices keep their final best
-        if t > budget:
-            break
-        order.append(u)
-        times.append(t)
-        if u == tgt or len(order) >= cap:
-            break
-        # settled neighbours fail nt < best[v] since weights are nonnegative,
-        # and edges out of the box weigh inf
-        for s, w in relax:
-            v = u + s
-            nt = t + w[u]
-            if nt < best[v]:
-                best[v] = nt
-                heapq.heappush(heap, (nt, v))
-            v = u - s
-            nt = t + w[v]
-            if nt < best[v]:
-                best[v] = nt
-                heapq.heappush(heap, (nt, v))
-
-    return np.array(order, dtype=np.int64), np.array(times)
-
-
-def _bucket_settle(weights, strides, src, tgt, budget, cap):
-    """Settle a whole bucket of every trial per numpy step, each in the heap's order.
-
-    weights[j, i] holds trial i's weights as _heap_settle's weights[j]; src,
-    tgt and the stops are every trial's.  Returns one (settled flat indices,
-    times) pair per trial, in settling order, as _heap_settle would.
+    weights[j, i] holds trial i's weight of the edge from each flat index
+    along +e_j; src, tgt and the stops are every trial's, and delta is half
+    the law's mean.  Returns one (settled flat indices, times) pair per
+    trial, in the order a heap popping (time, flat index) pairs would settle
+    them.
 
     The trials' windows lie end to end on one flat axis, trial i's vertex v
     at i size + v.  A settled vertex lies inside its box, so its neighbours
     lie in its own padded window and no relaxation leaves its trial.  Let
-    omega be the least weight of all the windows and t_min the least
-    tentative time of all the unsettled vertices.  In any trial, a
-    relaxation from an unsettled u gives fl(t(u) + w) >= fl(t_min + omega) =
-    thr, since float addition rounds monotonically, so every unsettled
-    vertex with t < thr is final and its trial's heap would pop exactly those
-    next, in (t, flat index) order, with no push in between sorting before
-    them.  A trial's own thr would be at least as high, but the shared one
-    needs no per-trial pass over the frontier, and the trials' fronts advance
-    together.  One step takes them in every trial, sorts the bucket by (t,
-    index), cuts a trial only where its own stop falls in the bucket
-    (``_cut``), and relaxes all 2d directions at once.  When thr == t_min
-    (omega is 0 or below t_min's ulp) a step takes only the (t, index)-least
-    vertex, which is one pop of its trial's heap.  The frontier is an index
-    array with a membership array; a trial that stops leaves it.
+    omega be the least weight of all the windows, Delta = max(omega, delta),
+    t_min the least tentative time of all the unsettled vertices and thr =
+    fl(t_min + Delta).  A step takes every unsettled vertex below thr and
+    relaxes all 2d directions at once (``np.minimum.at`` keeps the least time
+    a vertex gets); a vertex whose time drops below thr joins the bucket and
+    is relaxed again, until a round improves nothing below thr.  Float
+    addition rounds monotonically and weights are nonnegative, so a shortest
+    path to a vertex below thr runs through vertices below thr only, so the
+    bucket's times are then final, and its vertices are exactly those a heap
+    pops before any time >= thr.  With Delta = omega no relaxation from the
+    bucket lands below thr, so one round suffices.  When thr == t_min
+    (Delta is 0 or below t_min's ulp) a step takes only the (t, index)-least
+    vertex, which is one heap pop.
+
+    A heap pops v only after a tight predecessor u, fl(t_u + w) == t_v, so
+    (t, index) order is its order unless some relaxation gives fl(t_u + w)
+    == t_u, which needs 2 omega <= ulp(thr); such a bucket takes the heap's
+    rule (``_heap_order``).  The bucket is then cut in each trial where its
+    own stop falls (``_cut``), and a trial that stops leaves the frontier,
+    an index array with a membership array.
     """
     d, trials, size = weights.shape
     omega = float(weights.min())
+    delta = max(omega, delta)
     flat_w = weights.reshape(-1)
     # per direction +e_1, -e_1, +e_2, ...: the neighbour's flat offset, and the
     # offset in flat_w of the edge's weight (its lower endpoint's, on axis j)
@@ -407,7 +350,7 @@ def _bucket_settle(weights, strides, src, tgt, budget, cap):
     front = base + src
     best[front] = 0.0
     # -1 off the frontier; on it, a vertex's index among the vertices that
-    # joined it in the same step, which keeps one copy of a vertex reached twice
+    # joined it in the same round, which keeps one copy of a vertex reached twice
     slot = np.full(trials * size, -1, dtype=np.int32)
     slot[front] = 0
     is_tgt = np.zeros(trials * size, dtype=bool)
@@ -423,14 +366,38 @@ def _bucket_settle(weights, strides, src, tgt, budget, cap):
     while front.size:
         tf = best[front]
         t_min = tf.min()
-        thr = t_min + omega
+        thr = t_min + delta
         if thr > t_min:
             take = tf < thr
         else:
             take = front == front[tf == t_min].min()
-        bucket, bt = front[take], tf[take]
-        front = front[~take]
-        slot[bucket] = -1
+        parts = []
+        while True:
+            bucket, bt = front[take], tf[take]
+            front = front[~take]
+            slot[bucket] = -1
+            parts.append(bucket)
+            dest = bucket + steps
+            nt = bt + flat_w[bucket + edges]
+            better = nt < best[dest]
+            dest, nt = dest[better], nt[better]
+            np.minimum.at(best, dest, nt)
+            fresh = dest[slot[dest] < 0]
+            at = np.arange(fresh.size)
+            slot[fresh] = at
+            front = np.concatenate((front, fresh[slot[fresh] == at]))
+            if not (nt < thr).any():
+                break
+            tf = best[front]
+            take = tf < thr
+        if len(parts) > 1:
+            # a vertex relaxed in two rounds is taken once: slot keeps one copy
+            bucket = np.concatenate(parts)
+            at = np.arange(bucket.size)
+            slot[bucket] = at
+            bucket = bucket[slot[bucket] == at]
+            slot[bucket] = -1
+            bt = best[bucket]
         if bucket.size > 1:
             # (t, flat index) order: a quick sort of the times, then of the
             # indices too if two times tie
@@ -439,41 +406,63 @@ def _bucket_settle(weights, strides, src, tgt, budget, cap):
             if (bt[1:] == bt[:-1]).any():
                 by = np.lexsort((bucket, bt))
                 bucket, bt = bucket[by], bt[by]
+            if 2 * omega <= math.ulp(thr):
+                bucket, bt = _heap_order(bucket, bt, best, flat_w, steps, edges, t_min,
+                                         bucket % size == src)
         stops = bt[-1] > budget or is_tgt[bucket].any()
         if capped:
             count = np.bincount(bucket // size, minlength=trials)
             stops = stops or (settled + count >= cap).any()
         if stops:
-            # some trial's heap stops in this bucket; a trial that stops relaxes nothing more
+            # some trial's heap stops in this bucket; a trial that stops leaves the frontier
             bucket, bt, count, stop = _cut(bucket, bt, is_tgt, budget, cap - settled, size)
             front = front[~stop[front // size]]
         order.append(bucket)
         times.append(bt)
         if capped:
             settled += count
-        if stops:
-            go = ~stop[bucket // size]
-            bucket, bt = bucket[go], bt[go]
-        # every direction at once: no settled vertex improves, and np.minimum.at
-        # keeps the least time a vertex gets from its neighbours
-        dest = bucket + steps
-        nt = bt + flat_w[bucket + edges]
-        better = nt < best[dest]
-        dest = dest[better]
-        np.minimum.at(best, dest, nt[better])
-        dest = dest[slot[dest] < 0]
-        at = np.arange(dest.size)
-        slot[dest] = at
-        front = np.concatenate((front, dest[slot[dest] == at]))
 
     # every trial's vertices lie in settling order, so a stable sort by trial
     # keeps each trial's order
     order, times = np.concatenate(order), np.concatenate(times)
     tri = (order // size).astype(np.min_scalar_type(trials))
     by = np.argsort(tri, kind="stable")
-    cuts = np.cumsum(np.bincount(tri, minlength=trials))[:-1]
-    return [(o - i * size, t) for i, (o, t)
-            in enumerate(zip(np.split(order[by], cuts), np.split(times[by], cuts)))]
+    order, times = order[by], times[by]
+    ends = np.cumsum(np.bincount(tri, minlength=trials)).tolist()
+    return [(order[a:b] - i * size, times[a:b])
+            for i, (a, b) in enumerate(zip([0] + ends, ends))]
+
+
+def _heap_order(bucket, bt, best, flat_w, steps, edges, t_min, source):
+    """Reorder a bucket, in (t, flat index) order, as a heap would pop it.
+
+    A heap pops v once a tight predecessor u, fl(t_u + w) == t_v, has been
+    popped: the (t, index)-least such released vertex goes next.  The
+    sources, and the vertices with a tight predecessor settled in an earlier
+    bucket (below t_min), are released from the start.
+    """
+    nb = bucket + steps
+    pred = best[nb]
+    tight = pred + flat_w[bucket + edges] == bt
+    start = (tight & (pred < t_min)).any(axis=0) | source
+    # the bucket vertices each bucket vertex releases once popped
+    inner = tight & (pred >= t_min)
+    succ: dict = {}
+    for u, v in zip(nb[inner].tolist(), np.broadcast_to(bucket, nb.shape)[inner].tolist()):
+        succ.setdefault(u, []).append(v)
+    time = dict(zip(bucket.tolist(), bt.tolist()))
+    heap = [(t, v) for t, v in zip(bt[start].tolist(), bucket[start].tolist())]
+    released = {v for _, v in heap}
+    popped = []
+    while heap:
+        _, u = heapq.heappop(heap)
+        popped.append(u)
+        for v in succ.get(u, ()):
+            if v not in released:
+                released.add(v)
+                heapq.heappush(heap, (time[v], v))
+    popped = np.array(popped, dtype=bucket.dtype)
+    return popped, best[popped]
 
 
 def _cut(bucket, bt, is_tgt, budget, room, size):

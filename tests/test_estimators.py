@@ -38,6 +38,7 @@ from latticegrow.estimators import (
 )
 from latticegrow.fpp import LatticeBox, fpp_dijkstra, fpp_geodesic, max_distance_to_segment
 from latticegrow.lpp import _SAT, _min_plus_2d, lpp_dp, lpp_geodesic
+from test_fpp import heap_solve
 from latticegrow.weights import WeightField, derive_seed, parse_dist_token
 
 
@@ -516,14 +517,14 @@ def test_lpp_samples_independent_of_batching_and_workers(monkeypatch):
             assert devs[j, i] == max_distance_to_segment(pts, np.zeros(2), np.asarray(tgt, float))
 
 
-@pytest.mark.parametrize("token,loop", [("unif:0.5:1.5", "bucket"), ("exp:1.0", "heap")])
+@pytest.mark.parametrize("token,loop", [("unif:0.5:1.5", "bucket"), ("unif:0.5:1.5", "heap"),
+                                        ("exp:1.0", "bucket"), ("exp:1.0", "heap")])
 def test_fpp_samples_independent_of_batching_and_workers(monkeypatch, token, loop):
     # trials solved in lock step get the times, wandering and flags of their
-    # own fpp_dijkstra on the box they grow to, whatever the batch budget or
-    # the worker count; the boxes here are narrow enough that only a forced
-    # bucket loop runs unif:0.5:1.5 in buckets, and exp:1.0 keeps the heap
+    # own solve on the box they grow to, whatever the batch budget or the
+    # worker count; that solve is fpp_dijkstra, or the tests' reference heap
+    solve = heap_solve if loop == "heap" else fpp_dijkstra
     spec = parse_dist_token(token)
-    monkeypatch.setattr(fpp, "_use_buckets", lambda spec, box: loop == "bucket")
     args = ("fpp", spec, (1, 0.5), [6, 12, 20], 9, 31, "batch-test")
     runs, per = [], []
     for workers, budget in [(1, 1 << 20), (2, 1 << 20), (1, 40000), (2, 1)]:
@@ -543,7 +544,7 @@ def test_fpp_samples_independent_of_batching_and_workers(monkeypatch, token, loo
             fld = WeightField(spec, derive_seed(31, full_tag, n, i), "edge", 2)
             r = base
             while True:
-                pmap = fpp_dijkstra(fld, (0, 0), LatticeBox(2, r), target=tgt)
+                pmap = solve(fld, (0, 0), LatticeBox(2, r), target=tgt)
                 if not pmap.boundary_hit or r == base << 2:
                     break
                 r *= 2

@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import math
 from types import SimpleNamespace
 
@@ -301,118 +302,167 @@ def test_lattice_point_floor_convention():
     assert lattice_point((3.0, 1.999)) == (3, 1)
 
 
-# -- bucket loop against the heap loop ----------------------------------------------
+# -- the bucket loop against a heap ----------------------------------------------------
 
-def _solve_on(loop, monkeypatch, *args, **kw):
-    """fpp_dijkstra with the loop selection forced to one settle loop."""
-    calls = []
-    with monkeypatch.context() as m:
-        m.setattr(fpp, "_use_buckets", lambda spec, box: loop == "bucket")
-        for name in ("bucket", "heap"):
-            real = getattr(fpp, f"_{name}_settle")
-            m.setattr(fpp, f"_{name}_settle",
-                      lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
-        pmap = fpp_dijkstra(*args, **kw)
-    assert calls == [loop]
-    return pmap
+def _heap_settle(weights, strides, src, tgt, budget, cap):
+    """Settle one vertex per heap pop, in (time, flat index) order.
+
+    weights[j] holds the weight of the edge from each flat index along +e_j.
+    Returns the settled flat indices and times, in settling order: the
+    reference the bucket loop must match bit for bit.
+    """
+    # per axis: the flat offset of +e_j and the weights of edges leaving forward
+    relax = [(s, memoryview(w)) for s, w in zip(strides, weights)]
+    best = [math.inf] * weights.shape[1]
+    best[src] = 0.0
+    heap = [(0.0, src)]
+    order: list = []
+    times: list = []
+
+    while heap:
+        t, u = heapq.heappop(heap)
+        if t > best[u]:
+            continue  # stale entry; settled vertices keep their final best
+        if t > budget:
+            break
+        order.append(u)
+        times.append(t)
+        if u == tgt or len(order) >= cap:
+            break
+        # settled neighbours fail nt < best[v] since weights are nonnegative,
+        # and edges out of the box weigh inf
+        for s, w in relax:
+            v = u + s
+            nt = t + w[u]
+            if nt < best[v]:
+                best[v] = nt
+                heapq.heappush(heap, (nt, v))
+            v = u - s
+            nt = t + w[v]
+            if nt < best[v]:
+                best[v] = nt
+                heapq.heappush(heap, (nt, v))
+
+    return np.array(order, dtype=np.int64), np.array(times)
 
 
-def _same_map(a, b):
+def _heap_runs(weights, strides, src, tgt, budget, cap, delta):
+    """_bucket_settle's result from one heap solve per trial."""
+    return [_heap_settle(w, strides, src, tgt, budget, cap) for w in weights.swapaxes(0, 1)]
+
+
+def heap_batch(fields, *args, **kw):
+    """fpp._solve_batch with every trial settled by the reference heap."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fpp, "_bucket_settle", _heap_runs)
+        return fpp._solve_batch(fields, *args, **kw)
+
+
+def heap_solve(field, *args, **kw):
+    """fpp_dijkstra settled by the reference heap."""
+    return heap_batch([field], *args, **kw)[0]
+
+
+def same_map(a, b):
     assert a.order == b.order
     assert a.times == b.times
     assert a.horizon == b.horizon
     assert a.boundary_hit == b.boundary_hit
 
 
-BUCKET_LAWS = ["unif:0.5:1.5", "unif:0.25:1.75", "twopoint:0.55", "geom:0.4", "const:1"]
+def _stops(first, target):
+    """Every stop, with a budget equal to a settled time of first and one between two."""
+    mid = first.times[first.order[len(first.order) // 3]]
+    return [{}, {"target": target}, {"time_budget": mid},
+            {"time_budget": math.nextafter(mid, math.inf)}, {"max_settled": 23},
+            {"max_settled": 1},
+            {"target": target, "time_budget": 2 * mid, "max_settled": len(first.order) // 2}]
 
 
-@pytest.mark.parametrize("token", BUCKET_LAWS)
-@pytest.mark.parametrize("d,radius,source,target", [
+BUCKET_LAWS = ["unif:0.5:1.5", "unif:0.25:1.75", "twopoint:0.55", "geom:0.4", "const:1",
+               "exp:1.0", "unif:0:1"]
+SHAPES = [
     (1, 12, (-3,), (7,)),
     (2, 7, (1, -2), (-3, 4)),
     (3, 3, (0, 1, -1), (2, -2, 1)),
-])
-def test_bucket_loop_equals_heap_loop(token, d, radius, source, target, monkeypatch):
+]
+
+
+@pytest.mark.parametrize("token", BUCKET_LAWS)
+@pytest.mark.parametrize("d,radius,source,target", SHAPES)
+def test_bucket_loop_equals_heap_loop(token, d, radius, source, target):
     box = LatticeBox(d, radius)
     for seed in range(4):
         f = make_field(parse_dist_token(token), seed, "edge", d)
-        full = _solve_on("heap", monkeypatch, f, source, box)
-        # a budget equal to a settled time, and one between two of them
-        mid = full.times[full.order[len(full.order) // 3]]
-        stops = [{}, {"target": target}, {"time_budget": mid},
-                 {"time_budget": math.nextafter(mid, math.inf)}, {"max_settled": 23},
-                 {"max_settled": 1}, {"max_settled": 0},
-                 {"target": target, "time_budget": 2 * mid, "max_settled": len(full.order) // 2}]
-        for kw in stops:
-            heap = _solve_on("heap", monkeypatch, f, source, box, **kw)
-            _same_map(_solve_on("bucket", monkeypatch, f, source, box, **kw), heap)
-        _same_map(_solve_on("bucket", monkeypatch, f, source, box), full)
+        full = heap_solve(f, source, box)
+        same_map(fpp_dijkstra(f, source, box), full)
+        for kw in _stops(full, target):
+            same_map(fpp_dijkstra(f, source, box, **kw), heap_solve(f, source, box, **kw))
 
 
-def test_bucket_loop_with_near_zero_law_matches_heap(monkeypatch):
-    # unif:1e-20:1 is bounded away from 0 only on paper; its buckets hold few vertices
+def test_bucket_loop_with_near_zero_law_matches_heap():
+    # unif:1e-20:1 is bounded away from 0 only on paper; its buckets are mean / 2 wide
     f = make_field(parse_dist_token("unif:1e-20:1"), 5, "edge", 2)
     box = LatticeBox(2, 6)
     for kw in ({}, {"target": (3, -2)}, {"time_budget": 0.8}, {"max_settled": 40}):
-        heap = _solve_on("heap", monkeypatch, f, (1, 1), box, **kw)
-        _same_map(_solve_on("bucket", monkeypatch, f, (1, 1), box, **kw), heap)
+        same_map(fpp_dijkstra(f, (1, 1), box, **kw), heap_solve(f, (1, 1), box, **kw))
 
 
-@pytest.mark.parametrize("least", [0.0, 1e-300])
-def test_bucket_loop_one_pop_per_step_matches_heap(least, monkeypatch):
-    # a window whose least weight is 0 (or below every later time's ulp) makes
-    # t_min + omega == t_min, so each step settles the (t, index)-least vertex;
-    # zero-weight edges also settle tied vertices out of index order
+def _light_edges(monkeypatch, least, lit=lambda field: True):
+    """Set every fifth interior weight of the lit fields' windows to least, and
+    count the buckets settled by the heap's rule rather than (t, index) order."""
     real = LatticeBox.padded_weights
 
     def with_light_edges(self, field, out=None):
         w = real(self, field, out)
-        interior = np.isfinite(w)
-        w[interior & (np.arange(w.size).reshape(w.shape) % 5 == 0)] = least
+        if lit(field):
+            interior = np.isfinite(w)
+            w[interior & (np.arange(w.size).reshape(w.shape) % 5 == 0)] = least
         return w
 
     monkeypatch.setattr(LatticeBox, "padded_weights", with_light_edges)
+    calls = []
+    real_order = fpp._heap_order
+    monkeypatch.setattr(fpp, "_heap_order", lambda *a: calls.append(1) or real_order(*a))
+    return calls
+
+
+@pytest.mark.parametrize("least", [0.0, 1e-300])
+def test_bucket_loop_one_pop_per_step_matches_heap(least, monkeypatch):
+    # a window whose least weight is 0 (or below every later time's ulp) lets
+    # fl(t + w) == t, so a vertex can tie with the predecessor that releases
+    # it; zero-weight edges also tie vertices out of index order, and the
+    # buckets those can chain in take the heap's rule
+    calls = _light_edges(monkeypatch, least)
     box = LatticeBox(2, 5)
-    for token in ("const:1", "twopoint:0.5"):
+    for token in ("const:1", "twopoint:0.5", "const:0"):
         f = make_field(parse_dist_token(token), 2, "edge", 2)
         for kw in ({}, {"target": (2, -3)}, {"time_budget": 2.0}, {"max_settled": 30}):
-            heap = _solve_on("heap", monkeypatch, f, (0, 1), box, **kw)
-            _same_map(_solve_on("bucket", monkeypatch, f, (0, 1), box, **kw), heap)
-
-
-def test_bucket_selection_follows_law_and_box():
-    unif = parse_dist_token("unif:0.5:1.5")
-    # radial-g's first boxes along (1, 1): n = 8, 16, 32 and 64 give radius
-    # 31, 52, 94 and 177; sqrt(0.5) (2 r + 1) reaches 70 at r = 49
-    assert [fpp._use_buckets(unif, LatticeBox(2, r)) for r in (3, 31, 48, 49, 52, 94, 177)] == [
-        False, False, False, True, True, True, True]
-    # in d = 3, sqrt(0.5) (2 r + 1)^2 reaches 1000 at r = 19
-    assert [fpp._use_buckets(unif, LatticeBox(3, r)) for r in (3, 18, 19)] == [False, False, True]
-    const = parse_dist_token("const:1")
-    assert [fpp._use_buckets(const, LatticeBox(2, r)) for r in (34, 35)] == [False, True]
-    for d in (1, 4):
-        assert not fpp._use_buckets(const, LatticeBox(d, 10**4))
-    for token in ("exp:1.0", "const:0", "unif:0:1"):
-        assert not fpp._use_buckets(parse_dist_token(token), LatticeBox(2, 10**6))
+            same_map(fpp_dijkstra(f, (0, 1), box, **kw), heap_solve(f, (0, 1), box, **kw))
+    assert calls
 
 
 def test_radial_g_csv_same_bytes_on_either_loop(tmp_path, monkeypatch):
     out = {}
     for loop in ("heap", "bucket"):
-        monkeypatch.setattr(fpp, "_use_buckets", lambda spec, box, _loop=loop: _loop == "bucket")
-        cfg = ExperimentConfig(kind="radial-g", model="fpp", dist="unif:0.5:1.5",
-                               n_grid="8,16,32", trials=3, seed=11, out=str(tmp_path / loop))
-        run_experiment(cfg)
-        out[loop] = (tmp_path / loop / "radial_g.csv").read_bytes()
-    assert out["heap"] == out["bucket"]
+        with monkeypatch.context() as m:
+            if loop == "heap":
+                m.setattr(fpp, "_bucket_settle", _heap_runs)
+            for token in ("unif:0.5:1.5", "exp:1.0"):
+                cfg = ExperimentConfig(kind="radial-g", model="fpp", dist=token, n_grid="8,16,32",
+                                       trials=3, seed=11, out=str(tmp_path / loop / token))
+                run_experiment(cfg)
+                out[loop, token] = (tmp_path / loop / token / "radial_g.csv").read_bytes()
+    for token in ("unif:0.5:1.5", "exp:1.0"):
+        assert out["heap", token] == out["bucket", token]
 
 
 @pytest.mark.parametrize("loop", ["heap", "bucket"])
-def test_lazy_views_match_the_settled_arrays(loop, monkeypatch):
+def test_lazy_views_match_the_settled_arrays(loop):
     f = make_field(uniform(0.5, 1.5), 8, "edge", 3)
     box = LatticeBox(3, 3)
-    pmap = _solve_on(loop, monkeypatch, f, (1, 0, -1), box, time_budget=2.5)
+    solve = heap_solve if loop == "heap" else fpp_dijkstra
+    pmap = solve(f, (1, 0, -1), box, time_budget=2.5)
     side = 2 * box.radius + 3
     eager = []
     for i in pmap.flat.tolist():  # row-major on the padded box, corner at -radius - 1
@@ -451,60 +501,43 @@ def test_one_window_per_solve_and_geodesic(monkeypatch):
 # -- trials in lock step ------------------------------------------------------------
 
 
-def _batch_on(loop, monkeypatch, fields, *args, **kw):
-    """_solve_batch with the loop selection forced to one settle loop."""
-    with monkeypatch.context() as m:
-        m.setattr(fpp, "_use_buckets", lambda spec, box: loop == "bucket")
-        return fpp._solve_batch(fields, *args, **kw)
-
-
-@pytest.mark.parametrize("token", ["unif:0.5:1.5", "unif:0.25:1.75", "geom:0.4", "exp:1.0",
-                                   "unif:1e-20:1"])
-@pytest.mark.parametrize("d,radius,source,target", [
-    (1, 12, (-3,), (7,)),
-    (2, 7, (1, -2), (-3, 4)),
-    (3, 3, (0, 1, -1), (2, -2, 1)),
-])
-def test_batch_equals_per_trial_heap_solves(token, d, radius, source, target, monkeypatch):
-    # five trials in one solve, on either loop, under every stop the trials share
+@pytest.mark.parametrize("token", BUCKET_LAWS + ["unif:1e-20:1"])
+@pytest.mark.parametrize("d,radius,source,target", SHAPES)
+def test_batch_equals_per_trial_heap_solves(token, d, radius, source, target):
+    # five trials in one solve, under every stop the trials share
     box = LatticeBox(d, radius)
     fields = [make_field(parse_dist_token(token), seed, "edge", d) for seed in range(5)]
-    first = _solve_on("heap", monkeypatch, fields[0], source, box)
-    # a budget equal to a settled time, and one between two of them
-    mid = first.times[first.order[len(first.order) // 3]]
-    stops = [{}, {"target": target}, {"time_budget": mid},
-             {"time_budget": math.nextafter(mid, math.inf)}, {"max_settled": 23},
-             {"max_settled": 1}, {"max_settled": 0},
-             {"target": target, "time_budget": 2 * mid, "max_settled": len(first.order) // 2}]
-    for kw in stops:
-        alone = [_solve_on("heap", monkeypatch, f, source, box, **kw) for f in fields]
-        for loop in ("bucket", "heap"):
-            batch = _batch_on(loop, monkeypatch, fields, source, box, **kw)
-            assert len(batch) == len(alone)
-            for a, b in zip(batch, alone):
-                _same_map(a, b)
+    for kw in _stops(heap_solve(fields[0], source, box), target):
+        batch = fpp._solve_batch(fields, source, box, **kw)
+        alone = heap_batch(fields, source, box, **kw)
+        assert len(batch) == len(alone)
+        for a, b in zip(batch, alone):
+            same_map(a, b)
 
 
 @pytest.mark.parametrize("least", [0.0, 1e-300])
 def test_batch_one_pop_per_step_matches_heap(least, monkeypatch):
-    # light edges in the odd trials' windows make every step of the batch one pop
-    real = LatticeBox.padded_weights
-
-    def light_in_odd_seeds(self, field, out=None):
-        w = real(self, field, out)
-        if field.seed % 2:
-            interior = np.isfinite(w)
-            w[interior & (np.arange(w.size).reshape(w.shape) % 5 == 0)] = least
-        return w
-
-    monkeypatch.setattr(LatticeBox, "padded_weights", light_in_odd_seeds)
+    # light edges in the odd trials' windows only; the batch shares their least weight
+    calls = _light_edges(monkeypatch, least, lambda field: field.seed % 2)
     box = LatticeBox(2, 5)
     for token in ("const:1", "twopoint:0.5"):
         fields = [make_field(parse_dist_token(token), seed, "edge", 2) for seed in range(4)]
         for kw in ({}, {"target": (2, -3)}, {"time_budget": 2.0}, {"max_settled": 30}):
-            alone = [_solve_on("heap", monkeypatch, f, (0, 1), box, **kw) for f in fields]
-            for a, b in zip(_batch_on("bucket", monkeypatch, fields, (0, 1), box, **kw), alone):
-                _same_map(a, b)
+            for a, b in zip(fpp._solve_batch(fields, (0, 1), box, **kw),
+                            heap_batch(fields, (0, 1), box, **kw)):
+                same_map(a, b)
+    assert calls
+
+
+def test_bad_stops_are_refused():
+    f = make_field(exponential(1.0), 0, "edge", 2)
+    box = LatticeBox(2, 3)
+    for bad in (float("nan"), -1.0, -math.inf):
+        with pytest.raises(ValueError, match="^time_budget must be nonnegative"):
+            fpp_dijkstra(f, ORIGIN, box, time_budget=bad)
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="^max_settled must be at least 1"):
+            fpp_dijkstra(f, ORIGIN, box, max_settled=bad)
 
 
 def test_grown_batch_retries_only_its_hit_trials(monkeypatch):
@@ -529,7 +562,7 @@ def test_grown_batch_retries_only_its_hit_trials(monkeypatch):
     assert calls == [(8, [0, 1, 2, 3, 4]), (16, [1, 3]), (16, [4])]
     for a, b in zip(maps, expect):
         assert a.box == b.box
-        _same_map(a, b)
+        same_map(a, b)
 
 
 # -- box growth on boundary hits -----------------------------------------------------------
