@@ -42,8 +42,8 @@ LPP = "src/latticegrow/lpp.py"
 
 MUTANTS = [
     Mutant("bucket takes t <= thr", FPP,
-           "        if thr > t_min:\n            take = tf < thr\n",
-           "        if thr > t_min:\n            take = tf <= thr\n",
+           "        else:\n            take = tf < thr\n",
+           "        else:\n            take = tf <= thr\n",
            ("tests/test_fpp.py",)),
     Mutant("the inner rounds cut to one", FPP,
            "            if not (nt < thr).any():\n", "            if True:\n",
@@ -55,12 +55,15 @@ MUTANTS = [
     Mutant("a vertex relaxed in two rounds settled twice", FPP,
            "            bucket = bucket[slot[bucket] == at]\n", "            bucket = bucket[at >= 0]\n",
            ("tests/test_fpp.py",)),
-    Mutant("the tie check disabled", FPP,
-           "            if 2 * omega <= math.ulp(thr):\n", "            if False:\n",
+    Mutant("the tie check disabled: one pop a step only when thr == t_min", FPP,
+           "        if 2 * omega <= math.ulp(thr):\n", "        if thr == t_min:\n",
            ("tests/test_fpp.py",)),
     Mutant("the tie check reads the first trial's least weight", FPP,
-           "            if 2 * omega <= math.ulp(thr):\n",
-           "            if 2 * float(weights[:, 0].min()) <= math.ulp(thr):\n",
+           "        if 2 * omega <= math.ulp(thr):\n",
+           "        if 2 * float(weights[:, 0].min()) <= math.ulp(thr):\n",
+           ("tests/test_fpp.py",)),
+    Mutant("a one-pop step goes on to the rest of its bucket", FPP,
+           "            thr = t_min\n", "",
            ("tests/test_fpp.py",)),
     Mutant("target cut one vertex early", FPP,
            "    k[bi[hit]] = pos[hit] + 1\n", "    k[bi[hit]] = pos[hit]\n",

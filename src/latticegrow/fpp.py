@@ -16,7 +16,8 @@ binary heap's times, settling order, horizon and flag bit for bit
 Delta, Delta = max(omega, mean / 2) for the window's least weight omega and
 the law's mean; its vertices are relaxed until no time drops below that
 threshold, which leaves them final whatever Delta is, and it settles in
-the heap's order, (time, flat index) unless zero-sum ties chain inside it.
+(time, flat index) order, the heap's.  A window light enough that fl(t +
+w) == t can happen settles one vertex a step, as the heap pops it.
 
 Trials run in lock step.  ``_solve_batch`` solves B fields from one source
 on one box: their padded windows lie end to end on one flat axis, and each
@@ -30,7 +31,6 @@ is set on the next box.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -326,16 +326,15 @@ def _bucket_settle(weights, strides, src, tgt, budget, cap, delta):
     path to a vertex below thr runs through vertices below thr only, so the
     bucket's times are then final, and its vertices are exactly those a heap
     pops before any time >= thr.  With Delta = omega no relaxation from the
-    bucket lands below thr, so one round suffices.  When thr == t_min
-    (Delta is 0 or below t_min's ulp) a step takes only the (t, index)-least
-    vertex, which is one heap pop.
+    bucket lands below thr, so one round suffices.
 
     A heap pops v only after a tight predecessor u, fl(t_u + w) == t_v, so
     (t, index) order is its order unless some relaxation gives fl(t_u + w)
-    == t_u, which needs 2 omega <= ulp(thr); such a bucket takes the heap's
-    rule (``_heap_order``).  The bucket is then cut in each trial where its
-    own stop falls (``_cut``), and a trial that stops leaves the frontier,
-    an index array with a membership array.
+    == t_u, which needs 2 omega <= ulp(thr).  Then a step takes only the
+    (t, index)-least vertex, which is one heap pop; the test also holds
+    whenever thr == t_min (Delta is 0 or below t_min's ulp).  The bucket is
+    then cut in each trial where its own stop falls (``_cut``), and a trial
+    that stops leaves the frontier, an index array with a membership array.
     """
     d, trials, size = weights.shape
     omega = float(weights.min())
@@ -367,10 +366,12 @@ def _bucket_settle(weights, strides, src, tgt, budget, cap, delta):
         tf = best[front]
         t_min = tf.min()
         thr = t_min + delta
-        if thr > t_min:
-            take = tf < thr
-        else:
+        if 2 * omega <= math.ulp(thr):
+            # a relaxation may give fl(t_u + w) == t_u: one heap pop a step
+            thr = t_min
             take = front == front[tf == t_min].min()
+        else:
+            take = tf < thr
         parts = []
         while True:
             bucket, bt = front[take], tf[take]
@@ -406,9 +407,6 @@ def _bucket_settle(weights, strides, src, tgt, budget, cap, delta):
             if (bt[1:] == bt[:-1]).any():
                 by = np.lexsort((bucket, bt))
                 bucket, bt = bucket[by], bt[by]
-            if 2 * omega <= math.ulp(thr):
-                bucket, bt = _heap_order(bucket, bt, best, flat_w, steps, edges, t_min,
-                                         bucket % size == src)
         stops = bt[-1] > budget or is_tgt[bucket].any()
         if capped:
             count = np.bincount(bucket // size, minlength=trials)
@@ -431,38 +429,6 @@ def _bucket_settle(weights, strides, src, tgt, budget, cap, delta):
     ends = np.cumsum(np.bincount(tri, minlength=trials)).tolist()
     return [(order[a:b] - i * size, times[a:b])
             for i, (a, b) in enumerate(zip([0] + ends, ends))]
-
-
-def _heap_order(bucket, bt, best, flat_w, steps, edges, t_min, source):
-    """Reorder a bucket, in (t, flat index) order, as a heap would pop it.
-
-    A heap pops v once a tight predecessor u, fl(t_u + w) == t_v, has been
-    popped: the (t, index)-least such released vertex goes next.  The
-    sources, and the vertices with a tight predecessor settled in an earlier
-    bucket (below t_min), are released from the start.
-    """
-    nb = bucket + steps
-    pred = best[nb]
-    tight = pred + flat_w[bucket + edges] == bt
-    start = (tight & (pred < t_min)).any(axis=0) | source
-    # the bucket vertices each bucket vertex releases once popped
-    inner = tight & (pred >= t_min)
-    succ: dict = {}
-    for u, v in zip(nb[inner].tolist(), np.broadcast_to(bucket, nb.shape)[inner].tolist()):
-        succ.setdefault(u, []).append(v)
-    time = dict(zip(bucket.tolist(), bt.tolist()))
-    heap = [(t, v) for t, v in zip(bt[start].tolist(), bucket[start].tolist())]
-    released = {v for _, v in heap}
-    popped = []
-    while heap:
-        _, u = heapq.heappop(heap)
-        popped.append(u)
-        for v in succ.get(u, ()):
-            if v not in released:
-                released.add(v)
-                heapq.heappush(heap, (time[v], v))
-    popped = np.array(popped, dtype=bucket.dtype)
-    return popped, best[popped]
 
 
 def _cut(bucket, bt, is_tgt, budget, room, size):

@@ -38,8 +38,9 @@ from latticegrow.estimators import (
 )
 from latticegrow.fpp import LatticeBox, fpp_dijkstra, fpp_geodesic, max_distance_to_segment
 from latticegrow.lpp import _SAT, _min_plus_2d, lpp_dp, lpp_geodesic
-from test_fpp import heap_solve
 from latticegrow.weights import WeightField, derive_seed, parse_dist_token
+
+from fpp_heap import heap_solve
 
 
 def _seq(ns, means, stderrs=None, trials=100):

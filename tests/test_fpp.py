@@ -1,5 +1,4 @@
 import dataclasses
-import heapq
 import math
 from types import SimpleNamespace
 
@@ -26,6 +25,8 @@ from latticegrow import (
 from latticegrow import estimators, fpp
 from latticegrow.experiments import ExperimentConfig, run_experiment
 from latticegrow.weights import WeightField, parse_dist_token
+
+from fpp_heap import heap_batch, heap_runs, heap_solve
 
 ORIGIN = (0, 0)
 
@@ -304,65 +305,6 @@ def test_lattice_point_floor_convention():
 
 # -- the bucket loop against a heap ----------------------------------------------------
 
-def _heap_settle(weights, strides, src, tgt, budget, cap):
-    """Settle one vertex per heap pop, in (time, flat index) order.
-
-    weights[j] holds the weight of the edge from each flat index along +e_j.
-    Returns the settled flat indices and times, in settling order: the
-    reference the bucket loop must match bit for bit.
-    """
-    # per axis: the flat offset of +e_j and the weights of edges leaving forward
-    relax = [(s, memoryview(w)) for s, w in zip(strides, weights)]
-    best = [math.inf] * weights.shape[1]
-    best[src] = 0.0
-    heap = [(0.0, src)]
-    order: list = []
-    times: list = []
-
-    while heap:
-        t, u = heapq.heappop(heap)
-        if t > best[u]:
-            continue  # stale entry; settled vertices keep their final best
-        if t > budget:
-            break
-        order.append(u)
-        times.append(t)
-        if u == tgt or len(order) >= cap:
-            break
-        # settled neighbours fail nt < best[v] since weights are nonnegative,
-        # and edges out of the box weigh inf
-        for s, w in relax:
-            v = u + s
-            nt = t + w[u]
-            if nt < best[v]:
-                best[v] = nt
-                heapq.heappush(heap, (nt, v))
-            v = u - s
-            nt = t + w[v]
-            if nt < best[v]:
-                best[v] = nt
-                heapq.heappush(heap, (nt, v))
-
-    return np.array(order, dtype=np.int64), np.array(times)
-
-
-def _heap_runs(weights, strides, src, tgt, budget, cap, delta):
-    """_bucket_settle's result from one heap solve per trial."""
-    return [_heap_settle(w, strides, src, tgt, budget, cap) for w in weights.swapaxes(0, 1)]
-
-
-def heap_batch(fields, *args, **kw):
-    """fpp._solve_batch with every trial settled by the reference heap."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(fpp, "_bucket_settle", _heap_runs)
-        return fpp._solve_batch(fields, *args, **kw)
-
-
-def heap_solve(field, *args, **kw):
-    """fpp_dijkstra settled by the reference heap."""
-    return heap_batch([field], *args, **kw)[0]
-
-
 def same_map(a, b):
     assert a.order == b.order
     assert a.times == b.times
@@ -409,8 +351,7 @@ def test_bucket_loop_with_near_zero_law_matches_heap():
 
 
 def _light_edges(monkeypatch, least, lit=lambda field: True):
-    """Set every fifth interior weight of the lit fields' windows to least, and
-    count the buckets settled by the heap's rule rather than (t, index) order."""
+    """Set every fifth interior weight of the lit fields' windows to least."""
     real = LatticeBox.padded_weights
 
     def with_light_edges(self, field, out=None):
@@ -421,10 +362,12 @@ def _light_edges(monkeypatch, least, lit=lambda field: True):
         return w
 
     monkeypatch.setattr(LatticeBox, "padded_weights", with_light_edges)
-    calls = []
-    real_order = fpp._heap_order
-    monkeypatch.setattr(fpp, "_heap_order", lambda *a: calls.append(1) or real_order(*a))
-    return calls
+
+
+def _out_of_sort_order(pmap):
+    """Whether the map settled some vertex before one with a smaller (t, flat index)."""
+    by = np.lexsort((pmap.flat, pmap.settled_times))
+    return bool((by != np.arange(by.size)).any())
 
 
 @pytest.mark.parametrize("least", [0.0, 1e-300])
@@ -432,14 +375,18 @@ def test_bucket_loop_one_pop_per_step_matches_heap(least, monkeypatch):
     # a window whose least weight is 0 (or below every later time's ulp) lets
     # fl(t + w) == t, so a vertex can tie with the predecessor that releases
     # it; zero-weight edges also tie vertices out of index order, and the
-    # buckets those can chain in take the heap's rule
-    calls = _light_edges(monkeypatch, least)
+    # loop settles such a window one heap pop a step
+    _light_edges(monkeypatch, least)
     box = LatticeBox(2, 5)
+    reordered = []
     for token in ("const:1", "twopoint:0.5", "const:0"):
         f = make_field(parse_dist_token(token), 2, "edge", 2)
         for kw in ({}, {"target": (2, -3)}, {"time_budget": 2.0}, {"max_settled": 30}):
-            same_map(fpp_dijkstra(f, (0, 1), box, **kw), heap_solve(f, (0, 1), box, **kw))
-    assert calls
+            ref = heap_solve(f, (0, 1), box, **kw)
+            same_map(fpp_dijkstra(f, (0, 1), box, **kw), ref)
+            reordered.append(_out_of_sort_order(ref))
+    # the heap leaves (t, index) order here, so sorted buckets could not match it
+    assert any(reordered)
 
 
 def test_radial_g_csv_same_bytes_on_either_loop(tmp_path, monkeypatch):
@@ -447,7 +394,7 @@ def test_radial_g_csv_same_bytes_on_either_loop(tmp_path, monkeypatch):
     for loop in ("heap", "bucket"):
         with monkeypatch.context() as m:
             if loop == "heap":
-                m.setattr(fpp, "_bucket_settle", _heap_runs)
+                m.setattr(fpp, "_bucket_settle", heap_runs)
             for token in ("unif:0.5:1.5", "exp:1.0"):
                 cfg = ExperimentConfig(kind="radial-g", model="fpp", dist=token, n_grid="8,16,32",
                                        trials=3, seed=11, out=str(tmp_path / loop / token))
@@ -518,15 +465,17 @@ def test_batch_equals_per_trial_heap_solves(token, d, radius, source, target):
 @pytest.mark.parametrize("least", [0.0, 1e-300])
 def test_batch_one_pop_per_step_matches_heap(least, monkeypatch):
     # light edges in the odd trials' windows only; the batch shares their least weight
-    calls = _light_edges(monkeypatch, least, lambda field: field.seed % 2)
+    _light_edges(monkeypatch, least, lambda field: field.seed % 2)
     box = LatticeBox(2, 5)
+    reordered = []
     for token in ("const:1", "twopoint:0.5"):
         fields = [make_field(parse_dist_token(token), seed, "edge", 2) for seed in range(4)]
         for kw in ({}, {"target": (2, -3)}, {"time_budget": 2.0}, {"max_settled": 30}):
             for a, b in zip(fpp._solve_batch(fields, (0, 1), box, **kw),
                             heap_batch(fields, (0, 1), box, **kw)):
                 same_map(a, b)
-    assert calls
+                reordered.append(_out_of_sort_order(b))
+    assert any(reordered)
 
 
 def test_bad_stops_are_refused():
