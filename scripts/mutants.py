@@ -37,6 +37,8 @@ class Mutant(NamedTuple):
     tests: tuple  # test modules, relative to the repository root
 
 
+CLI = "src/latticegrow/cli.py"
+EST = "src/latticegrow/estimators.py"
 FPP = "src/latticegrow/fpp.py"
 LPP = "src/latticegrow/lpp.py"
 
@@ -95,6 +97,18 @@ MUTANTS = [
     Mutant("the seeds of a batch reversed", LPP,
            "_hash_words([f.seed for f in fields],", "_hash_words([f.seed for f in fields][::-1],",
            ("tests/test_lpp.py",)),
+    Mutant("the BLAS thread cap dropped", CLI,
+           '        os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))\n', "        pass\n",
+           ("tests/test_experiments.py",)),
+    Mutant("a caller's BLAS thread count overridden", CLI,
+           "    if not any(name in os.environ for name in _BLAS_THREADS):\n", "    if True:\n",
+           ("tests/test_experiments.py",)),
+    Mutant("the pool sized by the workers, not the tasks", EST,
+           "    procs = min(workers or 1, len(tasks))\n", "    procs = workers or 1\n",
+           ("tests/test_experiments.py",)),
+    Mutant("a flat-edge margin strip one column off", EST,
+           "((0, n + 1), (n + 1, m))", "((0, n + 2), (n + 1, m))",
+           ("tests/test_estimators.py",)),
 ]
 
 

@@ -8,17 +8,28 @@ use, or memory exhausted), which ``run_experiment`` raises as HardFailure.
 This module and ``experiments`` import only the standard library, so parsing,
 ``--help`` and usage errors load no numpy; a run imports the solver modules
 of its own kind (see ``experiments``), and ``lpp-exact`` imports ``lpp``.
+
+``main`` caps numpy's BLAS pool at one thread before numpy loads, unless the
+caller set a thread count: the solvers' BLAS calls are short dot products
+and matrix-vector products, and OpenBLAS otherwise starts a busy-waiting
+thread for each CPU past the first at import.  ``--workers`` is the only
+parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .experiments import KINDS, ConfigError, ExperimentConfig, HardFailure, run_experiment
+
+
+# the thread counts numpy's BLAS builds read when the library loads
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -98,6 +109,9 @@ def _lpp_exact(args) -> float:
 
 
 def main(argv=None) -> int:
+    # before numpy loads: one BLAS thread here and in the workers, unless the caller chose
+    if not any(name in os.environ for name in _BLAS_THREADS):
+        os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
     parser = build_parser()
     args = parser.parse_args(argv)
 

@@ -154,13 +154,15 @@ class ExponentFit:
 # sampling machinery
 
 
-def _map_trials(fn, tasks, workers: int):
-    if workers and workers > 1:
+def _map_trials(fn, tasks: list, workers: int):
+    """[fn(t) for t in tasks] on min(workers, len(tasks)) processes; on one, in this process."""
+    procs = min(workers or 1, len(tasks))
+    if procs > 1:
         import multiprocessing
 
         # one task at a time: a task is a solve or a batch of them, so a chunk
         # of several would leave one worker finishing the tail alone
-        with multiprocessing.Pool(processes=workers) as pool:
+        with multiprocessing.Pool(processes=procs) as pool:
             return pool.map(fn, tasks, chunksize=1)
     return [fn(t) for t in tasks]
 
@@ -481,6 +483,26 @@ def _edge_windows(fields, lo: int, side: int) -> np.ndarray:
     return w
 
 
+def _margin_windows(fields, inner: np.ndarray, m: int) -> np.ndarray:
+    """_edge_windows(fields, -m, n + 2m + 1), given inner = _edge_windows(fields, 0, n + 1).
+
+    Weights are pure functions of (seed, edge), so the [0, n]^2 block is
+    copied from inner and only the four margin strips are hashed.
+    """
+    n = inner.shape[1] - 1
+    side = n + 2 * m + 1
+    w = np.empty((2, side, side, len(fields)), dtype=np.int8)
+    w[:, m : m + n + 1, m : m + n + 1] = inner
+    # (lo, shape) of each strip: the rows above and below, then the sides between
+    strips = [((-m, -m), (m, side)), ((n + 1, -m), (m, side)),
+              ((0, -m), (n + 1, m)), ((0, n + 1), (n + 1, m))]
+    for b, f in enumerate(fields):
+        for lo, shape in strips:
+            rows, cols = (slice(c + m, c + m + k) for c, k in zip(lo, shape))
+            w[:, rows, cols, b] = f.edge_window(lo, shape)
+    return w
+
+
 def _twopoint_diag_time(fields, n: int) -> np.ndarray:
     """Exact full-lattice T(0, (n, n)) of several two-point edge fields, one float each.
 
@@ -498,13 +520,14 @@ def _twopoint_diag_time(fields, n: int) -> np.ndarray:
     """
     if any(f.spec.kind != "twopoint" for f in fields):
         raise ValueError("window solve needs two-point weights 1 and 2")
-    u = _min_plus_2d(_edge_windows(fields, 0, n + 1))[2 * n + 1, n + 1]
+    inner = _edge_windows(fields, 0, n + 1)
+    u = _min_plus_2d(inner)[2 * n + 1, n + 1]
     times = u.astype(np.float64)
     slow = np.flatnonzero(u > 2 * n)
     if slow.size:
         k = int(u.max() - 2 * n) // 2
         m = k + 1
-        w = _edge_windows([fields[i] for i in slow], -m, n + 2 * m + 1)
+        w = _margin_windows([fields[i] for i in slow], inner[..., slow], m)
         t = _min_plus_2d(w, m, k)[2 * (n + m) + 1, n + m + 1]
         if not np.all(t < 2 * n + 2 * m):
             raise RuntimeError("window certificate failed; weights suspect")

@@ -46,7 +46,7 @@ MIN_FIT_POINTS = 4
 MIN_FIT_SPAN = 8
 # most walk moves idla --dim 1 accepts, about steps^3 / 12: steps <= 1062
 _IDLA_D1_MOVES_MAX = 10 ** 8
-# most worker processes a run starts; multiprocessing.Pool starts every one
+# most worker processes a run asks for; the pool starts at most one a task
 MAX_WORKERS = 64
 
 

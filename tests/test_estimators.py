@@ -33,6 +33,7 @@ from latticegrow.estimators import (
     ExponentFit,
     _corridor_graph,
     _edge_windows,
+    _margin_windows,
     _sample_times,
     _twopoint_diag_time,
 )
@@ -343,6 +344,21 @@ def test_flat_edge_oriented_bound_cases(p, seed, t, u):
     assert _diag_u(fld, n) == u
     assert _diag_time_doubling(fld, n) == t
     assert _twopoint_diag_time([fld], n)[0] == t
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 13])
+@pytest.mark.parametrize("slow", [[0, 1, 2], [1], [0, 2]])
+def test_margin_windows_equal_the_whole_window(m, slow):
+    # the second window copies the slow trials' [0, n]^2 block from the first
+    # and hashes only its margin strips; one slow trial is a batch of one
+    n = 20
+    fields = [WeightField(two_point(0.55), derive_seed(5, "margin", i), "edge", 2)
+              for i in range(3)]
+    inner = _edge_windows(fields, 0, n + 1)
+    sub = [fields[i] for i in slow]
+    got = _margin_windows(sub, inner[..., slow], m)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, _edge_windows(sub, -m, n + 2 * m + 1))
 
 
 def test_flat_edge_rejects_other_weights():

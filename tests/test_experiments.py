@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -645,11 +646,13 @@ def test_validate_accepts_exactly_the_configs_within_every_bound(data):
         cfg.validate()
 
 
-def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+def _fresh_python(code: str, *args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package,
+    with the environment env (by default this process's)."""
     src = str(Path(latticegrow.__file__).parents[1])
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+                          env={**(os.environ if env is None else env), "PYTHONPATH": src},
+                          timeout=300)
 
 
 def test_cli_parser_loads_no_numpy():
@@ -664,6 +667,72 @@ def test_cli_usage_error_loads_no_numpy():
                          "try:\n    main(['idla', '--steps', 'x'])\n"
                          "except SystemExit as e:\n    print(e.code, 'numpy' in sys.modules)")
     assert proc.stdout == "2 False\n", proc.stderr
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# a CLI run in a fresh interpreter; then the three thread counts as it left them,
+# whether numpy is loaded, and the process's thread count (None off Linux)
+_BLAS_RUN = ("import os, sys; from latticegrow import cli; assert cli.main(sys.argv[1:]) == 0\n"
+             "status = '/proc/self/status'\n"
+             "threads = ([int(line.split()[1]) for line in open(status) if "
+             "line.startswith('Threads:')][0] if os.path.exists(status) else None)\n"
+             f"print(([os.environ.get(v) for v in {_BLAS_THREADS!r}], 'numpy' in sys.modules, "
+             "threads))")
+
+
+def _blas_run(argv, **caller):
+    """(thread counts, numpy loaded, threads) after argv, with only caller's thread counts set."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    proc = _fresh_python(_BLAS_RUN, *argv, env={**env, **caller})
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_cli_caps_blas_threads_for_its_workers(tmp_path):
+    # two n values are two tasks, so the two workers fork from a capped parent
+    caps, numpy_loaded, _ = _blas_run(
+        ["radial-g", "--model", "fpp", "--dist", "unif:0.5:1.5", "--n-grid", "2,4",
+         "--trials", "2", "--workers", "2", "--out", str(tmp_path / "o")])
+    assert numpy_loaded
+    assert caps == ["1", "1", "1"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_cli_process_runs_one_thread_once_numpy_is_loaded():
+    # OpenBLAS uncapped starts a thread for each further CPU when numpy loads
+    caps, numpy_loaded, threads = _blas_run(["lpp-exact", "--model", "exp", "--x", "1,1"])
+    assert numpy_loaded and caps[0] == "1"
+    assert threads == 1
+
+
+def test_cli_keeps_a_callers_thread_count():
+    caps, numpy_loaded, _ = _blas_run(["lpp-exact", "--model", "exp", "--x", "1,1"],
+                                      OMP_NUM_THREADS="2")
+    assert numpy_loaded
+    assert caps == [None, "2", None]
+
+
+def test_one_task_run_forks_nothing(monkeypatch, tmp_path):
+    # the pool starts at most one process a task, and a single task runs in
+    # this process
+    import multiprocessing
+
+    pools = []
+    pool = multiprocessing.Pool
+
+    def spy(processes=None, *args, **kwargs):
+        pools.append(processes)
+        return pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy)
+    # flat-edge at n = 50 solves its 4 trials as one batch
+    assert main(["flat-edge", "--dist", "twopoint:0.55", "--n-grid", "50", "--trials", "4",
+                 "--workers", "2", "--out", str(tmp_path / "one")]) == 0
+    assert pools == []
+    # radial-g sends one task an n: two tasks on two of eight workers
+    assert main(["radial-g", "--model", "fpp", "--dist", "unif:0.5:1.5", "--n-grid", "2,4",
+                 "--trials", "2", "--workers", "8", "--out", str(tmp_path / "two")]) == 0
+    assert pools == [2]
 
 
 # the latticegrow modules each kind loads besides the package itself, cli,
