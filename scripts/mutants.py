@@ -79,6 +79,26 @@ MUTANTS = [
     Mutant("tied times left in quick-sort order", FPP,
            "            if (bt[1:] == bt[:-1]).any():\n", "            if False:\n",
            ("tests/test_fpp.py",)),
+    Mutant("a pruned solve's omega without its rounding margin", FPP,
+           "    omega = min(f.spec.support_min() for f in fields) * (1 - _GOAL_MARGIN)\n",
+           "    omega = min(f.spec.support_min() for f in fields)\n",
+           ("tests/test_fpp_point.py",)),
+    Mutant("a pruned box without its extra layer", FPP,
+           "    r = math.ceil(half) + 1\n", "    r = math.ceil(half)\n",
+           ("tests/test_fpp_point.py",)),
+    Mutant("a pruned solve's omega from the window between 0 and x", FPP,
+           "    omega = min(f.spec.support_min() for f in fields) * (1 - _GOAL_MARGIN)\n",
+           "    omega = min(float(f.edge_window(tuple(min(0, c) for c in target), tuple(abs(c) + 1"
+           " for c in target)).min()) for f in fields) * (1 - _GOAL_MARGIN)\n",
+           ("tests/test_fpp_point.py",)),
+    Mutant("a pruned solve's omega from half the mean", FPP,
+           "    omega = min(f.spec.support_min() for f in fields) * (1 - _GOAL_MARGIN)\n",
+           "    omega = min(f.spec.mean() / 2 for f in fields) * (1 - _GOAL_MARGIN)\n",
+           ("tests/test_fpp_point.py",)),
+    Mutant("the prune drops a time equal to its limit", FPP,
+           "                better &= nt <= lim[dest]\n",
+           "                better &= nt < lim[dest]\n",
+           ("tests/test_fpp_point.py",)),
     Mutant("decision ties go to the later axis", LPP,
            "                np.greater(x, best, out=flags[(k, *box)])\n",
            "                np.greater_equal(x, best, out=flags[(k, *box)])\n",

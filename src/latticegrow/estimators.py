@@ -25,8 +25,11 @@ from .experiments import (
     MIN_VARIANCE_TRIALS,
 )
 from .fpp import (
+    _GOAL_MARGIN,
     LatticeBox,
     _check_fpp_law,
+    _goal_box,
+    _goal_solve,
     _grown_solve,
     _trials_per_solve,
     fpp_geodesic,
@@ -185,11 +188,19 @@ def _fpp_first_radius(target) -> int:
     return int(math.ceil(1.3 * sum(abs(c) for c in target))) + 10
 
 
-def _task_size(model: str, target) -> tuple:
+def _task_size(model: str, target, spec=None) -> tuple:
     """(trials, vertices) of one sampling task at target: one FPP solve's first
-    boxes or one LPP sweep's tables, over a batch of trials."""
+    boxes or one LPP sweep's tables, over a batch of trials.  Given the law,
+    an FPP task is sized by the box its solve prunes to (_fpp_target_solve)
+    at a ceiling of mean |target|_1, when that box is the smaller."""
     if model == "fpp":
-        box = LatticeBox(len(target), _fpp_first_radius(target))
+        radius = _fpp_first_radius(target)
+        box = LatticeBox(len(target), radius)
+        if spec is not None:
+            goal = _goal_box(target, spec.mean() * sum(map(abs, target)),
+                             spec.support_min() * (1 - _GOAL_MARGIN), radius)
+            if goal is not None and goal.vertex_count() < box.vertex_count():
+                box = goal
         per = _trials_per_solve(box)
         return per, per * box.vertex_count()
     per = _trials_per_batch(target)
@@ -197,14 +208,49 @@ def _task_size(model: str, target) -> tuple:
 
 
 def _fpp_target_solve(fields, target, *, want_geodesic: bool):
-    """Exact point passage times of a batch of fields on adaptively enlarged boxes.
+    """Exact point passage times T(x) of a batch of fields, x = target.
 
-    Exactness is certified by the boundary flag: when no face vertex settles
-    at or below T(target), enlarging the box cannot change any value.
-    Returns the times, wanderings (NaN unless asked for) and flags.
+    Returns the times, wanderings (NaN unless asked for) and flags, those of
+    Dijkstra on Z^d whenever the flag is off.  With a law of least weight 0
+    the fields take _grown_solve: boxes of radius _fpp_first_radius doubled
+    on a face hit, up to _BOX_RETRIES times, the flag certifying exactness.
+
+    With least weight omega > 0 (fpp._goal_solve), the solve is pruned.  Let
+    u = 2^-53, omega' = omega (1 - 2^-20) (_GOAL_MARGIN), T Dijkstra's float
+    times, and U the trial's least left-fold sum along a monotone path to x;
+    U >= T(x), since T(x) is the least left-fold sum over all paths and
+    fl(a + w) is monotone in a.  A relaxation to v is dropped when its time
+    exceeds lim(v) = fl(U - fl(omega' |x - v|_1)), on the _goal_box of U,
+    which holds at most the first box's vertices, or the trial is not
+    pruned.  That is at most 2^24 vertices (MEMORY_BUDGET // _TRIAL_BYTES),
+    so a side has at most 2^24 and d <= 15 (a side holds 3 or more), so
+    |x - v|_1 and U / omega' (at most the sum of the sides) stay below 2^28;
+    every time compared below is at most M = 2^28 omega'.
+
+    (a) A step t -> fl(t + w) ending at or below U adds at least w - 2uM >=
+    omega - 2^-24 omega', more than omega' + 2^-21 omega.
+    (b) Every vertex v on an optimal path to x (each step tight: T(next) ==
+    fl(T(prev) + w)) passes with its time T(v), and is not on the face by
+    (c): from v, at least k = |x - v|_1 steps reach T(x) <= U, so by (a) T(v) <=
+    U - k omega' - k 2^-21 omega, while lim(v) >= U - k omega' - 2uM (two
+    roundings), and lim(x) = U.  Such a path passes at every vertex, so the
+    pruned times, which are at least T, equal T along it: T(x) is exact.
+    (c) No face vertex settles: a face vertex v has omega' (|v|_1 + |x -
+    v|_1) >= U (1 - u) + 2 omega' (_goal_box), while any time offered to it
+    follows at least |v|_1 steps from 0, each by (a) over omega', and so
+    exceeds lim(v).  The flag is off, with no retry.
+    (d) The geodesic is the same: backtracking from a vertex v of (b) takes
+    the least settled u with fl(t_u + w) == T(v).  A pruned t_u >= T(u) with
+    fl(T(u) + w) >= T(v) gives fl(T(u) + w) == T(v), so u is on an optimal
+    path, has t_u = T(u) < T(x) and settles before x in both solves; the
+    converse holds by (b).  Both solves see the same candidates.
+    _grown_solve also ends with its flag off here: with R the first radius,
+    2 r <= 2 R (some side of the pruned box is at most the first box's) and
+    |x|_1 < R, so a face at 4 R lies past |x|_1 + 2 r >= U / omega' and
+    settles after x.
     """
     base = _fpp_first_radius(target)
-    maps = _grown_solve(fields, base, base << _BOX_RETRIES, target=target)
+    maps = _goal_solve(fields, target, base, base << _BOX_RETRIES)
     devs = [math.nan] * len(maps)
     if want_geodesic:
         end = np.asarray(target, float)
@@ -265,7 +311,7 @@ def _sample_times(model, spec, direction, n_grid, trials, seed, tag, workers,
     for n, tgt in zip(ns, targets):
         row = [derive_seed(seed, full_tag, n, i) for i in range(trials)]
         tasks += [(model, spec, tgt, batch, want_geodesic)
-                  for batch in _batches(row, _task_size(model, tgt)[0])]
+                  for batch in _batches(row, _task_size(model, tgt, spec)[0])]
     times, devs, hits = (np.concatenate(col).reshape(len(ns), trials)
                          for col in zip(*_map_trials(_point_batch, tasks, workers)))
     trunc = {n: int(c) for n, c in zip(ns, hits.sum(axis=1)) if c}

@@ -26,6 +26,14 @@ cut by its own stops, so a step's numpy overhead is paid once for B trials.
 ``fpp_dijkstra`` is the one-field batch, and ``_grown_solve`` sizes batches
 by ``_trials_per_solve`` and re-solves only the trials whose boundary flag
 is set on the next box.
+
+Point solves to a target x with a law of least weight omega > 0 are
+goal-directed (``_goal_solve``; the proof is estimators._fpp_target_solve's).
+U, the least float sum along a monotone path to x (``_least_monotone_time``),
+bounds T(x) from above, and the loop drops a relaxation to v whose time
+exceeds U - omega' |x - v|_1, omega' just below omega.  Every vertex that can
+pass lies in the l1-ellipse omega' (|v|_1 + |x - v|_1) <= U, so one solve on
+the off-centre box around it (``_goal_box``) is exact and sets no flag.
 """
 
 from __future__ import annotations
@@ -70,26 +78,40 @@ def unit_steps(d: int) -> list:
 
 @dataclass(frozen=True)
 class LatticeBox:
-    """The box [-radius, radius]^d intersected with Z^d."""
+    """The box [-radius, radius]^d intersected with Z^d, or [low, high] when given.
+
+    ``spanning`` builds a box off the origin's centre; its radius is then the
+    largest |coordinate| of its corners.
+    """
 
     dimension: int
     radius: int
+    low: tuple | None = None
+    high: tuple | None = None
 
     def __post_init__(self):
         if self.radius < 1:
             raise ValueError(f"box radius must be >= 1, got {self.radius}")
         if self.dimension < 1:
             raise ValueError(f"box dimension must be >= 1, got {self.dimension}")
+        if self.low is None:
+            object.__setattr__(self, "low", (-self.radius,) * self.dimension)
+            object.__setattr__(self, "high", (self.radius,) * self.dimension)
+
+    @classmethod
+    def spanning(cls, low, high) -> "LatticeBox":
+        """The box [low, high] of Z^d."""
+        return cls(len(low), max(map(abs, (*low, *high))), tuple(low), tuple(high))
 
     def contains(self, v) -> bool:
-        return all(abs(int(vi)) <= self.radius for vi in v)
+        return all(a <= int(vi) <= b for vi, a, b in zip(v, self.low, self.high))
 
     def vertex_count(self) -> int:
-        return (2 * self.radius + 1) ** self.dimension
+        return math.prod(b - a + 1 for a, b in zip(self.low, self.high))
 
     def corner(self) -> Vertex:
         """The lowest vertex of the box."""
-        return (-self.radius,) * self.dimension
+        return self.low
 
     def padded_index(self, v) -> tuple:
         """Index of vertex v in the padded box: v - corner + 1."""
@@ -97,7 +119,7 @@ class LatticeBox:
 
     def padded_shape(self) -> tuple:
         """Shape of the box grown by one layer of padding."""
-        return (2 * self.radius + 3,) * self.dimension
+        return tuple(b - a + 3 for a, b in zip(self.low, self.high))
 
     def flat_index(self, v) -> int:
         """Row-major index of vertex v on the padded box; it orders like the tuples."""
@@ -112,9 +134,8 @@ class LatticeBox:
         geodesic backtracking and the brute-force oracle all read; a batched
         solve passes its trial's slot of the batch array as out.
         """
-        n = 2 * self.radius + 1
         w = field.edge_window(tuple(c - 1 for c in self.corner()), self.padded_shape(), out)
-        for k in range(self.dimension):
+        for k, n in enumerate(s - 2 for s in self.padded_shape()):
             face = np.moveaxis(w, k + 1, 1)
             face[:, [0, n + 1]] = math.inf
             face[k, n] = math.inf
@@ -217,12 +238,17 @@ def fpp_dijkstra(
 
 
 def _solve_batch(fields, source, box: LatticeBox, *, time_budget=None, target=None,
-                 max_settled=None) -> list:
+                 max_settled=None, goal=None) -> list:
     """fpp_dijkstra of every field from one source on one box, with the same stops.
 
     Each field's window is hashed into its slot of one (d, B, *padded shape)
     array, which is each map's window, and the bucket loop settles the B
     trials in lock step, its bucket width set by the first field's law.
+
+    goal, None or (omega, ceilings) with a target, prunes toward the target:
+    a relaxation to v in trial i is dropped when its time exceeds
+    fl(ceilings[i] - fl(omega |target - v|_1)).  Only _goal_solve passes it;
+    the pruned maps' times off the target's geodesics are not Dijkstra's.
     """
     for field in fields:
         if field.attachment != "edge":
@@ -246,13 +272,20 @@ def _solve_batch(fields, source, box: LatticeBox, *, time_budget=None, target=No
     weights = np.empty((d, len(fields), *shape))
     for i, field in enumerate(fields):
         box.padded_weights(field, weights[:, i])
-    strides = [shape[0] ** (d - 1 - j) for j in range(d)]
+    strides = [math.prod(shape[j + 1:]) for j in range(d)]
     src = box.flat_index(source)
     tgt = box.flat_index(target) if target is not None else -1
     cap = max_settled if max_settled is not None else math.inf
     budget = float(time_budget) if time_budget is not None else math.inf
     flat = weights.reshape(d, len(fields), -1)
-    runs = _bucket_settle(flat, strides, src, tgt, budget, cap, fields[0].spec.mean() / 2)
+    prune = None
+    if goal is not None:
+        omega, ceilings = goal
+        # |target - v|_1 at every padded vertex, then times omega: one rounding
+        dist = functools.reduce(np.add, np.ix_(*(
+            np.abs(np.arange(a - 1, b + 2) - c) for a, b, c in zip(box.low, box.high, target))))
+        prune = (omega * dist.reshape(-1), np.asarray(ceilings, dtype=np.float64))
+    runs = _bucket_settle(flat, strides, src, tgt, budget, cap, fields[0].spec.mean() / 2, prune)
 
     maps = []
     for window, (order, times) in zip(weights.swapaxes(0, 1), runs):
@@ -265,7 +298,7 @@ def _solve_batch(fields, source, box: LatticeBox, *, time_budget=None, target=No
         # settled times never decrease, so every settled face vertex lies at or
         # below the cut the flag certifies (the budget, or the last settled time)
         padded = np.unravel_index(order, shape)
-        boundary_hit = any(bool(((c == 1) | (c == shape[0] - 2)).any()) for c in padded)
+        boundary_hit = any(bool(((c == 1) | (c == n - 2)).any()) for c, n in zip(padded, shape))
         maps.append(PassageTimeMap(source=source, box=box, flat=order, settled_times=times,
                                    window=window, horizon=horizon, boundary_hit=boundary_hit))
     return maps
@@ -304,7 +337,110 @@ def _grown_solve(fields, radius: int, cap: int, **stops) -> list:
     return maps
 
 
-def _bucket_settle(weights, strides, src, tgt, budget, cap, delta):
+# the relative margin omega loses in a pruned solve; estimators._fpp_target_solve
+# shows it covers the rounding on every box the memory budget admits
+_GOAL_MARGIN = 2.0 ** -20
+
+
+def _least_monotone_time(fields, target) -> np.ndarray:
+    """Per field, the least left-fold sum of edge weights over the monotone paths
+    from the origin to target, each step moving one coordinate toward it.
+
+    One min-plus sweep over the rectangle between them, a hyperplane
+    sum |v_i| = k at a time, with the fields on a trailing axis.  Each value
+    is fl(t_u + w) for some neighbour u on the hyperplane before, so it is
+    the left-fold sum along a real path.
+    """
+    d, b = len(target), len(fields)
+    ext = tuple(abs(c) + 1 for c in target)
+    w = np.empty((d, b, *ext))
+    for i, f in enumerate(fields):
+        f.edge_window(tuple(min(0, c) for c in target), ext, w[:, i])
+    # each negative axis flipped, local q runs from the origin (0) to the target
+    # (ext - 1), and w[j] at q weighs the edge from q's vertex along +e_j
+    w = w[(slice(None), slice(None), *(slice(None, None, -1 if c < 0 else 1) for c in target))]
+    # on the grid padded by one layer below, steps[j] at q + 1 weighs the step
+    # into q along axis j: the edge at q - e_j on a positive axis, at q on a flipped one
+    pad = tuple(e + 1 for e in ext)
+    steps = np.full((d, *pad, b), math.inf)
+    for j, c in enumerate(target):
+        into, edge = [slice(1, None)] * d, [slice(None)] * d
+        if c >= 0:
+            into[j], edge[j] = slice(2, None), slice(None, -1)
+        steps[(j, *into)] = np.moveaxis(w[(j, slice(None), *edge)], 0, -1)
+    steps = steps.reshape(d, -1, b)
+    strides = [math.prod(pad[j + 1:]) for j in range(d)]
+    q = np.indices(ext).reshape(d, -1)
+    level = q.sum(axis=0)
+    flat = np.ravel_multi_index(tuple(q[:, np.argsort(level, kind="stable")] + 1), pad)
+    ends = np.cumsum(np.bincount(level)).tolist()
+    t = np.full((math.prod(pad), b), math.inf)
+    t[flat[0]] = 0.0
+    for a, e in zip(ends, ends[1:]):
+        at = flat[a:e]
+        best = t[at - strides[0]] + steps[0, at]
+        for j in range(1, d):
+            np.minimum(best, t[at - strides[j]] + steps[j, at], out=best)
+        t[at] = best
+    return t[flat[-1]]
+
+
+def _goal_box(target, ceiling: float, omega: float, radius: int):
+    """The box holding every v with omega (|v|_1 + |target - v|_1) <= ceiling,
+    with one layer more; None if omega is 0 or (ceiling / omega - |target|_1)
+    / 2 >= radius, where every side would pass the radius-box's.
+
+    On axis i it spans [min(0, x_i) - r, max(0, x_i) + r], r = ceil((ceiling
+    / omega - |target|_1) / 2) + 1, so every face vertex v has omega (|v|_1 +
+    |target - v|_1) >= omega fl(ceiling / omega) + 2 omega.
+    """
+    half = (ceiling / omega - sum(map(abs, target))) / 2 if omega > 0 else math.inf
+    if not half < radius:
+        return None
+    r = math.ceil(half) + 1
+    return LatticeBox.spanning(tuple(min(0, c) - r for c in target),
+                               tuple(max(0, c) + r for c in target))
+
+
+def _goal_solve(fields, target, radius: int, cap: int) -> list:
+    """Exact maps of the fields' solves to target (estimators._fpp_target_solve).
+
+    With omega = (1 - _GOAL_MARGIN) times the fields' least support_min() > 0,
+    each trial's ceiling is its _least_monotone_time.  A trial whose
+    _goal_box holds at most the vertices of the first box, of this radius, is
+    solved pruned on it, in batches of trials in ceiling order, each within
+    _trials_per_solve of its box; no face vertex settles there.  The other
+    trials, and every trial when omega is 0, take _grown_solve(radius, cap).
+    """
+    d = len(target)
+    first = LatticeBox(d, radius).vertex_count()
+    omega = min(f.spec.support_min() for f in fields) * (1 - _GOAL_MARGIN)
+    maps = [None] * len(fields)
+    if omega > 0 and first <= MEMORY_BUDGET // _TRIAL_BYTES:
+        ceilings = _least_monotone_time(fields, target)
+        boxes = [_goal_box(target, u, omega, radius) for u in ceilings.tolist()]
+        batches: list = []
+        for i in sorted((i for i, box in enumerate(boxes) if box and box.vertex_count() <= first),
+                        key=ceilings.__getitem__):
+            if batches and len(batches[-1]) < _trials_per_solve(boxes[i]):
+                batches[-1].append(i)
+            else:
+                batches.append([i])
+        for part in batches:
+            for i, pmap in zip(part, _solve_batch([fields[i] for i in part], (0,) * d,
+                                                  boxes[part[-1]], target=target,
+                                                  goal=(omega, ceilings[part]))):
+                assert not pmap.boundary_hit
+                maps[i] = pmap
+    rest = [i for i, pmap in enumerate(maps) if pmap is None]
+    if rest:
+        for i, pmap in zip(rest, _grown_solve([fields[i] for i in rest], radius, cap,
+                                              target=target)):
+            maps[i] = pmap
+    return maps
+
+
+def _bucket_settle(weights, strides, src, tgt, budget, cap, delta, prune=None):
     """Settle every trial a bucket per step, each in a binary heap's order.
 
     weights[j, i] holds trial i's weight of the edge from each flat index
@@ -335,6 +471,12 @@ def _bucket_settle(weights, strides, src, tgt, budget, cap, delta):
     whenever thr == t_min (Delta is 0 or below t_min's ulp).  The bucket is
     then cut in each trial where its own stop falls (``_cut``), and a trial
     that stops leaves the frontier, an index array with a membership array.
+
+    prune, None or (bound, ceilings), holds a bound per flat index of one
+    window and a ceiling per trial: a relaxation to v in trial i is dropped
+    when its time exceeds fl(ceilings[i] - bound[v]).  Every argument above
+    holds for the pruned graph, whose times are the least over the paths
+    that pass this test at each vertex (a prefix of such a path passes it).
     """
     d, trials, size = weights.shape
     omega = float(weights.min())
@@ -345,6 +487,9 @@ def _bucket_settle(weights, strides, src, tgt, budget, cap, delta):
     steps = np.array([[sign * s] for s in strides for sign in (1, -1)])
     edges = np.array([[j * trials * size + off] for j, s in enumerate(strides) for off in (0, -s)])
     base = np.arange(trials) * size
+    if prune is not None:
+        bound, ceilings = prune
+        lim = (ceilings[:, None] - bound).reshape(-1)
     best = np.full(trials * size, math.inf)
     front = base + src
     best[front] = 0.0
@@ -381,6 +526,8 @@ def _bucket_settle(weights, strides, src, tgt, budget, cap, delta):
             dest = bucket + steps
             nt = bt + flat_w[bucket + edges]
             better = nt < best[dest]
+            if prune is not None:
+                better &= nt <= lim[dest]
             dest, nt = dest[better], nt[better]
             np.minimum.at(best, dest, nt)
             fresh = dest[slot[dest] < 0]

@@ -14,15 +14,17 @@ import pytest
 from latticegrow import fpp
 
 
-def heap_settle(weights, strides, src, tgt, budget, cap):
+def heap_settle(weights, strides, src, tgt, budget, cap, lim=None):
     """Settle one vertex per heap pop, in (time, flat index) order.
 
-    weights[j] holds the weight of the edge from each flat index along +e_j.
-    Returns the settled flat indices and times, in settling order.
+    weights[j] holds the weight of the edge from each flat index along +e_j;
+    lim, when given, holds the largest time a relaxation may give each flat
+    index.  Returns the settled flat indices and times, in settling order.
     """
     # per axis: the flat offset of +e_j and the weights of edges leaving forward
     relax = [(s, memoryview(w)) for s, w in zip(strides, weights)]
     best = [math.inf] * weights.shape[1]
+    lim = [math.inf] * weights.shape[1] if lim is None else lim.tolist()
     best[src] = 0.0
     heap = [(0.0, src)]
     order: list = []
@@ -43,21 +45,26 @@ def heap_settle(weights, strides, src, tgt, budget, cap):
         for s, w in relax:
             v = u + s
             nt = t + w[u]
-            if nt < best[v]:
+            if nt < best[v] and nt <= lim[v]:
                 best[v] = nt
                 heapq.heappush(heap, (nt, v))
             v = u - s
             nt = t + w[v]
-            if nt < best[v]:
+            if nt < best[v] and nt <= lim[v]:
                 best[v] = nt
                 heapq.heappush(heap, (nt, v))
 
     return np.array(order, dtype=np.int64), np.array(times)
 
 
-def heap_runs(weights, strides, src, tgt, budget, cap, delta):
-    """_bucket_settle's result from one heap solve per trial."""
-    return [heap_settle(w, strides, src, tgt, budget, cap) for w in weights.swapaxes(0, 1)]
+def heap_runs(weights, strides, src, tgt, budget, cap, delta, prune=None):
+    """_bucket_settle's result from one heap solve per trial, pruned alike."""
+    lims = [None] * weights.shape[1]
+    if prune is not None:
+        bound, ceilings = prune
+        lims = [c - bound for c in ceilings.tolist()]
+    return [heap_settle(w, strides, src, tgt, budget, cap, lim)
+            for w, lim in zip(weights.swapaxes(0, 1), lims)]
 
 
 def heap_batch(fields, *args, **kw):

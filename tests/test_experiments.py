@@ -351,7 +351,8 @@ def test_truncated_trials_are_warned_in_the_summary(monkeypatch, tmp_path):
     from test_fpp import _forced_hits
 
     _forced_hits(monkeypatch)
-    summary = run_experiment(_cfg(kind="radial-g", model="fpp", dist="unif:0.5:1.5",
+    # a law of least weight 0: point solves of a positive one are pruned, never truncated
+    summary = run_experiment(_cfg(kind="radial-g", model="fpp", dist="exp:1.0",
                                   n_grid="2,4", trials=3, out=str(tmp_path / "g")))
     assert summary["warnings"] == ["truncation flagged in 3 trials at n=2",
                                    "truncation flagged in 3 trials at n=4"]
@@ -490,8 +491,9 @@ def test_shape_footprint_counts_the_largest_retry_box():
     ("fpp", (1, 1), 8), ("fpp", (1, 1, 1), 4), ("lpp", (1, 1), 256), ("lpp", (1, 1, 1), 32),
 ])
 def test_footprint_counts_the_trials_of_one_sample_task(monkeypatch, model, direction, n):
-    # the CLI sizes the largest task _sample_times may send: one FPP solve's
-    # first boxes, or one LPP sweep's tables, over a full batch of trials
+    # the CLI counts one FPP solve's first boxes, or one LPP sweep's tables,
+    # over a full batch of trials; _sample_times sizes an FPP task of a law
+    # bounded away from 0 by the smaller box its solve prunes to
     sizes = []
 
     def spy(fn, tasks, workers):
@@ -510,8 +512,10 @@ def test_footprint_counts_the_trials_of_one_sample_task(monkeypatch, model, dire
     # 256^2 corner, 15 on 32^3
     per = {("fpp", 2): 88, ("fpp", 3): 1, ("lpp", 2): 34, ("lpp", 3): 15}[model, len(direction)]
     assert count == per * _point_cells(model, n, direction)
-    # 20 trials go in the fewest batches of at most per, their sizes within one
-    assert sorted(sizes) == {88: [20], 34: [20], 1: [1] * 20, 15: [10, 10]}[per]
+    # 20 trials go in the fewest batches of at most per, their sizes within one:
+    # 415 pruned boxes of 29^2 or 28 of 21^3 in a task, each within 2^20 cells
+    per = {("fpp", 2): 415, ("fpp", 3): 28, ("lpp", 2): 34, ("lpp", 3): 15}[model, len(direction)]
+    assert sorted(sizes) == {415: [20], 28: [20], 34: [20], 15: [10, 10]}[per]
 
 
 # -- every bound of every kind, each from its closed form in README ---------------

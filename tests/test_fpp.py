@@ -534,7 +534,8 @@ def _forced_hits(monkeypatch):
 def test_trials_double_their_box_twice_on_boundary_hits(monkeypatch):
     radii = _forced_hits(monkeypatch)
     spec = uniform(0.5, 1.5)
-    *_, hit = estimators._fpp_target_solve([WeightField(spec, 3, "edge", 2)], (3, 2),
+    # a law of least weight 0: point solves of a positive one are pruned, never grown
+    *_, hit = estimators._fpp_target_solve([WeightField(exponential(1.0), 3, "edge", 2)], (3, 2),
                                            want_geodesic=False)
     r = estimators._fpp_first_radius((3, 2))
     assert hit and radii == [r, 2 * r, 4 * r]
@@ -564,7 +565,7 @@ def _budget_for_radius(r: int) -> int:
 def test_grown_box_past_the_budget_is_refused(monkeypatch):
     radii = _forced_hits(monkeypatch)
     r = estimators._fpp_first_radius((3, 2))
-    field = WeightField(uniform(0.5, 1.5), 3, "edge", 2)
+    field = WeightField(exponential(1.0), 3, "edge", 2)
     monkeypatch.setattr(fpp, "MEMORY_BUDGET", _budget_for_radius(2 * r))
     with pytest.raises(ValueError, match=f"^an FPP box in dimension 2 needs {(8 * r + 1) ** 2} "
                                          f"vertices, more than {(4 * r + 1) ** 2}$"):
@@ -582,7 +583,7 @@ def test_cli_grown_box_past_the_budget_is_hard_failure(monkeypatch, capsys, tmp_
     radii = _forced_hits(monkeypatch)
     r = estimators._fpp_first_radius((2, 2))
     monkeypatch.setattr(fpp, "MEMORY_BUDGET", _budget_for_radius(r))
-    rc = main(["radial-g", "--model", "fpp", "--dist", "unif:0.5:1.5", "--n-grid", "2",
+    rc = main(["radial-g", "--model", "fpp", "--dist", "exp:1.0", "--n-grid", "2",
                "--trials", "2", "--out", str(tmp_path / "o")])
     assert rc == 3
     assert capsys.readouterr().err == (f"hard failure: an FPP box in dimension 2 needs "
