@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 
 CLI = "src/latticegrow/cli.py"
 EST = "src/latticegrow/estimators.py"
+EXP = "src/latticegrow/experiments.py"
 FPP = "src/latticegrow/fpp.py"
 LPP = "src/latticegrow/lpp.py"
 
@@ -124,8 +125,23 @@ MUTANTS = [
            "    if not any(name in os.environ for name in _BLAS_THREADS):\n", "    if True:\n",
            ("tests/test_experiments.py",)),
     Mutant("the pool sized by the workers, not the tasks", EST,
-           "    procs = min(workers or 1, len(tasks))\n", "    procs = workers or 1\n",
+           "    procs = min(workers or 1, len(tasks), MEMORY_BUDGET // task_bytes)\n",
+           "    procs = min(workers or 1, MEMORY_BUDGET // task_bytes)\n",
            ("tests/test_experiments.py",)),
+    Mutant("the pool ignores the byte cap", EST,
+           "    procs = min(workers or 1, len(tasks), MEMORY_BUDGET // task_bytes)\n",
+           "    procs = min(workers or 1, len(tasks))\n",
+           ("tests/test_experiments.py",)),
+    Mutant("the batch helper loses its max(1, ...)", EXP,
+           "    return max(1, _BATCH_BYTES // trial_bytes)\n",
+           "    return _BATCH_BYTES // trial_bytes\n",
+           ("tests/test_experiments.py",)),
+    Mutant("the FPP count drops the lim bytes", FPP,
+           "(14 * box.dimension + 33 + 8 * pruned)", "(14 * box.dimension + 33)",
+           ("tests/test_fpp_point.py",)),
+    Mutant("the growth count drops roundness's window", EXP,
+           "_roundness_bytes(min(d, 64), 2)", "_grid_bytes(min(d, 64), 2)",
+           ("tests/test_memory.py",)),
     Mutant("a flat-edge margin strip one column off", EST,
            "((0, n + 1), (n + 1, m))", "((0, n + 2), (n + 1, m))",
            ("tests/test_estimators.py",)),

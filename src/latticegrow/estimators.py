@@ -18,11 +18,14 @@ import numpy as np
 
 from ._output import write_csv
 from .experiments import (
+    MEMORY_BUDGET,
     MIN_FIT_POINTS,
     MIN_FIT_SPAN,
     MIN_FLAT_EDGE_N,
     MIN_RADIAL_TRIALS,
     MIN_VARIANCE_TRIALS,
+    _BATCH_BYTES,
+    _batch_trials,
 )
 from .fpp import (
     _GOAL_MARGIN,
@@ -31,7 +34,7 @@ from .fpp import (
     _goal_box,
     _goal_solve,
     _grown_solve,
-    _trials_per_solve,
+    _trial_bytes,
     fpp_geodesic,
     lattice_point,
     max_distance_to_segment,
@@ -40,8 +43,8 @@ from .lpp import (
     _SAT,
     _batch_corners,
     _min_plus_2d,
-    _min_plus_trials_per_batch,
-    _trials_per_batch,
+    _min_plus_bytes,
+    _sweep_bytes,
     exact_g,
     exact_shape_for,
     lpp_dp,
@@ -157,9 +160,10 @@ class ExponentFit:
 # sampling machinery
 
 
-def _map_trials(fn, tasks: list, workers: int):
-    """[fn(t) for t in tasks] on min(workers, len(tasks)) processes; on one, in this process."""
-    procs = min(workers or 1, len(tasks))
+def _map_trials(fn, tasks: list, workers: int, task_bytes: int):
+    """[fn(t) for t in tasks] on min(workers, len(tasks), MEMORY_BUDGET // task_bytes)
+    processes, task_bytes the most one task holds; on one, in this process."""
+    procs = min(workers or 1, len(tasks), MEMORY_BUDGET // task_bytes)
     if procs > 1:
         import multiprocessing
 
@@ -189,22 +193,25 @@ def _fpp_first_radius(target) -> int:
 
 
 def _task_size(model: str, target, spec=None) -> tuple:
-    """(trials, vertices) of one sampling task at target: one FPP solve's first
-    boxes or one LPP sweep's tables, over a batch of trials.  Given the law,
-    an FPP task is sized by the box its solve prunes to (_fpp_target_solve)
-    at a ceiling of mean |target|_1, when that box is the smaller."""
-    if model == "fpp":
+    """(trials, bytes) of one sampling task at target: a batch of LPP corner
+    sweeps, or of FPP solves, and the most it holds at once.  An FPP solve
+    holds at most a batch on the first box, pruned if the law is; given the
+    law, trials are counted on the box the solve prunes to
+    (_fpp_target_solve) at a ceiling of mean |target|_1, if that is smaller."""
+    if model == "lpp":
+        need = most = _sweep_bytes(target)
+    else:
         radius = _fpp_first_radius(target)
         box = LatticeBox(len(target), radius)
+        need = _trial_bytes(box)
+        most = _trial_bytes(box, pruned=spec is not None and spec.support_min() > 0)
         if spec is not None:
             goal = _goal_box(target, spec.mean() * sum(map(abs, target)),
                              spec.support_min() * (1 - _GOAL_MARGIN), radius)
             if goal is not None and goal.vertex_count() < box.vertex_count():
-                box = goal
-        per = _trials_per_solve(box)
-        return per, per * box.vertex_count()
-    per = _trials_per_batch(target)
-    return per, per * math.prod(c + 1 for c in target)
+                need = _trial_bytes(goal, pruned=True)
+    per = _batch_trials(need)
+    return per, max(per * need, _batch_trials(most) * most)
 
 
 def _fpp_target_solve(fields, target, *, want_geodesic: bool):
@@ -222,8 +229,10 @@ def _fpp_target_solve(fields, target, *, want_geodesic: bool):
     fl(a + w) is monotone in a.  A relaxation to v is dropped when its time
     exceeds lim(v) = fl(U - fl(omega' |x - v|_1)), on the _goal_box of U,
     which holds at most the first box's vertices, or the trial is not
-    pruned.  That is at most 2^24 vertices (MEMORY_BUDGET // _TRIAL_BYTES),
-    so a side has at most 2^24 and d <= 15 (a side holds 3 or more), so
+    pruned; and it prunes only when a pruned trial on the first box is
+    within MEMORY_BUDGET.  fpp._trial_bytes counts more than 16 bytes a
+    vertex, so that is at most MEMORY_BUDGET / 16 = 2^24 vertices: a side
+    has at most 2^24 and d <= 15 (a side holds 3 or more), so
     |x - v|_1 and U / omega' (at most the sum of the sides) stay below 2^28;
     every time compared below is at most M = 2^28 omega'.
 
@@ -307,13 +316,14 @@ def _sample_times(model, spec, direction, n_grid, trials, seed, tag, workers,
     full_tag = f"{tag}:{model}:{spec.token()}:{direction}"
     # trials of one n share FPP solves or LPP sweeps in near-equal batches, each
     # trial with its own field, so the samples do not depend on them
-    tasks = []
+    tasks, most = [], 1
     for n, tgt in zip(ns, targets):
         row = [derive_seed(seed, full_tag, n, i) for i in range(trials)]
-        tasks += [(model, spec, tgt, batch, want_geodesic)
-                  for batch in _batches(row, _task_size(model, tgt, spec)[0])]
+        per, need = _task_size(model, tgt, spec)
+        tasks += [(model, spec, tgt, batch, want_geodesic) for batch in _batches(row, per)]
+        most = max(most, need)
     times, devs, hits = (np.concatenate(col).reshape(len(ns), trials)
-                         for col in zip(*_map_trials(_point_batch, tasks, workers)))
+                         for col in zip(*_map_trials(_point_batch, tasks, workers, most)))
     trunc = {n: int(c) for n, c in zip(ns, hits.sum(axis=1)) if c}
     return np.array(ns), targets, times, devs if want_geodesic else None, trunc
 
@@ -378,13 +388,19 @@ def _ball_side(model: str, spec: DistributionSpec, t: float) -> int:
     return int(math.ceil(2.5 * t / spec.mean())) + 8
 
 
-def _ball_cells(model: str, spec: DistributionSpec, t: float):
-    """Vertices in a shape trial's largest box (FPP) or table (LPP), in d = 2."""
+def _ball_bytes(model: str, spec: DistributionSpec, t: float):
+    """Bytes a shape trial holds in d = 2 on its largest box (FPP) or table
+    (LPP): its solve, with the last table (LPP), or the scan of a ball that
+    fills it, 41 bytes a cell for its coordinates, and 4 KiB a step of the
+    radial scan (_radial_reaches) for up to 64 angles."""
     try:
         side = _ball_side(model, spec, t) << _BOX_RETRIES
     except OverflowError:  # t / mean overflows a float
         return math.inf
-    return (2 * side + 1) ** 2 if model == "fpp" else (side + 1) ** 2
+    cells = (2 * side + 1) ** 2 if model == "fpp" else (side + 1) ** 2
+    solve = (_trial_bytes(LatticeBox(2, side)) if model == "fpp"
+             else _sweep_bytes((side, side), keep_all=True) + 2 * cells)
+    return max(solve, 41 * cells + 4096 * (6 * side + 18))
 
 
 # the radial scan's step, and how many misses in a row end it
@@ -420,7 +436,9 @@ def _shape_trial(args):
     if model == "fpp":
         (pmap,) = _grown_solve([WeightField(spec, seed, "edge", 2)], side,
                                side << _BOX_RETRIES, time_budget=t)
-        pts, hit = pmap._coords(pmap.flat[pmap.settled_times <= t]), pmap.boundary_hit
+        box, hit, ball = pmap.box, pmap.boundary_hit, pmap.flat[pmap.settled_times <= t]
+        del pmap  # its window goes before the ball is scanned
+        pts = box.coords(ball)
     else:
         fld = WeightField(spec, seed, "vertex", 2)
         for attempt in range(_BOX_RETRIES + 1):
@@ -428,7 +446,9 @@ def _shape_trial(args):
             hit = bool((tab[-1, :] <= t).any() or (tab[:, -1] <= t).any())
             if not hit:
                 break
-        pts = np.argwhere(tab <= t)
+        ball = tab <= t
+        del tab  # the table goes before the ball is scanned
+        pts = np.argwhere(ball)
     return _radial_reaches(pts, angles), hit
 
 
@@ -451,7 +471,7 @@ def shape_boundary_estimate(
     tag = f"shape:{model}:{spec.token()}:{t}"
     tasks = [(model, spec, float(t), derive_seed(seed, tag, 0, i), angles)
              for i in range(trials)]
-    rows, hits = zip(*_map_trials(_shape_trial, tasks, workers))
+    rows, hits = zip(*_map_trials(_shape_trial, tasks, workers, _ball_bytes(model, spec, t)))
     reaches = np.stack(rows) / t
     radii = reaches.mean(axis=0)
     stderrs = reaches.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros(angles.size)
@@ -560,25 +580,36 @@ def _twopoint_diag_time(fields, n: int) -> np.ndarray:
     j <= K = floor((U - 2n)/2) and stays in [-K, n+K]^2.  The other trials
     are solved together on the window [-m, n+m]^2, m = K + 1 for the
     batch's largest K, by K backward-step layers of the min-plus sweep
-    (lpp._min_plus_2d): that is T exactly, since any path leaving the
-    window takes at least 2n + 2m > U >= T steps.  The times are integers
-    at most 4n < lpp._SAT, so the uint16 sweep is exact.
+    (lpp._min_plus_2d), a batch of trials at a time: that is T exactly,
+    since any path leaving the window takes at least 2n + 2m > U >= T steps.
+    The times are integers at most 4n < lpp._SAT, so the uint16 sweep is
+    exact.
     """
     if any(f.spec.kind != "twopoint" for f in fields):
         raise ValueError("window solve needs two-point weights 1 and 2")
     inner = _edge_windows(fields, 0, n + 1)
-    u = _min_plus_2d(inner)[2 * n + 1, n + 1]
+    u = _min_plus_2d(inner)[2 * n + 1, n + 1].copy()  # not a view, which keeps the sweep
     times = u.astype(np.float64)
     slow = np.flatnonzero(u > 2 * n)
     if slow.size:
         k = int(u.max() - 2 * n) // 2
         m = k + 1
-        w = _margin_windows([fields[i] for i in slow], inner[..., slow], m)
-        t = _min_plus_2d(w, m, k)[2 * (n + m) + 1, n + m + 1]
-        if not np.all(t < 2 * n + 2 * m):
-            raise RuntimeError("window certificate failed; weights suspect")
-        times[slow] = t
+        for part in _batches(slow, _batch_trials(_min_plus_bytes(n + 2 * m + 1, k))):
+            w = _margin_windows([fields[i] for i in part], inner[..., part], m)
+            t = _min_plus_2d(w, m, k)[2 * (n + m) + 1, n + m + 1]
+            if not np.all(t < 2 * n + 2 * m):
+                raise RuntimeError("window certificate failed; weights suspect")
+            times[part] = t
     return times
+
+
+def _flat_edge_task(n: int) -> tuple:
+    """(trials, bytes) of one flat-edge task at n: a batch of [0, n]^2 window
+    solves, then with their windows a batch of margin solves, or one at the
+    largest margin, m = n + 1 (U = 4n)."""
+    probe, margin = _min_plus_bytes(n + 1), _min_plus_bytes(3 * n + 3, n)
+    per = _batch_trials(probe)
+    return per, per * probe + max(margin, _BATCH_BYTES)
 
 
 def _flat_edge_batch(args):
@@ -594,8 +625,8 @@ def flat_edge_probe(p: float, n: int, trials: int, seed: int, workers: int = 1) 
     2n edges).  Ratios near 1 indicate the diagonal lies on the flat edge of
     the limit shape; ratios bounded away from 1 indicate strict interiority.
     Trials go to the window solve in batches of nearly equal size, sized by
-    the min-plus sweep's byte budget on [0, n]^2; each trial keeps its own
-    field, so the times do not depend on the batching or the workers.
+    the min-plus sweep's bytes on [0, n]^2; each trial keeps its own field,
+    so the times do not depend on the batching or the workers.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
@@ -605,9 +636,9 @@ def flat_edge_probe(p: float, n: int, trials: int, seed: int, workers: int = 1) 
         raise ValueError(f"trials must be >= 1, got {trials}")
     tag = f"flat-edge:{p}"
     seeds = [derive_seed(seed, tag, n, i) for i in range(trials)]
-    tasks = [(float(p), int(n), batch)
-             for batch in _batches(seeds, _min_plus_trials_per_batch(n + 1))]
-    times = np.concatenate(_map_trials(_flat_edge_batch, tasks, workers))
+    per, need = _flat_edge_task(n)
+    tasks = [(float(p), int(n), batch) for batch in _batches(seeds, per)]
+    times = np.concatenate(_map_trials(_flat_edge_batch, tasks, workers, need))
     ratios = times / (2.0 * n)
     mean, se = _mean_se(ratios)
     return FlatEdgeReport(

@@ -7,8 +7,11 @@ the package version.  Identical configs produce byte-identical CSVs; the
 only timestamp lives in the JSON summary.
 
 Each kind is one row of ``_TABLE``, and ``validate`` is one pass over it.  A
-kind's footprint counts the cells of its largest allocation, each at a fixed
-number of bytes, against one MEMORY_BUDGET; d = 1 IDLA's walk moves have a
+kind's footprint is the bytes its largest task holds, from its solver's own
+byte count (fpp._trial_bytes, lpp._sweep_bytes, lpp._min_plus_bytes,
+tasep._trial_bytes, growth._grid_bytes and growth._roundness_bytes), against
+one MEMORY_BUDGET; the same counts size the batches (_batch_trials), cap the
+worker pool and check what a run grows to.  d = 1 IDLA's walk moves have a
 bound of their own (README, "Command line").
 
 This module imports only the standard library.  Law checks, footprints and
@@ -31,11 +34,8 @@ __all__ = ["ExperimentConfig", "ConfigError", "HardFailure", "run_experiment", "
 
 # bytes a run may allocate at once, 256 MiB; growth grids and grown FPP boxes are checked against it
 MEMORY_BUDGET = 1 << 28
-# bytes a footprint cell stands for: a vertex of a shape trial's largest box
-# or table, of one FPP solve's first boxes or of one LPP sweep's tables, and a
-# TASEP table cell (a run peaks at about 55 bytes a cell, most of it the
-# step-time and LPP tables); a growth grid cell is one byte
-_TRIAL_BYTES, _TASEP_BYTES = 16, 64
+# bytes one batch of trials holds, 16 MiB: batches of 8 MiB ran lpp-exact 4-8 % slower
+_BATCH_BYTES = 16 << 20
 # least trials and n, which the estimators check too: a mean's standard error
 # needs MIN_RADIAL_TRIALS samples, and log-log fits need MIN_FIT_POINTS grid
 # points spanning a factor of MIN_FIT_SPAN
@@ -48,6 +48,11 @@ MIN_FIT_SPAN = 8
 _IDLA_D1_MOVES_MAX = 10 ** 8
 # most worker processes a run asks for; the pool starts at most one a task
 MAX_WORKERS = 64
+
+
+def _batch_trials(trial_bytes: int) -> int:
+    """Trials one batch holds at trial_bytes each: _BATCH_BYTES of them, at least one."""
+    return max(1, _BATCH_BYTES // trial_bytes)
 
 
 class ConfigError(ValueError):
@@ -148,9 +153,10 @@ class ExperimentConfig:
         if "t" in reads and not 0 < self.t < math.inf:
             raise ConfigError(f"t: must be positive and finite for kind {self.kind}, "
                               f"got {self.t}")
-        for name, count, limit, unit in row.footprint(self, spec):
-            if count > limit:
-                raise ConfigError(f"{name}: {self.kind} needs {count} {unit}, more than {limit}")
+        for name, need, unit in row.footprint(self, spec):
+            if need > MEMORY_BUDGET:
+                raise ConfigError(f"{name}: {self.kind} needs {need} bytes {unit}, "
+                                  f"more than {MEMORY_BUDGET}")
         return spec
 
 
@@ -196,28 +202,27 @@ def _needs(test, what: str) -> Callable:
     return law
 
 
-# footprints: each yields (field, count, limit, unit) for every upper bound
+# footprints: each yields (field, bytes, what holds them) for every bound
 def _shape_footprint(config, spec):
-    from .estimators import _ball_cells
+    from .estimators import _ball_bytes
 
-    yield ("t", _ball_cells(config.kind[:3], spec, config.t), MEMORY_BUDGET // _TRIAL_BYTES,
-           "vertices in its largest box")
+    yield "t", _ball_bytes(config.kind[:3], spec, config.t), "for a trial on its largest box"
 
 
 def _sample_footprint(config, spec, model=""):
-    """One FPP solve's first boxes or one LPP sweep's tables at the largest n; returns targets."""
+    """One task at the largest n: a batch of FPP solves on the first box or of
+    LPP sweeps; returns the targets."""
     from .estimators import _grid_targets, _task_size
 
     model = model or config.model
     try:
         _, _, targets = _grid_targets(model, config.direction_tuple(), config.n_grid_list())
-        cells = _task_size(model, targets[-1])[1]
+        need = _task_size(model, targets[-1])[1]
     except ValueError as e:
         raise ConfigError(str(e)) from None
     except OverflowError as e:  # n times direction, or the box around it, past a float's range
         raise ConfigError(f"n_grid: too large to place its points ({e})") from None
-    yield ("n_grid", cells, MEMORY_BUDGET // _TRIAL_BYTES,
-           "vertices in one solve's boxes or one sweep's tables")
+    yield "n_grid", need, "for one task's batch of trials"
     return targets
 
 
@@ -234,34 +239,37 @@ def _exponents_footprint(config, spec):
 
 def _flat_edge_footprint(config, spec):
     # the budget keeps n below estimators.MAX_FLAT_EDGE_N, where the times stay exact
-    from .lpp import _min_plus_bytes
+    from .estimators import _flat_edge_task
 
-    yield ("n_grid", _min_plus_bytes(max(config.n_grid_list()) + 1), MEMORY_BUDGET,
-           "bytes in one trial's window sweep on [0, n]^2")
+    yield "n_grid", _flat_edge_task(max(config.n_grid_list()))[1], "for one task's window solves"
 
 
 def _grid_footprint(config, spec):
-    from .growth import _first_radius
+    from .growth import _first_radius, _grid_bytes, _roundness_bytes
 
-    # the first grid has radius 2 or more; 5^64 cells is far past any budget
+    # roundness scans a window of reach 2 or more, past any first grid's
+    # bytes; in dimension 64 that is far past any budget
     d = config.dim
-    yield "dim", 5 ** min(d, 64), MEMORY_BUDGET, f"cells or more in dimension {d}"
+    yield "dim", _roundness_bytes(min(d, 64), 2), f"or more in dimension {d}"
     try:
         radius = _first_radius(d, config.steps)
     except OverflowError as e:  # steps past a float's range
         raise ConfigError(f"steps: too large to size its grid ({e})") from None
-    yield "steps", (2 * radius + 1) ** d, MEMORY_BUDGET, "grid cells"
+    yield "steps", _grid_bytes(d, radius), "in its first grid"
 
 
 def _idla_footprint(config, spec):
     yield from _grid_footprint(config, spec)
-    if config.dim == 1:
-        yield ("steps", config.steps ** 3 // 12, _IDLA_D1_MOVES_MAX,
-               "walk moves in dimension 1, about steps^3 / 12")
+    moves = config.steps ** 3 // 12
+    if config.dim == 1 and moves > _IDLA_D1_MOVES_MAX:
+        raise ConfigError(f"steps: idla needs {moves} walk moves in dimension 1, about "
+                          f"steps^3 / 12, more than {_IDLA_D1_MOVES_MAX}")
 
 
 def _tasep_footprint(config, spec):
-    yield "steps", config.steps ** 2, MEMORY_BUDGET // _TASEP_BYTES, "cells in its table"
+    from .tasep import _trial_bytes
+
+    yield "steps", _trial_bytes(config.steps), "for a trial's tables"
 
 
 # runners: each writes the row's files, in order, to paths
@@ -377,7 +385,7 @@ def _run_oracle_check(config, spec, paths, summary):
 class _Kind(NamedTuple):
     reads: dict           # field -> least value or None (n_grid: least n), besides kind, seed, out
     law: Callable | None  # (spec, config)
-    footprint: Callable   # (config, spec) -> (field, count, limit, unit) per upper bound
+    footprint: Callable   # (config, spec) -> (field, bytes, what holds them) per bound
     run: Callable         # (config, spec, paths of files, summary)
     files: tuple
 

@@ -23,9 +23,9 @@ Trials run in lock step.  ``_solve_batch`` solves B fields from one source
 on one box: their padded windows lie end to end on one flat axis, and each
 bucket holds the vertices below one threshold in every trial, each trial
 cut by its own stops, so a step's numpy overhead is paid once for B trials.
-``fpp_dijkstra`` is the one-field batch, and ``_grown_solve`` sizes batches
-by ``_trials_per_solve`` and re-solves only the trials whose boundary flag
-is set on the next box.
+``fpp_dijkstra`` is the one-field batch.  ``_trial_bytes`` counts the bytes
+one trial of a solve holds; ``_grown_solve`` sizes its batches by that count
+and re-solves only the trials whose boundary flag is set on the next box.
 
 Point solves to a target x with a law of least weight omega > 0 are
 goal-directed (``_goal_solve``; the proof is estimators._fpp_target_solve's).
@@ -45,8 +45,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ._output import write_csv
-from .experiments import _TRIAL_BYTES, MEMORY_BUDGET
-from .lpp import _BATCH_CELLS
+from .experiments import MEMORY_BUDGET, _batch_trials
 from .weights import WeightField
 
 __all__ = [
@@ -121,6 +120,11 @@ class LatticeBox:
         """Shape of the box grown by one layer of padding."""
         return tuple(b - a + 3 for a, b in zip(self.low, self.high))
 
+    def coords(self, flat: np.ndarray) -> np.ndarray:
+        """Coordinates (one row per vertex) of flat indices on the padded box."""
+        coords = np.stack(np.unravel_index(flat, self.padded_shape()), axis=-1)
+        return coords + np.array(self.corner(), dtype=np.int64) - 1
+
     def flat_index(self, v) -> int:
         """Row-major index of vertex v on the padded box; it orders like the tuples."""
         return int(np.ravel_multi_index(self.padded_index(v), self.padded_shape()))
@@ -163,14 +167,9 @@ class PassageTimeMap:
     horizon: float = math.inf
     boundary_hit: bool = False
 
-    def _coords(self, flat: np.ndarray) -> np.ndarray:
-        """Coordinates (one row per vertex) of flat indices on the padded box."""
-        coords = np.stack(np.unravel_index(flat, self.box.padded_shape()), axis=-1)
-        return coords + np.array(self.box.corner(), dtype=np.int64) - 1
-
     @functools.cached_property
     def order(self) -> list:
-        return list(map(tuple, self._coords(self.flat).tolist()))
+        return list(map(tuple, self.box.coords(self.flat).tolist()))
 
     @functools.cached_property
     def times(self) -> dict:
@@ -188,7 +187,7 @@ class PassageTimeMap:
     def to_csv(self, path) -> None:
         d = self.box.dimension
         write_csv(path, [f"x{i + 1}" for i in range(d)] + ["T"],
-                  [*self._coords(self.flat).T, self.settled_times])
+                  [*self.box.coords(self.flat).T, self.settled_times])
 
 
 def _check_fpp_law(spec) -> None:
@@ -278,15 +277,19 @@ def _solve_batch(fields, source, box: LatticeBox, *, time_budget=None, target=No
     cap = max_settled if max_settled is not None else math.inf
     budget = float(time_budget) if time_budget is not None else math.inf
     flat = weights.reshape(d, len(fields), -1)
-    prune = None
+    lim = None
     if goal is not None:
         omega, ceilings = goal
-        # |target - v|_1 at every padded vertex, then times omega: one rounding
+        # |target - v|_1 at every padded vertex, then times omega: one rounding;
+        # then each trial's ceiling less that, on the batch's flat axis
         dist = functools.reduce(np.add, np.ix_(*(
             np.abs(np.arange(a - 1, b + 2) - c) for a, b, c in zip(box.low, box.high, target))))
-        prune = (omega * dist.reshape(-1), np.asarray(ceilings, dtype=np.float64))
-    runs = _bucket_settle(flat, strides, src, tgt, budget, cap, fields[0].spec.mean() / 2, prune)
+        lim = (np.asarray(ceilings, dtype=np.float64)[:, None] - omega * dist.reshape(-1)).reshape(-1)
+        del dist  # only lim is counted (_trial_bytes)
+    runs = _bucket_settle(flat, strides, src, tgt, budget, cap, fields[0].spec.mean() / 2, lim)
 
+    interior = np.zeros(shape, dtype=bool)  # off the face; every settled vertex is in the box
+    interior[(slice(2, -2),) * d] = True
     maps = []
     for window, (order, times) in zip(weights.swapaxes(0, 1), runs):
         if order[-1] == tgt or len(order) >= cap:
@@ -297,36 +300,41 @@ def _solve_batch(fields, source, box: LatticeBox, *, time_budget=None, target=No
             horizon = budget
         # settled times never decrease, so every settled face vertex lies at or
         # below the cut the flag certifies (the budget, or the last settled time)
-        padded = np.unravel_index(order, shape)
-        boundary_hit = any(bool(((c == 1) | (c == n - 2)).any()) for c, n in zip(padded, shape))
+        boundary_hit = not interior.flat[order].all()
         maps.append(PassageTimeMap(source=source, box=box, flat=order, settled_times=times,
                                    window=window, horizon=horizon, boundary_hit=boundary_hit))
     return maps
 
 
-def _trials_per_solve(box: LatticeBox) -> int:
-    """How many trials one solve on this box holds, at least one: LPP's _BATCH_CELLS
-    over d + 1 float64 cells a vertex (its d edge weights and its tentative time)."""
-    return max(1, _BATCH_CELLS // ((box.dimension + 1) * box.vertex_count()))
+def _trial_bytes(box: LatticeBox, pruned: bool = False) -> int:
+    """Bytes one trial of _solve_batch holds on this box, at most: per padded
+    vertex, 8d of weights, 13 of the loop's time, slot and target flag (8
+    more of limit when pruned), 16 of settled indices and times, and 6d + 4
+    of a bucket's temporaries; and 16 KiB of small objects.  Hashing, the
+    grouping by trial and the flags fit in the loop's freed bytes."""
+    return math.prod(box.padded_shape()) * (14 * box.dimension + 33 + 8 * pruned) + (16 << 10)
 
 
 def _grown_solve(fields, radius: int, cap: int, **stops) -> list:
     """The maps of _solve_batch from the origin on radius r, 2r, 4r, ... up to cap.
 
     Each box re-solves only the trials whose last map has a face vertex
-    settled, _trials_per_solve of them a solve, so every map is exact or is
-    the cap box's and keeps its flag.  A box past MEMORY_BUDGET, at
-    _TRIAL_BYTES a vertex, raises ValueError.
+    settled, in batches of _batch_trials(_trial_bytes(box)), so every map
+    is exact or is the cap box's and keeps its flag.  A box whose trial
+    bytes pass MEMORY_BUDGET raises ValueError.
     """
     d = fields[0].dimension
     maps = [None] * len(fields)
     todo = list(range(len(fields)))
     while todo:
         box = LatticeBox(d, min(radius, cap))
-        if box.vertex_count() > MEMORY_BUDGET // _TRIAL_BYTES:
-            raise ValueError(f"an FPP box in dimension {box.dimension} needs {box.vertex_count()} "
-                             f"vertices, more than {MEMORY_BUDGET // _TRIAL_BYTES}")
-        per = _trials_per_solve(box)
+        need = _trial_bytes(box)
+        if need > MEMORY_BUDGET:
+            raise ValueError(f"an FPP box in dimension {box.dimension} needs {need} bytes a "
+                             f"trial, more than {MEMORY_BUDGET}")
+        per = _batch_trials(need)
+        for i in todo:  # a trial's map on the last box goes before it grows
+            maps[i] = None
         for a in range(0, len(todo), per):
             part = todo[a:a + per]
             for i, pmap in zip(part, _solve_batch([fields[i] for i in part], (0,) * d, box,
@@ -382,7 +390,7 @@ def _least_monotone_time(fields, target) -> np.ndarray:
         for j in range(1, d):
             np.minimum(best, t[at - strides[j]] + steps[j, at], out=best)
         t[at] = best
-    return t[flat[-1]]
+    return t[flat[-1]].copy()  # a view would keep the whole table
 
 
 def _goal_box(target, ceiling: float, omega: float, radius: int):
@@ -406,23 +414,26 @@ def _goal_solve(fields, target, radius: int, cap: int) -> list:
     """Exact maps of the fields' solves to target (estimators._fpp_target_solve).
 
     With omega = (1 - _GOAL_MARGIN) times the fields' least support_min() > 0,
-    each trial's ceiling is its _least_monotone_time.  A trial whose
-    _goal_box holds at most the vertices of the first box, of this radius, is
-    solved pruned on it, in batches of trials in ceiling order, each within
-    _trials_per_solve of its box; no face vertex settles there.  The other
+    each trial's ceiling is its _least_monotone_time.  If a pruned trial on
+    the first box, of this radius, is within MEMORY_BUDGET, a trial whose
+    _goal_box holds at most its _trial_bytes is solved pruned on it, in
+    batches in ceiling order; no face vertex settles there.  The other
     trials, and every trial when omega is 0, take _grown_solve(radius, cap).
     """
     d = len(target)
-    first = LatticeBox(d, radius).vertex_count()
+    first = LatticeBox(d, radius)
+    most = _trial_bytes(first, pruned=True)
     omega = min(f.spec.support_min() for f in fields) * (1 - _GOAL_MARGIN)
     maps = [None] * len(fields)
-    if omega > 0 and first <= MEMORY_BUDGET // _TRIAL_BYTES:
+    if omega > 0 and most <= MEMORY_BUDGET:
         ceilings = _least_monotone_time(fields, target)
         boxes = [_goal_box(target, u, omega, radius) for u in ceilings.tolist()]
         batches: list = []
-        for i in sorted((i for i, box in enumerate(boxes) if box and box.vertex_count() <= first),
+        # a box within the first's pruned bytes holds at most its vertices
+        for i in sorted((i for i, box in enumerate(boxes)
+                         if box and _trial_bytes(box, pruned=True) <= most),
                         key=ceilings.__getitem__):
-            if batches and len(batches[-1]) < _trials_per_solve(boxes[i]):
+            if batches and len(batches[-1]) < _batch_trials(_trial_bytes(boxes[i], pruned=True)):
                 batches[-1].append(i)
             else:
                 batches.append([i])
@@ -440,7 +451,7 @@ def _goal_solve(fields, target, radius: int, cap: int) -> list:
     return maps
 
 
-def _bucket_settle(weights, strides, src, tgt, budget, cap, delta, prune=None):
+def _bucket_settle(weights, strides, src, tgt, budget, cap, delta, lim=None):
     """Settle every trial a bucket per step, each in a binary heap's order.
 
     weights[j, i] holds trial i's weight of the edge from each flat index
@@ -472,9 +483,8 @@ def _bucket_settle(weights, strides, src, tgt, budget, cap, delta, prune=None):
     then cut in each trial where its own stop falls (``_cut``), and a trial
     that stops leaves the frontier, an index array with a membership array.
 
-    prune, None or (bound, ceilings), holds a bound per flat index of one
-    window and a ceiling per trial: a relaxation to v in trial i is dropped
-    when its time exceeds fl(ceilings[i] - bound[v]).  Every argument above
+    lim, None or a limit per flat index of the batch, prunes: a relaxation
+    to v is dropped when its time exceeds lim[v].  Every argument above
     holds for the pruned graph, whose times are the least over the paths
     that pass this test at each vertex (a prefix of such a path passes it).
     """
@@ -487,9 +497,6 @@ def _bucket_settle(weights, strides, src, tgt, budget, cap, delta, prune=None):
     steps = np.array([[sign * s] for s in strides for sign in (1, -1)])
     edges = np.array([[j * trials * size + off] for j, s in enumerate(strides) for off in (0, -s)])
     base = np.arange(trials) * size
-    if prune is not None:
-        bound, ceilings = prune
-        lim = (ceilings[:, None] - bound).reshape(-1)
     best = np.full(trials * size, math.inf)
     front = base + src
     best[front] = 0.0
@@ -504,8 +511,10 @@ def _bucket_settle(weights, strides, src, tgt, budget, cap, delta, prune=None):
     # fewer vertices than its padded window holds
     capped = cap < size
     settled = np.zeros(trials, dtype=np.int64)
-    order: list = []
-    times: list = []
+    # the settled flat indices and their times, in settling order
+    order = np.empty(trials * size, dtype=np.int64)
+    times = np.empty(trials * size)
+    done = 0
 
     while front.size:
         tf = best[front]
@@ -526,7 +535,7 @@ def _bucket_settle(weights, strides, src, tgt, budget, cap, delta, prune=None):
             dest = bucket + steps
             nt = bt + flat_w[bucket + edges]
             better = nt < best[dest]
-            if prune is not None:
+            if lim is not None:
                 better &= nt <= lim[dest]
             dest, nt = dest[better], nt[better]
             np.minimum.at(best, dest, nt)
@@ -562,18 +571,24 @@ def _bucket_settle(weights, strides, src, tgt, budget, cap, delta, prune=None):
             # some trial's heap stops in this bucket; a trial that stops leaves the frontier
             bucket, bt, count, stop = _cut(bucket, bt, is_tgt, budget, cap - settled, size)
             front = front[~stop[front // size]]
-        order.append(bucket)
-        times.append(bt)
+        order[done : done + bucket.size] = bucket
+        times[done : done + bucket.size] = bt
+        done += bucket.size
         if capped:
             settled += count
 
-    # every trial's vertices lie in settling order, so a stable sort by trial
-    # keeps each trial's order
-    order, times = np.concatenate(order), np.concatenate(times)
-    tri = (order // size).astype(np.min_scalar_type(trials))
-    by = np.argsort(tri, kind="stable")
-    order, times = order[by], times[by]
+    # a map keeps copies, not views of the whole buffers; every trial's
+    # vertices lie in settling order, so a stable sort by trial keeps each
+    # trial's order; one copy at a time, after the loop's arrays go, bounds
+    # what is held at once (_trial_bytes)
+    del best, slot, is_tgt
+    if trials == 1:
+        return [(order[:done].copy(), times[:done].copy())]
+    tri = (order[:done] // size).astype(np.min_scalar_type(trials))
     ends = np.cumsum(np.bincount(tri, minlength=trials)).tolist()
+    by = np.argsort(tri, kind="stable")
+    order = order[by]
+    times = times[by]
     return [(order[a:b] - i * size, times[a:b])
             for i, (a, b) in enumerate(zip([0] + ends, ends))]
 
@@ -612,7 +627,7 @@ def fpp_ball(pmap: PassageTimeMap, t: float) -> set:
     """
     if t > pmap.horizon:
         raise ValueError(f"t={t} exceeds the settled horizon {pmap.horizon}")
-    return set(map(tuple, pmap._coords(pmap.flat[pmap.settled_times <= t]).tolist()))
+    return set(map(tuple, pmap.box.coords(pmap.flat[pmap.settled_times <= t]).tolist()))
 
 
 @dataclass(frozen=True)

@@ -197,8 +197,8 @@ def idla_grow(seed: int, d: int, particles: int) -> ClusterTrace:
     most (p + 2)^2 / 4 moves on average, so (Markov's inequality, 40 times)
     after more than 20 (p + 2)^2 with probability at most 2^-40 < 1e-12.
     The occupancy grid has (2 radius + 1)^d cells, radius at least 2; a grid
-    past MEMORY_BUDGET, at a byte a cell, raises ValueError, which bounds the
-    dimension (12 for a cluster of sup-norm radius 1).
+    whose _grid_bytes pass MEMORY_BUDGET raises ValueError, which bounds the
+    dimension (11 for a cluster of sup-norm radius 1).
     """
     if particles < 1:
         raise ValueError("particles must be >= 1")
@@ -429,12 +429,31 @@ def _first_radius(d: int, particles: int) -> int:
     return max(2, int(1.2 * (particles / ball) ** (1 / d)) + 1)
 
 
-def _grid(d: int, radius: int):
-    """Empty grid of the box [-radius, radius]^d, a byte a site in C order, and its rim bytes."""
-    cells = (2 * radius + 1) ** d
-    if cells > MEMORY_BUDGET:  # a byte a cell, as the run's footprint counts it
-        raise ValueError(f"a growth grid in dimension {d} needs {cells} cells, "
+def _grid_bytes(d: int, radius: int) -> int:
+    """Bytes of the grid of the box [-radius, radius]^d: a byte a site and a rim byte."""
+    return 2 * (2 * radius + 1) ** d
+
+
+def _norm_dtype(d: int, reach: int):
+    """int32 holds the squared norms on [-reach, reach]^d below its maximum unless
+    d reach^2 reaches it, which in d >= 2 takes a window of 2^31 cells."""
+    return np.int32 if d * reach**2 < np.iinfo(np.int32).max else np.int64
+
+
+def _roundness_bytes(d: int, reach: int) -> int:
+    """Bytes of roundness's squared norms on [-reach, reach]^d and their last partial sum."""
+    side = 2 * reach + 1
+    return np.dtype(_norm_dtype(d, reach)).itemsize * (side**d + side ** (d - 1))
+
+
+def _grid(d: int, radius: int, held: int = 0):
+    """Empty grid of the box [-radius, radius]^d, a byte a site in C order, and its
+    rim bytes; ValueError if they and the held bytes pass MEMORY_BUDGET."""
+    need = held + _grid_bytes(d, radius)
+    if need > MEMORY_BUDGET:
+        raise ValueError(f"a growth grid in dimension {d} needs {need} bytes, "
                          f"more than {MEMORY_BUDGET}")
+    cells = (2 * radius + 1) ** d
     rim = bytearray(b"\1") * cells
     _shaped(rim, d, radius)[(slice(1, -1),) * d] = 0
     return bytearray(cells), rim
@@ -449,7 +468,7 @@ def _grow_grid(cells: bytearray, d: int, radius: int, *lists):
     """The grid, radius half as large again, with the old one at its centre; its rim,
     the new radius, and each list of flat indices moved to the grown grid."""
     new_radius = radius + (radius + 1) // 2
-    new, rim = _grid(d, new_radius)
+    new, rim = _grid(d, new_radius, _grid_bytes(d, radius))  # the old grid is still held
     off = new_radius - radius
     _shaped(new, d, new_radius)[(slice(off, off + 2 * radius + 1),) * d] = (
         _shaped(cells, d, radius))
@@ -466,7 +485,8 @@ def roundness(trace: ClusterTrace, n: int):
 
     The inradius is the largest lattice-point norm r such that every lattice
     point with norm <= r belongs to S_n; the outradius is the largest norm
-    attained by S_n.  For S_0 = {origin} this gives (0, 0).
+    attained by S_n.  For S_0 = {origin} this gives (0, 0).  A window whose
+    _roundness_bytes pass MEMORY_BUDGET raises ValueError.
     """
     _check_steps(trace, n)
     d = trace.dimension
@@ -480,10 +500,11 @@ def roundness(trace: ClusterTrace, n: int):
     # the window reaches past out_r, so it holds the cluster and some missing point
     reach = int(math.floor(out_r)) + 1
     side = 2 * reach + 1
-    # int32 holds the window's norms below its maximum unless d reach^2 reaches
-    # it, which in d >= 2 takes a window of 2^31 cells
-    top = np.iinfo(np.int32).max
-    dtype = np.int32 if d * reach**2 < top else np.int64
+    need = _roundness_bytes(d, reach)
+    if need > MEMORY_BUDGET:
+        raise ValueError(f"a roundness window in dimension {d} needs {need} bytes, "
+                         f"more than {MEMORY_BUDGET}")
+    dtype = _norm_dtype(d, reach)
     axis_sq = np.arange(-reach, reach + 1, dtype=dtype) ** 2
     norm_sq = sum(axis_sq.reshape((side,) + (1,) * (d - 1 - j)) for j in range(d))
     # members read as the largest value, so the minimum is the nearest missing

@@ -31,8 +31,8 @@ weight window.  The estimators' corner sweeps (_batch_corners) never build
 a window: _SkewedWeights hashes the weights of all B trials straight into
 the skewed block, over the union of its layers' step boxes, in chunks
 small enough to stay in cache.  A weight is a pure function of
-(seed, vertex), so the bits are the window's.  A corner sweep's batch is
-sized by the bytes it holds (_trials_per_batch).
+(seed, vertex), so the bits are the window's.  A batch is sized by the
+bytes a trial holds (_sweep_bytes).
 
 The skewed layout has three outputs, each bit for bit:
 - lpp_dp keeps every layer and un-skews them into the full table;
@@ -108,51 +108,41 @@ def _lattice_point_in(x, corner):
     return tuple(map(int, x)) if ok else None
 
 
-# element budget of one batch: 8 * _BATCH_CELLS bytes, as a corner sweep's
-# batch (_trials_per_batch) or a min-plus batch counts them
-_BATCH_CELLS = 1 << 20
 # layers of weights hashed at once into the skewed layout
 _BLOCK_LAYERS = 16
 # hash words mixed per numpy call: 256 KB, so each pass stays in cache
 _HASH_CHUNK = 1 << 15
 
 
-def _sweep_bytes(corner) -> int:
-    """Bytes one trial holds in a corner sweep: a decision byte per skewed cell,
-    two float layers, a block of _BLOCK_LAYERS weight layers, the hashed
-    prefix layer, hash and shift words counted at the block's size (they
-    are mixed in chunks of at most that), and the path: a move byte and d
-    float coordinates a layer.
+def _sweep_bytes(corner, keep_all: bool = False) -> int:
+    """Bytes one trial of a sweep on the rectangle [0, corner] holds, at most.
 
-    Decision bytes are counted even where no geodesic is wanted, so one
-    rectangle gets one batch size, and a batch of B > 1 trials holds at
-    most 2^23 table cells (the CLI's limit is 2^24 at B = 1).
+    A corner sweep (_batch_corners) holds a decision byte per skewed cell
+    (counted even where no geodesic is wanted), two float layers, and the
+    path, a move byte and d coordinates a layer; per lead cell, the prefix
+    hash and _BLOCK_LAYERS layers of weights, hash words and three
+    temporaries.  With keep_all, lpp_dp holds its window (and its copy in
+    sweep order, unless that is the window), every skewed layer and the full
+    table, and hashes a slab of up to 2^18 cells.  Either adds 8 a layer and
+    16 KiB of small objects.
     """
     lead = sorted(corner)[:-1]  # every axis but a longest one
     cells, layers = math.prod(c + 1 for c in lead), sum(corner) + 1
-    return (layers * (cells + 1 + 8 * len(corner)) + (8 + 24 * _BLOCK_LAYERS) * cells
+    small = 8 * layers + (16 << 10)
+    if keep_all:
+        copies = 2 if _sweep_axes(corner) == list(range(len(corner))) else 3
+        total = cells * (max(corner) + 1)
+        return small + 8 * (copies * total + layers * math.prod(c + 2 for c in lead)
+                            + min(total, 1 << 18))
+    return (small + layers * (cells + 1 + 8 * len(corner)) + (8 + 40 * _BLOCK_LAYERS) * cells
             + 16 * math.prod(c + 2 for c in lead))
 
 
-def _trials_per_batch(corner) -> int:
-    """How many trials of a corner sweep on one rectangle fit the budget, at least one."""
-    return max(1, 8 * _BATCH_CELLS // _sweep_bytes(corner))
-
-
-def _min_plus_bytes(size: int) -> int:
-    """Bytes of one _min_plus_2d trial on a size x size grid: uint16 times and weights."""
-    return 2 * (2 * size + 1) * (size + 2) + 4 * 2 * size * (size + 1)
-
-
-def _min_plus_trials_per_batch(size: int) -> int:
-    """How many trials of _min_plus_2d on a size x size grid fit the budget, at least one.
-
-    The budget is counted in bytes (8 per value).  The flat-edge probe sizes
-    its batches on [0, n]^2, so a window solve's batch is larger by the
-    margin: 2m more on a side (1.2 times the bytes at n = 300, p = 0.55, and
-    at most 9 times when U = 4n).
-    """
-    return max(1, 8 * _BATCH_CELLS // _min_plus_bytes(size))
+def _min_plus_bytes(size: int, rounds: int = 0) -> int:
+    """Bytes of one _min_plus_2d trial on a size x size window: its int8 weights,
+    uint16 times and padded weights, and each round's sums and minima of a diagonal."""
+    return (2 * size * size + 2 * (2 * size + 1) * (size + 2) + 8 * size * (size + 1)
+            + 10 * (rounds + 1) * size)
 
 
 def _sweep_axes(shape) -> list:
@@ -187,15 +177,13 @@ def _sweep(weights, shape, b: int, keep_all: bool, tie_order=None):
     shifts = [inner[:a] + (slice(0, -1),) * (a < d - 1) + inner[a + 1 :]
               for a in (range(d) if tie_order is None else tie_order)]
     here, nbs = t[(slice(None), *inner)], [t[(slice(None), *sh)] for sh in shifts]
-    # step k's box: max(0, k - sum(c) + c_j) <= i_j <= min(c_j, k) on each lead axis
-    k = np.arange(layers)
-    boxes = list(zip(*(map(slice, np.maximum(k - layers + n, 0).tolist(),
-                           np.minimum(k + 1, n).tolist()) for n in lead))) or [()] * layers
     for k0 in range(1, layers, _BLOCK_LAYERS):
         k1 = min(k0 + _BLOCK_LAYERS, layers)
         ws = weights(k0, k1)
-        for k in range(k0, k1):
-            box = boxes[k]
+        # step k's box: max(0, k - sum(c) + c_j) <= i_j <= min(c_j, k) on each lead axis
+        boxes = list(zip(*([slice(max(0, k - layers + n), min(k + 1, n)) for k in range(k0, k1)]
+                           for n in lead))) or [()] * (k1 - k0)
+        for k, box in zip(range(k0, k1), boxes):
             back = ((k - 1) % rows, *box)
             cur, best = here[(k % rows, *box)], nbs[0][back]
             for r in range(1, d):

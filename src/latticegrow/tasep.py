@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._output import write_csv
-from .lpp import LppTimeMap, lpp_dp
+from .lpp import LppTimeMap, _sweep_bytes, lpp_dp
 from .weights import WeightField, derive_seed, exponential
 
 __all__ = [
@@ -196,6 +196,12 @@ def coupling_equivalence(table: StepTimeTable, lmap: LppTimeMap, n: int, t: floa
     lhs = lmap.time_to((n, n)) <= t
     rhs = current_at(table, t) >= n
     return lhs == rhs
+
+
+def _trial_bytes(k: int) -> int:
+    """Bytes a k x k coupled run holds, at most: a step table and the last
+    trial's LPP table while lpp_dp solves the next, and 2 MiB of CSV text."""
+    return 16 * k * k + _sweep_bytes((k - 1, k - 1), keep_all=True) + (2 << 20)
 
 
 def _coupling_check(k: int, trials: int, seed: int):

@@ -57,12 +57,9 @@ def heap_settle(weights, strides, src, tgt, budget, cap, lim=None):
     return np.array(order, dtype=np.int64), np.array(times)
 
 
-def heap_runs(weights, strides, src, tgt, budget, cap, delta, prune=None):
+def heap_runs(weights, strides, src, tgt, budget, cap, delta, lim=None):
     """_bucket_settle's result from one heap solve per trial, pruned alike."""
-    lims = [None] * weights.shape[1]
-    if prune is not None:
-        bound, ceilings = prune
-        lims = [c - bound for c in ceilings.tolist()]
+    lims = [None] * weights.shape[1] if lim is None else lim.reshape(weights.shape[1], -1)
     return [heap_settle(w, strides, src, tgt, budget, cap, lim)
             for w, lim in zip(weights.swapaxes(0, 1), lims)]
 

@@ -27,7 +27,7 @@ from latticegrow import (
     variance_series,
     wandering_series,
 )
-from latticegrow import fpp, lpp
+from latticegrow import experiments
 from latticegrow import estimators
 from latticegrow.estimators import (
     ExponentFit,
@@ -38,7 +38,7 @@ from latticegrow.estimators import (
     _twopoint_diag_time,
 )
 from latticegrow.fpp import LatticeBox, fpp_dijkstra, fpp_geodesic, max_distance_to_segment
-from latticegrow.lpp import _SAT, _min_plus_2d, lpp_dp, lpp_geodesic
+from latticegrow.lpp import _SAT, _min_plus_2d, _min_plus_bytes, _sweep_bytes, lpp_dp, lpp_geodesic
 from latticegrow.weights import WeightField, derive_seed, parse_dist_token
 
 from fpp_heap import heap_solve
@@ -179,6 +179,25 @@ def test_shape_boundary_lpp_exponential_matches_exact_curve():
         k = len(angles) - 1 - j
         comb = math.hypot(est.stderrs[j], est.stderrs[k]) + 1e-3
         assert abs(est.radii[j] - est.radii[k]) <= 3 * comb
+
+
+@pytest.mark.parametrize("model,token,side", [("fpp", "unif:0.5:1.5", 40), ("fpp", "exp:1.0", 60),
+                                             ("lpp", "exp:1.0", 60), ("lpp", "unif:0.5:1.5", 150)])
+def test_shape_trial_allocates_within_its_count(monkeypatch, model, token, side):
+    # a ball that fills every box: the trial grows to its largest box, then
+    # scans it whole; tracemalloc's peak stays within _ball_bytes
+    import tracemalloc
+
+    spec = parse_dist_token(token)
+    monkeypatch.setattr(estimators, "_ball_side", lambda model, spec, t: side)
+    angles = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    tracemalloc.start()
+    try:
+        _reaches, hit = estimators._shape_trial((model, spec, 1e9, 3, angles))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hit and peak <= estimators._ball_bytes(model, spec, 1e9)
 
 
 def test_shape_boundary_rejects_bad_angles():
@@ -371,10 +390,10 @@ def _spy_batches(monkeypatch, run=True):
     sizes = []
     map_trials = estimators._map_trials
 
-    def spy(fn, tasks, workers):
+    def spy(fn, tasks, workers, task_bytes):
         sizes.append([len(task[2]) for task in tasks])
         if run:
-            return map_trials(fn, tasks, workers)
+            return map_trials(fn, tasks, workers, task_bytes)
         return [np.full(len(task[2]), 100.0) for task in tasks]
 
     monkeypatch.setattr(estimators, "_map_trials", spy)
@@ -384,10 +403,12 @@ def _spy_batches(monkeypatch, run=True):
 def test_flat_edge_probe_independent_of_batching_and_workers(monkeypatch):
     sizes = _spy_batches(monkeypatch)
     reports = []
-    # at n = 50 the default budget holds all 20 trials, 2^14 values hold 4
-    for workers, budget in [(1, None), (1, 1), (1, 1 << 30), (2, 1), (2, 1 << 14)]:
+    # at n = 50 the default batch holds all 20 trials, four trials' window
+    # solves on [0, n]^2 hold 4
+    four = 4 * _min_plus_bytes(51)
+    for workers, budget in [(1, None), (1, 1), (1, 1 << 30), (2, 1), (2, four)]:
         if budget is not None:
-            monkeypatch.setattr(lpp, "_BATCH_CELLS", budget)
+            monkeypatch.setattr(experiments, "_BATCH_BYTES", budget)
         reports.append(flat_edge_probe(0.55, 50, 20, 4, workers=workers))
     assert sizes == [[20], [1] * 20, [20], [1] * 20, [4] * 5]
     assert all(r == reports[0] for r in reports)
@@ -395,7 +416,7 @@ def test_flat_edge_probe_independent_of_batching_and_workers(monkeypatch):
 
 def test_flat_edge_batches_split_evenly(monkeypatch):
     sizes = _spy_batches(monkeypatch, run=False)
-    monkeypatch.setattr(estimators, "_min_plus_trials_per_batch", lambda size: 6)
+    monkeypatch.setattr(estimators, "_flat_edge_task", lambda n: (6, 1))
     flat_edge_probe(0.55, 50, 20, 4)
     flat_edge_probe(0.55, 50, 6, 4)
     assert sizes == [[5, 5, 5, 5], [6]]
@@ -517,8 +538,8 @@ def test_lpp_samples_independent_of_batching_and_workers(monkeypatch):
     # unbatched solve, whatever the batch budget or the worker count
     args = ("lpp", exponential(1.0), (1, 0.5), [6, 12, 20], 9, 31, "batch-test")
     runs = []
-    for workers, budget in [(1, 1 << 20), (2, 1 << 20), (1, 300), (2, 1)]:
-        monkeypatch.setattr(lpp, "_BATCH_CELLS", budget)
+    for workers, budget in [(1, 16 << 20), (2, 16 << 20), (1, 2 * _sweep_bytes((12, 6))), (2, 1)]:
+        monkeypatch.setattr(experiments, "_BATCH_BYTES", budget)
         runs.append(_sample_times(*args, workers, want_geodesic=True))
     ns, targets, times, devs, _ = runs[0]
     for run in runs[1:]:
@@ -544,12 +565,13 @@ def test_fpp_samples_independent_of_batching_and_workers(monkeypatch, token, loo
     spec = parse_dist_token(token)
     args = ("fpp", spec, (1, 0.5), [6, 12, 20], 9, 31, "batch-test")
     runs, per = [], []
-    for workers, budget in [(1, 1 << 20), (2, 1 << 20), (1, 40000), (2, 1)]:
-        monkeypatch.setattr(fpp, "_BATCH_CELLS", budget)
+    for workers, budget in [(1, 16 << 20), (2, 16 << 20), (1, 700000), (2, 1)]:
+        monkeypatch.setattr(experiments, "_BATCH_BYTES", budget)
         per.append([estimators._task_size("fpp", tgt)[0] for tgt in [(6, 3), (12, 6), (20, 10)]])
         runs.append(_sample_times(*args, workers, want_geodesic=True))
-    # one batch a point, mixed batches, and one trial a solve
-    assert per == [[172, 73, 35], [172, 73, 35], [6, 2, 1], [1, 1, 1]]
+    # one batch a point, mixed batches, and one trial a solve: first boxes of
+    # 47^2, 71^2 and 101^2 padded vertices at 61 bytes, and 16 KiB
+    assert per == [[111, 51, 26], [111, 51, 26], [4, 2, 1], [1, 1, 1]]
     ns, targets, times, devs, trunc = runs[0]
     for run in runs[1:]:
         assert np.array_equal(run[2], times) and np.array_equal(run[3], devs) and run[4] == trunc
@@ -626,8 +648,8 @@ def test_fluctuation_variance_is_the_shared_helper_on_the_same_times():
 
 def test_fluctuation_series_independent_of_batching_and_workers(monkeypatch):
     runs = []
-    for workers, budget in [(1, lpp._BATCH_CELLS), (2, lpp._BATCH_CELLS), (1, 300), (1, 1)]:
-        monkeypatch.setattr(lpp, "_BATCH_CELLS", budget)
+    for workers, budget in [(1, 16 << 20), (2, 16 << 20), (1, 2400), (1, 1)]:
+        monkeypatch.setattr(experiments, "_BATCH_BYTES", budget)
         runs.append(fluctuation_series(*_SHARED, workers=workers))
     for fl in runs[1:]:
         _same_series(fl.variance, runs[0].variance)

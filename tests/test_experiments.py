@@ -98,7 +98,7 @@ def test_config_parse_errors_name_the_problem():
          "dist"),
         (dict(kind="radial-g", model="fpp", dist="exp:inf", n_grid="2,4", trials=3), "dist"),
         (dict(kind="lpp-shape", dist="const:inf", t=3.0, trials=2), "dist"),
-        (dict(kind="tasep-coupling", steps=2049, trials=1), "steps"),
+        (dict(kind="tasep-coupling", steps=2346, trials=1), "steps"),
         (dict(kind="fpp-shape", dist="unif:0.5:1.5", t=1e308, trials=2), "t"),
         (dict(kind="lpp-shape", dist="exp:1e300", t=1.0, trials=2), "t"),
         # the point fits a float, its first FPP box's radius does not
@@ -284,8 +284,12 @@ def test_cli_hard_failure_exit_code(monkeypatch, tmp_path):
 
 
 def test_tasep_table_limit_is_inclusive():
-    # 2048^2 = 2^22 cells is the largest table; validate() allocates nothing
-    _cfg(kind="tasep-coupling", steps=2048, trials=1).validate()
+    # 2345^2 cells at about 48 bytes a cell is the largest run; validate()
+    # allocates nothing
+    assert _tasep_bytes(2345) <= _BUDGET < _tasep_bytes(2346)
+    _cfg(kind="tasep-coupling", steps=2345, trials=1).validate()
+    with pytest.raises(ConfigError, match="^steps: .* more than 268435456$"):
+        _cfg(kind="tasep-coupling", steps=2346, trials=1).validate()
 
 
 @pytest.mark.parametrize("exc,message", [
@@ -396,8 +400,8 @@ def test_idla_walk_cap_is_hard_failure(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("kind,dist,t_ok,t_bad", [
-    ("fpp-shape", "unif:0.5:1.5", 125.25, 125.26),  # first box radius 511, then 512
-    ("lpp-shape", "exp:1.0", 406.0, 406.01),        # first table corner 1023, then 1024
+    ("fpp-shape", "unif:0.5:1.5", 62.75, 62.76),  # first box radius 261, then 262
+    ("lpp-shape", "exp:1.0", 224.0, 224.01),      # first table corner 568, then 569
 ])
 def test_shape_box_limit_is_inclusive(kind, dist, t_ok, t_bad):
     _cfg(kind=kind, dist=dist, t=t_ok, trials=2).validate()
@@ -406,34 +410,37 @@ def test_shape_box_limit_is_inclusive(kind, dist, t_ok, t_bad):
 
 
 @pytest.mark.parametrize("kind,model,n_ok,n_bad", [
-    # first FPP box radius 2046 (4093^2 vertices), then 2049 (4099^2)
-    ("radial-g", "fpp", 783, 784),
-    # one trial's LPP table (n + 1)^2 = 4096^2 = 2^24, then 4097^2
-    ("radial-g", "lpp", 4095, 4096),
-    ("exponents", "", 4095, 4096),
+    # first FPP box radius 1045 (2093^2 padded vertices), then 1048 (2099^2)
+    ("radial-g", "fpp", 398, 399),
+    # one trial's LPP sweep, about 2 (n + 1)^2 bytes
+    ("radial-g", "lpp", 11407, 11408),
+    ("exponents", "", 11407, 11408),
 ])
 def test_trial_box_limit_is_inclusive(kind, model, n_ok, n_bad):
     kw = dict(kind=kind, model=model, dist="unif:0.5:1.5", trials=2 if model else 200)
     _cfg(n_grid=f"{n_ok // 8},{n_ok // 4},{n_ok // 2},{n_ok}", **kw).validate()
-    with pytest.raises(ConfigError, match="^n_grid: .* more than 16777216$"):
+    with pytest.raises(ConfigError, match="^n_grid: .* more than 268435456$"):
         _cfg(n_grid=f"{n_bad // 8},{n_bad // 4},{n_bad // 2},{n_bad}", **kw).validate()
 
 
 def test_fpp_task_at_the_cli_limit_is_one_trial():
-    # a batch holds 2^20 cells at d + 1 a vertex, so the largest first box the
-    # CLI accepts (n = 783 on (1, 1)) is solved alone and sized as before
-    assert estimators._task_size("fpp", (783, 783)) == (1, 4093 ** 2)
-    assert estimators._task_size("fpp", (784, 784)) == (1, 4099 ** 2)
+    # a trial on the largest first box the CLI accepts (n = 398 on (1, 1))
+    # holds more than a batch, so it is solved alone
+    assert estimators._task_size("fpp", (398, 398)) == (1, _fpp_bytes(2091, 2))
+    assert estimators._task_size("fpp", (399, 399)) == (1, _fpp_bytes(2097, 2))
     kw = dict(kind="radial-g", model="fpp", dist="unif:0.5:1.5", direction="1,1", trials=2)
-    _cfg(n_grid="783", **kw).validate()
-    with pytest.raises(ConfigError, match="^n_grid: .* more than 16777216$"):
-        _cfg(n_grid="784", **kw).validate()
+    _cfg(n_grid="398", **kw).validate()
+    with pytest.raises(ConfigError, match="^n_grid: .* more than 268435456$"):
+        _cfg(n_grid="399", **kw).validate()
 
 
 def test_trial_box_limit_admits_three_dimensional_fpp():
-    # 147^3 vertices, about 3.2 M
+    # 149^3 padded vertices at 75 bytes, about 248 MB
     _cfg(kind="radial-g", model="fpp", dist="unif:0.5:1.5", direction="1,1,1", dim=3,
          n_grid="4,8,16", trials=2).validate()
+    with pytest.raises(ConfigError, match="^n_grid: .* more than 268435456$"):
+        _cfg(kind="radial-g", model="fpp", dist="unif:0.5:1.5", direction="1,1,1", dim=3,
+             n_grid="4,8,17", trials=2).validate()
 
 
 def test_workers_cap_is_inclusive():
@@ -461,30 +468,30 @@ def test_cli_rejects_workers_over_cap_before_any_pool(monkeypatch, tmp_path, cap
 
 def test_flat_edge_n_limit_is_inclusive():
     # the CLI bound is memory, below the library's exactness bound
-    assert _largest(lambda n: _flat_edge_bytes(n) <= _BUDGET, 50, MAX_FLAT_EDGE_N) == 4727
-    _cfg(kind="flat-edge", dist="twopoint:0.55", n_grid="4727", trials=1).validate()
+    assert _largest(lambda n: _flat_edge_bytes(n) <= _BUDGET, 50, MAX_FLAT_EDGE_N) == 1255
+    _cfg(kind="flat-edge", dist="twopoint:0.55", n_grid="1255", trials=1).validate()
     with pytest.raises(ConfigError, match="^n_grid: .* more than 268435456$"):
-        _cfg(kind="flat-edge", dist="twopoint:0.55", n_grid="50,4728", trials=1).validate()
+        _cfg(kind="flat-edge", dist="twopoint:0.55", n_grid="50,1256", trials=1).validate()
     with pytest.raises(ValueError, match="n must lie in"):
         flat_edge_probe(0.55, MAX_FLAT_EDGE_N + 1, 1, 0)
 
 
 def test_shape_footprint_counts_the_largest_retry_box():
-    # the box two retries reach, at 16 bytes a vertex, admits the same first
-    # sides as the first box at 256 bytes: every side up to 2 * 10^5
+    # the box two retries reach, four times the first side, is the one
+    # counted: every first side up to 10^4
     from types import SimpleNamespace
 
     from latticegrow.experiments import _shape_footprint
 
-    for kind, first_cells in (("fpp-shape", lambda s: (2 * s + 1) ** 2),
-                              ("lpp-shape", lambda s: (s + 1) ** 2)):
-        sides = range(1, 200_001)
+    for kind, largest in (("fpp-shape", lambda s: _ball_bytes("fpp", 4 * s)),
+                          ("lpp-shape", lambda s: _ball_bytes("lpp", 4 * s))):
+        sides = range(1, 10_001)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimators, "_ball_side", lambda model, spec, t: t)
-            new = [s for s in sides for _f, count, limit, _u in
-                   _shape_footprint(SimpleNamespace(kind=kind, t=s), None) if count <= limit]
-        assert new == [s for s in sides if first_cells(s) * 256 <= _BUDGET]
-        assert new[-1] == (511 if kind == "fpp-shape" else 1023)
+            new = [s for s in sides for _f, need, _u in
+                   _shape_footprint(SimpleNamespace(kind=kind, t=s), None) if need <= _BUDGET]
+        assert new == [s for s in sides if largest(s) <= _BUDGET]
+        assert new[-1] == (261 if kind == "fpp-shape" else 568)
 
 
 @pytest.mark.parametrize("model,direction,n", [
@@ -496,7 +503,7 @@ def test_footprint_counts_the_trials_of_one_sample_task(monkeypatch, model, dire
     # bounded away from 0 by the smaller box its solve prunes to
     sizes = []
 
-    def spy(fn, tasks, workers):
+    def spy(fn, tasks, workers, task_bytes):
         sizes.extend(len(task[3]) for task in tasks)
         return [([1.0] * len(task[3]), [math.nan] * len(task[3]), [False] * len(task[3]))
                 for task in tasks]
@@ -506,48 +513,110 @@ def test_footprint_counts_the_trials_of_one_sample_task(monkeypatch, model, dire
     estimators._sample_times(model, spec, direction, [n], 20, 1, "radial-g", 1)
     cfg = _cfg(kind="radial-g", model=model, dist="unif:0.5:1.5", dim=len(direction),
                direction=",".join(map(str, direction)), n_grid=str(n), trials=20)
-    [(_field, count, _limit, _unit)] = _sample_footprint(cfg, spec)
-    # an FPP batch holds 2^20 cells at d + 1 a vertex: 88 boxes of 63^2, or
-    # one of 53^3; an LPP batch holds 8 MB of sweep bytes: 34 trials on a
-    # 256^2 corner, 15 on 32^3
-    per = {("fpp", 2): 88, ("fpp", 3): 1, ("lpp", 2): 34, ("lpp", 3): 15}[model, len(direction)]
-    assert count == per * _point_cells(model, n, direction)
-    # 20 trials go in the fewest batches of at most per, their sizes within one:
-    # 415 pruned boxes of 29^2 or 28 of 21^3 in a task, each within 2^20 cells
-    per = {("fpp", 2): 415, ("fpp", 3): 28, ("lpp", 2): 34, ("lpp", 3): 15}[model, len(direction)]
-    assert sorted(sizes) == {415: [20], 28: [20], 34: [20], 15: [10, 10]}[per]
+    [(_field, count, _unit)] = _sample_footprint(cfg, spec)
+    # a 16 MiB batch holds 61 trials on first FPP boxes of 65^2 padded
+    # vertices, or one on 55^3; 50 LPP sweeps on a 256^2 corner, 19 on 32^3
+    per = {("fpp", 2): 61, ("fpp", 3): 1, ("lpp", 2): 50, ("lpp", 3): 19}[model, len(direction)]
+    assert count == per * _point_bytes(model, n, direction)
+    # 20 trials go in the fewest batches of at most per, their sizes within
+    # one: 202 pruned boxes of 31^2 padded vertices or 16 of 23^3 in a task
+    per = {("fpp", 2): 202, ("fpp", 3): 16, ("lpp", 2): 50, ("lpp", 3): 19}[model, len(direction)]
+    assert sorted(sizes) == {202: [20], 16: [10, 10], 50: [20], 19: [10, 10]}[per]
 
 
 # -- every bound of every kind, each from its closed form in README ---------------
 
 _BUDGET = 1 << 28  # bytes
+_BATCH = 16 << 20  # bytes of trials a batch holds, or one trial
 
 
-def _grid_cells(d, steps):
-    """The first growth grid: (2 r + 1)^d cells, r = max(2, floor(1.2 (steps / V_d)^(1/d)) + 1)."""
+def _trials(trial):
+    """Trials a batch holds at these bytes each, at least one."""
+    return max(1, _BATCH // trial)
+
+
+def _grid_bytes(d, steps):
+    """The first growth grid and its rim: 2 (2 r + 1)^d bytes, r = max(2, floor(1.2 (steps /
+    V_d)^(1/d)) + 1)."""
     ball = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
-    return (2 * max(2, int(1.2 * (steps / ball) ** (1 / d)) + 1) + 1) ** d
+    return 2 * (2 * max(2, int(1.2 * (steps / ball) ** (1 / d)) + 1) + 1) ** d
 
 
-def _shape_cells(model, mean, t):
-    """A shape trial's first FPP box or LPP table."""
+def _roundness_bytes(d):
+    """roundness's window of reach 2 and its partial sum, int32: 4 (5^d + 5^(d - 1)) bytes."""
+    return 4 * (5 ** d + 5 ** (d - 1))
+
+
+def _fpp_bytes(side, d, pruned=False):
+    """One FPP trial on a box of this side: 14 d + 33 bytes a padded vertex, 8 more
+    pruned, and 16 KiB."""
+    return (side + 2) ** d * (14 * d + 33 + 8 * pruned) + (16 << 10)
+
+
+def _table_bytes(s):
+    """lpp_dp on [0, s]^2: its window and full table, 8 bytes a cell each, the skewed
+    layers (2 s + 1)(s + 2), a hash slab of up to 2^18 cells, 8 a layer and 16 KiB."""
+    cells = (s + 1) ** 2
+    return 8 * (2 * cells + (2 * s + 1) * (s + 2) + min(cells, 1 << 18) + 2 * s + 1) + (16 << 10)
+
+
+def _sweep_bytes(x):
+    """One corner sweep to x: per layer, the lead cells' decision bytes, a move byte,
+    d coordinates and 8; 648 bytes a lead cell; two padded float layers; 16 KiB."""
+    lead = sorted(x)[:-1]
+    cells, layers = math.prod(c + 1 for c in lead), sum(x) + 1
+    return (layers * (cells + 9 + 8 * len(x)) + 648 * cells + 16 * math.prod(c + 2 for c in lead)
+            + (16 << 10))
+
+
+def _tasep_bytes(k):
+    """A k x k coupled run: two tables, lpp_dp on [0, k - 1]^2 and 2 MiB of CSV text."""
+    return 16 * k * k + _table_bytes(k - 1) + (2 << 20)
+
+
+def _ball_bytes(model, side):
+    """A shape trial on an FPP box of this radius or an LPP table of this corner: its
+    solve (with the last, quarter-size table), or the scan of a ball that fills it, 41
+    bytes a cell and 4 KiB for each of its 6 side + 18 radial steps."""
     if model == "fpp":
-        return (2 * (math.ceil(4.0 * t / mean) + 10) + 1) ** 2
-    return (math.ceil(2.5 * t / mean) + 9) ** 2
+        cells, solve = (2 * side + 1) ** 2, _fpp_bytes(2 * side + 1, 2)
+    else:
+        cells = (side + 1) ** 2
+        solve = _table_bytes(side) + 2 * cells
+    return max(solve, 41 * cells + 4096 * (6 * side + 18))
 
 
-def _point_cells(model, n, direction):
-    """One trial's first FPP box or LPP table at x = floor(n direction)."""
+def _shape_bytes(model, mean, t):
+    """A shape trial on its largest FPP box or LPP table, four times the first side."""
+    if model == "fpp":
+        return _ball_bytes("fpp", 4 * (math.ceil(4.0 * t / mean) + 10))
+    return _ball_bytes("lpp", 4 * (math.ceil(2.5 * t / mean) + 8))
+
+
+def _point_bytes(model, n, direction):
+    """One trial on the first FPP box or of the LPP sweep to x = floor(n direction)."""
     x = [math.floor(n * c) for c in direction]
     if model == "fpp":
-        return (2 * (math.ceil(1.3 * sum(x)) + 10) + 1) ** len(x)
-    return math.prod(c + 1 for c in x)
+        return _fpp_bytes(2 * (math.ceil(1.3 * sum(x)) + 10) + 1, len(x))
+    return _sweep_bytes(x)
+
+
+def _task_bytes(model, n, direction):
+    """A batch of trials at x = floor(n direction)."""
+    trial = _point_bytes(model, n, direction)
+    return _trials(trial) * trial
+
+
+def _min_plus_bytes(size, rounds):
+    return 2 * size * size + 2 * (2 * size + 1) * (size + 2) + 8 * size * (size + 1) + 10 * (
+        rounds + 1) * size
 
 
 def _flat_edge_bytes(n):
-    """One trial's window sweep on [0, n]^2: 2 (2s + 1)(s + 2) + 8 s (s + 1) bytes, s = n + 1."""
-    s = n + 1
-    return 2 * (2 * s + 1) * (s + 2) + 8 * s * (s + 1)
+    """A batch of window solves on [0, n]^2, then one group of margin solves: at most a
+    batch, or one on [-n - 1, 2n + 1]^2 with n rounds."""
+    probe = _min_plus_bytes(n + 1, 0)
+    return _trials(probe) * probe + max(_min_plus_bytes(3 * n + 3, n), _BATCH)
 
 
 def _largest(ok, lo, hi):
@@ -594,27 +663,28 @@ def _bounds():
     cases.append((lambda v: {**base["flat-edge"], "n_grid": f"50,{v}"},
                   st.integers(top - 3, top + 3),
                   lambda v: "n_grid" if _flat_edge_bytes(v) > _BUDGET else None))
-    cases.append((lambda v: {**base["tasep-coupling"], "steps": v}, st.integers(2040, 2056),
-                  lambda v: "steps" if v * v > _BUDGET // 64 else None))
+    cases.append((lambda v: {**base["tasep-coupling"], "steps": v}, st.integers(2337, 2353),
+                  lambda v: "steps" if _tasep_bytes(v) > _BUDGET else None))
     cases.append((lambda v: {**base["idla"], "dim": 1, "steps": v}, st.integers(1055, 1070),
                   lambda v: "steps" if v ** 3 // 12 > 10 ** 8 else None))
     for kind in ("eden", "idla"):
         cases.append((lambda v, kw=base[kind]: {**kw, "dim": v, "steps": 1},
-                      st.integers(10, 15), lambda v: "dim" if 5 ** v > _BUDGET else None))
+                      st.integers(9, 14),
+                      lambda v: "dim" if _roundness_bytes(v) > _BUDGET else None))
         for d in (2, 3):
-            top = _largest(lambda s: _grid_cells(d, s) <= _BUDGET, 1, 10 ** 10)
+            top = _largest(lambda s: _grid_bytes(d, s) <= _BUDGET, 1, 10 ** 10)
             cases.append((lambda v, kw=base[kind], d=d: {**kw, "dim": d, "steps": v},
                           st.integers(top - 3, top + 3),
-                          lambda v, d=d: "steps" if _grid_cells(d, v) > _BUDGET else None))
+                          lambda v, d=d: "steps" if _grid_bytes(d, v) > _BUDGET else None))
     for kind, dists in (("fpp-shape", ("unif:0.5:1.5", "exp:2.0", "twopoint:0.6")),
                         ("lpp-shape", ("exp:1.0", "geom:0.5", "unif:0.5:1.5"))):
         for dist in dists:
             model, mean = kind[:3], parse_dist_token(dist).mean()
-            top = (125.25 if model == "fpp" else 406.0) * mean
+            top = (62.75 if model == "fpp" else 224.0) * mean
             cases.append((lambda v, kw=base[kind], dist=dist: {**kw, "dist": dist, "t": v},
                           st.just(top) | st.floats(0.99 * top, 1.01 * top),
                           lambda v, model=model, mean=mean:
-                              "t" if _shape_cells(model, mean, v) > _BUDGET // 256 else None))
+                              "t" if _shape_bytes(model, mean, v) > _BUDGET else None))
     for kind, model, direction in (("radial-g", "fpp", (1, 1)), ("radial-g", "fpp", (1, 1, 1)),
                                    ("radial-g", "lpp", (2, 1)), ("exponents", "lpp", (1, 1)),
                                    ("exponents", "lpp", (1, 2, 1))):
@@ -625,10 +695,10 @@ def _bounds():
             return {**kw, "dim": len(direction), "direction": ",".join(map(str, direction)),
                     "n_grid": ",".join(map(str, grid))}
 
-        top = _largest(lambda n: _point_cells(model, n, direction) <= _BUDGET // 16, 8, 10 ** 6)
+        top = _largest(lambda n: _task_bytes(model, n, direction) <= _BUDGET, 8, 10 ** 6)
         cases.append((grid_kw, st.integers(top - 3, top + 3),
                       lambda v, model=model, direction=direction:
-                          "n_grid" if _point_cells(model, v, direction) > _BUDGET // 16 else None))
+                          "n_grid" if _task_bytes(model, v, direction) > _BUDGET else None))
     return cases
 
 
@@ -737,6 +807,34 @@ def test_one_task_run_forks_nothing(monkeypatch, tmp_path):
     assert main(["radial-g", "--model", "fpp", "--dist", "unif:0.5:1.5", "--n-grid", "2,4",
                  "--trials", "2", "--workers", "8", "--out", str(tmp_path / "two")]) == 0
     assert pools == [2]
+
+
+def test_pool_starts_at_most_the_processes_the_budget_holds(monkeypatch, tmp_path):
+    # a process holds one task at a time, so the pool starts at most
+    # MEMORY_BUDGET // (the largest task's bytes) of them, and the samples do
+    # not depend on how many
+    import multiprocessing
+
+    pools = []
+    pool = multiprocessing.Pool
+
+    def spy(processes=None, *args, **kwargs):
+        pools.append(processes)
+        return pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy)
+    spec = parse_dist_token("unif:0.5:1.5")
+    # one task an n, each a batch of both trials
+    most = max(estimators._task_size("fpp", (n, n), spec)[1] for n in (2, 4, 8))
+    csvs = []
+    for budget in (3 * most, 3 * most - 1, 2 * most - 1):
+        monkeypatch.setattr(estimators, "MEMORY_BUDGET", budget)
+        out = tmp_path / str(budget)
+        assert main(["radial-g", "--model", "fpp", "--dist", "unif:0.5:1.5", "--n-grid", "2,4,8",
+                     "--trials", "2", "--workers", "8", "--out", str(out)]) == 0
+        csvs.append((out / "radial_g.csv").read_bytes())
+    assert pools == [3, 2]
+    assert csvs[0] == csvs[1] == csvs[2]
 
 
 # the latticegrow modules each kind loads besides the package itself, cli,

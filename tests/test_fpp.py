@@ -22,7 +22,7 @@ from latticegrow import (
     uniform,
     wandering_deviation,
 )
-from latticegrow import estimators, fpp
+from latticegrow import estimators, experiments, fpp
 from latticegrow.experiments import ExperimentConfig, run_experiment
 from latticegrow.weights import WeightField, parse_dist_token
 
@@ -489,6 +489,28 @@ def test_bad_stops_are_refused():
             fpp_dijkstra(f, ORIGIN, box, max_settled=bad)
 
 
+@pytest.mark.parametrize("d,r", [(1, 800), (2, 60), (3, 12), (4, 5), (6, 3)])
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("stop", ["whole", "target", "pruned"])
+def test_solve_allocates_within_its_count(d, r, trials, stop):
+    # numpy reports its buffers to tracemalloc: a solve of the whole box, to
+    # a target or pruned, window and maps included, peaks within _trial_bytes
+    import tracemalloc
+
+    box = LatticeBox(d, r)
+    fields = [make_field(exponential(1.0), 20 + i, "edge", d) for i in range(trials)]
+    target = (r // 3,) * d
+    kw = {"whole": {}, "target": dict(target=target),
+          "pruned": dict(target=target, goal=(0.01, [3.0 * sum(target)] * trials))}[stop]
+    tracemalloc.start()
+    try:
+        fpp._solve_batch(fields, (0,) * d, box, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= trials * fpp._trial_bytes(box, pruned=stop == "pruned")
+
+
 def test_grown_batch_retries_only_its_hit_trials(monkeypatch):
     # T(0, (1, 1)) <= 3 < 4, the least time to a face at radius 8, so no face
     # vertex settles unless forced; trials 1, 3 and 4 are forced on radius 8
@@ -505,8 +527,8 @@ def test_grown_batch_retries_only_its_hit_trials(monkeypatch):
                 for f, pmap in zip(fields, solve(fields, source, box, **stops))]
 
     monkeypatch.setattr(fpp, "_solve_batch", hit_some)
-    # a budget of two radius-16 boxes (33^2 vertices at 3 cells), seven radius-8 ones
-    monkeypatch.setattr(fpp, "_BATCH_CELLS", 2 * 3 * 33 ** 2)
+    # a batch of five radius-8 boxes (19^2 padded vertices) holds two radius-16 ones (35^2)
+    monkeypatch.setattr(experiments, "_BATCH_BYTES", 5 * fpp._trial_bytes(LatticeBox(2, 8)))
     maps = fpp._grown_solve(fields, 8, 32, target=(1, 1))
     assert calls == [(8, [0, 1, 2, 3, 4]), (16, [1, 3]), (16, [4])]
     for a, b in zip(maps, expect):
@@ -559,7 +581,7 @@ def test_trials_double_their_box_twice_on_boundary_hits(monkeypatch):
 
 def _budget_for_radius(r: int) -> int:
     """The least budget under which a d = 2 box of radius r passes."""
-    return (2 * r + 1) ** 2 * fpp._TRIAL_BYTES
+    return fpp._trial_bytes(LatticeBox(2, r))
 
 
 def test_grown_box_past_the_budget_is_refused(monkeypatch):
@@ -567,8 +589,9 @@ def test_grown_box_past_the_budget_is_refused(monkeypatch):
     r = estimators._fpp_first_radius((3, 2))
     field = WeightField(exponential(1.0), 3, "edge", 2)
     monkeypatch.setattr(fpp, "MEMORY_BUDGET", _budget_for_radius(2 * r))
-    with pytest.raises(ValueError, match=f"^an FPP box in dimension 2 needs {(8 * r + 1) ** 2} "
-                                         f"vertices, more than {(4 * r + 1) ** 2}$"):
+    with pytest.raises(ValueError, match=f"^an FPP box in dimension 2 needs "
+                                         f"{_budget_for_radius(4 * r)} bytes a trial, more than "
+                                         f"{_budget_for_radius(2 * r)}$"):
         estimators._fpp_target_solve([field], (3, 2), want_geodesic=False)
     assert radii == [r, 2 * r]
     radii.clear()
@@ -587,8 +610,8 @@ def test_cli_grown_box_past_the_budget_is_hard_failure(monkeypatch, capsys, tmp_
                "--trials", "2", "--out", str(tmp_path / "o")])
     assert rc == 3
     assert capsys.readouterr().err == (f"hard failure: an FPP box in dimension 2 needs "
-                                       f"{(4 * r + 1) ** 2} vertices, more than "
-                                       f"{(2 * r + 1) ** 2}\n")
+                                       f"{_budget_for_radius(2 * r)} bytes a trial, more than "
+                                       f"{_budget_for_radius(r)}\n")
     assert radii == [r]
 
 

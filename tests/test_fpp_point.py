@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latticegrow import estimators, fpp
+from latticegrow import estimators, experiments, fpp
 from latticegrow.fpp import LatticeBox, fpp_geodesic
 from latticegrow.weights import WeightField, parse_dist_token
 
@@ -117,28 +117,29 @@ def test_trials_whose_box_outgrows_the_first_take_the_grown_boxes(target, monkey
     _same_point_maps(got, want, target)
 
 
-@pytest.mark.parametrize("cells", [1, 3 * 40 ** 2, 1 << 20])
-def test_pruned_batches_stay_within_the_cell_cap(cells, monkeypatch):
+@pytest.mark.parametrize("batch", [1, 5 * (27 * 23 * 69 + (16 << 10)), 1 << 30])
+def test_pruned_batches_stay_within_the_batch_bytes(batch, monkeypatch):
     target = (10, 6)
     fields = _fields("unif:0.5:1.5", 2, range(12))
     radius, cap = _radii(target)
     want = fpp._grown_solve(fields, radius, cap, target=target)
-    monkeypatch.setattr(fpp, "_BATCH_CELLS", cells)
+    monkeypatch.setattr(experiments, "_BATCH_BYTES", batch)
     sizes = []
     solve = fpp._solve_batch
 
     def spy(fields, source, box, **kw):
-        sizes.append((len(fields), box.vertex_count()))
+        sizes.append((len(fields), fpp._trial_bytes(box, pruned=True)))
         return solve(fields, source, box, **kw)
 
     monkeypatch.setattr(fpp, "_solve_batch", spy)
     got = fpp._goal_solve(fields, target, radius, cap)
     _same_point_maps(got, want, target)
     assert sum(b for b, _ in sizes) == len(fields)
-    first = LatticeBox(2, radius).vertex_count()
-    assert all(b * v <= cells // 3 or (b == 1 and v <= first) for b, v in sizes)
-    # one trial a solve, batches of 3, 3, 3, 2 and 1 on growing boxes, or one batch
-    assert len(sizes) == {1: 12, 3 * 40 ** 2: 5, 1 << 20: 1}[cells]
+    first = fpp._trial_bytes(LatticeBox(2, radius), pruned=True)
+    assert all(b * need <= batch or (b == 1 and need <= first) for b, need in sizes)
+    # one trial a solve; batches of at most five 27 x 23 padded boxes, at 69
+    # bytes a vertex and 16 KiB, on growing boxes; or one batch
+    assert len(sizes) == {1: 12, 5 * (27 * 23 * 69 + (16 << 10)): 3, 1 << 30: 1}[batch]
 
 
 @pytest.mark.parametrize("token", ["unif:0.5:1.5", "twopoint:0.55", "const:0.1"])
@@ -203,6 +204,24 @@ def test_goal_box_face_lies_two_omega_past_the_ceiling():
                         assert not on_face
 
 
+@pytest.mark.parametrize("d", range(1, 16))
+def test_largest_box_the_budget_admits_holds_at_most_2_to_the_24_vertices(d):
+    # estimators._fpp_target_solve's rounding bound rests on this: _goal_solve
+    # prunes only when a pruned trial on the first box is within the budget
+    def admitted(r):
+        return fpp._trial_bytes(LatticeBox(d, r), pruned=True) <= experiments.MEMORY_BUDGET
+
+    if not admitted(1):
+        return
+    lo, hi = 1, 2
+    while admitted(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    assert LatticeBox(d, lo).vertex_count() <= 1 << 24
+
+
 def test_goal_box_refuses_past_the_radius_and_at_least_weight_zero():
     assert fpp._goal_box((3, 4), 7.0, 0.0, 20) is None
     assert fpp._goal_box((3, 4), 7.0, 5e-324, 20) is None
@@ -212,9 +231,13 @@ def test_goal_box_refuses_past_the_radius_and_at_least_weight_zero():
 
 def test_point_task_is_sized_by_the_pruned_box():
     spec = parse_dist_token("unif:0.5:1.5")
-    # U = mean |x|_1 = 128 gives r = 66: a 197^2 box, 9 trials a 2^20-cell batch
-    assert estimators._task_size("fpp", (64, 64), spec) == (9, 9 * 197 ** 2)
-    assert estimators._task_size("fpp", (64, 64)) == (2, 2 * 355 ** 2)
+    # U = mean |x|_1 = 128 gives r = 66: a 197^2 box, 199^2 padded vertices
+    # at 69 bytes pruned and 16 KiB, 6 trials a 16 MiB batch; unpruned, two
+    # trials on the first box, 357^2 padded vertices at 61 bytes
+    pruned, first = 199 ** 2 * 69 + (16 << 10), 357 ** 2 * 61 + (16 << 10)
+    assert estimators._task_size("fpp", (64, 64), spec) == (6, 6 * pruned)
+    assert 6 * pruned <= experiments._BATCH_BYTES < 7 * pruned
+    assert estimators._task_size("fpp", (64, 64)) == (2, 2 * first)
     for token in ZERO_LAWS:
         spec = parse_dist_token(token)
-        assert estimators._task_size("fpp", (64, 64), spec) == (2, 2 * 355 ** 2)
+        assert estimators._task_size("fpp", (64, 64), spec) == (2, 2 * first)

@@ -23,7 +23,13 @@ from latticegrow import (
     uniform,
 )
 from latticegrow import lpp
-from latticegrow.lpp import _batch_corners, _sweep_axes, _sweep_bytes, _tables, _trials_per_batch
+from latticegrow.experiments import _BATCH_BYTES, _batch_trials
+from latticegrow.lpp import _batch_corners, _sweep_axes, _sweep_bytes, _tables
+
+
+def _budget_batch(corner) -> int:
+    """Trials a corner sweep batch holds, by the sweep's own count."""
+    return _batch_trials(_sweep_bytes(corner))
 
 LAWS = [exponential(1.0), geometric(0.3), uniform(0.5, 1.5), two_point(0.5), constant(1.0)]
 
@@ -245,7 +251,7 @@ def test_corner_sweep_matches_window_reference(monkeypatch, spec, corner, batch,
 @pytest.mark.parametrize("corner", [(2000,), (40, 100), (100, 40), (10, 20, 30), (6, 8, 10, 12)],
                          ids=["1d", "flat", "tall", "3d", "4d"])
 def test_corner_sweep_matches_window_reference_at_budget_batch(spec, corner):
-    b = _trials_per_batch(corner)
+    b = _budget_batch(corner)
     assert 1 < b < 500
     _same_corners([make_field(spec, 90 + j, "vertex", len(corner)) for j in range(b)], corner)
 
@@ -268,18 +274,28 @@ def test_tables_match_window_reference(monkeypatch, spec, corner, blocking):
 
 
 def test_sweep_bytes_fit_the_budget_up_to_the_cli_limit():
-    # a batch holds at most 8 * _BATCH_CELLS bytes by the sweep's own count,
-    # or is one trial; at the CLI's largest table, 2^24 cells, it is one
-    budget = 8 * lpp._BATCH_CELLS
+    # a batch holds at most _BATCH_BYTES by the sweep's own count, or is one
+    # trial; at the CLI's largest corners it is one
     corners = [(n, n) for n in (1, 32, 256, 1024, 2047, 4095)] + [(2 * n, n) for n in (64, 2047)]
     corners += [(n,) * 3 for n in (8, 32, 64, 255)] + [(n,) * 4 for n in (4, 16, 63)]
     corners += [(n,) for n in (1, 100, 1 << 24)] + [(0, 4095), (4095, 0, 0)]
     for corner in corners:
-        b = _trials_per_batch(corner)
-        assert b * _sweep_bytes(corner) <= budget or b == 1
-        if b > 1:  # so a batch never moves the CLI's 2^24-cell limit
-            assert b * math.prod(c + 1 for c in corner) <= budget
-    assert _trials_per_batch((4095, 4095)) == _trials_per_batch((255, 255, 255)) == 1
+        b = _budget_batch(corner)
+        assert b * _sweep_bytes(corner) <= _BATCH_BYTES or b == 1
+    assert _budget_batch((4095, 4095)) == _budget_batch((255, 255, 255)) == 1
+
+
+def _sweep_peak(corner, b: int) -> int:
+    """tracemalloc's peak over b trials' corner sweep and backtrack, outputs included."""
+    import tracemalloc
+
+    fields = [make_field(exponential(1.0), j, "vertex", len(corner)) for j in range(b)]
+    tracemalloc.start()
+    try:
+        _batch_corners(fields, corner, True)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("corner", [(256, 256), (300, 128), (32, 32, 32), (6, 4, 3, 5), (2000,),
@@ -287,17 +303,30 @@ def test_sweep_bytes_fit_the_budget_up_to_the_cli_limit():
 def test_corner_sweep_allocates_within_its_count(corner):
     # numpy reports its buffers to tracemalloc: a budget batch's sweep and
     # backtrack, outputs included, peak within _sweep_bytes' count
+    b = _budget_batch(corner)
+    assert _sweep_peak(corner, b) <= b * _sweep_bytes(corner) <= _BATCH_BYTES
+
+
+@pytest.mark.parametrize("corner", [(256, 256), (300, 128), (32, 32, 32), (6, 4, 3, 5), (2000,),
+                                    (0, 50), (1, 20000), (2, 2, 3000), (1, 1, 1, 2000), (30000,)])
+def test_one_trial_sweep_allocates_within_its_count(corner):
+    # a trial alone, as at the CLI's limit: its own count holds the sweep's
+    # small arrays and, on thin rectangles, its many layers
+    assert _sweep_peak(corner, 1) <= _sweep_bytes(corner)
+
+
+@pytest.mark.parametrize("corner", [(300, 300), (40, 700), (5000,), (30, 30, 30), (1, 2, 3000)])
+def test_tables_allocate_within_their_count(corner):
     import tracemalloc
 
-    b = _trials_per_batch(corner)
-    fields = [make_field(exponential(1.0), j, "vertex", len(corner)) for j in range(b)]
+    f = make_field(exponential(1.0), 3, "vertex", len(corner))
     tracemalloc.start()
     try:
-        _batch_corners(fields, corner, True)
+        lpp_dp(f, corner)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= b * _sweep_bytes(corner) <= 8 * lpp._BATCH_CELLS
+    assert peak <= _sweep_bytes(corner, keep_all=True)
 
 
 @pytest.mark.parametrize("spec", LAWS, ids=lambda s: s.token())
