@@ -5,7 +5,9 @@ and the test modules that must catch the change.  Each mutant is applied to a
 fresh copy of the repository's code and tests in a temporary directory
 outside the repository, and its modules run there with ``pytest -x``.  The
 check fails when a mutant survives, when a row's text no longer occurs
-exactly once in its file, or when the unmutated modules do not pass.
+exactly once in its file, or when the unmutated modules do not pass.  A row
+whose change cannot alter any result is marked equivalent with the reason,
+and its survival passes.
 
     python scripts/mutants.py
 
@@ -35,13 +37,19 @@ class Mutant(NamedTuple):
     old: str      # occurs exactly once in path
     new: str
     tests: tuple  # test modules, relative to the repository root
+    equivalent: str = ""  # why no result can change, for a mutant no test can kill
 
 
 CLI = "src/latticegrow/cli.py"
 EST = "src/latticegrow/estimators.py"
 EXP = "src/latticegrow/experiments.py"
 FPP = "src/latticegrow/fpp.py"
+GRO = "src/latticegrow/growth.py"
 LPP = "src/latticegrow/lpp.py"
+ORA = "src/latticegrow/oracle.py"
+OUT = "src/latticegrow/_output.py"
+TAS = "src/latticegrow/tasep.py"
+WTS = "src/latticegrow/weights.py"
 
 MUTANTS = [
     Mutant("bucket takes t <= thr", FPP,
@@ -145,6 +153,50 @@ MUTANTS = [
     Mutant("a flat-edge margin strip one column off", EST,
            "((0, n + 1), (n + 1, m))", "((0, n + 2), (n + 1, m))",
            ("tests/test_estimators.py",)),
+    Mutant("the fold step drops its out array", WTS,
+           "    return _mix(np.asarray(np.bitwise_xor(h, salted, out=out)))\n",
+           "    return _mix(np.asarray(np.bitwise_xor(h, salted)))\n",
+           ("tests/test_lpp.py",)),
+    Mutant("a word folded without its gold", WTS,
+           "    return np.asarray(word, dtype=np.int64).view(np.uint64) + _NP_GOLD\n",
+           "    return np.asarray(word, dtype=np.int64).view(np.uint64)\n",
+           ("tests/test_weights.py",)),
+    Mutant("the seed folded without its gold", WTS, "    h ^= _NP_GOLD\n", "",
+           ("tests/test_weights.py",)),
+    Mutant("the exit law loses its sin(m pi / 2) signs", GRO,
+           "np.where(m % 4 == 1, 1.0, -1.0) * e", "e",
+           ("tests/test_growth.py",)),
+    Mutant("a square's jumps transposed", GRO,
+           "(rows * side + cols).tolist()", "(cols * side + rows).tolist()",
+           ("tests/test_growth.py",)),
+    Mutant("Eden's sites counted without their boundary edges", GRO,
+           '    edges = 2 * d - 1 if kind == "eden" else 0\n', "    edges = 0\n",
+           ("tests/test_experiments.py",)),
+    Mutant("the tie rule takes the left time on ties", TAS,
+           "            left = (left if left > u else u) + row[n]\n",
+           "            left = (left if left >= u else u) + row[n]\n",
+           ("tests/test_tasep.py",),
+           equivalent="on a tie left and u are the same float, so the max is too"),
+    Mutant("a row never becomes the row above", TAS, "        up = row\n", "",
+           ("tests/test_tasep.py",)),
+    Mutant("the current counts particle 1", TAS,
+           "    return int(np.count_nonzero(diag[1:] <= t))\n",
+           "    return int(np.count_nonzero(diag <= t))\n",
+           ("tests/test_tasep.py",)),
+    Mutant("the oracle's l1 bound one step too long", ORA,
+           "            if nacc + per_step_floor * l1(v, target) >= best:\n",
+           "            if nacc + per_step_floor * (l1(v, target) + 1) >= best:\n",
+           ("tests/test_oracle.py",)),
+    Mutant("the oracle reads an edge at its upper endpoint", ORA,
+           "            for i in box.padded_index(min(u, v)):\n",
+           "            for i in box.padded_index(max(u, v)):\n",
+           ("tests/test_oracle.py",)),
+    Mutant("floats written with 16 digits", OUT,
+           '"%.17g" if c.dtype.kind == "f"', '"%.16g" if c.dtype.kind == "f"',
+           ("tests/test_exports.py",)),
+    Mutant("a write slice drops its last row", OUT,
+           "c[a : a + _ROWS_PER_WRITE].tolist()", "c[a : a + _ROWS_PER_WRITE - 1].tolist()",
+           ("tests/test_exports.py",)),
 ]
 
 
@@ -197,6 +249,8 @@ def run(rows=MUTANTS) -> bool:
             # pytest exits 1 when a test fails; any other exit is not a kill
             if code == 1:
                 print(f"killed    {m.name} ({took:.1f} s)")
+            elif code == 0 and m.equivalent:
+                print(f"survived  {m.name}, equivalent: {m.equivalent} ({took:.1f} s)")
             else:
                 print(f"{'SURVIVED' if code == 0 else 'ERROR':9} {m.name} (pytest exit {code})")
                 ok = False

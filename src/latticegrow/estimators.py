@@ -28,12 +28,12 @@ from .experiments import (
     _batch_trials,
 )
 from .fpp import (
-    _GOAL_MARGIN,
+    _BOX_RETRIES,
     LatticeBox,
     _check_fpp_law,
-    _goal_box,
     _goal_solve,
     _grown_solve,
+    _point_task,
     _trial_bytes,
     fpp_geodesic,
     lattice_point,
@@ -76,9 +76,6 @@ __all__ = [
 
 # the window solve's uint16 times stay exact while T <= 4n < _SAT
 MAX_FLAT_EDGE_N = (_SAT - 1) // 4
-# a trial's box (FPP) or table (LPP) doubles its side on a boundary hit, at
-# most this many times
-_BOX_RETRIES = 2
 
 
 # ---------------------------------------------------------------------------
@@ -187,79 +184,20 @@ def _check_model(model: str, spec: DistributionSpec) -> None:
         _check_fpp_law(spec)
 
 
-def _fpp_first_radius(target) -> int:
-    """The first box radius of a point passage time; a retry doubles it."""
-    return int(math.ceil(1.3 * sum(abs(c) for c in target))) + 10
-
-
-def _task_size(model: str, target, spec=None) -> tuple:
+def _task_size(model: str, target, spec: DistributionSpec) -> tuple:
     """(trials, bytes) of one sampling task at target: a batch of LPP corner
-    sweeps, or of FPP solves, and the most it holds at once.  An FPP solve
-    holds at most a batch on the first box, pruned if the law is; given the
-    law, trials are counted on the box the solve prunes to
-    (_fpp_target_solve) at a ceiling of mean |target|_1, if that is smaller."""
-    if model == "lpp":
-        need = most = _sweep_bytes(target)
-    else:
-        radius = _fpp_first_radius(target)
-        box = LatticeBox(len(target), radius)
-        need = _trial_bytes(box)
-        most = _trial_bytes(box, pruned=spec is not None and spec.support_min() > 0)
-        if spec is not None:
-            goal = _goal_box(target, spec.mean() * sum(map(abs, target)),
-                             spec.support_min() * (1 - _GOAL_MARGIN), radius)
-            if goal is not None and goal.vertex_count() < box.vertex_count():
-                need = _trial_bytes(goal, pruned=True)
+    sweeps, or of FPP point solves (fpp._point_task), and the most it holds."""
+    if model == "fpp":
+        return _point_task(target, spec)
+    need = _sweep_bytes(target)
     per = _batch_trials(need)
-    return per, max(per * need, _batch_trials(most) * most)
+    return per, per * need
 
 
 def _fpp_target_solve(fields, target, *, want_geodesic: bool):
-    """Exact point passage times T(x) of a batch of fields, x = target.
-
-    Returns the times, wanderings (NaN unless asked for) and flags, those of
-    Dijkstra on Z^d whenever the flag is off.  With a law of least weight 0
-    the fields take _grown_solve: boxes of radius _fpp_first_radius doubled
-    on a face hit, up to _BOX_RETRIES times, the flag certifying exactness.
-
-    With least weight omega > 0 (fpp._goal_solve), the solve is pruned.  Let
-    u = 2^-53, omega' = omega (1 - 2^-20) (_GOAL_MARGIN), T Dijkstra's float
-    times, and U the trial's least left-fold sum along a monotone path to x;
-    U >= T(x), since T(x) is the least left-fold sum over all paths and
-    fl(a + w) is monotone in a.  A relaxation to v is dropped when its time
-    exceeds lim(v) = fl(U - fl(omega' |x - v|_1)), on the _goal_box of U,
-    which holds at most the first box's vertices, or the trial is not
-    pruned; and it prunes only when a pruned trial on the first box is
-    within MEMORY_BUDGET.  fpp._trial_bytes counts more than 16 bytes a
-    vertex, so that is at most MEMORY_BUDGET / 16 = 2^24 vertices: a side
-    has at most 2^24 and d <= 15 (a side holds 3 or more), so
-    |x - v|_1 and U / omega' (at most the sum of the sides) stay below 2^28;
-    every time compared below is at most M = 2^28 omega'.
-
-    (a) A step t -> fl(t + w) ending at or below U adds at least w - 2uM >=
-    omega - 2^-24 omega', more than omega' + 2^-21 omega.
-    (b) Every vertex v on an optimal path to x (each step tight: T(next) ==
-    fl(T(prev) + w)) passes with its time T(v), and is not on the face by
-    (c): from v, at least k = |x - v|_1 steps reach T(x) <= U, so by (a) T(v) <=
-    U - k omega' - k 2^-21 omega, while lim(v) >= U - k omega' - 2uM (two
-    roundings), and lim(x) = U.  Such a path passes at every vertex, so the
-    pruned times, which are at least T, equal T along it: T(x) is exact.
-    (c) No face vertex settles: a face vertex v has omega' (|v|_1 + |x -
-    v|_1) >= U (1 - u) + 2 omega' (_goal_box), while any time offered to it
-    follows at least |v|_1 steps from 0, each by (a) over omega', and so
-    exceeds lim(v).  The flag is off, with no retry.
-    (d) The geodesic is the same: backtracking from a vertex v of (b) takes
-    the least settled u with fl(t_u + w) == T(v).  A pruned t_u >= T(u) with
-    fl(T(u) + w) >= T(v) gives fl(T(u) + w) == T(v), so u is on an optimal
-    path, has t_u = T(u) < T(x) and settles before x in both solves; the
-    converse holds by (b).  Both solves see the same candidates.
-    _grown_solve also ends with its flag off here: with R the first radius,
-    2 r <= 2 R (some side of the pruned box is at most the first box's) and
-    |x|_1 < R, so a face at 4 R lies past |x|_1 + 2 r >= U / omega' and
-    settles after x.
-    """
-    base = _fpp_first_radius(target)
-    maps = _goal_solve(fields, target, base, base << _BOX_RETRIES)
+    """Point passage times T(x) of a batch of fields, x = target, from
+    fpp._goal_solve, with wanderings (NaN unless asked for) and flags."""
+    maps = _goal_solve(fields, target)
     devs = [math.nan] * len(maps)
     if want_geodesic:
         end = np.asarray(target, float)
@@ -479,16 +417,9 @@ def shape_boundary_estimate(
     quantization = 1.5 / t
     sigmas = np.hypot(stderrs, quantization)
     frac = _convexity_violation_fraction(angles, radii, sigmas, circular=(model == "fpp"))
-    return RadialShapeEstimate(
-        model=model,
-        t=float(t),
-        angles=angles,
-        radii=radii,
-        stderrs=stderrs,
-        trials=trials,
-        convexity_violation_fraction=frac,
-        truncated_trials=sum(hits),
-    )
+    return RadialShapeEstimate(model=model, t=float(t), angles=angles, radii=radii,
+                               stderrs=stderrs, trials=trials, convexity_violation_fraction=frac,
+                               truncated_trials=sum(hits))
 
 
 def _convexity_violation_fraction(angles, radii, stderrs, circular: bool) -> float:
@@ -641,14 +572,8 @@ def flat_edge_probe(p: float, n: int, trials: int, seed: int, workers: int = 1) 
     times = np.concatenate(_map_trials(_flat_edge_batch, tasks, workers, need))
     ratios = times / (2.0 * n)
     mean, se = _mean_se(ratios)
-    return FlatEdgeReport(
-        p=float(p),
-        n=int(n),
-        trials=trials,
-        mean_ratio=mean,
-        stderr=se,
-        ci95=(mean - 1.96 * se, mean + 1.96 * se),
-    )
+    return FlatEdgeReport(p=float(p), n=int(n), trials=trials, mean_ratio=mean, stderr=se,
+                          ci95=(mean - 1.96 * se, mean + 1.96 * se))
 
 
 # -- fluctuation series -------------------------------------------------------
@@ -661,14 +586,9 @@ _BOOTSTRAP_RESAMPLES = 1000
 def _mean_series(statistic: str, ns, samples: np.ndarray, trunc: dict) -> Series:
     """Per-n mean of samples[n_index, trial] with its standard error."""
     trials = samples.shape[1]
-    return Series(
-        statistic=statistic,
-        ns=ns,
-        values=samples.mean(axis=1),
-        stderrs=samples.std(axis=1, ddof=1) / math.sqrt(trials),
-        trials=trials,
-        truncation_warnings=trunc,
-    )
+    return Series(statistic=statistic, ns=ns, values=samples.mean(axis=1),
+                  stderrs=samples.std(axis=1, ddof=1) / math.sqrt(trials), trials=trials,
+                  truncation_warnings=trunc)
 
 
 def _log_cov(a: np.ndarray, b: np.ndarray) -> float:
@@ -697,16 +617,9 @@ def _variance_series(ns, times: np.ndarray, seed: int, trunc: dict, devs=None):
         ci_low[j], ci_high[j] = np.percentile(bvars, [2.5, 97.5])
         if devs is not None:
             log_cov[j] = _log_cov(bvars, devs[j][idx].mean(axis=1))
-    series = Series(
-        statistic="variance",
-        ns=ns,
-        values=times.var(axis=1, ddof=1),
-        stderrs=boot_se,
-        trials=trials,
-        truncation_warnings=trunc,
-        ci_low=ci_low,
-        ci_high=ci_high,
-    )
+    series = Series(statistic="variance", ns=ns, values=times.var(axis=1, ddof=1),
+                    stderrs=boot_se, trials=trials, truncation_warnings=trunc, ci_low=ci_low,
+                    ci_high=ci_high)
     return series, (log_cov if devs is not None else None)
 
 

@@ -9,7 +9,7 @@ only timestamp lives in the JSON summary.
 Each kind is one row of ``_TABLE``, and ``validate`` is one pass over it.  A
 kind's footprint is the bytes its largest task holds, from its solver's own
 byte count (fpp._trial_bytes, lpp._sweep_bytes, lpp._min_plus_bytes,
-tasep._trial_bytes, growth._grid_bytes and growth._roundness_bytes), against
+tasep._trial_bytes, growth._grid_bytes, _roundness_bytes and _trace_bytes), against
 one MEMORY_BUDGET; the same counts size the batches (_batch_trials), cap the
 worker pool and check what a run grows to.  d = 1 IDLA's walk moves have a
 bound of their own (README, "Command line").
@@ -210,14 +210,13 @@ def _shape_footprint(config, spec):
 
 
 def _sample_footprint(config, spec, model=""):
-    """One task at the largest n: a batch of FPP solves on the first box or of
-    LPP sweeps; returns the targets."""
+    """One task at the largest n, sized as the run sizes it; returns the targets."""
     from .estimators import _grid_targets, _task_size
 
     model = model or config.model
     try:
         _, _, targets = _grid_targets(model, config.direction_tuple(), config.n_grid_list())
-        need = _task_size(model, targets[-1])[1]
+        need = _task_size(model, targets[-1], spec)[1]
     except ValueError as e:
         raise ConfigError(str(e)) from None
     except OverflowError as e:  # n times direction, or the box around it, past a float's range
@@ -245,7 +244,7 @@ def _flat_edge_footprint(config, spec):
 
 
 def _grid_footprint(config, spec):
-    from .growth import _first_radius, _grid_bytes, _roundness_bytes
+    from .growth import _first_radius, _grid_bytes, _roundness_bytes, _trace_bytes
 
     # roundness scans a window of reach 2 or more, past any first grid's
     # bytes; in dimension 64 that is far past any budget
@@ -255,7 +254,8 @@ def _grid_footprint(config, spec):
         radius = _first_radius(d, config.steps)
     except OverflowError as e:  # steps past a float's range
         raise ConfigError(f"steps: too large to size its grid ({e})") from None
-    yield "steps", _grid_bytes(d, radius), "in its first grid"
+    yield "steps", _grid_bytes(d, radius) + _trace_bytes(config.kind, d, config.steps), \
+        "in its first grid and its sites"
 
 
 def _idla_footprint(config, spec):

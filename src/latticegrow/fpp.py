@@ -27,13 +27,14 @@ cut by its own stops, so a step's numpy overhead is paid once for B trials.
 one trial of a solve holds; ``_grown_solve`` sizes its batches by that count
 and re-solves only the trials whose boundary flag is set on the next box.
 
-Point solves to a target x with a law of least weight omega > 0 are
-goal-directed (``_goal_solve``; the proof is estimators._fpp_target_solve's).
-U, the least float sum along a monotone path to x (``_least_monotone_time``),
-bounds T(x) from above, and the loop drops a relaxation to v whose time
-exceeds U - omega' |x - v|_1, omega' just below omega.  Every vertex that can
-pass lies in the l1-ellipse omega' (|v|_1 + |x - v|_1) <= U, so one solve on
-the off-centre box around it (``_goal_box``) is exact and sets no flag.
+Point solves to a target x are decided here, and ``_goal_solve`` proves
+them exact.  With a law of least weight omega > 0, U, the least float sum
+along a monotone path to x (``_least_monotone_time``), bounds T(x), and the
+loop drops a relaxation to v whose time exceeds U - omega' |x - v|_1, omega'
+just below omega.  Every vertex that can pass lies in the l1-ellipse omega'
+(|v|_1 + |x - v|_1) <= U, and a trial whose box around it holds, pruned, no
+more bytes than the first box unpruned is solved once there (``_pruned_box``)
+with no flag; the others grow.  ``_point_task`` sizes a task the same way.
 """
 
 from __future__ import annotations
@@ -62,10 +63,7 @@ __all__ = [
     "unit_steps",
 ]
 
-Vertex = tuple
-
-
-def lattice_point(x) -> Vertex:
+def lattice_point(x) -> tuple:
     """Map a real point to its lattice representative by componentwise floor."""
     return tuple(int(math.floor(c)) for c in x)
 
@@ -108,13 +106,9 @@ class LatticeBox:
     def vertex_count(self) -> int:
         return math.prod(b - a + 1 for a, b in zip(self.low, self.high))
 
-    def corner(self) -> Vertex:
-        """The lowest vertex of the box."""
-        return self.low
-
     def padded_index(self, v) -> tuple:
-        """Index of vertex v in the padded box: v - corner + 1."""
-        return tuple(int(a) - c + 1 for a, c in zip(v, self.corner()))
+        """Index of vertex v in the padded box: v - low + 1."""
+        return tuple(int(a) - c + 1 for a, c in zip(v, self.low))
 
     def padded_shape(self) -> tuple:
         """Shape of the box grown by one layer of padding."""
@@ -123,7 +117,7 @@ class LatticeBox:
     def coords(self, flat: np.ndarray) -> np.ndarray:
         """Coordinates (one row per vertex) of flat indices on the padded box."""
         coords = np.stack(np.unravel_index(flat, self.padded_shape()), axis=-1)
-        return coords + np.array(self.corner(), dtype=np.int64) - 1
+        return coords + np.array(self.low, dtype=np.int64) - 1
 
     def flat_index(self, v) -> int:
         """Row-major index of vertex v on the padded box; it orders like the tuples."""
@@ -138,7 +132,7 @@ class LatticeBox:
         geodesic backtracking and the brute-force oracle all read; a batched
         solve passes its trial's slot of the batch array as out.
         """
-        w = field.edge_window(tuple(c - 1 for c in self.corner()), self.padded_shape(), out)
+        w = field.edge_window(tuple(c - 1 for c in self.low), self.padded_shape(), out)
         for k, n in enumerate(s - 2 for s in self.padded_shape()):
             face = np.moveaxis(w, k + 1, 1)
             face[:, [0, n + 1]] = math.inf
@@ -159,7 +153,7 @@ class PassageTimeMap:
     boundary_hit reports whether any vertex on the box face settled.
     """
 
-    source: Vertex
+    source: tuple
     box: LatticeBox
     flat: np.ndarray = dc_field(repr=False)
     settled_times: np.ndarray = dc_field(repr=False)
@@ -315,6 +309,15 @@ def _trial_bytes(box: LatticeBox, pruned: bool = False) -> int:
     return math.prod(box.padded_shape()) * (14 * box.dimension + 33 + 8 * pruned) + (16 << 10)
 
 
+def _checked_bytes(box: LatticeBox) -> int:
+    """_trial_bytes(box); ValueError if they pass MEMORY_BUDGET."""
+    need = _trial_bytes(box)
+    if need > MEMORY_BUDGET:
+        raise ValueError(f"an FPP box in dimension {box.dimension} needs {need} bytes a "
+                         f"trial, more than {MEMORY_BUDGET}")
+    return need
+
+
 def _grown_solve(fields, radius: int, cap: int, **stops) -> list:
     """The maps of _solve_batch from the origin on radius r, 2r, 4r, ... up to cap.
 
@@ -328,11 +331,7 @@ def _grown_solve(fields, radius: int, cap: int, **stops) -> list:
     todo = list(range(len(fields)))
     while todo:
         box = LatticeBox(d, min(radius, cap))
-        need = _trial_bytes(box)
-        if need > MEMORY_BUDGET:
-            raise ValueError(f"an FPP box in dimension {box.dimension} needs {need} bytes a "
-                             f"trial, more than {MEMORY_BUDGET}")
-        per = _batch_trials(need)
+        per = _batch_trials(_checked_bytes(box))
         for i in todo:  # a trial's map on the last box goes before it grows
             maps[i] = None
         for a in range(0, len(todo), per):
@@ -345,9 +344,17 @@ def _grown_solve(fields, radius: int, cap: int, **stops) -> list:
     return maps
 
 
-# the relative margin omega loses in a pruned solve; estimators._fpp_target_solve
-# shows it covers the rounding on every box the memory budget admits
+# a point solve's box doubles its radius on a face hit at most this many
+# times, as do the estimators' shape boxes and LPP tables
+_BOX_RETRIES = 2
+# the relative margin omega loses in a pruned solve; _goal_solve shows it
+# covers the rounding on every box a point solve admits
 _GOAL_MARGIN = 2.0 ** -20
+
+
+def _first_radius(target) -> int:
+    """The first box radius of a point solve to target; a retry doubles it."""
+    return int(math.ceil(1.3 * sum(abs(c) for c in target))) + 10
 
 
 def _least_monotone_time(fields, target) -> np.ndarray:
@@ -410,29 +417,76 @@ def _goal_box(target, ceiling: float, omega: float, radius: int):
                                tuple(max(0, c) + r for c in target))
 
 
-def _goal_solve(fields, target, radius: int, cap: int) -> list:
-    """Exact maps of the fields' solves to target (estimators._fpp_target_solve).
+def _pruned_box(target, ceiling: float, omega: float, first: LatticeBox):
+    """The _goal_box a point solve at this ceiling is pruned on, or None: the
+    box must hold, pruned, at most the _trial_bytes of the first box unpruned."""
+    box = _goal_box(target, ceiling, omega, first.radius)
+    return box if box and _trial_bytes(box, pruned=True) <= _trial_bytes(first) else None
+
+
+def _point_task(target, spec) -> tuple:
+    """(trials, bytes) of a task of point solves to target under spec: trials
+    fill a batch on the _pruned_box at U = mean |target|_1, else on the first
+    box, and the task may hold a batch of grown trials there."""
+    first = LatticeBox(len(target), _first_radius(target))
+    most = _trial_bytes(first)
+    box = _pruned_box(target, spec.mean() * sum(map(abs, target)),
+                      spec.support_min() * (1 - _GOAL_MARGIN), first)
+    need = _trial_bytes(box, pruned=True) if box else most
+    per = _batch_trials(need)
+    return per, max(per * need, _batch_trials(most) * most)
+
+
+def _goal_solve(fields, target) -> list:
+    """The fields' maps to target, as on Z^d whenever the flag is off.
 
     With omega = (1 - _GOAL_MARGIN) times the fields' least support_min() > 0,
-    each trial's ceiling is its _least_monotone_time.  If a pruned trial on
-    the first box, of this radius, is within MEMORY_BUDGET, a trial whose
-    _goal_box holds at most its _trial_bytes is solved pruned on it, in
-    batches in ceiling order; no face vertex settles there.  The other
-    trials, and every trial when omega is 0, take _grown_solve(radius, cap).
+    a trial with a _pruned_box at its ceiling, its _least_monotone_time, is
+    solved pruned there, in batches in ceiling order.  The others, and all
+    when omega is 0, take _grown_solve from the _first_radius, _BOX_RETRIES
+    times at most.  A first box past MEMORY_BUDGET raises ValueError.
+
+    The pruned solve is exact.  Let u = 2^-53, omega' = omega (1 - 2^-20), T
+    Dijkstra's float times, x = target and U the ceiling; U >= T(x), as T(x)
+    is the least left-fold sum over all paths and fl(a + w) is monotone in a.
+    A relaxation to v is dropped when its time exceeds lim(v) = fl(U -
+    fl(omega' |x - v|_1)), on the _goal_box of U.  Pruned, at over 16 bytes a
+    vertex, it holds at most the first box's unpruned bytes, within
+    MEMORY_BUDGET, so at most 2^24 vertices: a side has at most 2^24 and d <=
+    15 (a side holds 3 or more), so |x - v|_1 and U / omega' (at most the sum
+    of the sides) stay below 2^28; a time compared is at most M = 2^28 omega'.
+    (a) A step t -> fl(t + w) ending at or below U adds at least w - 2uM >=
+    omega - 2^-24 omega', more than omega' + 2^-21 omega.
+    (b) Every vertex v on an optimal path to x (each step tight: T(next) ==
+    fl(T(prev) + w)) passes with its time T(v), and is not on the face by
+    (c): from v, at least k = |x - v|_1 steps reach T(x) <= U, so by (a) T(v)
+    <= U - k omega' - k 2^-21 omega, while lim(v) >= U - k omega' - 2uM (two
+    roundings), and lim(x) = U.  Such a path passes at every vertex, so the
+    pruned times, which are at least T, equal T along it: T(x) is exact.
+    (c) No face vertex settles: a face vertex v has omega' (|v|_1 + |x -
+    v|_1) >= U (1 - u) + 2 omega' (_goal_box), while any time offered to it
+    follows at least |v|_1 steps from 0, each by (a) over omega', and so
+    exceeds lim(v).  The flag is off, with no retry.
+    (d) The geodesic is the same: backtracking from a vertex v of (b) takes
+    the least settled u with fl(t_u + w) == T(v).  A pruned t_u >= T(u) with
+    fl(T(u) + w) >= T(v) gives fl(T(u) + w) == T(v), so u is on an optimal
+    path, has t_u = T(u) < T(x) and settles before x in both solves; the
+    converse holds by (b).  Both solves see the same candidates.
+    _grown_solve also ends with its flag off here: with R the first radius,
+    2 r <= 2 R (some side of the pruned box is at most the first box's) and
+    |x|_1 < R, so a face at 4 R lies past |x|_1 + 2 r >= U / omega' and
+    settles after x.
     """
     d = len(target)
-    first = LatticeBox(d, radius)
-    most = _trial_bytes(first, pruned=True)
+    first = LatticeBox(d, _first_radius(target))
+    _checked_bytes(first)
     omega = min(f.spec.support_min() for f in fields) * (1 - _GOAL_MARGIN)
     maps = [None] * len(fields)
-    if omega > 0 and most <= MEMORY_BUDGET:
+    if omega > 0:
         ceilings = _least_monotone_time(fields, target)
-        boxes = [_goal_box(target, u, omega, radius) for u in ceilings.tolist()]
+        boxes = [_pruned_box(target, u, omega, first) for u in ceilings.tolist()]
         batches: list = []
-        # a box within the first's pruned bytes holds at most its vertices
-        for i in sorted((i for i, box in enumerate(boxes)
-                         if box and _trial_bytes(box, pruned=True) <= most),
-                        key=ceilings.__getitem__):
+        for i in sorted((i for i, box in enumerate(boxes) if box), key=ceilings.__getitem__):
             if batches and len(batches[-1]) < _batch_trials(_trial_bytes(boxes[i], pruned=True)):
                 batches[-1].append(i)
             else:
@@ -445,8 +499,8 @@ def _goal_solve(fields, target, radius: int, cap: int) -> list:
                 maps[i] = pmap
     rest = [i for i, pmap in enumerate(maps) if pmap is None]
     if rest:
-        for i, pmap in zip(rest, _grown_solve([fields[i] for i in rest], radius, cap,
-                                              target=target)):
+        for i, pmap in zip(rest, _grown_solve([fields[i] for i in rest], first.radius,
+                                              first.radius << _BOX_RETRIES, target=target)):
             maps[i] = pmap
     return maps
 

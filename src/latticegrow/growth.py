@@ -434,6 +434,16 @@ def _grid_bytes(d: int, radius: int) -> int:
     return 2 * (2 * radius + 1) ** d
 
 
+def _trace_bytes(kind: str, d: int, sites: int) -> int:
+    """Bytes a run of this many sites holds besides its grids and roundness's
+    window: per site, 40 (a list slot and an int) for its flat index and, in
+    Eden, each of the 2d - 1 boundary edges it adds; as _sites decodes them, 8
+    in each of d + 2 arrays, 40 in each of d lists, and a d-tuple in a list;
+    and 96 a word of the draw blocks, an array, a list and (d = 2) floats."""
+    edges = 2 * d - 1 if kind == "eden" else 0
+    return sites * (40 * (1 + edges) + 56 * d + 64) + 96 * _BLOCK_MAX
+
+
 def _norm_dtype(d: int, reach: int):
     """int32 holds the squared norms on [-reach, reach]^d below its maximum unless
     d reach^2 reaches it, which in d >= 2 takes a window of 2^31 cells."""

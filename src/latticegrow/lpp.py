@@ -64,7 +64,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ._output import write_csv
-from .weights import _NP_GOLD, _VERTEX_TAG, WeightField, _hash_words, _mix
+from .weights import _VERTEX_TAG, WeightField, _fold, _hash_words, _salted
 
 __all__ = [
     "LppTimeMap",
@@ -238,10 +238,9 @@ class _SkewedWeights:
                  for j, n in enumerate(lead)]
         self.prefix = np.broadcast_to(
             _hash_words([f.seed for f in fields], [_VERTEX_TAG, *words[:p]]), (*lead, b))
-        self.after = [np.broadcast_to(w.view(np.uint64) + _NP_GOLD, (*lead, 1)) for w in words[p:]]
+        self.after = [np.broadcast_to(_salted(w), (*lead, 1)) for w in words[p:]]
         # the depth word is k - sum(i), folded as (gold - sum(i)) + k mod 2^64
-        self.neg_sum = np.negative(sum(words, np.zeros((1,) * d, np.int64))).view(np.uint64)
-        self.neg_sum += _NP_GOLD
+        self.neg_sum = _salted(np.negative(sum(words, np.zeros((1,) * d, np.int64))))
         self.blocks = np.empty((_BLOCK_LAYERS, *lead, b))
         layer = math.prod(lead) * b
         self.h = np.empty(min(_BLOCK_LAYERS * layer, max(_HASH_CHUNK, layer)), np.uint64)
@@ -258,9 +257,9 @@ class _SkewedWeights:
             ks = np.arange(lo, hi, dtype=np.uint64).reshape((-1,) + (1,) * prefix.ndim)
             shape = (hi - lo, *prefix.shape)
             h = self.h[: math.prod(shape)].reshape(shape)
-            _mix(np.bitwise_xor(prefix, ks + neg_sum, out=h))
+            _fold(prefix, ks + neg_sum, out=h)
             for w in self.after:
-                _mix(np.bitwise_xor(h, w[box], out=h))
+                _fold(h, w[box], out=h)
             self.draw(h, out[(slice(lo - k0, hi - k0), *box)])
         return out
 

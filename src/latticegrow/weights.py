@@ -71,6 +71,16 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _salted(word) -> np.ndarray:
+    """An int word, or an array of them, as uint64 plus _NP_GOLD, for _fold."""
+    return np.asarray(word, dtype=np.int64).view(np.uint64) + _NP_GOLD
+
+
+def _fold(h, salted, out=None) -> np.ndarray:
+    """One fold step of _hash_words, mix(h ^ salted), in out (which may be h) if given."""
+    return _mix(np.asarray(np.bitwise_xor(h, salted, out=out)))
+
+
 def _hash_words(seed, words) -> np.ndarray:
     """Fold the seed and integer words (ints or int arrays, broadcast together).
 
@@ -84,7 +94,7 @@ def _hash_words(seed, words) -> np.ndarray:
     h ^= _NP_GOLD
     h = _mix(h)
     for w in words:
-        h = _mix(np.asarray(h ^ (np.asarray(w, dtype=np.int64).view(np.uint64) + _NP_GOLD)))
+        h = _fold(h, _salted(w))
     return h
 
 

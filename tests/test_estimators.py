@@ -37,7 +37,8 @@ from latticegrow.estimators import (
     _sample_times,
     _twopoint_diag_time,
 )
-from latticegrow.fpp import LatticeBox, fpp_dijkstra, fpp_geodesic, max_distance_to_segment
+from latticegrow.fpp import (LatticeBox, _first_radius, _point_task, fpp_dijkstra, fpp_geodesic,
+                             max_distance_to_segment)
 from latticegrow.lpp import _SAT, _min_plus_2d, _min_plus_bytes, _sweep_bytes, lpp_dp, lpp_geodesic
 from latticegrow.weights import WeightField, derive_seed, parse_dist_token
 
@@ -567,10 +568,11 @@ def test_fpp_samples_independent_of_batching_and_workers(monkeypatch, token, loo
     runs, per = [], []
     for workers, budget in [(1, 16 << 20), (2, 16 << 20), (1, 700000), (2, 1)]:
         monkeypatch.setattr(experiments, "_BATCH_BYTES", budget)
-        per.append([estimators._task_size("fpp", tgt)[0] for tgt in [(6, 3), (12, 6), (20, 10)]])
+        per.append([_point_task(tgt, exponential(1.0))[0] for tgt in [(6, 3), (12, 6), (20, 10)]])
         runs.append(_sample_times(*args, workers, want_geodesic=True))
     # one batch a point, mixed batches, and one trial a solve: first boxes of
-    # 47^2, 71^2 and 101^2 padded vertices at 61 bytes, and 16 KiB
+    # 47^2, 71^2 and 101^2 padded vertices at 61 bytes, and 16 KiB, which
+    # size the tasks of a law of least weight 0
     assert per == [[111, 51, 26], [111, 51, 26], [4, 2, 1], [1, 1, 1]]
     ns, targets, times, devs, trunc = runs[0]
     for run in runs[1:]:
@@ -578,7 +580,7 @@ def test_fpp_samples_independent_of_batching_and_workers(monkeypatch, token, loo
     full_tag = f"batch-test:fpp:{spec.token()}:{(1.0, 0.5)}"
     hits = {}
     for j, (n, tgt) in enumerate(zip(ns, targets)):
-        base = estimators._fpp_first_radius(tgt)
+        base = _first_radius(tgt)
         for i in range(9):
             fld = WeightField(spec, derive_seed(31, full_tag, n, i), "edge", 2)
             r = base

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import latticegrow
-from latticegrow import estimators, experiments, growth, oracle
+from latticegrow import estimators, experiments, fpp, growth, oracle
 from latticegrow.cli import main
 from latticegrow.estimators import MAX_FLAT_EDGE_N, flat_edge_probe
 from latticegrow.experiments import (
@@ -426,8 +426,9 @@ def test_trial_box_limit_is_inclusive(kind, model, n_ok, n_bad):
 def test_fpp_task_at_the_cli_limit_is_one_trial():
     # a trial on the largest first box the CLI accepts (n = 398 on (1, 1))
     # holds more than a batch, so it is solved alone
-    assert estimators._task_size("fpp", (398, 398)) == (1, _fpp_bytes(2091, 2))
-    assert estimators._task_size("fpp", (399, 399)) == (1, _fpp_bytes(2097, 2))
+    spec = parse_dist_token("unif:0.5:1.5")
+    assert fpp._point_task((398, 398), spec) == (1, _fpp_bytes(2091, 2))
+    assert fpp._point_task((399, 399), spec) == (1, _fpp_bytes(2097, 2))
     kw = dict(kind="radial-g", model="fpp", dist="unif:0.5:1.5", direction="1,1", trials=2)
     _cfg(n_grid="398", **kw).validate()
     with pytest.raises(ConfigError, match="^n_grid: .* more than 268435456$"):
@@ -498,9 +499,9 @@ def test_shape_footprint_counts_the_largest_retry_box():
     ("fpp", (1, 1), 8), ("fpp", (1, 1, 1), 4), ("lpp", (1, 1), 256), ("lpp", (1, 1, 1), 32),
 ])
 def test_footprint_counts_the_trials_of_one_sample_task(monkeypatch, model, direction, n):
-    # the CLI counts one FPP solve's first boxes, or one LPP sweep's tables,
-    # over a full batch of trials; _sample_times sizes an FPP task of a law
-    # bounded away from 0 by the smaller box its solve prunes to
+    # the CLI counts the task _sample_times runs: a full batch of LPP sweeps'
+    # tables, or of FPP solves, sized for a law bounded away from 0 by the
+    # smaller box its solve prunes to
     sizes = []
 
     def spy(fn, tasks, workers, task_bytes):
@@ -517,11 +518,16 @@ def test_footprint_counts_the_trials_of_one_sample_task(monkeypatch, model, dire
     # a 16 MiB batch holds 61 trials on first FPP boxes of 65^2 padded
     # vertices, or one on 55^3; 50 LPP sweeps on a 256^2 corner, 19 on 32^3
     per = {("fpp", 2): 61, ("fpp", 3): 1, ("lpp", 2): 50, ("lpp", 3): 19}[model, len(direction)]
-    assert count == per * _point_bytes(model, n, direction)
+    first = per * _point_bytes(model, n, direction)
     # 20 trials go in the fewest batches of at most per, their sizes within
     # one: 202 pruned boxes of 31^2 padded vertices or 16 of 23^3 in a task
     per = {("fpp", 2): 202, ("fpp", 3): 16, ("lpp", 2): 50, ("lpp", 3): 19}[model, len(direction)]
     assert sorted(sizes) == {202: [20], 16: [10, 10], 50: [20], 19: [10, 10]}[per]
+    # an FPP task holds a batch of pruned boxes, or a batch on the first box,
+    # where any trial may grow, whichever is more
+    pruned = {("fpp", 2): 202 * _fpp_bytes(29, 2, pruned=True),
+              ("fpp", 3): 16 * _fpp_bytes(21, 3, pruned=True)}.get((model, len(direction)), 0)
+    assert count == max(first, pruned)
 
 
 # -- every bound of every kind, each from its closed form in README ---------------
@@ -540,6 +546,13 @@ def _grid_bytes(d, steps):
     V_d)^(1/d)) + 1)."""
     ball = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
     return 2 * (2 * max(2, int(1.2 * (steps / ball) ** (1 / d)) + 1) + 1) ** d
+
+
+def _growth_bytes(kind, d, steps):
+    """The first grid and the sites: 40 (1 + e) + 56 d + 64 bytes a site, e = 2 d - 1
+    boundary edges for eden and 0 for idla, and 96 bytes for each of 2^16 draws."""
+    e = 2 * d - 1 if kind == "eden" else 0
+    return _grid_bytes(d, steps) + steps * (40 * (1 + e) + 56 * d + 64) + 96 * (1 << 16)
 
 
 def _roundness_bytes(d):
@@ -672,10 +685,11 @@ def _bounds():
                       st.integers(9, 14),
                       lambda v: "dim" if _roundness_bytes(v) > _BUDGET else None))
         for d in (2, 3):
-            top = _largest(lambda s: _grid_bytes(d, s) <= _BUDGET, 1, 10 ** 10)
+            top = _largest(lambda s: _growth_bytes(kind, d, s) <= _BUDGET, 1, 10 ** 10)
             cases.append((lambda v, kw=base[kind], d=d: {**kw, "dim": d, "steps": v},
                           st.integers(top - 3, top + 3),
-                          lambda v, d=d: "steps" if _grid_bytes(d, v) > _BUDGET else None))
+                          lambda v, kind=kind, d=d:
+                              "steps" if _growth_bytes(kind, d, v) > _BUDGET else None))
     for kind, dists in (("fpp-shape", ("unif:0.5:1.5", "exp:2.0", "twopoint:0.6")),
                         ("lpp-shape", ("exp:1.0", "geom:0.5", "unif:0.5:1.5"))):
         for dist in dists:
@@ -825,7 +839,7 @@ def test_pool_starts_at_most_the_processes_the_budget_holds(monkeypatch, tmp_pat
     monkeypatch.setattr(multiprocessing, "Pool", spy)
     spec = parse_dist_token("unif:0.5:1.5")
     # one task an n, each a batch of both trials
-    most = max(estimators._task_size("fpp", (n, n), spec)[1] for n in (2, 4, 8))
+    most = max(fpp._point_task((n, n), spec)[1] for n in (2, 4, 8))
     csvs = []
     for budget in (3 * most, 3 * most - 1, 2 * most - 1):
         monkeypatch.setattr(estimators, "MEMORY_BUDGET", budget)

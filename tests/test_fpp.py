@@ -559,7 +559,7 @@ def test_trials_double_their_box_twice_on_boundary_hits(monkeypatch):
     # a law of least weight 0: point solves of a positive one are pruned, never grown
     *_, hit = estimators._fpp_target_solve([WeightField(exponential(1.0), 3, "edge", 2)], (3, 2),
                                            want_geodesic=False)
-    r = estimators._fpp_first_radius((3, 2))
+    r = fpp._first_radius((3, 2))
     assert hit and radii == [r, 2 * r, 4 * r]
     radii.clear()
     _reaches, hit = estimators._shape_trial(("fpp", spec, 2.0, 3, np.zeros(1)))
@@ -586,7 +586,7 @@ def _budget_for_radius(r: int) -> int:
 
 def test_grown_box_past_the_budget_is_refused(monkeypatch):
     radii = _forced_hits(monkeypatch)
-    r = estimators._fpp_first_radius((3, 2))
+    r = fpp._first_radius((3, 2))
     field = WeightField(exponential(1.0), 3, "edge", 2)
     monkeypatch.setattr(fpp, "MEMORY_BUDGET", _budget_for_radius(2 * r))
     with pytest.raises(ValueError, match=f"^an FPP box in dimension 2 needs "
@@ -604,7 +604,7 @@ def test_cli_grown_box_past_the_budget_is_hard_failure(monkeypatch, capsys, tmp_
     from latticegrow.cli import main
 
     radii = _forced_hits(monkeypatch)
-    r = estimators._fpp_first_radius((2, 2))
+    r = fpp._first_radius((2, 2))
     monkeypatch.setattr(fpp, "MEMORY_BUDGET", _budget_for_radius(r))
     rc = main(["radial-g", "--model", "fpp", "--dist", "exp:1.0", "--n-grid", "2",
                "--trials", "2", "--out", str(tmp_path / "o")])

@@ -29,8 +29,8 @@ def _fields(token, d, seeds=range(6)):
 
 
 def _radii(target):
-    base = estimators._fpp_first_radius(target)
-    return base, base << estimators._BOX_RETRIES
+    base = fpp._first_radius(target)
+    return base, base << fpp._BOX_RETRIES
 
 
 def _spy_grown(monkeypatch):
@@ -47,13 +47,14 @@ def _spy_grown(monkeypatch):
 
 
 def _outgrown(fields, target) -> list:
-    """Seeds of the fields whose pruned box would hold more than the first box."""
+    """Seeds of the fields whose pruned box would hold, pruned, more bytes than
+    the first box unpruned."""
     radius, _ = _radii(target)
     omega = min(f.spec.support_min() for f in fields) * (1 - fpp._GOAL_MARGIN)
-    first = LatticeBox(len(target), radius).vertex_count()
+    first = fpp._trial_bytes(LatticeBox(len(target), radius))
     return [f.seed for f, u in zip(fields, fpp._least_monotone_time(fields, target).tolist())
             if (box := fpp._goal_box(target, u, omega, radius)) is None
-            or box.vertex_count() > first]
+            or fpp._trial_bytes(box, pruned=True) > first]
 
 
 def _same_point_maps(got, want, target):
@@ -70,7 +71,7 @@ def test_pruned_solve_equals_grown_solve(token, target, monkeypatch):
     radius, cap = _radii(target)
     want = fpp._grown_solve(fields, radius, cap, target=target)
     calls = _spy_grown(monkeypatch)
-    got = fpp._goal_solve(fields, target, radius, cap)
+    got = fpp._goal_solve(fields, target)
     # in d = 1 a wide law's ceiling can put the pruned box past the first
     big = _outgrown(fields, target)
     assert len(big) < len(fields) and calls == ([big] if big else [])
@@ -83,7 +84,7 @@ def test_laws_of_least_weight_zero_take_the_grown_boxes(token, monkeypatch):
     for target in [(3,), (4, -2), (1, 2, 0)]:
         fields = _fields(token, len(target), range(3))
         radius, cap = _radii(target)
-        got = fpp._goal_solve(fields, target, radius, cap)
+        got = fpp._goal_solve(fields, target)
         assert calls.pop() == [0, 1, 2]
         for a, b in zip(got, fpp._grown_solve(fields, radius, cap, target=target)):
             assert a.box == b.box
@@ -112,7 +113,7 @@ def test_trials_whose_box_outgrows_the_first_take_the_grown_boxes(target, monkey
     assert 0 < len(big) < len(fields)
     want = fpp._grown_solve(fields, radius, cap, target=target)
     calls = _spy_grown(monkeypatch)
-    got = fpp._goal_solve(fields, target, radius, cap)
+    got = fpp._goal_solve(fields, target)
     assert calls == [big]
     _same_point_maps(got, want, target)
 
@@ -132,7 +133,7 @@ def test_pruned_batches_stay_within_the_batch_bytes(batch, monkeypatch):
         return solve(fields, source, box, **kw)
 
     monkeypatch.setattr(fpp, "_solve_batch", spy)
-    got = fpp._goal_solve(fields, target, radius, cap)
+    got = fpp._goal_solve(fields, target)
     _same_point_maps(got, want, target)
     assert sum(b for b, _ in sizes) == len(fields)
     first = fpp._trial_bytes(LatticeBox(2, radius), pruned=True)
@@ -206,8 +207,9 @@ def test_goal_box_face_lies_two_omega_past_the_ceiling():
 
 @pytest.mark.parametrize("d", range(1, 16))
 def test_largest_box_the_budget_admits_holds_at_most_2_to_the_24_vertices(d):
-    # estimators._fpp_target_solve's rounding bound rests on this: _goal_solve
-    # prunes only when a pruned trial on the first box is within the budget
+    # _goal_solve's rounding bound rests on this: a pruned box holds, pruned,
+    # at most the first box's unpruned bytes, and a first box past the budget
+    # is refused
     def admitted(r):
         return fpp._trial_bytes(LatticeBox(d, r), pruned=True) <= experiments.MEMORY_BUDGET
 
@@ -235,9 +237,8 @@ def test_point_task_is_sized_by_the_pruned_box():
     # at 69 bytes pruned and 16 KiB, 6 trials a 16 MiB batch; unpruned, two
     # trials on the first box, 357^2 padded vertices at 61 bytes
     pruned, first = 199 ** 2 * 69 + (16 << 10), 357 ** 2 * 61 + (16 << 10)
-    assert estimators._task_size("fpp", (64, 64), spec) == (6, 6 * pruned)
+    assert fpp._point_task((64, 64), spec) == (6, 6 * pruned)
     assert 6 * pruned <= experiments._BATCH_BYTES < 7 * pruned
-    assert estimators._task_size("fpp", (64, 64)) == (2, 2 * first)
     for token in ZERO_LAWS:
         spec = parse_dist_token(token)
-        assert estimators._task_size("fpp", (64, 64), spec) == (2, 2 * first)
+        assert fpp._point_task((64, 64), spec) == (2, 2 * first)

@@ -693,3 +693,30 @@ def test_idla_roundness_ratio_nonincreasing_on_average():
             ratios[s, j] = rout / rin
     means = ratios.mean(axis=0)
     assert means[0] >= means[1] >= means[2]
+
+
+@pytest.mark.parametrize("kind,d,steps", [("eden", 1, 3000), ("eden", 2, 40_000),
+                                          ("eden", 3, 20_000), ("idla", 2, 8000),
+                                          ("idla", 3, 20_000)])
+def test_run_allocates_within_its_count(kind, d, steps, tmp_path):
+    # numpy and Python objects both report to tracemalloc: growing, writing the
+    # trace and its roundness hold at most the last two grids, the last
+    # roundness window and _trace_bytes
+    import tracemalloc
+
+    from latticegrow.experiments import ExperimentConfig, run_experiment
+
+    tracemalloc.start()
+    try:
+        run_experiment(ExperimentConfig(kind=kind, dim=d, steps=steps, out=str(tmp_path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sites = np.loadtxt(tmp_path / f"{kind}_trace.csv", delimiter=",", skiprows=1,
+                       dtype=np.int64)[:, 1:]
+    radii = [growth._first_radius(d, steps)]
+    while radii[-1] <= np.abs(sites).max():  # a site on the rim grows the grid
+        radii.append(radii[-1] + (radii[-1] + 1) // 2)
+    grids = sum(growth._grid_bytes(d, r) for r in radii[-2:])
+    reach = math.isqrt(int((sites * sites).sum(axis=1).max())) + 1
+    assert peak <= grids + growth._roundness_bytes(d, reach) + growth._trace_bytes(kind, d, steps)

@@ -76,6 +76,8 @@ _KINDS = {
     "fpp-3d": (_fpp("1,1,1"), 1, 1_000),
     "eden": (lambda d: dict(kind="eden", dim=d, steps=1), 1, 64),
     "idla": (lambda d: dict(kind="idla", dim=d, steps=1), 1, 64),
+    "eden-steps": (lambda s: dict(kind="eden", dim=2, steps=s), 1, 10 ** 7),
+    "idla-steps": (lambda s: dict(kind="idla", dim=2, steps=s), 1, 10 ** 7),
     "flat-edge": (lambda n: dict(kind="flat-edge", dist="twopoint:0.55", n_grid=str(n), trials=1),
                   50, 8000),
     "tasep-coupling": (lambda k: dict(kind="tasep-coupling", steps=k, trials=2), 2, 100_000),
@@ -98,3 +100,13 @@ def test_kind_at_its_limit_peaks_within_the_budget(kind, base, monkeypatch, tmp_
         argv += [f"--{key.replace('_', '-')}", str(value)]
     peak = _peak(_RUN, str(_BUDGET), str(_BATCH), *argv, "--out", str(tmp_path / "o"))
     assert peak - base <= _BUDGET, (argv, peak - base)
+
+
+@pytest.mark.parametrize("kind", ["eden", "idla"])
+def test_growth_dimension_is_bounded_by_the_roundness_window(kind, monkeypatch):
+    # at this budget a roundness window of reach 2 stops d = 10 on dim, while
+    # its first grid, sites and draw blocks alone would fit
+    monkeypatch.setattr(experiments, "MEMORY_BUDGET", _BUDGET)
+    monkeypatch.setattr(experiments, "_BATCH_BYTES", _BATCH)
+    with pytest.raises(ConfigError, match="^dim: "):
+        ExperimentConfig(kind=kind, dim=10, steps=1).validate()
