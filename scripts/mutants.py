@@ -161,7 +161,8 @@ MUTANTS = [
            "    return np.asarray(word, dtype=np.int64).view(np.uint64) + _NP_GOLD\n",
            "    return np.asarray(word, dtype=np.int64).view(np.uint64)\n",
            ("tests/test_weights.py",)),
-    Mutant("the seed folded without its gold", WTS, "    h ^= _NP_GOLD\n", "",
+    Mutant("the seed folded without its gold", WTS,
+           "dtype=np.uint64), _NP_GOLD)\n", "dtype=np.uint64), np.uint64(0))\n",
            ("tests/test_weights.py",)),
     Mutant("the exit law loses its sin(m pi / 2) signs", GRO,
            "np.where(m % 4 == 1, 1.0, -1.0) * e", "e",

@@ -31,13 +31,14 @@ from .fpp import (
     _BOX_RETRIES,
     LatticeBox,
     _check_fpp_law,
-    _goal_solve,
     _grown_solve,
+    _point_solve,
     _point_task,
     _trial_bytes,
     fpp_geodesic,
     lattice_point,
     max_distance_to_segment,
+    wandering_deviation,
 )
 from .lpp import (
     _SAT,
@@ -196,13 +197,12 @@ def _task_size(model: str, target, spec: DistributionSpec) -> tuple:
 
 def _fpp_target_solve(fields, target, *, want_geodesic: bool):
     """Point passage times T(x) of a batch of fields, x = target, from
-    fpp._goal_solve, with wanderings (NaN unless asked for) and flags."""
-    maps = _goal_solve(fields, target)
+    fpp._point_solve, with wanderings (NaN unless asked for) and flags."""
+    maps = _point_solve(fields, target)
     devs = [math.nan] * len(maps)
     if want_geodesic:
-        end = np.asarray(target, float)
-        devs = [max_distance_to_segment(np.asarray(fpp_geodesic(pmap, target).vertices, float),
-                                        np.zeros(end.size), end) for pmap in maps]
+        devs = [wandering_deviation(fpp_geodesic(pmap, target), (0,) * len(target), target)
+                for pmap in maps]
     return [pmap.time_to(target) for pmap in maps], devs, [pmap.boundary_hit for pmap in maps]
 
 
@@ -417,9 +417,16 @@ def shape_boundary_estimate(
     quantization = 1.5 / t
     sigmas = np.hypot(stderrs, quantization)
     frac = _convexity_violation_fraction(angles, radii, sigmas, circular=(model == "fpp"))
-    return RadialShapeEstimate(model=model, t=float(t), angles=angles, radii=radii,
-                               stderrs=stderrs, trials=trials, convexity_violation_fraction=frac,
-                               truncated_trials=sum(hits))
+    return RadialShapeEstimate(
+        model=model,
+        t=float(t),
+        angles=angles,
+        radii=radii,
+        stderrs=stderrs,
+        trials=trials,
+        convexity_violation_fraction=frac,
+        truncated_trials=sum(hits),
+    )
 
 
 def _convexity_violation_fraction(angles, radii, stderrs, circular: bool) -> float:
@@ -572,8 +579,14 @@ def flat_edge_probe(p: float, n: int, trials: int, seed: int, workers: int = 1) 
     times = np.concatenate(_map_trials(_flat_edge_batch, tasks, workers, need))
     ratios = times / (2.0 * n)
     mean, se = _mean_se(ratios)
-    return FlatEdgeReport(p=float(p), n=int(n), trials=trials, mean_ratio=mean, stderr=se,
-                          ci95=(mean - 1.96 * se, mean + 1.96 * se))
+    return FlatEdgeReport(
+        p=float(p),
+        n=int(n),
+        trials=trials,
+        mean_ratio=mean,
+        stderr=se,
+        ci95=(mean - 1.96 * se, mean + 1.96 * se),
+    )
 
 
 # -- fluctuation series -------------------------------------------------------
@@ -586,9 +599,14 @@ _BOOTSTRAP_RESAMPLES = 1000
 def _mean_series(statistic: str, ns, samples: np.ndarray, trunc: dict) -> Series:
     """Per-n mean of samples[n_index, trial] with its standard error."""
     trials = samples.shape[1]
-    return Series(statistic=statistic, ns=ns, values=samples.mean(axis=1),
-                  stderrs=samples.std(axis=1, ddof=1) / math.sqrt(trials), trials=trials,
-                  truncation_warnings=trunc)
+    return Series(
+        statistic=statistic,
+        ns=ns,
+        values=samples.mean(axis=1),
+        stderrs=samples.std(axis=1, ddof=1) / math.sqrt(trials),
+        trials=trials,
+        truncation_warnings=trunc,
+    )
 
 
 def _log_cov(a: np.ndarray, b: np.ndarray) -> float:
@@ -617,9 +635,16 @@ def _variance_series(ns, times: np.ndarray, seed: int, trunc: dict, devs=None):
         ci_low[j], ci_high[j] = np.percentile(bvars, [2.5, 97.5])
         if devs is not None:
             log_cov[j] = _log_cov(bvars, devs[j][idx].mean(axis=1))
-    series = Series(statistic="variance", ns=ns, values=times.var(axis=1, ddof=1),
-                    stderrs=boot_se, trials=trials, truncation_warnings=trunc, ci_low=ci_low,
-                    ci_high=ci_high)
+    series = Series(
+        statistic="variance",
+        ns=ns,
+        values=times.var(axis=1, ddof=1),
+        stderrs=boot_se,
+        trials=trials,
+        truncation_warnings=trunc,
+        ci_low=ci_low,
+        ci_high=ci_high,
+    )
     return series, (log_cov if devs is not None else None)
 
 

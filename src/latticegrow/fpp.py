@@ -27,7 +27,7 @@ cut by its own stops, so a step's numpy overhead is paid once for B trials.
 one trial of a solve holds; ``_grown_solve`` sizes its batches by that count
 and re-solves only the trials whose boundary flag is set on the next box.
 
-Point solves to a target x are decided here, and ``_goal_solve`` proves
+Point solves to a target x are decided here, and ``_point_solve`` proves
 them exact.  With a law of least weight omega > 0, U, the least float sum
 along a monotone path to x (``_least_monotone_time``), bounds T(x), and the
 loop drops a relaxation to v whose time exceeds U - omega' |x - v|_1, omega'
@@ -240,7 +240,7 @@ def _solve_batch(fields, source, box: LatticeBox, *, time_budget=None, target=No
 
     goal, None or (omega, ceilings) with a target, prunes toward the target:
     a relaxation to v in trial i is dropped when its time exceeds
-    fl(ceilings[i] - fl(omega |target - v|_1)).  Only _goal_solve passes it;
+    fl(ceilings[i] - fl(omega |target - v|_1)).  Only _point_solve passes it;
     the pruned maps' times off the target's geodesics are not Dijkstra's.
     """
     for field in fields:
@@ -347,7 +347,7 @@ def _grown_solve(fields, radius: int, cap: int, **stops) -> list:
 # a point solve's box doubles its radius on a face hit at most this many
 # times, as do the estimators' shape boxes and LPP tables
 _BOX_RETRIES = 2
-# the relative margin omega loses in a pruned solve; _goal_solve shows it
+# the relative margin omega loses in a pruned solve; _point_solve shows it
 # covers the rounding on every box a point solve admits
 _GOAL_MARGIN = 2.0 ** -20
 
@@ -437,7 +437,7 @@ def _point_task(target, spec) -> tuple:
     return per, max(per * need, _batch_trials(most) * most)
 
 
-def _goal_solve(fields, target) -> list:
+def _point_solve(fields, target) -> list:
     """The fields' maps to target, as on Z^d whenever the flag is off.
 
     With omega = (1 - _GOAL_MARGIN) times the fields' least support_min() > 0,

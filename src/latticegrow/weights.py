@@ -89,10 +89,9 @@ def _hash_words(seed, words) -> np.ndarray:
     seed may be a sequence of ints, one per trial: its axis broadcasts
     against the words' last axis.
     """
-    h = np.array(int(seed) & _MASK if np.isscalar(seed) else [int(s) & _MASK for s in seed],
-                 dtype=np.uint64)
-    h ^= _NP_GOLD
-    h = _mix(h)
+    # the seed's own step folds the word 0, salted to _NP_GOLD
+    h = _fold(np.array(int(seed) & _MASK if np.isscalar(seed) else [int(s) & _MASK for s in seed],
+                       dtype=np.uint64), _NP_GOLD)
     for w in words:
         h = _fold(h, _salted(w))
     return h

@@ -1,4 +1,4 @@
-"""Pruned FPP point solves (``fpp._goal_solve``) against the grown-box solves they replace."""
+"""Pruned FPP point solves (``fpp._point_solve``) against the grown-box solves they replace."""
 
 import itertools
 from fractions import Fraction
@@ -71,7 +71,7 @@ def test_pruned_solve_equals_grown_solve(token, target, monkeypatch):
     radius, cap = _radii(target)
     want = fpp._grown_solve(fields, radius, cap, target=target)
     calls = _spy_grown(monkeypatch)
-    got = fpp._goal_solve(fields, target)
+    got = fpp._point_solve(fields, target)
     # in d = 1 a wide law's ceiling can put the pruned box past the first
     big = _outgrown(fields, target)
     assert len(big) < len(fields) and calls == ([big] if big else [])
@@ -84,7 +84,7 @@ def test_laws_of_least_weight_zero_take_the_grown_boxes(token, monkeypatch):
     for target in [(3,), (4, -2), (1, 2, 0)]:
         fields = _fields(token, len(target), range(3))
         radius, cap = _radii(target)
-        got = fpp._goal_solve(fields, target)
+        got = fpp._point_solve(fields, target)
         assert calls.pop() == [0, 1, 2]
         for a, b in zip(got, fpp._grown_solve(fields, radius, cap, target=target)):
             assert a.box == b.box
@@ -113,7 +113,7 @@ def test_trials_whose_box_outgrows_the_first_take_the_grown_boxes(target, monkey
     assert 0 < len(big) < len(fields)
     want = fpp._grown_solve(fields, radius, cap, target=target)
     calls = _spy_grown(monkeypatch)
-    got = fpp._goal_solve(fields, target)
+    got = fpp._point_solve(fields, target)
     assert calls == [big]
     _same_point_maps(got, want, target)
 
@@ -133,7 +133,7 @@ def test_pruned_batches_stay_within_the_batch_bytes(batch, monkeypatch):
         return solve(fields, source, box, **kw)
 
     monkeypatch.setattr(fpp, "_solve_batch", spy)
-    got = fpp._goal_solve(fields, target)
+    got = fpp._point_solve(fields, target)
     _same_point_maps(got, want, target)
     assert sum(b for b, _ in sizes) == len(fields)
     first = fpp._trial_bytes(LatticeBox(2, radius), pruned=True)
@@ -207,7 +207,7 @@ def test_goal_box_face_lies_two_omega_past_the_ceiling():
 
 @pytest.mark.parametrize("d", range(1, 16))
 def test_largest_box_the_budget_admits_holds_at_most_2_to_the_24_vertices(d):
-    # _goal_solve's rounding bound rests on this: a pruned box holds, pruned,
+    # _point_solve's rounding bound rests on this: a pruned box holds, pruned,
     # at most the first box's unpruned bytes, and a first box past the budget
     # is refused
     def admitted(r):
