@@ -144,6 +144,16 @@ MUTANTS = [
            "    return max(1, _BATCH_BYTES // trial_bytes)\n",
            "    return _BATCH_BYTES // trial_bytes\n",
            ("tests/test_experiments.py",)),
+    Mutant("a config file's unknown key skipped, not refused", EXP,
+           '                raise ConfigError(f"{key}: unknown config key")\n',
+           "                continue\n",
+           ("tests/test_experiments.py",)),
+    Mutant("a field its kind does not read may leave its default", EXP,
+           "            if f.name not in reads and value != f.default:\n", "            if False:\n",
+           ("tests/test_experiments.py",)),
+    Mutant("the dist parse skipped for every kind", EXP,
+           '        if "dist" in reads:\n', "        if False:\n",
+           ("tests/test_experiments.py",)),
     Mutant("the FPP count drops the lim bytes", FPP,
            "(14 * box.dimension + 33 + 8 * pruned)", "(14 * box.dimension + 33)",
            ("tests/test_fpp_point.py",)),

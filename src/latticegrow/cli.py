@@ -5,9 +5,13 @@ closed-form shape functions.  Exit codes: 0 success, 2 configuration error,
 3 hard failure (budget exceeded, verification mismatch, samples a fit cannot
 use, or memory exhausted), which ``run_experiment`` raises as HardFailure.
 
-This module and ``experiments`` import only the standard library, so parsing,
-``--help`` and usage errors load no numpy; a run imports the solver modules
-of its own kind (see ``experiments``), and ``lpp-exact`` imports ``lpp``.
+The experiment kinds share one set of options, built once from the config
+field table (``experiments._FIELDS``) into a parent parser that every kind's
+subparser takes.  This module and ``experiments`` import only the standard
+library, and neither dataclasses nor json, so parsing, ``--help`` and usage
+errors load argparse and little else, no numpy; a run imports the solver
+modules of its own kind (see ``experiments``), and ``lpp-exact`` imports
+``lpp``.
 
 ``main`` caps numpy's BLAS pool at one thread before numpy loads, unless the
 caller set a thread count: the solvers' BLAS calls are short dot products
@@ -22,29 +26,25 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
-from .experiments import KINDS, ConfigError, ExperimentConfig, HardFailure, run_experiment
+from .experiments import _FIELDS, KINDS, ConfigError, ExperimentConfig, HardFailure, run_experiment
 
 
 # the thread counts numpy's BLAS builds read when the library loads
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--dist", help="distribution token, e.g. exp:1.0 or unif:0.5:1.5")
-    p.add_argument("--dim", type=int, help="lattice dimension")
-    p.add_argument("--model", choices=("fpp", "lpp"), help="model for radial-g")
-    p.add_argument("--direction", help="direction vector, e.g. 1,1")
-    p.add_argument("--n-grid", dest="n_grid", help="comma-separated n values")
-    p.add_argument("--t", type=float, help="ball time for shape estimates")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials")
-    p.add_argument("--steps", type=int, help="growth steps / particles / table size")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--workers", type=int, help="parallel workers")
-    p.add_argument("--out", help="output directory")
+def _experiment_options() -> argparse.ArgumentParser:
+    """The options every experiment kind takes: --config, then one a config field."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key = value config file; flags override it")
+    for f in _FIELDS:
+        if f.name != "kind":  # the subcommand
+            typed = {} if isinstance(f.default, str) else {"type": type(f.default)}
+            common.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, help=f.help,
+                                choices=f.choices, **typed)
+    return common
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,9 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulation and estimation for lattice random growth models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_experiment_options()]
     for kind in KINDS:
-        p = sub.add_parser(kind, help=f"run a {kind} experiment")
-        _add_common(p)
+        sub.add_parser(kind, help=f"run a {kind} experiment", parents=common)
 
     pe = sub.add_parser("lpp-exact", help="evaluate a closed-form limit shape")
     pe.add_argument("--model", choices=("exp", "geom"), required=True)
@@ -68,7 +68,7 @@ def _config_from_args(args) -> ExperimentConfig:
     text = Path(args.config).read_text() if args.config else ""
     cfg = ExperimentConfig.from_text(text)
     cfg.kind = args.command
-    for f in fields(ExperimentConfig):
+    for f in _FIELDS:
         val = getattr(args, f.name, None)
         if f.name != "kind" and val is not None:
             setattr(cfg, f.name, val)

@@ -185,12 +185,13 @@ def _check_model(model: str, spec: DistributionSpec) -> None:
         _check_fpp_law(spec)
 
 
-def _task_size(model: str, target, spec: DistributionSpec) -> tuple:
+def _task_size(model: str, target, spec: DistributionSpec, geodesics: bool) -> tuple:
     """(trials, bytes) of one sampling task at target: a batch of LPP corner
-    sweeps, or of FPP point solves (fpp._point_task), and the most it holds."""
+    sweeps, with their geodesics if asked for, or of FPP point solves
+    (fpp._point_task), and the most it holds."""
     if model == "fpp":
         return _point_task(target, spec)
-    need = _sweep_bytes(target)
+    need = _sweep_bytes(target, geodesics=geodesics)
     per = _batch_trials(need)
     return per, per * need
 
@@ -257,7 +258,7 @@ def _sample_times(model, spec, direction, n_grid, trials, seed, tag, workers,
     tasks, most = [], 1
     for n, tgt in zip(ns, targets):
         row = [derive_seed(seed, full_tag, n, i) for i in range(trials)]
-        per, need = _task_size(model, tgt, spec)
+        per, need = _task_size(model, tgt, spec, want_geodesic)
         tasks += [(model, spec, tgt, batch, want_geodesic) for batch in _batches(row, per)]
         most = max(most, need)
     times, devs, hits = (np.concatenate(col).reshape(len(ns), trials)

@@ -1,10 +1,12 @@
 """Configuration-driven experiment runner.
 
-Configs are flat key=value text files with CLI-flag overrides.  Every run
-emits raw series CSVs, a machine-readable summary.json (estimates, fits,
-residuals, warnings), and a reproducibility stanza echoing the config and
-the package version.  Identical configs produce byte-identical CSVs; the
-only timestamp lives in the JSON summary.
+Configs are flat key=value text files with CLI-flag overrides, over the
+fields of one table, _FIELDS, which the config, its text form, validate,
+the summary and the CLI's options walk in order.  Every run emits raw
+series CSVs, a machine-readable summary.json (estimates, fits, residuals,
+warnings), and a reproducibility stanza echoing the config and the package
+version.  Identical configs produce byte-identical CSVs; the only
+timestamp lives in the JSON summary.
 
 Each kind is one row of ``_TABLE``, and ``validate`` is one pass over it.  A
 kind's footprint is the bytes its largest task holds, from its solver's own
@@ -14,18 +16,19 @@ one MEMORY_BUDGET; the same counts size the batches (_batch_trials), cap the
 worker pool and check what a run grows to.  d = 1 IDLA's walk moves have a
 bound of their own (README, "Command line").
 
-This module imports only the standard library.  Law checks, footprints and
-runners import their kind's modules when they run, so a process loads numpy
-and the solvers it needs and no others.
+This module imports only the standard library, and json only when a run
+writes JSON (_write_json), so a parse loads little beyond argparse.  Law
+checks, footprints and runners import their kind's modules when they run,
+so a process loads numpy and the solvers it needs and no others: eden and
+idla read no dist, so they never load weights.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -63,20 +66,40 @@ class HardFailure(RuntimeError):
     """A run refused after validate() accepted its config; run_experiment raises it."""
 
 
-@dataclass
-class ExperimentConfig:
-    kind: str = ""
-    dist: str = "exp:1.0"
-    dim: int = 2
-    model: str = ""          # fpp | lpp, for kinds that need it
-    direction: str = "1,1"
-    n_grid: str = ""         # comma-separated
-    t: float = 0.0
-    trials: int = 0
-    steps: int = 0           # eden steps / idla particles / tasep K=N
-    seed: int = 1
-    workers: int = 1
-    out: str = "out"
+class _Field(NamedTuple):
+    name: str
+    default: int | float | str  # its type is the field's
+    help: str                   # its CLI option's
+    choices: tuple | None = None
+
+
+_MODELS = ("fpp", "lpp")
+# every config field, in order; kind is the CLI's subcommand, every other field an option
+_FIELDS = (
+    _Field("kind", "", "experiment kind"),
+    _Field("dist", "exp:1.0", "distribution token, e.g. exp:1.0 or unif:0.5:1.5"),
+    _Field("dim", 2, "lattice dimension"),
+    _Field("model", "", "model for radial-g", _MODELS),
+    _Field("direction", "1,1", "direction vector, e.g. 1,1"),
+    _Field("n_grid", "", "comma-separated n values"),
+    _Field("t", 0.0, "ball time for shape estimates"),
+    _Field("trials", 0, "Monte Carlo trials"),
+    _Field("steps", 0, "growth steps / particles / table size"),
+    _Field("seed", 1, "master seed"),
+    _Field("workers", 1, "parallel workers"),
+    _Field("out", "out", "output directory"),
+)
+_DEFAULTS = {f.name: f.default for f in _FIELDS}
+
+
+class ExperimentConfig(SimpleNamespace):
+    """The fields of _FIELDS, by keyword, each at its default unless given."""
+
+    def __init__(self, **fields):
+        unknown = sorted(fields.keys() - _DEFAULTS.keys())
+        if unknown:
+            raise TypeError(f"ExperimentConfig() got an unexpected keyword argument {unknown[0]!r}")
+        super().__init__(**{**_DEFAULTS, **fields})
 
     def n_grid_list(self) -> list:
         try:
@@ -91,12 +114,11 @@ class ExperimentConfig:
             raise ConfigError(f"direction: {e}") from None
 
     def to_text(self) -> str:
-        return "".join(f"{f.name} = {getattr(self, f.name)}\n" for f in dc_fields(self))
+        return "".join(f"{f.name} = {getattr(self, f.name)}\n" for f in _FIELDS)
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         cfg = cls()
-        known = {f.name for f in dc_fields(cls)}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -104,37 +126,39 @@ class ExperimentConfig:
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key not in known:
+            if key not in _DEFAULTS:
                 raise ConfigError(f"{key}: unknown config key")
             try:
                 # every field is an int, a float or a str, like its default
-                setattr(cfg, key, type(getattr(cfg, key))(val))
+                setattr(cfg, key, type(_DEFAULTS[key])(val))
             except ValueError:
                 raise ConfigError(f"{key}: cannot parse {val!r}") from None
         return cfg
 
     def validate(self):
-        """Return the config's weight law; raise a ConfigError naming the field of any
-        input the run would reject."""
+        """Return the config's weight law, or None for a kind that reads no dist (eden,
+        idla); raise a ConfigError naming the field of any input the run would reject."""
         row = _TABLE.get(self.kind)
         if row is None:
             raise ConfigError(f"kind: must be one of {', '.join(KINDS)}; got {self.kind!r}")
         reads = {"kind": None, "seed": 0, "out": None, **row.reads}
-        for f in dc_fields(self):
+        for f in _FIELDS:
             value = getattr(self, f.name)
             if f.name not in reads and value != f.default:
                 raise ConfigError(f"{f.name}: not used by kind {self.kind}; leave it at its "
                                   f"default {f.default!r}, got {value!r}")
-        if "model" in reads and self.model not in ("fpp", "lpp"):
+        if "model" in reads and self.model not in _MODELS:
             raise ConfigError(f"model: {self.kind} needs 'fpp' or 'lpp', got {self.model!r}")
-        from .weights import parse_dist_token
+        spec = None
+        if "dist" in reads:
+            from .weights import parse_dist_token
 
-        try:
-            spec = parse_dist_token(self.dist)
-            if row.law:
-                row.law(spec, self)
-        except ValueError as e:
-            raise ConfigError(f"dist: {e}") from None
+            try:
+                spec = parse_dist_token(self.dist)
+                if row.law:
+                    row.law(spec, self)
+            except ValueError as e:
+                raise ConfigError(f"dist: {e}") from None
         if "direction" in reads and self.dim != len(self.direction_tuple()):
             raise ConfigError(f"dim: {self.kind} works in the dimension of direction "
                               f"({len(self.direction_tuple())}), got {self.dim}")
@@ -179,11 +203,18 @@ def run_experiment(config: ExperimentConfig) -> dict:
     except MemoryError as e:  # numpy's ArrayMemoryError included
         raise HardFailure(str(e) or "out of memory") from e
     summary["reproducibility"] = {
-        "config": {f.name: getattr(config, f.name) for f in dc_fields(config)},
+        "config": {f.name: getattr(config, f.name) for f in _FIELDS},
         "package_version": __version__,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "summary.json", summary)
     return summary
+
+
+def _write_json(path: Path, obj) -> None:
+    """summary.json or fits.json: indented, keys sorted, one trailing newline."""
+    import json
+
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # law checks: each raises a ValueError saying what the kind needs
@@ -216,7 +247,8 @@ def _sample_footprint(config, spec, model=""):
     model = model or config.model
     try:
         _, _, targets = _grid_targets(model, config.direction_tuple(), config.n_grid_list())
-        need = _task_size(model, targets[-1], spec)[1]
+        # exponents (fluctuation_series) walks its geodesics back; radial-g has none
+        need = _task_size(model, targets[-1], spec, config.kind == "exponents")[1]
     except ValueError as e:
         raise ConfigError(str(e)) from None
     except OverflowError as e:  # n times direction, or the box around it, past a float's range
@@ -319,7 +351,7 @@ def _run_exponents(config, spec, paths, summary):
     summary["fits"] = fl.fits()  # a fit that refuses its samples leaves no series behind
     fl.variance.to_csv(paths[0])
     fl.wandering.to_csv(paths[1])
-    paths[2].write_text(json.dumps(summary["fits"], indent=2, sort_keys=True) + "\n")
+    _write_json(paths[2], summary["fits"])
 
 
 def _run_flat_edge(config, spec, paths, summary):

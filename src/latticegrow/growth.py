@@ -55,12 +55,15 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._output import write_csv
 from .experiments import MEMORY_BUDGET
-from .weights import WeightField
+
+if TYPE_CHECKING:  # an annotation only: eden and idla runs load no weights
+    from .weights import WeightField
 
 __all__ = [
     "ClusterTrace",

@@ -114,17 +114,16 @@ _BLOCK_LAYERS = 16
 _HASH_CHUNK = 1 << 15
 
 
-def _sweep_bytes(corner, keep_all: bool = False) -> int:
+def _sweep_bytes(corner, keep_all: bool = False, geodesics: bool = True) -> int:
     """Bytes one trial of a sweep on the rectangle [0, corner] holds, at most.
 
-    A corner sweep (_batch_corners) holds a decision byte per skewed cell
-    (counted even where no geodesic is wanted), two float layers, and the
-    path, a move byte and d coordinates a layer; per lead cell, the prefix
-    hash and _BLOCK_LAYERS layers of weights, hash words and three
-    temporaries.  With keep_all, lpp_dp holds its window (and its copy in
-    sweep order, unless that is the window), every skewed layer and the full
-    table, and hashes a slab of up to 2^18 cells.  Either adds 8 a layer and
-    16 KiB of small objects.
+    A corner sweep (_batch_corners) holds two float layers and, per lead
+    cell, the prefix hash and _BLOCK_LAYERS layers of weights, hash words and
+    three temporaries; with geodesics, also a decision byte per skewed cell
+    and the path, a move byte and d coordinates a layer.  With keep_all,
+    lpp_dp holds its window (and its copy in sweep order, unless that is the
+    window), every skewed layer and the full table, and hashes a slab of up
+    to 2^18 cells.  Either adds 8 a layer and 16 KiB of small objects.
     """
     lead = sorted(corner)[:-1]  # every axis but a longest one
     cells, layers = math.prod(c + 1 for c in lead), sum(corner) + 1
@@ -134,8 +133,8 @@ def _sweep_bytes(corner, keep_all: bool = False) -> int:
         total = cells * (max(corner) + 1)
         return small + 8 * (copies * total + layers * math.prod(c + 2 for c in lead)
                             + min(total, 1 << 18))
-    return (small + layers * (cells + 1 + 8 * len(corner)) + (8 + 40 * _BLOCK_LAYERS) * cells
-            + 16 * math.prod(c + 2 for c in lead))
+    path = layers * (cells + 1 + 8 * len(corner)) if geodesics else 0
+    return small + path + (8 + 40 * _BLOCK_LAYERS) * cells + 16 * math.prod(c + 2 for c in lead)
 
 
 def _min_plus_bytes(size: int, rounds: int = 0) -> int:

@@ -42,6 +42,24 @@ def test_config_round_trips_losslessly():
     assert again == cfg
 
 
+# every field in order, at its default: to_text, the repr and summary.json's
+# config echo all list the fields in this order
+_DEFAULT_TEXT = ("kind = \ndist = exp:1.0\ndim = 2\nmodel = \ndirection = 1,1\nn_grid = \n"
+                 "t = 0.0\ntrials = 0\nsteps = 0\nseed = 1\nworkers = 1\nout = out\n")
+
+
+def test_config_takes_its_fields_by_keyword_and_no_others():
+    assert ExperimentConfig().to_text() == _DEFAULT_TEXT
+    cfg = ExperimentConfig(kind="eden", steps=5, seed=0)
+    assert cfg == _cfg(kind="eden", steps=5, seed=0) == ExperimentConfig.from_text(cfg.to_text())
+    assert cfg != ExperimentConfig(kind="eden", steps=5)
+    assert repr(cfg) == ("ExperimentConfig(kind='eden', dist='exp:1.0', dim=2, model='', "
+                         "direction='1,1', n_grid='', t=0.0, trials=0, steps=5, seed=0, "
+                         "workers=1, out='out')")
+    with pytest.raises(TypeError, match="frobnicate"):
+        ExperimentConfig(kind="eden", frobnicate=3)
+
+
 def test_config_parse_errors_name_the_problem():
     with pytest.raises(ConfigError, match="frobnicate"):
         ExperimentConfig.from_text("frobnicate = 3")
@@ -151,6 +169,10 @@ def test_summary_contains_reproducibility_and_reference(tmp_path):
     assert summary["estimates"]["exact_g_reference"] == pytest.approx(4.0)
     blob = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert blob["reproducibility"]["config"]["seed"] == 3
+    # the echo holds every field in order, and the file the same values
+    echo = summary["reproducibility"]["config"]
+    assert list(echo) == [line.split(" =")[0] for line in _DEFAULT_TEXT.splitlines()]
+    assert blob["reproducibility"]["config"] == echo == vars(cfg)
     assert blob["reproducibility"]["package_version"]
     assert "generated_at" in blob["reproducibility"]
 
@@ -412,8 +434,9 @@ def test_shape_box_limit_is_inclusive(kind, dist, t_ok, t_bad):
 @pytest.mark.parametrize("kind,model,n_ok,n_bad", [
     # first FPP box radius 1045 (2093^2 padded vertices), then 1048 (2099^2)
     ("radial-g", "fpp", 398, 399),
-    # one trial's LPP sweep, about 2 (n + 1)^2 bytes
-    ("radial-g", "lpp", 11407, 11408),
+    # one trial's LPP sweep: radial-g keeps two layers, about 680 n bytes, and
+    # exponents also its decision bytes and path, about 2 (n + 1)^2
+    ("radial-g", "lpp", 394732, 394733),
     ("exponents", "", 11407, 11408),
 ])
 def test_trial_box_limit_is_inclusive(kind, model, n_ok, n_bad):
@@ -500,7 +523,7 @@ def test_shape_footprint_counts_the_largest_retry_box():
 ])
 def test_footprint_counts_the_trials_of_one_sample_task(monkeypatch, model, direction, n):
     # the CLI counts the task _sample_times runs: a full batch of LPP sweeps'
-    # tables, or of FPP solves, sized for a law bounded away from 0 by the
+    # tables, without decision bytes, or of FPP solves, sized for a law bounded away from 0 by the
     # smaller box its solve prunes to
     sizes = []
 
@@ -516,13 +539,13 @@ def test_footprint_counts_the_trials_of_one_sample_task(monkeypatch, model, dire
                direction=",".join(map(str, direction)), n_grid=str(n), trials=20)
     [(_field, count, _unit)] = _sample_footprint(cfg, spec)
     # a 16 MiB batch holds 61 trials on first FPP boxes of 65^2 padded
-    # vertices, or one on 55^3; 50 LPP sweeps on a 256^2 corner, 19 on 32^3
-    per = {("fpp", 2): 61, ("fpp", 3): 1, ("lpp", 2): 50, ("lpp", 3): 19}[model, len(direction)]
-    first = per * _point_bytes(model, n, direction)
+    # vertices, or one on 55^3; 87 LPP sweeps on a 256^2 corner, 22 on 32^3
+    per = {("fpp", 2): 61, ("fpp", 3): 1, ("lpp", 2): 87, ("lpp", 3): 22}[model, len(direction)]
+    first = per * _point_bytes(model, n, direction, geodesics=False)
     # 20 trials go in the fewest batches of at most per, their sizes within
     # one: 202 pruned boxes of 31^2 padded vertices or 16 of 23^3 in a task
-    per = {("fpp", 2): 202, ("fpp", 3): 16, ("lpp", 2): 50, ("lpp", 3): 19}[model, len(direction)]
-    assert sorted(sizes) == {202: [20], 16: [10, 10], 50: [20], 19: [10, 10]}[per]
+    per = {("fpp", 2): 202, ("fpp", 3): 16, ("lpp", 2): 87, ("lpp", 3): 22}[model, len(direction)]
+    assert sorted(sizes) == {202: [20], 16: [10, 10], 87: [20], 22: [20]}[per]
     # an FPP task holds a batch of pruned boxes, or a batch on the first box,
     # where any trial may grow, whichever is more
     pruned = {("fpp", 2): 202 * _fpp_bytes(29, 2, pruned=True),
@@ -573,12 +596,14 @@ def _table_bytes(s):
     return 8 * (2 * cells + (2 * s + 1) * (s + 2) + min(cells, 1 << 18) + 2 * s + 1) + (16 << 10)
 
 
-def _sweep_bytes(x):
-    """One corner sweep to x: per layer, the lead cells' decision bytes, a move byte,
-    d coordinates and 8; 648 bytes a lead cell; two padded float layers; 16 KiB."""
+def _sweep_bytes(x, geodesics=True):
+    """One corner sweep to x: 8 bytes a layer, and with geodesics the lead cells'
+    decision bytes, a move byte and d coordinates; 648 bytes a lead cell; two padded
+    float layers; 16 KiB."""
     lead = sorted(x)[:-1]
     cells, layers = math.prod(c + 1 for c in lead), sum(x) + 1
-    return (layers * (cells + 9 + 8 * len(x)) + 648 * cells + 16 * math.prod(c + 2 for c in lead)
+    per_layer = 8 + (cells + 1 + 8 * len(x) if geodesics else 0)
+    return (layers * per_layer + 648 * cells + 16 * math.prod(c + 2 for c in lead)
             + (16 << 10))
 
 
@@ -606,17 +631,17 @@ def _shape_bytes(model, mean, t):
     return _ball_bytes("lpp", 4 * (math.ceil(2.5 * t / mean) + 8))
 
 
-def _point_bytes(model, n, direction):
+def _point_bytes(model, n, direction, geodesics):
     """One trial on the first FPP box or of the LPP sweep to x = floor(n direction)."""
     x = [math.floor(n * c) for c in direction]
     if model == "fpp":
         return _fpp_bytes(2 * (math.ceil(1.3 * sum(x)) + 10) + 1, len(x))
-    return _sweep_bytes(x)
+    return _sweep_bytes(x, geodesics)
 
 
-def _task_bytes(model, n, direction):
-    """A batch of trials at x = floor(n direction)."""
-    trial = _point_bytes(model, n, direction)
+def _task_bytes(model, n, direction, geodesics):
+    """A batch of trials at x = floor(n direction); only exponents walks geodesics back."""
+    trial = _point_bytes(model, n, direction, geodesics)
     return _trials(trial) * trial
 
 
@@ -709,10 +734,12 @@ def _bounds():
             return {**kw, "dim": len(direction), "direction": ",".join(map(str, direction)),
                     "n_grid": ",".join(map(str, grid))}
 
-        top = _largest(lambda n: _task_bytes(model, n, direction) <= _BUDGET, 8, 10 ** 6)
+        walks = kind == "exponents"
+        top = _largest(lambda n: _task_bytes(model, n, direction, walks) <= _BUDGET, 8, 10 ** 6)
         cases.append((grid_kw, st.integers(top - 3, top + 3),
-                      lambda v, model=model, direction=direction:
-                          "n_grid" if _task_bytes(model, v, direction) > _BUDGET else None))
+                      lambda v, model=model, direction=direction, walks=walks:
+                          "n_grid" if _task_bytes(model, v, direction, walks) > _BUDGET
+                          else None))
     return cases
 
 
@@ -743,18 +770,24 @@ def _fresh_python(code: str, *args: str, env: dict | None = None) -> subprocess.
                           timeout=300)
 
 
+# what parsing must not load: numpy, the modules a dataclass or a JSON
+# summary pulls in, and the weight laws
+_NOT_FOR_PARSING = ("numpy", "dataclasses", "inspect", "json", "latticegrow.weights")
+
+
 def test_cli_parser_loads_no_numpy():
     proc = _fresh_python("import sys; import latticegrow.cli as c; c.build_parser(); "
-                         "print('numpy' in sys.modules)")
+                         f"print([m for m in {_NOT_FOR_PARSING!r} if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_usage_error_loads_no_numpy():
     proc = _fresh_python("import sys\nfrom latticegrow.cli import main\n"
                          "try:\n    main(['idla', '--steps', 'x'])\n"
-                         "except SystemExit as e:\n    print(e.code, 'numpy' in sys.modules)")
-    assert proc.stdout == "2 False\n", proc.stderr
+                         f"except SystemExit as e:\n    loaded = {_NOT_FOR_PARSING!r}\n"
+                         "    print(e.code, [m for m in loaded if m in sys.modules])")
+    assert proc.stdout == "2 []\n", proc.stderr
 
 
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -852,8 +885,8 @@ def test_pool_starts_at_most_the_processes_the_budget_holds(monkeypatch, tmp_pat
 
 
 # the latticegrow modules each kind loads besides the package itself, cli,
-# experiments, _output and weights
-_ESTIMATION = ("estimators", "fpp", "lpp")
+# experiments and _output; eden and idla read no dist, so they skip weights
+_ESTIMATION = ("estimators", "fpp", "lpp", "weights")
 _KIND_RUNS = [
     (["flat-edge", "--dist", "twopoint:0.55", "--n-grid", "50", "--trials", "4"], _ESTIMATION),
     (["radial-g", "--model", "fpp", "--dist", "unif:0.5:1.5", "--n-grid", "2,4",
@@ -864,9 +897,10 @@ _KIND_RUNS = [
     (["lpp-shape", "--t", "2", "--trials", "2"], _ESTIMATION),
     (["eden", "--steps", "10"], ("growth",)),
     (["idla", "--steps", "10"], ("growth",)),
-    (["tasep-coupling", "--steps", "4", "--trials", "1"], ("tasep", "lpp")),
-    (["oracle-check", "--dist", "unif:0.5:1.5", "--trials", "1"], ("oracle", "fpp", "lpp")),
-    (["lpp-exact", "--model", "exp", "--x", "1,1"], ("lpp",)),
+    (["tasep-coupling", "--steps", "4", "--trials", "1"], ("tasep", "lpp", "weights")),
+    (["oracle-check", "--dist", "unif:0.5:1.5", "--trials", "1"],
+     ("oracle", "fpp", "lpp", "weights")),
+    (["lpp-exact", "--model", "exp", "--x", "1,1"], ("lpp", "weights")),
 ]
 
 
@@ -882,7 +916,7 @@ def test_cli_kinds_import_no_scipy(tmp_path):
         proc = _fresh_python(code, *argv)
         assert proc.returncode == 0, proc.stderr
         expected = sorted(["latticegrow", *(f"latticegrow.{m}" for m in
-                                            ("cli", "experiments", "_output", "weights", *modules))])
+                                            ("cli", "experiments", "_output", *modules))])
         assert proc.stdout.splitlines()[-1] == repr(expected), argv[0]
 
 
@@ -939,6 +973,9 @@ _HUGE = "9" * 401
         (["radial-g", "--model", "fpp", "--n-grid", "4,x", "--trials", "2"], "n_grid"),
         (["radial-g", "--model", "fpp", "--direction", "1,a", "--n-grid", "4", "--trials", "2"],
          "direction"),
+        # a law that does not parse
+        (["radial-g", "--model", "lpp", "--dist", "nope:1", "--n-grid", "2,4", "--trials", "2"],
+         "dist"),
     ],
 )
 def test_cli_bad_input_exits_2_without_traceback(argv, field, tmp_path):

@@ -27,9 +27,9 @@ from latticegrow.experiments import _BATCH_BYTES, _batch_trials
 from latticegrow.lpp import _batch_corners, _sweep_axes, _sweep_bytes, _tables
 
 
-def _budget_batch(corner) -> int:
+def _budget_batch(corner, geodesics: bool = True) -> int:
     """Trials a corner sweep batch holds, by the sweep's own count."""
-    return _batch_trials(_sweep_bytes(corner))
+    return _batch_trials(_sweep_bytes(corner, geodesics=geodesics))
 
 LAWS = [exponential(1.0), geometric(0.3), uniform(0.5, 1.5), two_point(0.5), constant(1.0)]
 
@@ -280,19 +280,22 @@ def test_sweep_bytes_fit_the_budget_up_to_the_cli_limit():
     corners += [(n,) * 3 for n in (8, 32, 64, 255)] + [(n,) * 4 for n in (4, 16, 63)]
     corners += [(n,) for n in (1, 100, 1 << 24)] + [(0, 4095), (4095, 0, 0)]
     for corner in corners:
-        b = _budget_batch(corner)
-        assert b * _sweep_bytes(corner) <= _BATCH_BYTES or b == 1
+        for geodesics in (True, False):
+            b = _budget_batch(corner, geodesics)
+            assert b * _sweep_bytes(corner, geodesics=geodesics) <= _BATCH_BYTES or b == 1
     assert _budget_batch((4095, 4095)) == _budget_batch((255, 255, 255)) == 1
+    # radial-g's largest corners, with no decision bytes
+    assert _budget_batch((394732, 394732), False) == _budget_batch((634,) * 3, False) == 1
 
 
-def _sweep_peak(corner, b: int) -> int:
-    """tracemalloc's peak over b trials' corner sweep and backtrack, outputs included."""
+def _sweep_peak(corner, b: int, geodesics: bool) -> int:
+    """tracemalloc's peak over b trials' corner sweep and any backtrack, outputs included."""
     import tracemalloc
 
     fields = [make_field(exponential(1.0), j, "vertex", len(corner)) for j in range(b)]
     tracemalloc.start()
     try:
-        _batch_corners(fields, corner, True)
+        _batch_corners(fields, corner, geodesics)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -301,10 +304,13 @@ def _sweep_peak(corner, b: int) -> int:
 @pytest.mark.parametrize("corner", [(256, 256), (300, 128), (32, 32, 32), (6, 4, 3, 5), (2000,),
                                     (0, 50)])
 def test_corner_sweep_allocates_within_its_count(corner):
-    # numpy reports its buffers to tracemalloc: a budget batch's sweep and
-    # backtrack, outputs included, peak within _sweep_bytes' count
-    b = _budget_batch(corner)
-    assert _sweep_peak(corner, b) <= b * _sweep_bytes(corner) <= _BATCH_BYTES
+    # numpy reports its buffers to tracemalloc: a budget batch's sweep and any
+    # backtrack, outputs included, peak within _sweep_bytes' count, with
+    # geodesics (exponents) and without (radial-g)
+    for geodesics in (True, False):
+        b = _budget_batch(corner, geodesics)
+        count = _sweep_bytes(corner, geodesics=geodesics)
+        assert _sweep_peak(corner, b, geodesics) <= b * count <= _BATCH_BYTES, geodesics
 
 
 @pytest.mark.parametrize("corner", [(256, 256), (300, 128), (32, 32, 32), (6, 4, 3, 5), (2000,),
@@ -312,7 +318,8 @@ def test_corner_sweep_allocates_within_its_count(corner):
 def test_one_trial_sweep_allocates_within_its_count(corner):
     # a trial alone, as at the CLI's limit: its own count holds the sweep's
     # small arrays and, on thin rectangles, its many layers
-    assert _sweep_peak(corner, 1) <= _sweep_bytes(corner)
+    for geodesics in (True, False):
+        assert _sweep_peak(corner, 1, geodesics) <= _sweep_bytes(corner, geodesics=geodesics)
 
 
 @pytest.mark.parametrize("corner", [(300, 300), (40, 700), (5000,), (30, 30, 30), (1, 2, 3000)])

@@ -74,6 +74,10 @@ def _fpp(direction):
 _KINDS = {
     "fpp-2d": (_fpp("1,1"), 8, 10_000),
     "fpp-3d": (_fpp("1,1,1"), 1, 1_000),
+    # radial-g's LPP sweeps keep no decision bytes; in d = 2 its limit, about
+    # 37,000 here, is too slow a run for the suite
+    "lpp-3d": (lambda n: dict(kind="radial-g", model="lpp", dist="exp:1.0", direction="1,1,1",
+                              dim=3, n_grid=str(n), trials=2), 8, 10_000),
     "eden": (lambda d: dict(kind="eden", dim=d, steps=1), 1, 64),
     "idla": (lambda d: dict(kind="idla", dim=d, steps=1), 1, 64),
     "eden-steps": (lambda s: dict(kind="eden", dim=2, steps=s), 1, 10 ** 7),
