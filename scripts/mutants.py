@@ -132,6 +132,12 @@ MUTANTS = [
     Mutant("a caller's BLAS thread count overridden", CLI,
            "    if not any(name in os.environ for name in _BLAS_THREADS):\n", "    if True:\n",
            ("tests/test_experiments.py",)),
+    Mutant("the stdout flush before os._exit dropped", CLI,
+           "            code = e.code\n        sys.stdout.flush()\n", "            code = e.code\n",
+           ("tests/test_experiments.py",)),
+    Mutant("the pool's frozen heap never thawed", EST,
+           "            gc.unfreeze()\n", "            pass\n",
+           ("tests/test_experiments.py",)),
     Mutant("the pool sized by the workers, not the tasks", EST,
            "    procs = min(workers or 1, len(tasks), MEMORY_BUDGET // task_bytes)\n",
            "    procs = min(workers or 1, MEMORY_BUDGET // task_bytes)\n",
@@ -179,6 +185,9 @@ MUTANTS = [
            ("tests/test_growth.py",)),
     Mutant("a square's jumps transposed", GRO,
            "(rows * side + cols).tolist()", "(cols * side + rows).tolist()",
+           ("tests/test_growth.py",)),
+    Mutant("a guide-table bucket a cdf value cuts read as direct", GRO,
+           "np.where(lo == hi, lo, len(jumps))", "np.where(lo <= hi, lo, len(jumps))",
            ("tests/test_growth.py",)),
     Mutant("Eden's sites counted without their boundary edges", GRO,
            '    edges = 2 * d - 1 if kind == "eden" else 0\n', "    edges = 0\n",

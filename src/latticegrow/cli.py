@@ -18,6 +18,12 @@ caller set a thread count: the solvers' BLAS calls are short dot products
 and matrix-vector products, and OpenBLAS otherwise starts a busy-waiting
 thread for each CPU past the first at import.  ``--workers`` is the only
 parallelism.
+
+``entry``, behind ``python -m latticegrow.cli`` and the ``latticegrow`` script,
+runs ``main``, flushes stdout and stderr, and ends with ``os._exit``: every
+output file is closed by then, so the interpreter's teardown has nothing to
+do, unless a profiler or tracer still has data to write.  A stdout closed by
+its reader (``| head -0``) exits 141, as SIGPIPE would, with no traceback.
 """
 
 from __future__ import annotations
@@ -139,5 +145,23 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry(argv=None):
+    """Exit with main's code, skipping the interpreter's teardown when nothing observes it."""
+    try:
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's --help and usage errors
+            code = e.code
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout's reader is gone; no later flush may fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE
+    sys.stderr.flush()
+    tools = getattr(sys, "monitoring", None)  # Python 3.12 on: cProfile, coverage
+    if not (sys.getprofile() or sys.gettrace() or tools and any(map(tools.get_tool, range(6)))):
+        os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

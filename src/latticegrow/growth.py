@@ -16,7 +16,7 @@ marking its outer layer.  The grid grows by half its radius when a site
 lands on the rim, so every neighbour of a site lies inside it.  Sites stay
 flat indices, moved to each grown grid, and are decoded once at the end.
 
-Random draws come in blocks of 64, 128, ... up to 2^16.  For 2 <= n < 2^32
+Random draws come in blocks of 64, 128, ... up to 2^14.  For 2 <= n < 2^32
 numpy's rng.integers(n) reads 32-bit words w of the generator in order until
 (w n) mod 2^32 >= (2^32 - n) mod n, and returns (w n) >> 32 (Lemire's
 multiply-shift, ACM TOMACS 2019), so how a stream is cut into blocks does
@@ -51,9 +51,9 @@ Where the level is 0 the walker takes the next direction of the stream.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -182,11 +182,14 @@ def fpp_infection_order(field: WeightField, steps: int) -> ClusterTrace:
 
 _WALK_CAP_BASE = 100_000
 # random draws come in blocks of 64, 128, ... up to this size: small first blocks
-# keep one-step calls cheap, and the cap keeps a block's arrays near a megabyte
-_BLOCK_MAX = 1 << 16
+# keep one-step calls cheap, and the cap keeps a block's arrays and lists small
+_BLOCK_MAX = 1 << 14
 # the d = 2 walker rebuilds its level map after this many particles; at
 # 20,000 sites that many add about half a layer to the cluster
 _LEVEL_REFRESH = 256
+# a jump's uniform u, a multiple of 2^-53, is in bucket int(u * _BUCKETS), an
+# exact product; a grid within MEMORY_BUDGET has at most _GUIDES levels to cache
+_BUCKETS, _GUIDES = 1 << 14, 12
 
 
 def idla_grow(seed: int, d: int, particles: int) -> ClusterTrace:
@@ -281,25 +284,25 @@ def _walk_squares(seed: int, particles: int) -> list:
     A grid cell holds 0 if empty, else 1 + its level: the largest k with
     the square of radius 2^k around it inside the cluster, 0 if none.  On
     level 0 the walker takes the next direction; on level k it jumps to the
-    boundary of that square, drawn from tables[1 + k] with a uniform from
+    boundary of that square, drawn from guides[1 + k] with a uniform from
     its own stream.
     """
     rng = np.random.default_rng(seed)
     jump_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    bisect_right = bisect.bisect_right
     radius = _first_radius(2, particles)
     cells, rim = _grid(2, radius)
     centre = len(cells) // 2
     cells[centre] = 1
     offsets = np.array(_step_offsets(2, radius), dtype=np.int64)
-    tables = [None, None]  # entry 1 + k, a level-k cell's byte: its jumps and their cdf
+    guides = direct = [None, None]  # entry 1 + k, a level-k cell's byte: its guide, its table
     draws, steps, di, dn, block = np.empty(0, np.int64), [], 0, 0, 64  # steps: draws as offsets
-    us, ui, un, ublock = [], 0, 0, 64
+    us, buckets, ui, un, ublock = None, None, 0, 0, 64  # buckets: the uniforms' buckets
     added = []
 
     for p in range(particles):
         if p % _LEVEL_REFRESH == 0 and p:
-            tables = [None, None, *_mark_levels(cells, radius)]
+            guides = [None, None, *_mark_levels(cells, radius)]
+            direct = [g and g[0] for g in guides]
         cap = _walk_cap(2, p)
         pos = centre
         # a walk may take cap moves but not one more
@@ -314,10 +317,10 @@ def _walk_squares(seed: int, particles: int) -> list:
                 di += 1
             elif v:
                 if ui == un:
-                    us, ui, un = jump_rng.random(ublock).tolist(), 0, ublock
+                    us = jump_rng.random(ublock)
+                    buckets, ui, un = (us * _BUCKETS).astype(np.int64).tolist(), 0, ublock
                     ublock = min(2 * ublock, _BLOCK_MAX)
-                jumps, cdf = tables[v]
-                pos += jumps[bisect_right(cdf, us[ui])]
+                pos += direct[v][buckets[ui]] or _guided_jump(guides[v], float(us[ui]))
                 ui += 1
             else:
                 break
@@ -330,29 +333,44 @@ def _walk_squares(seed: int, particles: int) -> list:
             centre = len(cells) // 2
             offsets = np.array(_step_offsets(2, radius), dtype=np.int64)
             steps = offsets[draws].tolist()
-            tables = [None, None, *_mark_levels(cells, radius)]
+            guides = [None, None, *_mark_levels(cells, radius)]
+            direct = [g and g[0] for g in guides]
     return _sites(added, 2, radius)
 
 
 def _mark_levels(cells: bytearray, radius: int) -> list:
-    """Write 1 + level into each occupied cell of a d = 2 grid; return the jump tables.
+    """Write 1 + level into each occupied cell of a d = 2 grid; return the guides.
 
-    Entry k - 1 pairs the flat-index jumps from a level-k cell to the
-    boundary of its radius-2^k square with their cumulative law.
+    Entry k - 1 is _square_guide(k, side), the flat-index jumps from a level-k
+    cell to the boundary of its radius-2^k square with their law and guide table.
     """
     grid = _shaped(cells, 2, radius)
     occ = grid != 0
     levels = _level_map(occ)
     grid[...] = occ + levels
-    return [_square_jumps(k, 2 * radius + 1) for k in range(1, int(levels.max()) + 1)]
+    return [_square_guide(k, 2 * radius + 1) for k in range(1, int(levels.max()) + 1)]
 
 
-@functools.lru_cache(maxsize=32)  # a refresh reads one grid side, at most 12 levels
-def _square_jumps(k: int, side: int):
-    """Flat-index jumps from a level-k cell of a grid of this side to the boundary
-    of its radius-2^k square, with their cumulative law."""
+@functools.lru_cache(maxsize=_GUIDES)
+def _square_guide(k: int, side: int):
+    """(direct, jumps, cdf, starts) of a level-k cell in a grid of this side: u draws
+    jumps[bisect_right(cdf, u)], which is direct[b] for all u in bucket b if no cdf
+    value lies strictly inside (b, b + 1) / _BUCKETS, else direct[b] is 0, no jump
+    (side > 2^(k+1)), and the index lies in starts[b : b + 2]."""
     rows, cols, cdf = _square_exit_law(1 << k)
-    return tuple((rows * side + cols).tolist()), cdf
+    jumps = (rows * side + cols).tolist()
+    edges, law = np.arange(_BUCKETS + 1) / _BUCKETS, np.array(cdf)
+    starts = np.searchsorted(law, edges, side="right")  # the cdf values <= each edge
+    lo, hi = starts[:-1], np.searchsorted(law, edges[1:], side="left")
+    direct = np.array([*jumps, 0], dtype=object)[np.where(lo == hi, lo, len(jumps))].tolist()
+    return direct, jumps, cdf, memoryview(starts.astype(np.int32))
+
+
+def _guided_jump(guide, u: float) -> int:
+    """jumps[bisect_right(cdf, u)] of a _square_guide, read from its guide table."""
+    direct, jumps, cdf, starts = guide
+    b = int(u * _BUCKETS)
+    return direct[b] or jumps[bisect_right(cdf, u, starts[b], starts[b + 1])]
 
 
 def _level_map(occ: np.ndarray) -> np.ndarray:
@@ -442,9 +460,11 @@ def _trace_bytes(kind: str, d: int, sites: int) -> int:
     window: per site, 40 (a list slot and an int) for its flat index and, in
     Eden, each of the 2d - 1 boundary edges it adds; as _sites decodes them, 8
     in each of d + 2 arrays, 40 in each of d lists, and a d-tuple in a list;
-    and 96 a word of the draw blocks, an array, a list and (d = 2) floats."""
+    168 a word of the draw blocks (d = 2 IDLA at a refill: steps 56, the old
+    uniforms 48, the new 64); and in d = 2 IDLA 12 a bucket of each guide cached."""
     edges = 2 * d - 1 if kind == "eden" else 0
-    return sites * (40 * (1 + edges) + 56 * d + 64) + 96 * _BLOCK_MAX
+    guides = _GUIDES * 12 * _BUCKETS if kind == "idla" and d == 2 else 0
+    return sites * (40 * (1 + edges) + 56 * d + 64) + 168 * _BLOCK_MAX + guides
 
 
 def _norm_dtype(d: int, reach: int):

@@ -573,9 +573,12 @@ def _grid_bytes(d, steps):
 
 def _growth_bytes(kind, d, steps):
     """The first grid and the sites: 40 (1 + e) + 56 d + 64 bytes a site, e = 2 d - 1
-    boundary edges for eden and 0 for idla, and 96 bytes for each of 2^16 draws."""
+    boundary edges for eden and 0 for idla, 168 bytes for each of 2^14 draws, and for
+    idla in d = 2 12 bytes for each of the 2^14 buckets of 12 guide tables."""
     e = 2 * d - 1 if kind == "eden" else 0
-    return _grid_bytes(d, steps) + steps * (40 * (1 + e) + 56 * d + 64) + 96 * (1 << 16)
+    guides = 12 * 12 * (1 << 14) if kind == "idla" and d == 2 else 0
+    return (_grid_bytes(d, steps) + steps * (40 * (1 + e) + 56 * d + 64) + 168 * (1 << 14)
+            + guides)
 
 
 def _roundness_bytes(d):
@@ -831,6 +834,162 @@ def test_cli_keeps_a_callers_thread_count():
                                       OMP_NUM_THREADS="2")
     assert numpy_loaded
     assert caps == [None, "2", None]
+
+
+# -- the command line's exit --------------------------------------------------------
+# `entry` ends the process with os._exit once main has returned and stdout and
+# stderr are flushed, unless a profiler or tracer is attached
+
+
+def _cli(*argv, unbuffered=False, **popen) -> subprocess.CompletedProcess:
+    """`python -m latticegrow.cli argv` in a fresh interpreter, stdout and stderr piped
+    unless popen redirects them; stdout is block-buffered, as on a pipe by default,
+    unless unbuffered sets PYTHONUNBUFFERED."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(latticegrow.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "latticegrow.cli", *argv], text=True,
+                          env=env, timeout=300,
+                          **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **popen})
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["eden", "--steps", "50"], 0),
+    (["radial-g", "--model", "fpp", "--dist", "unif:0.5:1.5", "--n-grid", "2,4", "--trials", "2",
+      "--workers", "2"], 0),
+    (["idla", "--steps", "0"], 2),
+    (["idla", "--dim", "10", "--steps", "40", "--seed", "3"], 3),
+    (["lpp-exact", "--model", "geom", "--p", "0.5", "--x", "1,1"], 0),
+    (["lpp-exact", "--model", "exp", "--p", "0.5", "--x", "1,1"], 2),
+])
+def test_cli_process_prints_and_exits_as_main_returns(argv, code, tmp_path, capsys):
+    # every line main prints arrives through the pipes, and the process exits
+    # with main's code: the "wrote" lines, the value, and the messages of 2 and 3
+    if argv[0] != "lpp-exact":
+        argv = argv + ["--out", str(tmp_path / "o")]
+    assert main(argv) == code
+    printed = capsys.readouterr()
+    proc = _cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, printed.out, printed.err)
+    assert printed.out if code == 0 else printed.err
+
+
+@pytest.mark.parametrize("argv,unbuffered", [(["eden", "--steps", "50"], False),
+                                             (["eden", "--steps", "50"], True),
+                                             (["--help"], False)])
+def test_cli_closed_stdout_exits_141_without_traceback(argv, unbuffered, tmp_path):
+    # a reader that closed the pipe before the run reported (`| head -0`): the
+    # run's files are written, and the lost report is exit 141, with no message;
+    # buffered, the flush fails, unbuffered, the first print; --help exits in argparse
+    out = tmp_path / "o"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli(*argv, *(["--out", str(out)] if argv[0] == "eden" else []),
+                    unbuffered=unbuffered, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+    if argv[0] == "eden":
+        assert sorted(p.name for p in out.iterdir()) == ["eden_trace.csv", "summary.json"]
+
+
+def test_cli_usage_error_exits_2_through_the_entry():
+    proc = _cli("idla", "--steps", "x")
+    assert proc.returncode == 2
+    assert proc.stderr.endswith("error: argument --steps: invalid int value: 'x'\n")
+
+
+# a CLI run whose atexit hook writes "teardown" into the file argv[1]; with argv[2]
+# "trace" it runs under a trace function first
+_TEARDOWN_RUN = ("import atexit, sys\n"
+                 "path = sys.argv[1]\n"
+                 "atexit.register(lambda: open(path, 'w').write('teardown'))\n"
+                 "if sys.argv[2] == 'trace':\n"
+                 "    sys.settrace(lambda *event: None)\n"
+                 "from latticegrow import cli\n"
+                 "cli.entry(sys.argv[3:])\n")
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_cli_entry_skips_teardown_unless_traced(traced, tmp_path):
+    hook = tmp_path / "hook"
+    proc = _fresh_python(_TEARDOWN_RUN, str(hook), "trace" if traced else "plain",
+                         "eden", "--steps", "50", "--out", str(tmp_path / "o"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("wrote ")
+    assert hook.exists() == traced
+
+
+def test_cli_under_cprofile_writes_its_profile(tmp_path):
+    src = str(Path(latticegrow.__file__).parents[1])
+    profile = tmp_path / "f"
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(profile), "-m",
+                           "latticegrow.cli", "eden", "--steps", "50", "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert profile.stat().st_size > 0
+
+
+def test_console_script_is_the_entry():
+    pyproject = Path(latticegrow.__file__).parents[2] / "pyproject.toml"
+    if not pyproject.exists():
+        pytest.skip("an installed package has no pyproject.toml beside it")
+    assert 'latticegrow = "latticegrow.cli:entry"' in pyproject.read_text()
+
+
+# os._exit is the last call: it reports whether any child of the run is left,
+# reaped or not, then exits
+_CHILD_CHECK = ("import os, sys\n"
+                "from latticegrow import cli\n"
+                "exit = os._exit\n"
+                "def checked(code):\n"
+                "    try:\n"
+                "        os.waitpid(-1, os.WNOHANG)\n"
+                "        print('a child is left', flush=True)\n"
+                "    except ChildProcessError:\n"
+                "        print('no child', flush=True)\n"
+                "    exit(code)\n"
+                "os._exit = checked\n"
+                "cli.entry(sys.argv[1:])\n")
+
+
+def test_cli_pooled_run_leaves_no_child(tmp_path):
+    # os._exit skips multiprocessing's exit hooks, so the pool must be gone by then
+    proc = _fresh_python(_CHILD_CHECK, "radial-g", "--model", "fpp", "--dist", "unif:0.5:1.5",
+                         "--n-grid", "2,4", "--trials", "2", "--workers", "2",
+                         "--out", str(tmp_path / "o"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "no child"
+
+
+def _freeze_count(_task):
+    import gc
+
+    return gc.get_freeze_count()
+
+
+def _task_two_fails(task):
+    if task == 2:
+        raise ValueError("task 2 fails")
+    return task
+
+
+def test_pool_forks_from_a_frozen_heap_and_thaws_it():
+    # the workers inherit the parent's objects frozen, out of their collections;
+    # the parent thaws them when the pool is done, also when a task raises
+    import gc
+
+    assert gc.get_freeze_count() == 0
+    assert min(estimators._map_trials(_freeze_count, [0, 1, 2], 2, 1)) > 0
+    assert gc.get_freeze_count() == 0
+    with pytest.raises(ValueError, match="task 2 fails"):
+        estimators._map_trials(_task_two_fails, [0, 1, 2, 3], 2, 1)
+    assert gc.get_freeze_count() == 0
+    # in one process nothing is frozen
+    assert estimators._map_trials(_freeze_count, [0], 2, 1) == [0]
 
 
 def test_one_task_run_forks_nothing(monkeypatch, tmp_path):

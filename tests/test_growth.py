@@ -1,3 +1,4 @@
+import bisect
 import math
 from collections import Counter
 
@@ -553,12 +554,44 @@ def test_cached_jump_tables_equal_a_fresh_build():
             x = np.arange(-radius, radius + 1)
             occ = x[:, None] ** 2 + x[None, :] ** 2 <= (radius - 1) ** 2
             growth._shaped(cells, 2, radius)[...] = occ
-            exits = growth._mark_levels(cells, radius)
-            fresh = []
-            for k in range(1, top + 1):
-                rows, cols, cdf = growth._square_exit_law.__wrapped__(1 << k)
-                fresh.append((tuple((rows * side + cols).tolist()), cdf))
-            assert exits == fresh
+            guides = growth._mark_levels(cells, radius)
+            assert len(guides) == top
+            for k, (direct, jumps, cdf, starts) in enumerate(guides, 1):
+                rows, cols, fresh_cdf = growth._square_exit_law.__wrapped__(1 << k)
+                assert (jumps, cdf) == ((rows * side + cols).tolist(), fresh_cdf)
+                fresh = growth._square_guide.__wrapped__(k, side)
+                assert (direct, starts) == (fresh[0], fresh[3])
+
+
+def _guide_probes(cdf):
+    """Uniforms that probe a guide table: every cdf value below 1 and its float
+    neighbours, every bucket edge, 0 and the largest double below 1."""
+    below = [c for c in cdf if c < 1.0]
+    edges = (np.arange(growth._BUCKETS) / growth._BUCKETS).tolist()
+    probes = set(below) | set(edges) | {0.0, 1.0 - 2.0 ** -53}
+    probes |= set(np.nextafter(below, 0.0).tolist()) | set(np.nextafter(below, 1.0).tolist())
+    probes |= set(np.nextafter(edges[1:], 0.0).tolist())
+    return sorted(p for p in probes if 0.0 <= p < 1.0)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_guided_jump_matches_bisect(k):
+    # the table gives the jump bisect_right gives, at every point where a
+    # bucket or the cdf changes; side 2^(k+2) + 1 keeps every jump distinct
+    side = (1 << (k + 2)) + 1
+    guide = growth._square_guide(k, side)
+    direct, jumps, cdf, _starts = guide
+    assert len(set(jumps)) == len(jumps) and 0 not in jumps
+    probes = _guide_probes(cdf)
+    assert len(probes) > 2 * growth._BUCKETS
+    for u in probes:
+        assert growth._guided_jump(guide, u) == jumps[bisect.bisect_right(cdf, u)], (k, u)
+    # most buckets hold no cdf value, and answer without a bisect
+    assert sum(j != 0 for j in direct) >= growth._BUCKETS - len(cdf)
+    # the walker reads its bucket from the uniform block as numpy's float-to-int
+    us = np.array(probes)
+    assert (us * growth._BUCKETS).astype(np.int64).tolist() == [
+        int(u * growth._BUCKETS) for u in probes]
 
 
 def test_lattice_symmetry_of_first_step_all_models():
