@@ -20,10 +20,9 @@ thread for each CPU past the first at import.  ``--workers`` is the only
 parallelism.
 
 ``entry``, behind ``python -m latticegrow.cli`` and the ``latticegrow`` script,
-runs ``main``, flushes stdout and stderr, and ends with ``os._exit``: every
-output file is closed by then, so the interpreter's teardown has nothing to
-do, unless a profiler or tracer still has data to write.  A stdout closed by
-its reader (``| head -0``) exits 141, as SIGPIPE would, with no traceback.
+runs ``main``, flushes stdout and stderr, and ends with ``os._exit`` unless a
+profiler or tracer still has data to write.  A stdout closed by its reader
+(``| head -0``) exits 141, as SIGPIPE would; a closed stderr keeps main's code.
 """
 
 from __future__ import annotations
@@ -114,6 +113,15 @@ def _lpp_exact(args) -> float:
     return value
 
 
+def _fail(code: int, message: str) -> int:
+    """Print message to stderr and return code; a stderr with no reader loses the message."""
+    try:
+        print(message, file=sys.stderr)
+    except BrokenPipeError:
+        pass
+    return code
+
+
 def main(argv=None) -> int:
     # before numpy loads: one BLAS thread here and in the workers, unless the caller chose
     if not any(name in os.environ for name in _BLAS_THREADS):
@@ -125,8 +133,7 @@ def main(argv=None) -> int:
         try:
             value = _lpp_exact(args)
         except ConfigError as e:
-            print(f"config error: {e}", file=sys.stderr)
-            return 2
+            return _fail(2, f"config error: {e}")
         print(format(value, ".17g"))
         return 0
 
@@ -134,29 +141,39 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         summary = run_experiment(cfg)
     except (ConfigError, OSError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+        return _fail(2, f"config error: {e}")
     except HardFailure as e:
-        print(f"hard failure: {e}", file=sys.stderr)
-        return 3
+        return _fail(3, f"hard failure: {e}")
     for name in summary["files"]:
         print(f"wrote {cfg.out}/{name}")
     print(f"wrote {cfg.out}/summary.json")
     return 0
 
 
+def _drain(stream) -> bool:
+    """Flush stream; False if its reader is gone, pointing it at devnull for later flushes."""
+    if stream is None:  # the descriptor was closed at start-up
+        return True
+    try:
+        stream.flush()
+        return True
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        stream.flush()
+        return False
+
+
 def entry(argv=None):
     """Exit with main's code, skipping the interpreter's teardown when nothing observes it."""
     try:
-        try:
-            code = main(argv)
-        except SystemExit as e:  # argparse's --help and usage errors
-            code = e.code
-        sys.stdout.flush()
-    except BrokenPipeError:  # stdout's reader is gone; no later flush may fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = main(argv)
+    except SystemExit as e:  # argparse's --help and usage errors
+        code = e.code
+    except BrokenPipeError:  # an unbuffered stdout's reader is gone
+        code = 141
+    if not _drain(sys.stdout):  # stdout's reader is gone: the report is lost
         code = 141  # 128 + SIGPIPE
-    sys.stderr.flush()
+    _drain(sys.stderr)
     tools = getattr(sys, "monitoring", None)  # Python 3.12 on: cProfile, coverage
     if not (sys.getprofile() or sys.gettrace() or tools and any(map(tools.get_tool, range(6)))):
         os._exit(code)

@@ -163,17 +163,12 @@ def _map_trials(fn, tasks: list, workers: int, task_bytes: int):
     processes, task_bytes the most one task holds; on one, in this process."""
     procs = min(workers or 1, len(tasks), MEMORY_BUDGET // task_bytes)
     if procs > 1:
-        import gc
         import multiprocessing
 
-        gc.freeze()  # so the workers' collections write to, and copy, no shared page
-        try:
-            # one task at a time: a task is a solve or a batch of them, so a chunk
-            # of several would leave one worker finishing the tail alone
-            with multiprocessing.Pool(processes=procs) as pool:
-                return pool.map(fn, tasks, chunksize=1)
-        finally:
-            gc.unfreeze()
+        # one task at a time: a task is a solve or a batch of them, so a chunk
+        # of several would leave one worker finishing the tail alone
+        with multiprocessing.Pool(processes=procs) as pool:
+            return pool.map(fn, tasks, chunksize=1)
     return [fn(t) for t in tasks]
 
 

@@ -294,7 +294,7 @@ def _walk_squares(seed: int, particles: int) -> list:
     centre = len(cells) // 2
     cells[centre] = 1
     offsets = np.array(_step_offsets(2, radius), dtype=np.int64)
-    guides = direct = [None, None]  # entry 1 + k, a level-k cell's byte: its guide, its table
+    guides = [None, None]  # entry 1 + k, a level-k cell's byte: its _square_guide
     draws, steps, di, dn, block = np.empty(0, np.int64), [], 0, 0, 64  # steps: draws as offsets
     us, buckets, ui, un, ublock = None, None, 0, 0, 64  # buckets: the uniforms' buckets
     added = []
@@ -302,7 +302,6 @@ def _walk_squares(seed: int, particles: int) -> list:
     for p in range(particles):
         if p % _LEVEL_REFRESH == 0 and p:
             guides = [None, None, *_mark_levels(cells, radius)]
-            direct = [g and g[0] for g in guides]
         cap = _walk_cap(2, p)
         pos = centre
         # a walk may take cap moves but not one more
@@ -320,7 +319,8 @@ def _walk_squares(seed: int, particles: int) -> list:
                     us = jump_rng.random(ublock)
                     buckets, ui, un = (us * _BUCKETS).astype(np.int64).tolist(), 0, ublock
                     ublock = min(2 * ublock, _BLOCK_MAX)
-                pos += direct[v][buckets[ui]] or _guided_jump(guides[v], float(us[ui]))
+                b = buckets[ui]
+                pos += guides[v][0][b] or _bisect_bucket(guides[v], float(us[ui]), b)
                 ui += 1
             else:
                 break
@@ -334,7 +334,6 @@ def _walk_squares(seed: int, particles: int) -> list:
             offsets = np.array(_step_offsets(2, radius), dtype=np.int64)
             steps = offsets[draws].tolist()
             guides = [None, None, *_mark_levels(cells, radius)]
-            direct = [g and g[0] for g in guides]
     return _sites(added, 2, radius)
 
 
@@ -366,11 +365,11 @@ def _square_guide(k: int, side: int):
     return direct, jumps, cdf, memoryview(starts.astype(np.int32))
 
 
-def _guided_jump(guide, u: float) -> int:
-    """jumps[bisect_right(cdf, u)] of a _square_guide, read from its guide table."""
-    direct, jumps, cdf, starts = guide
-    b = int(u * _BUCKETS)
-    return direct[b] or jumps[bisect_right(cdf, u, starts[b], starts[b + 1])]
+def _bisect_bucket(guide, u: float, b: int) -> int:
+    """jumps[bisect_right(cdf, u)] of a _square_guide for a u in bucket b, bisecting
+    only that bucket's cdf values; the walker calls it where direct[b] is 0."""
+    _direct, jumps, cdf, starts = guide
+    return jumps[bisect_right(cdf, u, starts[b], starts[b + 1])]
 
 
 def _level_map(occ: np.ndarray) -> np.ndarray:

@@ -875,24 +875,50 @@ def test_cli_process_prints_and_exits_as_main_returns(argv, code, tmp_path, caps
     assert printed.out if code == 0 else printed.err
 
 
-@pytest.mark.parametrize("argv,unbuffered", [(["eden", "--steps", "50"], False),
-                                             (["eden", "--steps", "50"], True),
-                                             (["--help"], False)])
-def test_cli_closed_stdout_exits_141_without_traceback(argv, unbuffered, tmp_path):
-    # a reader that closed the pipe before the run reported (`| head -0`): the
-    # run's files are written, and the lost report is exit 141, with no message;
-    # buffered, the flush fails, unbuffered, the first print; --help exits in argparse
+_EDEN = ["eden", "--steps", "50"]
+
+
+@pytest.mark.parametrize("argv,unbuffered,closed,code", [
+    (_EDEN, False, ("stdout",), 141),
+    (_EDEN, True, ("stdout",), 141),
+    (["--help"], False, ("stdout",), 141),
+    (_EDEN, False, ("stdout", "stderr"), 141),
+    (_EDEN, False, ("stderr",), 0),
+    (["idla", "--steps", "0"], False, ("stderr",), 2),
+    (["idla", "--steps", "0"], False, ("stdout", "stderr"), 2),  # 2>&1 | head -0
+    (["idla", "--steps", "x"], False, ("stderr",), 2),  # argparse's usage error
+    (["idla", "--dim", "10", "--steps", "40", "--seed", "3"], False, ("stderr",), 3),
+])
+def test_cli_closed_pipe_exits_without_traceback(argv, unbuffered, closed, code, tmp_path):
+    # a reader that closed its pipe before the run reported (`| head -0`): a lost
+    # stdout report is exit 141 (buffered, the flush fails, unbuffered, the first
+    # print; --help exits in argparse), a lost stderr message keeps main's code,
+    # the open pipe gets no traceback, and the run's files are written
     out = tmp_path / "o"
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = _cli(*argv, *(["--out", str(out)] if argv[0] == "eden" else []),
-                    unbuffered=unbuffered, stdout=write)
+        proc = _cli(*argv, *(["--out", str(out)] if argv != ["--help"] else []),
+                    unbuffered=unbuffered, **dict.fromkeys(closed, write))
     finally:
         os.close(write)
-    assert (proc.returncode, proc.stderr) == (141, "")
-    if argv[0] == "eden":
+    assert proc.returncode == code
+    if "stdout" not in closed:
+        wrote = f"wrote {out}/eden_trace.csv\nwrote {out}/summary.json\n"
+        assert proc.stdout == (wrote if code == 0 else "")
+    if "stderr" not in closed:
+        assert proc.stderr == ""
+    if argv == _EDEN:
         assert sorted(p.name for p in out.iterdir()) == ["eden_trace.csv", "summary.json"]
+
+
+def test_cli_closed_stdout_descriptor_runs_silently(tmp_path):
+    # started with no stdout at all (`>&-`), sys.stdout is None: the run's files
+    # are written and it exits 0
+    out = tmp_path / "o"
+    proc = _cli("eden", "--steps", "50", "--out", str(out), preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sorted(p.name for p in out.iterdir()) == ["eden_trace.csv", "summary.json"]
 
 
 def test_cli_usage_error_exits_2_through_the_entry():
@@ -963,33 +989,6 @@ def test_cli_pooled_run_leaves_no_child(tmp_path):
                          "--out", str(tmp_path / "o"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "no child"
-
-
-def _freeze_count(_task):
-    import gc
-
-    return gc.get_freeze_count()
-
-
-def _task_two_fails(task):
-    if task == 2:
-        raise ValueError("task 2 fails")
-    return task
-
-
-def test_pool_forks_from_a_frozen_heap_and_thaws_it():
-    # the workers inherit the parent's objects frozen, out of their collections;
-    # the parent thaws them when the pool is done, also when a task raises
-    import gc
-
-    assert gc.get_freeze_count() == 0
-    assert min(estimators._map_trials(_freeze_count, [0, 1, 2], 2, 1)) > 0
-    assert gc.get_freeze_count() == 0
-    with pytest.raises(ValueError, match="task 2 fails"):
-        estimators._map_trials(_task_two_fails, [0, 1, 2, 3], 2, 1)
-    assert gc.get_freeze_count() == 0
-    # in one process nothing is frozen
-    assert estimators._map_trials(_freeze_count, [0], 2, 1) == [0]
 
 
 def test_one_task_run_forks_nothing(monkeypatch, tmp_path):

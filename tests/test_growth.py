@@ -585,7 +585,11 @@ def test_guided_jump_matches_bisect(k):
     probes = _guide_probes(cdf)
     assert len(probes) > 2 * growth._BUCKETS
     for u in probes:
-        assert growth._guided_jump(guide, u) == jumps[bisect.bisect_right(cdf, u)], (k, u)
+        b = int(u * growth._BUCKETS)
+        jump = jumps[bisect.bisect_right(cdf, u)]
+        # the walker's read, and the bucket's bisect alone, in every bucket
+        assert (direct[b] or growth._bisect_bucket(guide, u, b)) == jump, (k, u)
+        assert growth._bisect_bucket(guide, u, b) == jump, (k, u)
     # most buckets hold no cdf value, and answer without a bisect
     assert sum(j != 0 for j in direct) >= growth._BUCKETS - len(cdf)
     # the walker reads its bucket from the uniform block as numpy's float-to-int
